@@ -33,10 +33,12 @@ def main():
     passages = {p.doc_id: p for p in read_corpus(FIXTURE / "corpus.tsv")}
     print(f"corpus: {len(passages)} passages")
 
-    # --- BM25 mode: postings hold raw term frequencies -------------------
+    # --- BM25 mode: postings hold raw term frequencies, and the BM25 -----
+    # impact of each posting is computed once, when the index is built
     bm25_index = build_index(passages.values())
     print(f"bm25 index: {bm25_index.doc_count} docs, "
-          f"{len(bm25_index.postings)} terms, avgdl {bm25_index.avg_doc_length:.2f}")
+          f"{len(bm25_index.terms)} terms, avgdl {bm25_index.avg_doc_length:.2f}")
+    print(f"postings of 'espresso' (doc_id, tf): {bm25_index.posting('espresso')[:4]}")
 
     query = "trail running shoes for a marathon"
     show(f"BM25 top-5 for: {query!r}", bm25_retrieve(bm25_index, query, 10), passages)
@@ -44,7 +46,7 @@ def main():
     # --- sparse mode: postings hold precomputed term weights -------------
     vectors = load_sparse_vectors(FIXTURE / "sparse_vectors.tsv")
     sparse_index = build_sparse_index(vectors)
-    print(f"\nsparse index: {sparse_index.doc_count} docs, {len(sparse_index.postings)} terms")
+    print(f"\nsparse index: {sparse_index.doc_count} docs, {len(sparse_index.terms)} terms")
 
     # query side: the default encoder turns text into term counts; the dot
     # product against the stored document weights does the ranking

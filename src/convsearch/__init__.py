@@ -9,7 +9,6 @@ per-topic slices.
 """
 
 from .conversation import (
-    ConversationContext,
     PTKBStatement,
     Topic,
     Turn,

@@ -22,7 +22,6 @@ __all__ = [
     "PTKBStatement",
     "Turn",
     "Topic",
-    "ConversationContext",
     "parse_topics",
     "serialize_topics",
     "render_context",
@@ -79,13 +78,6 @@ class Topic:
         for position, turn in enumerate(self.turns, start=1):
             if turn.turn_number != position:
                 raise ValueError(f"topic '{self.topic_id}': non-contiguous turns")
-
-
-@dataclass(frozen=True)
-class ConversationContext:
-    """Rendered history for a turn; empty string for turn 1."""
-
-    rendered: str = ""
 
 
 def _parse_topic(entry: dict, position: int) -> Topic:
@@ -165,10 +157,11 @@ def render_context(
     topic: Topic,
     current_turn: int,
     response_overrides: Mapping[int, str] | None = None,
-) -> ConversationContext:
+) -> str:
     """Render the history of all turns strictly before ``current_turn``.
 
-    Each prior turn contributes a ``USER:`` line then a ``SYSTEM:`` line.
+    Each prior turn contributes a ``USER:`` line then a ``SYSTEM:`` line;
+    turn 1 has an empty history.
     ``response_overrides`` substitutes generated responses for gold ones
     (keyed by turn number); by default gold responses are used.
 
@@ -186,7 +179,7 @@ def render_context(
             response = response_overrides[turn.turn_number]
         lines.append(f"USER: {turn.user_utterance}")
         lines.append(f"SYSTEM: {response}")
-    return ConversationContext(rendered="\n".join(lines))
+    return "\n".join(lines)
 
 
 def ptkb_text(topic: Topic) -> str:

@@ -43,19 +43,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Qrels:
-    """Graded relevance judgments keyed by (query_id, doc_id)."""
+    """Graded relevance judgments keyed by (query_id, doc_id), grouped by query once."""
 
     judgments: dict[tuple[str, str], int] = field(default_factory=dict)
+    _by_query: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_query: dict[str, dict[str, int]] = {}
+        for (qid, doc_id), rel in self.judgments.items():
+            by_query.setdefault(qid, {})[doc_id] = rel
+        object.__setattr__(self, "_by_query", by_query)
 
     def for_query(self, query_id: str) -> dict[str, int]:
-        return {
-            doc_id: rel
-            for (qid, doc_id), rel in self.judgments.items()
-            if qid == query_id
-        }
+        return dict(self._by_query.get(query_id, {}))
 
     def query_ids(self) -> set[str]:
-        return {qid for qid, _ in self.judgments}
+        return set(self._by_query)
 
 
 def parse_qrels(source: str | Path | IO[str]) -> Qrels:

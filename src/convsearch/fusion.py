@@ -55,15 +55,10 @@ class EnsembleConfig:
     """A non-empty set of scorer ids fused by mean of min-max-normalized scores."""
 
     scorer_ids: tuple[str, ...]
-    aggregation: str = "mean"
 
     def __post_init__(self) -> None:
         if not self.scorer_ids:
             raise ValueError("ensemble requires at least one scorer")
-        if self.aggregation != "mean":
-            raise NotImplementedError(
-                f"aggregation '{self.aggregation}' not implemented (only 'mean')"
-            )
 
 
 class NumericSuffixScorer:

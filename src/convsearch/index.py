@@ -1,21 +1,25 @@
 """Inverted index over a passage collection with BM25 and sparse-vector retrieval.
 
-The index serves two scoring modes over the same posting-list substrate:
+Both scoring modes share one posting layout and one score-at-a-time kernel.
+Postings are CSR arrays holding, per term, int32 doc indices in ascending
+doc_id order, the raw payload and the scoring weight:
 
-* ``bm25`` mode stores raw term frequencies per document and scores text
-  queries with BM25 (default k1=0.9, b=0.4, the common TREC-toolkit
-  defaults).  The IDF is the non-negative variant
-  ``ln(1 + (N - df + 0.5) / (df + 0.5))`` and the per-term contribution is
-  ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))``.  Every
-  query token occurrence contributes one term clause, so repeated query
-  terms boost the score.
-* ``sparse`` mode stores externally computed term weights (e.g. the output
-  of a learned sparse encoder) and scores sparse query vectors by dot
-  product.
+* ``bm25`` mode: the payload is the term frequency and the weight is its
+  BM25 impact ``idf * (tf * (K1 + 1.0)) / (tf + K1 * norm)``, computed once
+  at build time, with ``norm = 1.0 - B + B * (dl / avgdl)`` (``avgdl`` is
+  1.0 if every document is empty), the non-negative
+  ``idf = ln(1.0 + (N - df + 0.5) / (df + 0.5))`` and the common
+  TREC-toolkit defaults ``K1 = 0.9``, ``B = 0.4``.
+* ``sparse`` mode: the payload is an externally computed term weight (e.g.
+  a learned sparse encoder's), and it is also the scoring weight.
 
-Indexes are immutable after construction and safe for concurrent readers.
-All retrieval is deterministic: ties are broken by ascending doc_id, and
-score accumulation follows a fixed iteration order.
+A query is a sequence of ``(term, query_weight)`` clauses: one ``(token,
+1.0)`` per BM25 query token occurrence in query order (repeated terms
+boost), or a sparse query vector's entries in insertion order.  Clause by
+clause, each posting document's score becomes ``score + query_weight *
+weight``, from 0.0.  Positive scores rank descending, ties by ascending
+doc_id.  Indexes are immutable (read-only arrays) and safe for concurrent
+readers; retrieval is deterministic bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +27,13 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Mapping
+
+import numpy as np
 
 __all__ = [
     "AnalyzerConfig",
@@ -45,6 +53,10 @@ __all__ = [
 ]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+
+# BM25 saturation and length normalisation, applied when the index is built
+K1 = 0.9
+B = 0.4
 
 
 @dataclass(frozen=True)
@@ -113,19 +125,13 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def dot(self, other: "SparseVector") -> float:
-        small, big = self.entries, other.entries
-        if len(big) < len(small):
-            small, big = big, small
-        return sum(w * big[t] for t, w in small.items() if t in big)
-
 
 @dataclass(frozen=True)
 class RankedList:
     """Scored documents for one query, best first.
 
-    Invariants enforced on construction: scores non-increasing, doc_ids
-    distinct, and equal scores ordered by ascending doc_id.
+    Invariants enforced on construction: scores finite and non-increasing,
+    doc_ids distinct, and equal scores ordered by ascending doc_id.
     """
 
     query_id: str
@@ -139,6 +145,8 @@ class RankedList:
             if doc_id in seen:
                 raise ValueError(f"duplicate doc_id '{doc_id}' in ranked list")
             seen.add(doc_id)
+            if not math.isfinite(score):
+                raise ValueError(f"non-finite score {score} for doc_id '{doc_id}'")
             if prev is not None:
                 if score > prev[1]:
                     raise ValueError("ranked list scores must be non-increasing")
@@ -159,30 +167,70 @@ class RankedList:
         return len(self.items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvertedIndex:
-    """Immutable term -> postings map plus corpus statistics.
+    """CSR postings plus corpus statistics; raw payloads are read with :meth:`posting`.
 
-    ``mode`` selects the payload meaning: raw term frequency (``bm25``) or
-    stored term weight (``sparse``).  Every doc_id that occurs in a posting
-    also appears in ``doc_lengths``; ``doc_count`` equals
-    ``len(doc_lengths)`` and ``avg_doc_length`` is the mean length
-    (0.0 for an empty index).
+    ``doc_ids`` lists the documents in ascending order (posting doc indices
+    point into it), ``doc_lengths`` in insertion order.  ``avg_doc_length``
+    is the mean length, 0.0 for an empty index.
     """
 
     mode: str
-    postings: dict[str, tuple[tuple[str, float], ...]]
+    analyzer: AnalyzerConfig
+    doc_ids: tuple[str, ...]
     doc_lengths: dict[str, int]
-    doc_count: int
     avg_doc_length: float
-    analyzer: AnalyzerConfig = AnalyzerConfig()
+    _term_ids: dict[str, int] = field(repr=False)
+    _offsets: np.ndarray = field(repr=False)
+    _docs: np.ndarray = field(repr=False)
+    _payloads: np.ndarray = field(repr=False)
+    _weights: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("bm25", "sparse"):
-            raise ValueError(f"unknown index mode '{self.mode}'")
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_ids)
+
+    @property
+    def terms(self) -> tuple[str, ...]:
+        """Every indexed term, in first-seen order."""
+        return tuple(self._term_ids)
 
     def document_frequency(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        tid = self._term_ids.get(term)
+        return 0 if tid is None else int(self._offsets[tid + 1] - self._offsets[tid])
+
+    def posting(self, term: str) -> tuple[tuple[str, float], ...]:
+        """``(doc_id, payload)`` pairs for ``term`` in ascending doc_id order."""
+        tid = self._term_ids.get(term)
+        if tid is None:
+            return ()
+        start, end = self._offsets[tid], self._offsets[tid + 1]
+        ids = self.doc_ids
+        docs = [ids[i] for i in self._docs[start:end].tolist()]
+        return tuple(zip(docs, self._payloads[start:end].tolist()))
+
+
+def _tab_rows(source: str | Path | IO[str], kind: str, rest: str) -> Iterator[tuple]:
+    """``(lineno, doc_id, rest)`` of each non-blank ``<doc_id><TAB><rest>`` line.
+
+    ``source`` is a UTF-8 file path or an open text handle.
+    """
+    handle = open(source, encoding="utf-8") if isinstance(source, (str, Path)) else source
+    try:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            if "\t" not in line:
+                raise ValueError(f"{kind} line {lineno}: expected '<doc_id>\\t<{rest}>'")
+            doc_id, text = line.split("\t", 1)
+            if not doc_id:
+                raise ValueError(f"{kind} line {lineno}: empty doc_id")
+            yield lineno, doc_id, text
+    finally:
+        if handle is not source:
+            handle.close()
 
 
 def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
@@ -191,26 +239,57 @@ def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
     Raises ValueError with the line number for lines without a tab.
     Blank lines are skipped.
     """
-    close = False
-    if isinstance(source, (str, Path)):
-        handle: IO[str] = open(source, "r", encoding="utf-8")
-        close = True
+    for _, doc_id, text in _tab_rows(source, "corpus", "text"):
+        yield Passage(doc_id=doc_id, text=text)
+
+
+def _build(
+    mode: str,
+    rows: Iterable[tuple[str, int, Mapping[str, float]]],
+    analyzer: AnalyzerConfig,
+) -> InvertedIndex:
+    """Pack ``(doc_id, length, {term: payload})`` rows; raises ValueError on a duplicate doc_id.
+
+    Rows stream into flat buffers, then documents are renumbered by doc_id
+    rank and postings grouped by term.
+    """
+    if mode not in ("bm25", "sparse"):
+        raise ValueError(f"unknown index mode '{mode}'")
+    doc_lengths: dict[str, int] = {}
+    term_ids: dict[str, int] = {}
+    row_sizes, row_terms, row_payloads = array("i"), array("i"), array("d")
+    for doc_id, length, entries in rows:
+        if doc_id in doc_lengths:
+            raise ValueError(f"duplicate doc_id '{doc_id}'")
+        doc_lengths[doc_id] = length
+        row_sizes.append(len(entries))
+        row_terms.extend([term_ids.setdefault(t, len(term_ids)) for t in entries])
+        row_payloads.extend(entries.values())
+    doc_ids = tuple(sorted(doc_lengths))
+    n = len(doc_ids)
+    rank_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    ranks = np.array([rank_of[d] for d in doc_lengths], dtype=np.int32)
+    terms = np.array(row_terms, dtype=np.int32)
+    docs = np.repeat(ranks, np.array(row_sizes, dtype=np.int32))
+    order = np.lexsort((docs, terms))
+    docs = docs[order]
+    payloads = np.array(row_payloads, dtype=np.float64)[order]
+    df = np.bincount(terms, minlength=len(term_ids))
+    offsets = np.concatenate(([0], np.cumsum(df))).astype(np.int64)
+    avg = sum(doc_lengths.values()) / n if n else 0.0
+    if mode == "bm25":
+        idf = [math.log(1.0 + (n - f + 0.5) / (f + 0.5)) for f in df.tolist()]
+        lengths = np.array([doc_lengths[d] for d in doc_ids], dtype=np.float64)
+        norm = 1.0 - B + B * (lengths[docs] / (avg or 1.0))
+        tf = payloads
+        weights = np.repeat(idf, df) * (tf * (K1 + 1.0)) / (tf + K1 * norm)
     else:
-        handle = source
-    try:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"corpus line {lineno}: expected '<doc_id>\\t<text>'")
-            doc_id, text = line.split("\t", 1)
-            if not doc_id:
-                raise ValueError(f"corpus line {lineno}: empty doc_id")
-            yield Passage(doc_id=doc_id, text=text)
-    finally:
-        if close:
-            handle.close()
+        weights = payloads
+    for arr in (offsets, docs, payloads, weights):
+        arr.flags.writeable = False
+    return InvertedIndex(
+        mode, analyzer, doc_ids, doc_lengths, avg, term_ids, offsets, docs, payloads, weights
+    )
 
 
 def build_index(
@@ -227,30 +306,17 @@ def build_index(
             passage text unless ``allow_empty_text`` is set.
     """
     analyzer = analyzer or AnalyzerConfig()
-    postings: dict[str, list[tuple[str, float]]] = {}
-    doc_lengths: dict[str, int] = {}
-    for passage in corpus:
-        if passage.doc_id in doc_lengths:
-            raise ValueError(f"duplicate doc_id '{passage.doc_id}'")
-        if not passage.text and not allow_empty_text:
-            raise ValueError(f"empty text for doc_id '{passage.doc_id}' (allow_empty_text=False)")
-        tokens = analyzer.tokenize(passage.text)
-        doc_lengths[passage.doc_id] = len(tokens)
-        counts: dict[str, int] = {}
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        for term, count in counts.items():
-            postings.setdefault(term, []).append((passage.doc_id, float(count)))
-    doc_count = len(doc_lengths)
-    avg = sum(doc_lengths.values()) / doc_count if doc_count else 0.0
-    return InvertedIndex(
-        mode="bm25",
-        postings={t: tuple(p) for t, p in postings.items()},
-        doc_lengths=doc_lengths,
-        doc_count=doc_count,
-        avg_doc_length=avg,
-        analyzer=analyzer,
-    )
+
+    def rows() -> Iterator[tuple[str, int, Counter]]:
+        for passage in corpus:
+            if not passage.text and not allow_empty_text:
+                raise ValueError(
+                    f"empty text for doc_id '{passage.doc_id}' (allow_empty_text=False)"
+                )
+            tokens = analyzer.tokenize(passage.text)
+            yield passage.doc_id, len(tokens), Counter(tokens)
+
+    return _build("bm25", rows(), analyzer)
 
 
 def build_sparse_index(
@@ -262,25 +328,8 @@ def build_sparse_index(
     Document length is the number of stored (non-zero) terms; it is kept
     for corpus statistics only and plays no role in dot-product scoring.
     """
-    analyzer = analyzer or AnalyzerConfig()
-    postings: dict[str, list[tuple[str, float]]] = {}
-    doc_lengths: dict[str, int] = {}
-    for doc_id, vector in vectors.items():
-        if doc_id in doc_lengths:
-            raise ValueError(f"duplicate doc_id '{doc_id}'")
-        doc_lengths[doc_id] = len(vector)
-        for term, weight in vector.entries.items():
-            postings.setdefault(term, []).append((doc_id, weight))
-    doc_count = len(doc_lengths)
-    avg = sum(doc_lengths.values()) / doc_count if doc_count else 0.0
-    return InvertedIndex(
-        mode="sparse",
-        postings={t: tuple(p) for t, p in postings.items()},
-        doc_lengths=doc_lengths,
-        doc_count=doc_count,
-        avg_doc_length=avg,
-        analyzer=analyzer,
-    )
+    rows = ((doc_id, len(vector), vector.entries) for doc_id, vector in vectors.items())
+    return _build("sparse", rows, analyzer or AnalyzerConfig())
 
 
 _VECTOR_ENTRY_RE = re.compile(r"^(?P<term>.+):(?P<weight>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)$")
@@ -296,58 +345,52 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> dict[str, SparseVector]
         ValueError: naming the line number, for malformed lines, negative
             weights, or duplicate doc_ids.
     """
-    close = False
-    if isinstance(source, (str, Path)):
-        handle: IO[str] = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        handle = source
     vectors: dict[str, SparseVector] = {}
-    try:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
+    for lineno, doc_id, payload in _tab_rows(source, "sparse-vector", "entries"):
+        if doc_id in vectors:
+            raise ValueError(f"sparse-vector line {lineno}: duplicate doc_id '{doc_id}'")
+        entries: dict[str, float] = {}
+        for part in payload.split(" "):
+            if not part:
                 continue
-            if "\t" not in line:
-                raise ValueError(f"sparse-vector line {lineno}: expected '<doc_id>\\t<entries>'")
-            doc_id, payload = line.split("\t", 1)
-            if not doc_id:
-                raise ValueError(f"sparse-vector line {lineno}: empty doc_id")
-            if doc_id in vectors:
-                raise ValueError(f"sparse-vector line {lineno}: duplicate doc_id '{doc_id}'")
-            entries: dict[str, float] = {}
-            for part in payload.split(" "):
-                if not part:
-                    continue
-                match = _VECTOR_ENTRY_RE.match(part)
-                if match is None:
-                    raise ValueError(
-                        f"sparse-vector line {lineno}: malformed entry '{part}'"
-                    )
-                weight = float(match.group("weight"))
-                if weight < 0:
-                    raise ValueError(
-                        f"sparse-vector line {lineno}: negative weight in '{part}'"
-                    )
-                entries[match.group("term")] = weight
-            vectors[doc_id] = SparseVector(entries)
-    finally:
-        if close:
-            handle.close()
+            match = _VECTOR_ENTRY_RE.match(part)
+            if match is None:
+                raise ValueError(f"sparse-vector line {lineno}: malformed entry '{part}'")
+            weight = float(match.group("weight"))
+            if weight < 0:
+                raise ValueError(f"sparse-vector line {lineno}: negative weight in '{part}'")
+            entries[match.group("term")] = weight
+        vectors[doc_id] = SparseVector(entries)
     return vectors
 
 
-def _idf(doc_count: int, doc_freq: int) -> float:
-    return math.log(1.0 + (doc_count - doc_freq + 0.5) / (doc_freq + 0.5))
+def _score_at_a_time(
+    mode: str, index: InvertedIndex, clauses: Iterable[tuple[str, float]], k: int, query_id: str
+) -> RankedList:
+    """Top-k positive accumulator totals over ``(term, query_weight)`` clauses."""
+    if index.mode != mode:
+        raise ValueError(f"{mode}_retrieve requires a {mode}-mode index, got '{index.mode}'")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    acc = np.zeros(index.doc_count)
+    term_ids, offsets, docs, weights = index._term_ids, index._offsets, index._docs, index._weights
+    for term, query_weight in clauses:
+        tid = term_ids.get(term)
+        if tid is None:
+            continue
+        start, end = offsets[tid], offsets[tid + 1]
+        acc[docs[start:end]] += query_weight * weights[start:end]
+    hits = np.flatnonzero(acc > 0.0)
+    scores = acc[hits]
+    top = np.lexsort((hits, -scores))[:k]
+    ids = index.doc_ids
+    return RankedList(
+        query_id, tuple(zip([ids[i] for i in hits[top].tolist()], scores[top].tolist()))
+    )
 
 
 def bm25_retrieve(
-    index: InvertedIndex,
-    query_text: str,
-    k: int,
-    k1: float = 0.9,
-    b: float = 0.4,
-    query_id: str = "",
+    index: InvertedIndex, query_text: str, k: int, query_id: str = ""
 ) -> RankedList:
     """Top-k documents for a text query under BM25.
 
@@ -358,25 +401,8 @@ def bm25_retrieve(
     Raises:
         ValueError: if ``k`` < 1 or the index is not in bm25 mode.
     """
-    if index.mode != "bm25":
-        raise ValueError(f"bm25_retrieve requires a bm25-mode index, got '{index.mode}'")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    tokens = index.analyzer.tokenize(query_text)
-    scores: dict[str, float] = {}
-    avgdl = index.avg_doc_length or 1.0
-    for token in tokens:
-        posting = index.postings.get(token)
-        if not posting:
-            continue
-        idf = _idf(index.doc_count, len(posting))
-        for doc_id, tf in posting:
-            norm = 1.0 - b + b * (index.doc_lengths[doc_id] / avgdl)
-            contribution = idf * (tf * (k1 + 1.0)) / (tf + k1 * norm)
-            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-    positive = {d: s for d, s in scores.items() if s > 0.0}
-    ordered = sorted(positive.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return RankedList(query_id, tuple(ordered))
+    clauses = [(token, 1.0) for token in index.analyzer.tokenize(query_text)]
+    return _score_at_a_time("bm25", index, clauses, k, query_id)
 
 
 def sparse_retrieve(
@@ -390,20 +416,7 @@ def sparse_retrieve(
     Raises:
         ValueError: if ``k`` < 1 or the index is not in sparse mode.
     """
-    if index.mode != "sparse":
-        raise ValueError(f"sparse_retrieve requires a sparse-mode index, got '{index.mode}'")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores: dict[str, float] = {}
-    for term, query_weight in query.entries.items():
-        posting = index.postings.get(term)
-        if not posting:
-            continue
-        for doc_id, doc_weight in posting:
-            scores[doc_id] = scores.get(doc_id, 0.0) + query_weight * doc_weight
-    positive = {d: s for d, s in scores.items() if s > 0.0}
-    ordered = sorted(positive.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return RankedList(query_id, tuple(ordered))
+    return _score_at_a_time("sparse", index, query.entries.items(), k, query_id)
 
 
 def text_to_query_vector(text: str, analyzer: AnalyzerConfig | None = None) -> SparseVector:
@@ -413,37 +426,31 @@ def text_to_query_vector(text: str, analyzer: AnalyzerConfig | None = None) -> S
     learned encoder output is available: each analyzed token contributes
     weight 1 per occurrence.
     """
-    analyzer = analyzer or AnalyzerConfig()
-    counts: dict[str, float] = {}
-    for token in analyzer.tokenize(text):
-        counts[token] = counts.get(token, 0.0) + 1.0
-    return SparseVector(counts)
+    return SparseVector(Counter((analyzer or AnalyzerConfig()).tokenize(text)))
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Serialize an index to a JSON file."""
+    """Serialize an index to a JSON file at exactly ``path``."""
     payload = {
         "mode": index.mode,
         "analyzer": index.analyzer.to_dict(),
         "doc_lengths": index.doc_lengths,
         "doc_count": index.doc_count,
         "avg_doc_length": index.avg_doc_length,
-        "postings": {term: [[d, w] for d, w in posting] for term, posting in index.postings.items()},
+        "postings": {t: [list(pair) for pair in index.posting(t)] for t in index.terms},
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Load an index saved by :func:`save_index`."""
+    """Load an index saved by :func:`save_index`; BM25 impacts are recomputed."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return InvertedIndex(
-        mode=payload["mode"],
-        postings={
-            term: tuple((d, float(w)) for d, w in posting)
-            for term, posting in payload["postings"].items()
-        },
-        doc_lengths={d: int(n) for d, n in payload["doc_lengths"].items()},
-        doc_count=int(payload["doc_count"]),
-        avg_doc_length=float(payload["avg_doc_length"]),
-        analyzer=AnalyzerConfig.from_dict(payload.get("analyzer", {})),
+    rows: dict[str, dict[str, float]] = {doc_id: {} for doc_id in payload["doc_lengths"]}
+    for term, posting in payload["postings"].items():
+        for doc_id, value in posting:
+            rows[doc_id][term] = float(value)
+    return _build(
+        payload["mode"],
+        ((doc_id, int(n), rows[doc_id]) for doc_id, n in payload["doc_lengths"].items()),
+        AnalyzerConfig.from_dict(payload.get("analyzer", {})),
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .conversation import ConversationContext, PTKBStatement
+from .conversation import PTKBStatement
 from .index import Passage
 from .prompts import TEMPLATES, render_prompt
 
@@ -241,10 +241,6 @@ def match_ptkb_labels(statements: Sequence[str], response: str) -> list[int]:
     return [1 if normalize_statement(s) in response_lines else 0 for s in statements]
 
 
-def _context_text(ctx: ConversationContext | str) -> str:
-    return ctx.rendered if isinstance(ctx, ConversationContext) else ctx
-
-
 class LLMGateway:
     """Cached completion client plus the pipeline's prompt-level operations."""
 
@@ -290,7 +286,7 @@ class LLMGateway:
 
     def generate_queries(
         self,
-        ctx: ConversationContext | str,
+        ctx: str,
         ptkb: str,
         utterance: str,
         phi: int,
@@ -303,7 +299,7 @@ class LLMGateway:
             {
                 "phi": str(phi),
                 "ptkb": ptkb,
-                "ctx": _context_text(ctx),
+                "ctx": ctx,
                 "user utterance": utterance,
             },
         )
@@ -312,7 +308,7 @@ class LLMGateway:
 
     def generate_rewrite(
         self,
-        ctx: ConversationContext | str,
+        ctx: str,
         ptkb: str,
         utterance: str,
     ) -> str:
@@ -322,7 +318,7 @@ class LLMGateway:
             {
                 "phi": "1",
                 "ptkb": ptkb,
-                "ctx": _context_text(ctx),
+                "ctx": ctx,
                 "user utterance": utterance,
             },
         )
@@ -331,7 +327,7 @@ class LLMGateway:
 
     def classify_ptkb(
         self,
-        ctx: ConversationContext | str,
+        ctx: str,
         statements: Sequence[PTKBStatement] | Sequence[str],
         utterance: str,
     ) -> list[int]:
@@ -348,7 +344,7 @@ class LLMGateway:
         rendered = render_prompt(TEMPLATES["ptkb_classify"], {"ptkb": numbered})
         prompt = (
             f"{rendered}\n"
-            f"# Conversation: {_context_text(ctx)}\n"
+            f"# Conversation: {ctx}\n"
             f"# User question: {utterance}"
         )
         response = self.complete(prompt)
@@ -356,7 +352,7 @@ class LLMGateway:
 
     def generate_response(
         self,
-        ctx: ConversationContext | str,
+        ctx: str,
         ptkb: str,
         utterance: str,
         top_docs: Sequence[Passage],
@@ -379,7 +375,7 @@ class LLMGateway:
             docs.append(docs[-1])
         bindings = {
             "ptkb": ptkb,
-            "ctx": _context_text(ctx),
+            "ctx": ctx,
             "user utterance": utterance,
         }
         for slot, doc in enumerate(docs, start=1):

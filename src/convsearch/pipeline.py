@@ -87,7 +87,6 @@ class RunConfig:
     phi: int = 5
     rerank_depth: int = 1000
     retrieval_depth: int = 1000
-    aggregation: str = "mean"
     turn_id_template: str = "{topic}_{turn}"
     filtered_ptkb: bool = False
     scorer_endpoints: Mapping[str, str] = field(default_factory=dict)
@@ -122,7 +121,7 @@ class RunConfig:
             if self.reranker == "single" and len(self.scorer_ids) != 1:
                 raise ValueError("reranker 'single' takes exactly one scorer id")
             if self.reranker == "ensemble":
-                EnsembleConfig(self.scorer_ids, self.aggregation)
+                EnsembleConfig(self.scorer_ids)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -136,7 +135,6 @@ class RunConfig:
             phi=int(data.get("phi", 5)),
             rerank_depth=int(data.get("rerank_depth", 1000)),
             retrieval_depth=int(data.get("retrieval_depth", 1000)),
-            aggregation=data.get("aggregation", "mean"),
             turn_id_template=data.get("turn_id_template", "{topic}_{turn}"),
             filtered_ptkb=bool(data.get("filtered_ptkb", False)),
             scorer_endpoints=dict(data.get("scorer_endpoints", {})),

@@ -102,12 +102,12 @@ def _topic(n_turns=3):
 
 
 def test_render_context_turn_one_empty():
-    assert render_context(_topic(), 1).rendered == ""
+    assert render_context(_topic(), 1) == ""
 
 
 def test_render_context_format():
     ctx = render_context(_topic(), 3)
-    assert ctx.rendered == "USER: u1\nSYSTEM: r1\nUSER: u2\nSYSTEM: r2"
+    assert ctx == "USER: u1\nSYSTEM: r1\nUSER: u2\nSYSTEM: r2"
 
 
 def test_render_context_out_of_range():
@@ -121,15 +121,15 @@ def test_render_context_out_of_range():
 def test_render_context_monotone_prefix():
     topic = _topic(4)
     for t in range(1, len(topic.turns)):
-        shorter = render_context(topic, t).rendered
-        longer = render_context(topic, t + 1).rendered
+        shorter = render_context(topic, t)
+        longer = render_context(topic, t + 1)
         assert longer.startswith(shorter)
 
 
 def test_render_context_generated_history_override():
     ctx = render_context(_topic(), 3, response_overrides={1: "generated r1"})
-    assert "SYSTEM: generated r1" in ctx.rendered
-    assert "SYSTEM: r2" in ctx.rendered
+    assert "SYSTEM: generated r1" in ctx
+    assert "SYSTEM: r2" in ctx
 
 
 def test_ptkb_text_empty():

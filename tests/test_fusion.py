@@ -116,9 +116,6 @@ def test_ensemble_affine_invariance_random():
 def test_ensemble_config_validation():
     with pytest.raises(ValueError):
         EnsembleConfig(())
-    with pytest.raises(NotImplementedError):
-        EnsembleConfig(("a",), aggregation="rrf")
-    assert EnsembleConfig(("a", "b")).aggregation == "mean"
 
 
 # ---------------------------------------------------------------------------

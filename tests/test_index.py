@@ -1,12 +1,16 @@
 """Index construction and retrieval, checked against full-scan oracles."""
 
 import io
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from convsearch.index import (
+    B,
+    K1,
     AnalyzerConfig,
     Passage,
     RankedList,
@@ -78,14 +82,14 @@ def oracle_top_k(scores: dict[str, float], k: int) -> list[tuple[str, float]]:
 def test_build_index_empty_corpus():
     index = build_index([])
     assert index.doc_count == 0
-    assert index.postings == {}
+    assert index.terms == ()
     assert index.avg_doc_length == 0.0
 
 
 def test_build_index_hand_counts():
     index = build_index([Passage("d1", "apple banana"), Passage("d2", "banana")])
-    assert {d for d, _ in index.postings["apple"]} == {"d1"}
-    assert {d for d, _ in index.postings["banana"]} == {"d1", "d2"}
+    assert {d for d, _ in index.posting("apple")} == {"d1"}
+    assert {d for d, _ in index.posting("banana")} == {"d1", "d2"}
     assert index.avg_doc_length == 1.5
     assert index.doc_count == 2
 
@@ -115,16 +119,16 @@ def test_build_index_token_accounting_matches_direct_count():
     analyzer = AnalyzerConfig()
     total_tokens = sum(len(analyzer.tokenize(p.text)) for p in passages)
     distinct_pairs = sum(len(set(analyzer.tokenize(p.text))) for p in passages)
-    assert sum(tf for posting in index.postings.values() for _, tf in posting) == total_tokens
-    assert sum(len(posting) for posting in index.postings.values()) == distinct_pairs
+    assert sum(tf for term in index.terms for _, tf in index.posting(term)) == total_tokens
+    assert sum(len(index.posting(term)) for term in index.terms) == distinct_pairs
     assert sum(index.doc_lengths.values()) == total_tokens
 
 
 def test_index_invariants_hold():
     passages = [Passage(f"d{i}", "alpha beta gamma"[: 5 + i]) for i in range(5)]
     index = build_index(passages)
-    for posting in index.postings.values():
-        for doc_id, _ in posting:
+    for term in index.terms:
+        for doc_id, _ in index.posting(term):
             assert doc_id in index.doc_lengths
     assert index.doc_count == len(index.doc_lengths)
     assert index.avg_doc_length == pytest.approx(
@@ -216,6 +220,17 @@ def test_sparse_rejects_k_zero():
         sparse_retrieve(index, SparseVector({"a": 1.0}), 0)
 
 
+def naive_top_k(
+    postings: dict[str, list[tuple[str, float]]], clauses, k: int
+) -> list[tuple[str, float]]:
+    """Dict accumulation in the documented order: clause by clause, acc + qw * weight."""
+    acc: dict[str, float] = {}
+    for term, query_weight in clauses:
+        for doc_id, weight in postings.get(term, ()):
+            acc[doc_id] = acc.get(doc_id, 0.0) + query_weight * weight
+    return oracle_top_k({d: s for d, s in acc.items() if s > 0.0}, k)
+
+
 def test_sparse_random_docs_match_brute_force():
     rng = np.random.default_rng(11)
     vocab = [f"t{i}" for i in range(40)]
@@ -229,6 +244,58 @@ def test_sparse_random_docs_match_brute_force():
         query = {vocab[t]: float(rng.uniform(0.1, 3.0)) for t in q_terms}
         got = sparse_retrieve(index, SparseVector(query), 50)
         assert list(got.items) == oracle_top_k(oracle_dot_scores(vectors, query), 50)
+
+    # doc ids inserted out of sorted order, exact ties (a twin with a smaller
+    # id inserted after its source), and SPLADE-sized queries of 64+ terms
+    wide = [f"x{i}" for i in range(300)]
+    shuffled: dict[str, dict[str, float]] = {}
+    for i in rng.permutation(120):
+        terms = rng.choice(len(wide), size=rng.integers(1, 40), replace=False)
+        shuffled[f"e{i:03d}"] = {wide[t]: float(rng.uniform(0.1, 5.0)) for t in terms}
+    twins = ("ae005", "ae060", "ae119")
+    for twin in twins:
+        shuffled[twin] = dict(shuffled[twin[1:]])
+    assert list(shuffled) != sorted(shuffled)
+    index = build_sparse_index({d: SparseVector(v) for d, v in shuffled.items()})
+    postings: dict[str, list[tuple[str, float]]] = {}
+    for doc_id, vector in shuffled.items():
+        for term, weight in vector.items():
+            postings.setdefault(term, []).append((doc_id, weight))
+    ties = 0
+    for _ in range(20):
+        q_terms = rng.choice(len(wide), size=rng.integers(64, 121), replace=False)
+        query = {wide[t]: float(rng.uniform(0.1, 3.0)) for t in q_terms}
+        got = sparse_retrieve(index, SparseVector(query), 1000)
+        assert list(got.items) == naive_top_k(postings, query.items(), 1000)
+        ties += len(set(twins) & set(got.doc_ids()))
+    assert ties > 0
+
+    # the BM25 front over the same shapes, with repeated query tokens; the
+    # impacts are written from the formula in the module docstring
+    texts = {}
+    for i in rng.permutation(120):
+        tokens = rng.integers(0, 80, size=rng.integers(1, 30))
+        texts[f"e{i:03d}"] = " ".join(wide[t] for t in tokens)
+    for twin in twins:
+        texts[twin] = texts[twin[1:]]
+    index = build_index([Passage(d, t) for d, t in texts.items()])
+    tokenized = {d: AnalyzerConfig().tokenize(t) for d, t in texts.items()}
+    n_docs = len(tokenized)
+    avgdl = sum(len(tokens) for tokens in tokenized.values()) / n_docs
+    df = Counter(term for tokens in tokenized.values() for term in set(tokens))
+    impacts: dict[str, list[tuple[str, float]]] = {}
+    for doc_id, tokens in tokenized.items():
+        norm = 1.0 - B + B * (len(tokens) / avgdl)
+        for term, count in Counter(tokens).items():
+            tf = float(count)
+            idf = math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
+            impact = idf * (tf * (K1 + 1.0)) / (tf + K1 * norm)
+            impacts.setdefault(term, []).append((doc_id, impact))
+    for _ in range(20):
+        tokens = [wide[t] for t in rng.integers(0, 90, size=rng.integers(1, 80))]
+        tokens += tokens[:3]
+        got = bm25_retrieve(index, " ".join(tokens), 1000)
+        assert list(got.items) == naive_top_k(impacts, [(t, 1.0) for t in tokens], 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +340,14 @@ def test_ranked_list_score_order_invariant():
         RankedList("q", (("b", 1.0), ("a", 1.0)))  # tie must be doc_id ascending
     with pytest.raises(ValueError):
         RankedList("q", (("a", 1.0), ("a", 0.5)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ranked_list_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="'b'"):
+        RankedList.from_scores("q", {"a": 1.0, "b": bad, "c": 3.0})
+    with pytest.raises(ValueError, match="'b'"):
+        RankedList("q", (("b", bad),))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +414,39 @@ def test_save_load_index_roundtrip(tmp_path):
     path = tmp_path / "index.json"
     save_index(index, path)
     loaded = load_index(path)
-    assert loaded.postings == index.postings
+    assert list(tmp_path.iterdir()) == [path]
+    assert {t: loaded.posting(t) for t in loaded.terms} == {
+        t: index.posting(t) for t in index.terms
+    }
     assert loaded.doc_lengths == index.doc_lengths
     assert loaded.avg_doc_length == index.avg_doc_length
     assert loaded.mode == index.mode
+    for built in (index, loaded):
+        for arr in (built._offsets, built._docs, built._payloads, built._weights):
+            assert not arr.flags.writeable
     query = "banana"
     assert bm25_retrieve(loaded, query, 5).items == bm25_retrieve(index, query, 5).items
+
+
+def test_load_index_accepts_postings_in_corpus_order(tmp_path):
+    # save files list postings in any doc order: this one is in corpus order
+    docs = {"d2": "banana cherry banana", "d1": "apple banana", "d3": "cherry"}
+    payload = {
+        "mode": "bm25",
+        "analyzer": AnalyzerConfig().to_dict(),
+        "doc_lengths": {"d2": 3, "d1": 2, "d3": 1},
+        "doc_count": 3,
+        "avg_doc_length": 2.0,
+        "postings": {
+            "banana": [["d2", 2.0], ["d1", 1.0]],
+            "cherry": [["d2", 1.0], ["d3", 1.0]],
+            "apple": [["d1", 1.0]],
+        },
+    }
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = load_index(path)
+    built = build_index([Passage(d, t) for d, t in docs.items()])
+    assert loaded.doc_ids == built.doc_ids == ("d1", "d2", "d3")
+    for query in ("banana", "cherry apple", "banana banana cherry"):
+        assert bm25_retrieve(loaded, query, 5).items == bm25_retrieve(built, query, 5).items
