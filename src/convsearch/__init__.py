@@ -32,7 +32,6 @@ from .evaluation import (
     reciprocal_rank,
 )
 from .fusion import (
-    EnsembleConfig,
     LexicalOverlapScorer,
     NumericSuffixScorer,
     PseudoCrossEncoder,

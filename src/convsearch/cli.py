@@ -7,7 +7,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .evaluation import EvalCutoffs, evaluate_run, format_report, parse_qrels, read_run_file
+from .evaluation import EvalCutoffs, evaluate_run, format_report, parse_qrels
+from .evaluation import read_run_file, write_run_file
 from .fusion import ensemble_fuse, interleave
 from .index import build_index, build_sparse_index, load_sparse_vectors, read_corpus, save_index
 from .llm import HttpChatTransport, Transport
@@ -73,12 +74,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     runs = [read_run_file(path) for path in args.runs]
     query_ids = sorted(set().union(*(run.keys() for run in runs)))
     fuse = ensemble_fuse if args.method == "ensemble" else interleave
-    lines = []
-    for query_id in query_ids:
-        fused = fuse([run[query_id] for run in runs if query_id in run])
-        for rank, (doc_id, score) in enumerate(fused.items, start=1):
-            lines.append(f"{query_id} Q0 {doc_id} {rank} {score:.6f} {args.run_tag}")
-    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    fused = ((qid, fuse([run[qid] for run in runs if qid in run])) for qid in query_ids)
+    write_run_file(fused, args.run_tag, args.out)
     print(f"fused {len(args.runs)} runs over {len(query_ids)} queries -> {args.out}")
     return 0
 

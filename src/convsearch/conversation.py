@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping
 
+from .index import _text
+
 __all__ = [
     "PTKBStatement",
     "Turn",
@@ -118,11 +120,8 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
         ValueError: naming the topic and field for missing fields,
             non-contiguous turn numbers, or malformed ptkb indices.
     """
-    if isinstance(source, (str, Path)):
-        raw = Path(source).read_text(encoding="utf-8")
-    else:
-        raw = source.read()
-    data = json.loads(raw)
+    with _text(source) as handle:
+        data = json.load(handle)
     if not isinstance(data, list):
         raise ValueError("topics file must contain a JSON array of topics")
     return [_parse_topic(entry, position) for position, entry in enumerate(data, start=1)]

@@ -1,4 +1,4 @@
-"""TREC-style evaluation: qrels parsing, ranking metrics, sliced reports.
+"""TREC-style evaluation: qrels and run files, ranking metrics, sliced reports.
 
 Metrics follow the trec_eval conventions used by the conversational
 benchmark this package targets: nDCG with linear gain
@@ -19,9 +19,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
-from .index import RankedList
+from .index import RankedList, _text
 
 __all__ = [
     "Qrels",
@@ -34,6 +34,7 @@ __all__ = [
     "recall_at_k",
     "average_precision",
     "read_run_file",
+    "write_run_file",
     "evaluate_run",
     "evaluate_rankings",
     "format_report",
@@ -68,28 +69,25 @@ def parse_qrels(source: str | Path | IO[str]) -> Qrels:
         ValueError: with the line number for malformed lines, negative
             grades, or duplicate (query_id, doc_id) pairs.
     """
-    if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = source.read().splitlines()
     judgments: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"qrels line {lineno}: expected 4 fields, got {len(parts)}")
-        query_id, _, doc_id, rel_text = parts
-        try:
-            rel = int(rel_text)
-        except ValueError:
-            raise ValueError(f"qrels line {lineno}: non-integer relevance '{rel_text}'")
-        if rel < 0:
-            raise ValueError(f"qrels line {lineno}: negative relevance {rel}")
-        pair = (query_id, doc_id)
-        if pair in judgments:
-            raise ValueError(f"qrels line {lineno}: duplicate pair {pair}")
-        judgments[pair] = rel
+    with _text(source) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 4:
+                raise ValueError(f"qrels line {lineno}: expected 4 fields, got {len(parts)}")
+            query_id, _, doc_id, rel_text = parts
+            try:
+                rel = int(rel_text)
+            except ValueError:
+                raise ValueError(f"qrels line {lineno}: non-integer relevance '{rel_text}'")
+            if rel < 0:
+                raise ValueError(f"qrels line {lineno}: negative relevance {rel}")
+            pair = (query_id, doc_id)
+            if pair in judgments:
+                raise ValueError(f"qrels line {lineno}: duplicate pair {pair}")
+            judgments[pair] = rel
     return Qrels(judgments)
 
 
@@ -240,27 +238,43 @@ def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
     run produced elsewhere with a different tie policy evaluates
     consistently.
     """
-    if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = source.read().splitlines()
     per_query: dict[str, dict[str, float]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
-        query_id, _, doc_id, _, score_text, _ = parts
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ValueError(f"run line {lineno}: non-numeric score '{score_text}'")
-        bucket = per_query.setdefault(query_id, {})
-        if doc_id in bucket:
-            raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")
-        bucket[doc_id] = score
+    with _text(source) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 6:
+                raise ValueError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
+            query_id, _, doc_id, _, score_text, _ = parts
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ValueError(f"run line {lineno}: non-numeric score '{score_text}'")
+            bucket = per_query.setdefault(query_id, {})
+            if doc_id in bucket:
+                raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")
+            bucket[doc_id] = score
     return {qid: RankedList.from_scores(qid, scores) for qid, scores in per_query.items()}
+
+
+def write_run_file(
+    rankings: Iterable[tuple[str, RankedList]], run_tag: str, sink: str | Path | IO[str]
+) -> int:
+    """Write ``(query_id, ranking)`` pairs in TREC run format, one block per pair in order.
+
+    Lines are ``<query_id> Q0 <doc_id> <rank> <score> <run_tag>`` with rank
+    starting at 1 and scores rendered to 6 decimal places.  Returns the
+    number of lines written.
+    """
+    lines = [
+        f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}"
+        for query_id, ranking in rankings
+        for rank, (doc_id, score) in enumerate(ranking.items, start=1)
+    ]
+    with _text(sink, "w") as handle:
+        handle.write("\n".join(lines) + ("\n" if lines else ""))
+    return len(lines)
 
 
 def _compute_metrics(ranking: RankedList, qrels: Qrels, cutoffs: EvalCutoffs) -> dict[str, float]:

@@ -21,7 +21,6 @@ import json
 import re
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from .index import AnalyzerConfig, Passage, RankedList
 
 __all__ = [
     "Scorer",
-    "EnsembleConfig",
     "NumericSuffixScorer",
     "LexicalOverlapScorer",
     "PseudoCrossEncoder",
@@ -48,17 +46,6 @@ class Scorer(Protocol):
     """Relevance scorer over (query, passage) pairs, order-preserving."""
 
     def score(self, query: str, passages: Sequence[Passage]) -> list[float]: ...
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """A non-empty set of scorer ids fused by mean of min-max-normalized scores."""
-
-    scorer_ids: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.scorer_ids:
-            raise ValueError("ensemble requires at least one scorer")
 
 
 class NumericSuffixScorer:
@@ -272,7 +259,7 @@ def pool_candidates(lists: Sequence[RankedList], per_list_depth: int) -> list[st
         raise ValueError("per_list_depth must be >= 1")
     seen: set[str] = set()
     pooled: list[str] = []
-    for rank in range(per_list_depth):
+    for rank in range(min(per_list_depth, max((len(r) for r in lists), default=0))):
         for ranked in lists:
             if rank < len(ranked.items):
                 doc_id = ranked.items[rank][0]

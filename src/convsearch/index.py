@@ -29,6 +29,7 @@ import math
 import re
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
@@ -211,13 +212,19 @@ class InvertedIndex:
         return tuple(zip(docs, self._payloads[start:end].tolist()))
 
 
-def _tab_rows(source: str | Path | IO[str], kind: str, rest: str) -> Iterator[tuple]:
-    """``(lineno, doc_id, rest)`` of each non-blank ``<doc_id><TAB><rest>`` line.
+@contextmanager
+def _text(source: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
+    """Open a path as UTF-8 text in ``mode`` and close it after; pass an open handle through."""
+    if isinstance(source, (str, Path)):
+        with open(source, mode, encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield source
 
-    ``source`` is a UTF-8 file path or an open text handle.
-    """
-    handle = open(source, encoding="utf-8") if isinstance(source, (str, Path)) else source
-    try:
+
+def _tab_rows(source: str | Path | IO[str], kind: str, rest: str) -> Iterator[tuple]:
+    """``(lineno, doc_id, rest)`` of each non-empty ``<doc_id><TAB><rest>`` line."""
+    with _text(source) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -228,9 +235,6 @@ def _tab_rows(source: str | Path | IO[str], kind: str, rest: str) -> Iterator[tu
             if not doc_id:
                 raise ValueError(f"{kind} line {lineno}: empty doc_id")
             yield lineno, doc_id, text
-    finally:
-        if handle is not source:
-            handle.close()
 
 
 def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:

@@ -26,6 +26,7 @@ import string
 import time
 import urllib.error
 import urllib.request
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -105,9 +106,9 @@ def cache_key(model_id: str, prompt: str) -> str:
 class LLMCache:
     """Append-only directory of exchange records, one JSON file per key.
 
-    Writes are atomic (temp file + rename) and last-writer-wins; identical
-    keys hold identical values by construction, so concurrent writers are
-    safe.
+    Writes are atomic (a temp file of its own per write, then a rename) and
+    last-writer-wins; identical keys hold identical values by construction,
+    so concurrent writers are safe.
     """
 
     def __init__(self, directory: str | Path):
@@ -126,10 +127,16 @@ class LLMCache:
 
     def put(self, key: str, model_id: str, prompt: str, response: str) -> None:
         record = {"model_id": model_id, "prompt": prompt, "response": response}
-        path = self._path(key)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(record, indent=2, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
+        # unique per write, as threads and processes may put one key at once; unlike
+        # mkstemp's 0600, open(..., "x") applies the umask, so other users can replay
+        tmp = self.directory / f"{key}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, indent=2, ensure_ascii=False))
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

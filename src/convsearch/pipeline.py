@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from .conversation import Topic, parse_topics, ptkb_text, render_context
+from .evaluation import write_run_file
 from .fusion import (
-    EnsembleConfig,
     Scorer,
     interleave,
     pool_candidates,
@@ -40,6 +40,7 @@ from .index import (
     InvertedIndex,
     Passage,
     RankedList,
+    _text,
     bm25_retrieve,
     build_index,
     build_sparse_index,
@@ -120,8 +121,6 @@ class RunConfig:
                 raise ValueError(f"reranker '{self.reranker}' requires scorer_ids")
             if self.reranker == "single" and len(self.scorer_ids) != 1:
                 raise ValueError("reranker 'single' takes exactly one scorer id")
-            if self.reranker == "ensemble":
-                EnsembleConfig(self.scorer_ids)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -327,22 +326,11 @@ def execute_run(
 
 
 def write_trec_run(results: Sequence[TurnResult], run_tag: str, sink: str | Path | IO[str]) -> int:
-    """Write rankings in TREC format, one block per turn in result order.
+    """Write each turn's ranking under its turn_id with :func:`write_run_file`, in result order.
 
-    Lines are ``<turn_id> Q0 <doc_id> <rank> <score> <run_tag>`` with rank
-    starting at 1 and scores rendered to 6 decimal places.  Returns the
-    number of lines written.
+    Returns the number of lines written.
     """
-    lines = []
-    for result in results:
-        for rank, (doc_id, score) in enumerate(result.ranking.items, start=1):
-            lines.append(f"{result.turn_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}")
-    payload = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(payload, encoding="utf-8")
-    else:
-        sink.write(payload)
-    return len(lines)
+    return write_run_file(((r.turn_id, r.ranking) for r in results), run_tag, sink)
 
 
 def write_response_records(results: Sequence[TurnResult], sink: str | Path | IO[str]) -> int:
@@ -360,11 +348,8 @@ def write_response_records(results: Sequence[TurnResult], sink: str | Path | IO[
                 ensure_ascii=False,
             )
         )
-    payload = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(payload, encoding="utf-8")
-    else:
-        sink.write(payload)
+    with _text(sink, "w") as handle:
+        handle.write("\n".join(lines) + ("\n" if lines else ""))
     return len(lines)
 
 

@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from convsearch.cli import main
+from convsearch.evaluation import read_run_file
+from convsearch.fusion import ensemble_fuse, interleave
 from convsearch.index import load_index
 
 from conftest import CONFIG_DIR, FIXTURE_DIR
@@ -63,20 +67,23 @@ def test_cli_fuse(tmp_path):
     out_dir = tmp_path / "out"
     for config in ("gpt4qr_deberta.json", "humanqr_deberta.json"):
         assert main(["run", "--config", str(CONFIG_DIR / config), "--out-dir", str(out_dir)]) == 0
-    fused = tmp_path / "fused.run"
-    code = main(
-        [
-            "fuse",
-            str(out_dir / "gpt4qr-deberta.run"),
-            str(out_dir / "humanqr-deberta.run"),
-            "--method", "ensemble",
-            "--run-tag", "fused",
-            "--out", str(fused),
-        ]
-    )
-    assert code == 0
-    lines = fused.read_text().splitlines()
-    assert lines and all(line.split()[1] == "Q0" and line.split()[-1] == "fused" for line in lines)
+    runs = [out_dir / "gpt4qr-deberta.run", out_dir / "humanqr-deberta.run"]
+    inputs = [read_run_file(run) for run in runs]
+    for method, fuse in (("ensemble", ensemble_fuse), ("interleave", interleave)):
+        fused = tmp_path / f"{method}.run"
+        argv = ["fuse", *map(str, runs), "--method", method, "--run-tag", "fused"]
+        assert main([*argv, "--out", str(fused)]) == 0
+        fields = [line.split() for line in fused.read_text().splitlines()]
+        assert fields and all(f[1] == "Q0" and f[-1] == "fused" for f in fields)
+        # read back, the file holds each query's fusion of the inputs, to the 6 printed decimals
+        got = read_run_file(fused)
+        assert set(got) == {"1_1", "1_2", "1_3", "2_1", "2_2", "2_3"}
+        for query_id, ranking in got.items():
+            want = fuse([run[query_id] for run in inputs if query_id in run])
+            assert ranking.doc_ids() == want.doc_ids()
+            assert [s for _, s in ranking.items] == pytest.approx(
+                [s for _, s in want.items], rel=0, abs=5e-7
+            )
 
 
 def test_cli_cache_record_then_replay(tmp_path):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from convsearch.evaluation import (
     ndcg_at_k,
     parse_qrels,
     precision_at_k,
+    read_run_file,
     recall_at_k,
     reciprocal_rank,
 )
@@ -258,6 +260,17 @@ def test_parse_qrels_malformed():
         parse_qrels(io.StringIO("q 0 d x\n"))
     with pytest.raises(ValueError, match="negative"):
         parse_qrels(io.StringIO("q 0 d -1\n"))
+
+
+def test_read_run_file_rejections_name_their_line():
+    cases = [
+        ("q Q0 a 1 1.0\n", "run line 1: expected 6 fields, got 5"),
+        ("\nq Q0 a 1 high t\n", "run line 2: non-numeric score 'high'"),
+        ("q Q0 a 1 2.0 t\n \t\nq Q0 a 2 1.0 t\n", "run line 3: duplicate doc 'a' for 'q'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_run_file(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from convsearch.fusion import (
-    EnsembleConfig,
     LexicalOverlapScorer,
     NumericSuffixScorer,
     PseudoCrossEncoder,
@@ -111,11 +110,6 @@ def test_ensemble_affine_invariance_random():
         transformed[target] = {d: a * s + b for d, s in transformed[target].items()}
         shifted = ensemble_fuse([_ranked("q", s.items()) for s in transformed]).doc_ids()
         assert shifted == baseline
-
-
-def test_ensemble_config_validation():
-    with pytest.raises(ValueError):
-        EnsembleConfig(())
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +227,12 @@ def test_pool_contains_each_list_prefix():
         pooled = set(pool_candidates(lists, depth))
         for ranked in lists:
             assert set(ranked.doc_ids()[:depth]) <= pooled
+        # depths past the longest list, as in a 1000-deep pool of short lists
+        for deep in (depth, 19, 20, 1000):
+            round_robin = [
+                r.doc_ids()[rank] for rank in range(deep) for r in lists if rank < len(r)
+            ]
+            assert pool_candidates(lists, deep) == list(dict.fromkeys(round_robin))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,8 @@ def test_rerank_rejects_duplicates_and_bad_depth():
         rerank(NumericSuffixScorer(), "q", ["d1"], 0, get_passage)
     with pytest.raises(ValueError, match="deduplicated"):
         rerank(NumericSuffixScorer(), "q", ["d1", "d1"], 5, get_passage)
+    with pytest.raises(ValueError, match="at least one scorer"):
+        rerank([], "q", ["d1"], 5, get_passage)
 
 
 def test_rerank_is_permutation_of_scored_prefix():

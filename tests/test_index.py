@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -401,6 +402,9 @@ def test_read_corpus_roundtrip(tmp_path):
 def test_read_corpus_rejects_missing_tab():
     with pytest.raises(ValueError, match="line 1"):
         list(read_corpus(io.StringIO("no tab line\n")))
+    # empty lines are skipped, whitespace-only ones are not
+    with pytest.raises(ValueError, match=re.escape("corpus line 3: expected '<doc_id>\\t<text>'")):
+        list(read_corpus(io.StringIO("d1\ta\n\n  \n")))
 
 
 def test_text_to_query_vector_counts():

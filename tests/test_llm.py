@@ -1,5 +1,9 @@
 """Prompt rendering, exchange cache behaviour, and output parsing."""
 
+import os
+import sys
+import threading
+
 import pytest
 
 from convsearch.conversation import PTKBStatement
@@ -8,6 +12,7 @@ from convsearch.llm import (
     CacheMissError,
     DecodingConfig,
     HttpChatTransport,
+    LLMCache,
     LLMGateway,
     QuerySet,
     TransportError,
@@ -163,6 +168,52 @@ def test_cache_files_are_human_readable(tmp_path):
     assert len(files) == 1
     body = files[0].read_text(encoding="utf-8")
     assert '"model_id"' in body and '"prompt"' in body and '"response"' in body
+    umask = os.umask(0)
+    os.umask(umask)
+    assert files[0].stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_concurrent_puts_of_one_key_all_succeed(tmp_path):
+    cache = LLMCache(tmp_path)
+    threads, rounds = 8, 20
+    barrier = threading.Barrier(threads)
+    errors = []
+
+    def writer():
+        for r in range(rounds):
+            barrier.wait(timeout=10)
+            try:
+                cache.put(f"key{r}", "m", "prompt", "response")
+            except Exception as exc:  # collected and asserted on below
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=writer) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(f"key{r}.json" for r in range(rounds))
+    assert len(cache) == rounds and cache.get("key0") == "response"
+
+
+def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
+    cache = LLMCache(tmp_path)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cache.put("k", "m", "prompt", "response")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_mode_rejected(tmp_path):
