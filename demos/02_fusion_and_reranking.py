@@ -53,7 +53,7 @@ def main():
     candidates = ["D021", "D022", "D024", "D036", "D005", "D041"]
     query = "budget burr grinder for espresso"
 
-    single = rerank(PseudoCrossEncoder("deberta-v3"), query, candidates, 1000,
+    single = rerank([PseudoCrossEncoder("deberta-v3")], query, candidates, 1000,
                     passages.__getitem__, "demo")
     print(f"\nsingle scorer rerank for {query!r}:")
     for doc_id, score in single.items:

@@ -25,7 +25,7 @@ def main():
     print(f"rewriter   : {config.rewriter} (phi={config.phi})")
     print(f"retriever  : {config.retriever}")
     print(f"fusion     : {config.fusion}")
-    print(f"reranker   : {config.reranker} {list(config.scorer_ids)}")
+    print(f"rerankers  : {list(config.scorer_ids)}")
 
     # peek at what the LLM produced for the first turn
     index, topics, passages = load_resources(spec)

@@ -140,7 +140,10 @@ class RemoteScorer:
                 data = json.loads(response.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise RuntimeError(f"scorer request failed: {exc}") from exc
-        scores = [float(s) for s in data["scores"]]
+        try:
+            scores = [float(s) for s in data["scores"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RuntimeError(f"malformed scorer reply: {exc!r}") from exc
         if len(scores) != len(passages):
             raise RuntimeError(
                 f"scorer returned {len(scores)} scores for {len(passages)} passages"
@@ -270,7 +273,7 @@ def pool_candidates(lists: Sequence[RankedList], per_list_depth: int) -> list[st
 
 
 def rerank(
-    scorer_or_ensemble: Scorer | Sequence[Scorer],
+    scorers: Sequence[Scorer],
     query: str,
     candidates: Sequence[str],
     depth: int,
@@ -281,13 +284,16 @@ def rerank(
 
     Candidates beyond ``depth`` are dropped; the output is a permutation
     of the scored prefix sorted by descending score (ties by doc_id).
-    With several scorers, each scorer's scores over the same candidates
-    are min-max normalized and averaged.
+    One scorer's scores rank the candidates as they are; with several,
+    each scorer's scores over the same candidates are min-max normalized
+    and averaged.
 
     Raises:
-        ValueError: for depth < 1, duplicate candidates, or an unknown
-            doc_id (named in the message).
+        ValueError: for no scorers, depth < 1, duplicate candidates, or an
+            unknown doc_id (named in the message).
     """
+    if not scorers:
+        raise ValueError("rerank requires at least one scorer")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if len(set(candidates)) != len(candidates):
@@ -301,13 +307,6 @@ def rerank(
             raise ValueError(f"unknown doc_id '{doc_id}'") from exc
     if not scored_ids:
         return RankedList(query_id, ())
-    scorers: Sequence[Scorer]
-    if hasattr(scorer_or_ensemble, "score"):
-        scorers = [scorer_or_ensemble]  # type: ignore[list-item]
-    else:
-        scorers = list(scorer_or_ensemble)  # type: ignore[arg-type]
-        if not scorers:
-            raise ValueError("ensemble requires at least one scorer")
     per_scorer_lists = []
     for scorer in scorers:
         scores = scorer.score(query, passages)

@@ -23,6 +23,7 @@ import json
 import os
 import re
 import string
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -122,8 +123,10 @@ class LLMCache:
         path = self._path(key)
         if not path.exists():
             return None
-        record = json.loads(path.read_text(encoding="utf-8"))
-        return record["response"]
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))["response"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"corrupt cache record {path}: {exc!r}") from exc
 
     def put(self, key: str, model_id: str, prompt: str, response: str) -> None:
         record = {"model_id": model_id, "prompt": prompt, "response": response}
@@ -164,7 +167,8 @@ class HttpChatTransport:
         self.api_key = api_key
         self.timeout = timeout
         self.max_requests_per_second = max_requests_per_second
-        self._last_request_at = 0.0
+        self._next_slot = 0.0
+        self._slot_lock = threading.Lock()
 
     def build_payload(self, model_id: str, prompt: str, decoding: DecodingConfig) -> dict:
         payload: dict = {
@@ -185,13 +189,15 @@ class HttpChatTransport:
             raise TransportError(f"malformed completion response: {exc}") from exc
 
     def _throttle(self) -> None:
+        """Reserve the next request slot under the lock; sleep until it without the lock."""
         if self.max_requests_per_second is None:
             return
-        min_interval = 1.0 / self.max_requests_per_second
-        wait = self._last_request_at + min_interval - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        self._last_request_at = time.monotonic()
+        with self._slot_lock:
+            now = time.monotonic()
+            slot = max(now, self._next_slot)
+            self._next_slot = slot + 1.0 / self.max_requests_per_second
+        if slot > now:
+            time.sleep(slot - now)
 
     def __call__(self, model_id: str, prompt: str, decoding: DecodingConfig) -> str:
         self._throttle()
@@ -275,18 +281,12 @@ class LLMGateway:
     def complete(self, prompt: str) -> str:
         """Return the model response for ``prompt`` per the gateway mode."""
         key = cache_key(self.model_id, prompt)
-        if self.mode == "replay":
-            cached = self.cache.get(key)
-            if cached is None:
-                raise CacheMissError(key)
-            return cached
-        if self.mode == "record":
+        if self.mode != "live":
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-            response = self._call_transport(prompt)
-            self.cache.put(key, self.model_id, prompt, response)
-            return response
+            if self.mode == "replay":
+                raise CacheMissError(key)
         response = self._call_transport(prompt)
         self.cache.put(key, self.model_id, prompt, response)
         return response
@@ -319,18 +319,8 @@ class LLMGateway:
         ptkb: str,
         utterance: str,
     ) -> str:
-        """Generate a single self-contained query rewrite (phi=1)."""
-        prompt = render_prompt(
-            TEMPLATES["single_rewrite"],
-            {
-                "phi": "1",
-                "ptkb": ptkb,
-                "ctx": ctx,
-                "user utterance": utterance,
-            },
-        )
-        response = self.complete(prompt)
-        return parse_query_lines(response, 1)[0]
+        """Generate a single self-contained query rewrite: query generation at phi=1."""
+        return self.generate_queries(ctx, ptkb, utterance, 1).queries[0]
 
     def classify_ptkb(
         self,

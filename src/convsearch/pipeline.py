@@ -2,8 +2,9 @@
 
 A run configuration names a rewriter (multi-aspect query generation, a
 single LLM rewrite, or the human rewrite shipped with the topic file), a
-first-stage retriever (bm25 or sparse), a fusion strategy, and a reranker
-(one scorer, an ensemble, or none).  Three fusion strategies cover the
+first-stage retriever (bm25 or sparse), a fusion strategy, and the
+reranking scorers: a run reranks iff ``scorer_ids`` is non-empty, and
+several scorers are averaged.  Three fusion strategies cover the
 submitted-run shapes:
 
 * ``pool_then_rerank`` - retrieve per generated query, pool the candidate
@@ -29,13 +30,7 @@ from typing import IO, Mapping, Sequence
 
 from .conversation import Topic, parse_topics, ptkb_text, render_context
 from .evaluation import write_run_file
-from .fusion import (
-    Scorer,
-    interleave,
-    pool_candidates,
-    rerank,
-    resolve_scorer,
-)
+from .fusion import interleave, pool_candidates, rerank, resolve_scorer
 from .index import (
     InvertedIndex,
     Passage,
@@ -72,7 +67,6 @@ MAX_RANKING = 1000
 _REWRITERS = ("multi_query", "single_rewrite", "human_rewrite")
 _RETRIEVERS = ("bm25", "sparse")
 _FUSIONS = ("pool_then_rerank", "interleave", "none")
-_RERANKERS = ("single", "ensemble", "none")
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,6 @@ class RunConfig:
     rewriter: str
     retriever: str
     fusion: str = "none"
-    reranker: str = "none"
     scorer_ids: tuple[str, ...] = ()
     phi: int = 5
     rerank_depth: int = 1000
@@ -101,35 +94,25 @@ class RunConfig:
             raise ValueError(f"unknown retriever '{self.retriever}'")
         if self.fusion not in _FUSIONS:
             raise ValueError(f"unknown fusion '{self.fusion}'")
-        if self.reranker not in _RERANKERS:
-            raise ValueError(f"unknown reranker '{self.reranker}'")
         if self.phi < 1:
             raise ValueError("phi must be >= 1")
         if self.rerank_depth < 1 or self.retrieval_depth < 1:
             raise ValueError("depths must be >= 1")
         if self.fusion in ("pool_then_rerank", "interleave") and self.rewriter != "multi_query":
             raise ValueError(f"fusion '{self.fusion}' requires the multi_query rewriter")
-        if self.fusion == "pool_then_rerank" and self.reranker == "none":
-            raise ValueError("pool_then_rerank requires a reranker")
+        if self.fusion == "pool_then_rerank" and not self.scorer_ids:
+            raise ValueError("pool_then_rerank requires a reranker (non-empty scorer_ids)")
         if self.rewriter == "multi_query" and self.phi > 1 and self.fusion == "none":
             raise ValueError("multi_query with phi > 1 requires a fusion strategy")
-        if self.reranker == "none":
-            if self.scorer_ids:
-                raise ValueError("scorer_ids given but reranker is 'none'")
-        else:
-            if not self.scorer_ids:
-                raise ValueError(f"reranker '{self.reranker}' requires scorer_ids")
-            if self.reranker == "single" and len(self.scorer_ids) != 1:
-                raise ValueError("reranker 'single' takes exactly one scorer id")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
+        """Build a config from a JSON mapping; unknown keys are ignored."""
         return cls(
             run_tag=data["run_tag"],
             rewriter=data["rewriter"],
             retriever=data["retriever"],
             fusion=data.get("fusion", "none"),
-            reranker=data.get("reranker", "none"),
             scorer_ids=tuple(data.get("scorer_ids", ())),
             phi=int(data.get("phi", 5)),
             rerank_depth=int(data.get("rerank_depth", 1000)),
@@ -163,18 +146,6 @@ class TurnExecutionError(RuntimeError):
     """A turn failed; the message carries the turn id, the cause is chained."""
 
 
-def _resolve_scorers(config: RunConfig, scorers: Mapping[str, Scorer] | None) -> list[Scorer]:
-    if config.reranker == "none":
-        return []
-    resolved = []
-    for scorer_id in config.scorer_ids:
-        if scorers is not None and scorer_id in scorers:
-            resolved.append(scorers[scorer_id])
-        else:
-            resolved.append(resolve_scorer(scorer_id, config.scorer_endpoints))
-    return resolved
-
-
 def _retrieve(
     config: RunConfig, index: InvertedIndex, query: str, query_id: str
 ) -> RankedList:
@@ -196,14 +167,11 @@ def execute_turn(
     turn_number: int,
     index: InvertedIndex,
     llm: LLMGateway,
-    scorers: Mapping[str, Scorer] | None = None,
-    passages: Mapping[str, Passage] | None = None,
+    passages: Mapping[str, Passage],
 ) -> TurnResult:
     """Run one conversational turn end to end.
 
-    ``passages`` maps doc_id to passage text for reranking and answer
-    grounding; it is required whenever the config reranks or whenever a
-    turn retrieves anything (answers are grounded in retrieved passages).
+    ``passages`` maps doc_id to passage for reranking and answer grounding.
 
     Raises:
         TurnExecutionError: wrapping any failure (LLM cache miss, unknown
@@ -211,7 +179,7 @@ def execute_turn(
     """
     turn_id = config.turn_id_template.format(topic=topic.topic_id, turn=turn_number)
     try:
-        return _execute_turn_inner(config, topic, turn_number, turn_id, index, llm, scorers, passages)
+        return _execute_turn_inner(config, topic, turn_number, turn_id, index, llm, passages)
     except Exception as exc:
         raise TurnExecutionError(f"turn {turn_id}: {exc}") from exc
 
@@ -223,8 +191,7 @@ def _execute_turn_inner(
     turn_id: str,
     index: InvertedIndex,
     llm: LLMGateway,
-    scorers: Mapping[str, Scorer] | None,
-    passages: Mapping[str, Passage] | None,
+    passages: Mapping[str, Passage],
 ) -> TurnResult:
     turn = topic.turns[turn_number - 1]
     ctx = render_context(topic, turn_number)
@@ -248,37 +215,22 @@ def _execute_turn_inner(
             raise ValueError(f"no manual_rewrite for topic {topic.topic_id} turn {turn_number}")
         queries = [turn.manual_rewrite]
 
-    def get_passage(doc_id: str) -> Passage:
-        if passages is None:
-            raise KeyError(doc_id)
-        return passages[doc_id]
-
-    scorer_objs = _resolve_scorers(config, scorers)
+    get_passage = passages.__getitem__
+    scorers = [resolve_scorer(s, config.scorer_endpoints) for s in config.scorer_ids]
     retrieved = [_retrieve(config, index, q, turn_id) for q in queries]
 
     if config.fusion == "pool_then_rerank":
         pooled = pool_candidates(retrieved, config.retrieval_depth)
         rerank_query = llm.generate_rewrite(ctx, ptkb_string, turn.user_utterance)
-        ranking = rerank(
-            scorer_objs, rerank_query, pooled, config.rerank_depth, get_passage, turn_id
-        )
-    elif config.fusion == "interleave":
-        if config.reranker != "none":
-            reranked = [
-                rerank(scorer_objs, q, lst.doc_ids(), config.rerank_depth, get_passage, turn_id)
+        ranking = rerank(scorers, rerank_query, pooled, config.rerank_depth, get_passage, turn_id)
+    else:
+        if scorers:
+            retrieved = [
+                rerank(scorers, q, lst.doc_ids(), config.rerank_depth, get_passage, turn_id)
                 for q, lst in zip(queries, retrieved)
             ]
-        else:
-            reranked = retrieved
-        ranking = interleave(reranked)
-    else:
-        single = retrieved[0]
-        if config.reranker != "none":
-            ranking = rerank(
-                scorer_objs, queries[0], single.doc_ids(), config.rerank_depth, get_passage, turn_id
-            )
-        else:
-            ranking = single
+        # without fusion there is exactly one query (phi > 1 requires a fusion)
+        ranking = interleave(retrieved) if config.fusion == "interleave" else retrieved[0]
     ranking = _truncate(ranking, MAX_RANKING)
 
     top_docs = [get_passage(doc_id) for doc_id in ranking.doc_ids()[:5]]
@@ -299,8 +251,7 @@ def execute_run(
     topics: Sequence[Topic],
     index: InvertedIndex,
     llm: LLMGateway,
-    scorers: Mapping[str, Scorer] | None = None,
-    passages: Mapping[str, Passage] | None = None,
+    passages: Mapping[str, Passage],
     workers: int = 1,
 ) -> list[TurnResult]:
     """Execute every turn of every topic, in topic order then turn order.
@@ -313,13 +264,13 @@ def execute_run(
     jobs = [(topic, turn.turn_number) for topic in topics for turn in topic.turns]
     if workers <= 1:
         return [
-            execute_turn(config, topic, turn_number, index, llm, scorers, passages)
+            execute_turn(config, topic, turn_number, index, llm, passages)
             for topic, turn_number in jobs
         ]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(
             pool.map(
-                lambda job: execute_turn(config, job[0], job[1], index, llm, scorers, passages),
+                lambda job: execute_turn(config, job[0], job[1], index, llm, passages),
                 jobs,
             )
         )

@@ -2,8 +2,8 @@
 
 Three prompt bodies cover the pipeline's LLM tasks: multi-aspect query
 generation, retrieval-augmented answer generation, and persona-statement
-(PTKB) relevance classification.  The ``single_rewrite`` template reuses
-the query-generation body with the query budget bound to 1.
+(PTKB) relevance classification.  A single query rewrite is query
+generation with the query budget ``{phi}`` bound to 1.
 
 Placeholders use ``{name}`` syntax with names drawn from a fixed allowed
 set; substitution is exact and leaves no residual braces.  The bodies are
@@ -73,7 +73,7 @@ class PromptTemplate:
     body: str
 
     def __post_init__(self) -> None:
-        if self.name not in ("multi_query", "rag_answer", "ptkb_classify", "single_rewrite"):
+        if self.name not in ("multi_query", "rag_answer", "ptkb_classify"):
             raise ValueError(f"unknown template name '{self.name}'")
         for placeholder in self.placeholders():
             if placeholder not in ALLOWED_PLACEHOLDERS:
@@ -92,8 +92,6 @@ TEMPLATES: dict[str, PromptTemplate] = {
     "multi_query": PromptTemplate("multi_query", MULTI_QUERY_BODY),
     "rag_answer": PromptTemplate("rag_answer", RAG_ANSWER_BODY),
     "ptkb_classify": PromptTemplate("ptkb_classify", PTKB_CLASSIFY_BODY),
-    # The single-rewrite prompt is the query-generation prompt with phi=1.
-    "single_rewrite": PromptTemplate("single_rewrite", MULTI_QUERY_BODY),
 }
 
 

@@ -1,5 +1,8 @@
 """Normalization, ensemble fusion, interleaving, pooling, reranking."""
 
+import io
+import urllib.request
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from convsearch.fusion import (
     LexicalOverlapScorer,
     NumericSuffixScorer,
     PseudoCrossEncoder,
+    RemoteScorer,
     ensemble_fuse,
     interleave,
     min_max_normalize,
@@ -247,14 +251,14 @@ def _store(*doc_ids):
 
 def test_rerank_stub_scorer_orders_by_suffix():
     get_passage = _store("d2", "d9", "d5")
-    result = rerank(NumericSuffixScorer(), "q", ["d2", "d9", "d5"], 3, get_passage, "qid")
+    result = rerank([NumericSuffixScorer()], "q", ["d2", "d9", "d5"], 3, get_passage, "qid")
     assert result.doc_ids() == ["d9", "d5", "d2"]
     assert result.query_id == "qid"
 
 
 def test_rerank_depth_cutoff():
     get_passage = _store("d2", "d9", "d5")
-    result = rerank(NumericSuffixScorer(), "q", ["d2", "d9", "d5"], 2, get_passage)
+    result = rerank([NumericSuffixScorer()], "q", ["d2", "d9", "d5"], 2, get_passage)
     assert len(result) == 2
     assert set(result.doc_ids()) == {"d2", "d9"}  # only the first 2 candidates scored
 
@@ -262,15 +266,15 @@ def test_rerank_depth_cutoff():
 def test_rerank_unknown_doc_named():
     get_passage = _store("d1")
     with pytest.raises(ValueError, match="dX"):
-        rerank(NumericSuffixScorer(), "q", ["d1", "dX"], 5, get_passage)
+        rerank([NumericSuffixScorer()], "q", ["d1", "dX"], 5, get_passage)
 
 
 def test_rerank_rejects_duplicates_and_bad_depth():
     get_passage = _store("d1")
     with pytest.raises(ValueError, match="depth"):
-        rerank(NumericSuffixScorer(), "q", ["d1"], 0, get_passage)
+        rerank([NumericSuffixScorer()], "q", ["d1"], 0, get_passage)
     with pytest.raises(ValueError, match="deduplicated"):
-        rerank(NumericSuffixScorer(), "q", ["d1", "d1"], 5, get_passage)
+        rerank([NumericSuffixScorer()], "q", ["d1", "d1"], 5, get_passage)
     with pytest.raises(ValueError, match="at least one scorer"):
         rerank([], "q", ["d1"], 5, get_passage)
 
@@ -283,7 +287,7 @@ def test_rerank_is_permutation_of_scored_prefix():
         n = int(rng.integers(1, 30))
         chosen = [doc_ids[int(i)] for i in rng.choice(30, size=n, replace=False)]
         depth = int(rng.integers(1, 35))
-        result = rerank(PseudoCrossEncoder("m"), "query text", chosen, depth, get_passage)
+        result = rerank([PseudoCrossEncoder("m")], "query text", chosen, depth, get_passage)
         assert sorted(result.doc_ids()) == sorted(chosen[:depth])
 
 
@@ -304,7 +308,7 @@ def test_rerank_ensemble_averages_normalized_scores():
 
 
 def test_rerank_empty_candidates():
-    result = rerank(NumericSuffixScorer(), "q", [], 5, _store(), "qid")
+    result = rerank([NumericSuffixScorer()], "q", [], 5, _store(), "qid")
     assert result.items == ()
 
 
@@ -337,3 +341,14 @@ def test_resolve_scorer_registry():
     assert standin.name == "deberta-v3"
     remote = resolve_scorer("deberta-v3", {"deberta-v3": "http://scorer.invalid"})
     assert type(remote).__name__ == "RemoteScorer"
+
+
+@pytest.mark.parametrize(
+    "reply, problem",
+    [(b"{}", "KeyError"), (b"[1]", "TypeError"), (b'{"scores": ["x"]}', "ValueError")],
+)
+def test_remote_scorer_malformed_reply_is_runtime_error(monkeypatch, reply, problem):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(reply))
+    scorer = RemoteScorer("http://scorer.invalid")
+    with pytest.raises(RuntimeError, match=f"malformed scorer reply: {problem}"):
+        scorer.score("q", [Passage("d1", "text")])

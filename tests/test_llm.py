@@ -1,8 +1,10 @@
 """Prompt rendering, exchange cache behaviour, and output parsing."""
 
 import os
+import re
 import sys
 import threading
+import time
 
 import pytest
 
@@ -68,7 +70,6 @@ def test_template_bodies_match_golden_texts():
     assert TEMPLATES["multi_query"].body == GOLDEN_MULTI_QUERY
     assert TEMPLATES["rag_answer"].body == GOLDEN_RAG
     assert TEMPLATES["ptkb_classify"].body == GOLDEN_PTKB
-    assert TEMPLATES["single_rewrite"].body == GOLDEN_MULTI_QUERY
 
 
 def test_render_multi_query_phi_substitution():
@@ -204,6 +205,15 @@ def test_concurrent_puts_of_one_key_all_succeed(tmp_path):
     assert len(cache) == rounds and cache.get("key0") == "response"
 
 
+def test_corrupt_cache_record_names_its_path(tmp_path):
+    cache = LLMCache(tmp_path)
+    for key, body in (("truncated", '{"response": "a'), ("noresponse", '{"prompt": "p"}')):
+        path = tmp_path / f"{key}.json"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"corrupt cache record {path}")):
+            cache.get(key)
+
+
 def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
     cache = LLMCache(tmp_path)
 
@@ -265,6 +275,19 @@ def test_generate_rewrite_returns_first_line(tmp_path):
     gateway = _scripted_gateway(tmp_path)
     rewrite = gateway.generate_rewrite("", "1. I like cycling", "best bike routes")
     assert rewrite == "best bike routes"
+
+
+def test_generate_rewrite_sends_the_multi_query_prompt_at_phi_one(tmp_path):
+    prompts = []
+
+    def transport(model_id, prompt, decoding):
+        prompts.append(prompt)
+        return "1. rewritten query\n2. extra line"
+
+    gateway = LLMGateway("m", tmp_path, mode="live", transport=transport)
+    assert gateway.generate_rewrite("C", "1. P", "U") == "rewritten query"
+    bindings = {"phi": "1", "ptkb": "1. P", "ctx": "C", "user utterance": "U"}
+    assert prompts == [render_prompt(TEMPLATES["multi_query"], bindings)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +393,35 @@ def test_http_transport_parses_choices():
 def test_http_transport_malformed_response():
     with pytest.raises(TransportError):
         HttpChatTransport.parse_response(b'{"unexpected": true}')
+
+
+def test_http_transport_throttle_spaces_concurrent_requests():
+    rate, threads = 200.0, 4
+    interval = 1.0 / rate
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            transport = HttpChatTransport("http://example.invalid", max_requests_per_second=rate)
+            barrier = threading.Barrier(threads)
+            released = []
+
+            def request():
+                barrier.wait(timeout=10)
+                transport._throttle()
+                released.append(time.monotonic())
+
+            workers = [threading.Thread(target=request) for _ in range(threads)]
+            start = time.monotonic()
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+            # the k-th request may not leave before k intervals have passed
+            for k, at in enumerate(sorted(released)):
+                assert at - start >= k * interval * 0.99
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_scripted_response_is_deterministic():

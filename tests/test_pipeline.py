@@ -32,15 +32,15 @@ from conftest import CONFIG_DIR, TESTS_FIXTURE_DIR
 def test_run_config_accepts_submitted_run_shapes():
     RunConfig(
         run_tag="r1", rewriter="multi_query", retriever="sparse",
-        fusion="pool_then_rerank", reranker="single", scorer_ids=("deberta-v3",), phi=5,
+        fusion="pool_then_rerank", scorer_ids=("deberta-v3",), phi=5,
     )
     RunConfig(
         run_tag="r4", rewriter="multi_query", retriever="bm25",
-        fusion="none", reranker="single", scorer_ids=("minilm",), phi=1,
+        fusion="none", scorer_ids=("minilm",), phi=1,
     )
     RunConfig(
         run_tag="r6", rewriter="human_rewrite", retriever="sparse",
-        fusion="none", reranker="ensemble",
+        fusion="none",
         scorer_ids=("deberta-v2", "deberta-v3", "roberta", "albert", "electra"),
     )
 
@@ -49,7 +49,7 @@ def test_run_config_pool_requires_multi_query():
     with pytest.raises(ValueError, match="multi_query"):
         RunConfig(
             run_tag="x", rewriter="single_rewrite", retriever="sparse",
-            fusion="pool_then_rerank", reranker="single", scorer_ids=("s",),
+            fusion="pool_then_rerank", scorer_ids=("s",),
         )
 
 
@@ -57,7 +57,7 @@ def test_run_config_pool_requires_reranker():
     with pytest.raises(ValueError, match="reranker"):
         RunConfig(
             run_tag="x", rewriter="multi_query", retriever="sparse",
-            fusion="pool_then_rerank", reranker="none",
+            fusion="pool_then_rerank",
         )
 
 
@@ -65,25 +65,7 @@ def test_run_config_multi_query_needs_fusion():
     with pytest.raises(ValueError, match="fusion"):
         RunConfig(
             run_tag="x", rewriter="multi_query", retriever="bm25",
-            fusion="none", reranker="single", scorer_ids=("s",), phi=5,
-        )
-
-
-def test_run_config_scorer_arity():
-    with pytest.raises(ValueError, match="exactly one"):
-        RunConfig(
-            run_tag="x", rewriter="single_rewrite", retriever="bm25",
-            reranker="single", scorer_ids=("a", "b"),
-        )
-    with pytest.raises(ValueError, match="scorer_ids"):
-        RunConfig(
-            run_tag="x", rewriter="single_rewrite", retriever="bm25",
-            reranker="ensemble",
-        )
-    with pytest.raises(ValueError, match="scorer_ids"):
-        RunConfig(
-            run_tag="x", rewriter="single_rewrite", retriever="bm25",
-            reranker="none", scorer_ids=("a",),
+            fusion="none", scorer_ids=("s",), phi=5,
         )
 
 
@@ -132,7 +114,7 @@ def test_execute_turn_single_rewrite_shape(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
     config = RunConfig(
         run_tag="x", rewriter="single_rewrite", retriever="bm25",
-        reranker="single", scorer_ids=("lexical-overlap",),
+        scorer_ids=("lexical-overlap",),
     )
     result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
     assert result.turn_id == "t1_1"
@@ -153,7 +135,7 @@ def test_execute_turn_pool_then_rerank_uses_independent_rewrite(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
     config = RunConfig(
         run_tag="x", rewriter="multi_query", retriever="bm25", phi=3,
-        fusion="pool_then_rerank", reranker="single", scorer_ids=("lexical-overlap",),
+        fusion="pool_then_rerank", scorer_ids=("lexical-overlap",),
     )
     result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
     assert len(result.ranking) >= 1
@@ -169,7 +151,7 @@ def test_execute_turn_interleave_path(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
     config = RunConfig(
         run_tag="x", rewriter="multi_query", retriever="bm25", phi=3,
-        fusion="interleave", reranker="single", scorer_ids=("lexical-overlap",),
+        fusion="interleave", scorer_ids=("lexical-overlap",),
     )
     result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
     scores = [s for _, s in result.ranking.items]
@@ -336,23 +318,30 @@ def test_write_response_records_jsonl():
 
 def test_shipped_configs_reproduce_submitted_run_seams():
     expected = {
-        "mq4cs-qr-deberta": ("multi_query", "sparse", "pool_then_rerank", "single", 5),
-        "mq4cs-qr-ensemble": ("multi_query", "sparse", "pool_then_rerank", "ensemble", 5),
-        "gpt4qr-deberta": ("single_rewrite", "sparse", "none", "single", 5),
-        "gpt4qr-bm25-qd1": ("multi_query", "bm25", "none", "single", 1),
-        "humanqr-deberta": ("human_rewrite", "sparse", "none", "single", 5),
-        "humanqr-ensemble": ("human_rewrite", "sparse", "none", "ensemble", 5),
+        "mq4cs-qr-deberta": ("multi_query", "sparse", "pool_then_rerank", 1, 5),
+        "mq4cs-qr-ensemble": ("multi_query", "sparse", "pool_then_rerank", 5, 5),
+        "gpt4qr-deberta": ("single_rewrite", "sparse", "none", 1, 5),
+        "gpt4qr-bm25-qd1": ("multi_query", "bm25", "none", 1, 1),
+        "humanqr-deberta": ("human_rewrite", "sparse", "none", 1, 5),
+        "humanqr-ensemble": ("human_rewrite", "sparse", "none", 5, 5),
     }
     seen = {}
     for path in sorted(CONFIG_DIR.glob("*.json")):
         spec = load_run_spec(path)
         config = spec.config
         seen[config.run_tag] = (
-            config.rewriter, config.retriever, config.fusion, config.reranker, config.phi,
+            config.rewriter, config.retriever, config.fusion, len(config.scorer_ids), config.phi,
         )
-        if config.reranker == "ensemble":
-            assert len(config.scorer_ids) == 5
     assert seen == expected
+
+
+def test_legacy_reranker_key_is_ignored():
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        legacy = dict(data, reranker="ensemble" if len(data["scorer_ids"]) > 1 else "single")
+        assert RunConfig.from_dict(legacy) == RunConfig.from_dict(data)
+    bare = {"run_tag": "x", "rewriter": "single_rewrite", "retriever": "bm25"}
+    assert RunConfig.from_dict(dict(bare, reranker="none")) == RunConfig.from_dict(bare)
 
 
 def test_golden_turn_matches_frozen_record():
