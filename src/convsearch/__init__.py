@@ -15,7 +15,6 @@ from .conversation import (
     parse_topics,
     ptkb_text,
     render_context,
-    serialize_topics,
 )
 from .evaluation import (
     EvalCutoffs,
@@ -62,7 +61,6 @@ from .index import (
 )
 from .llm import (
     CacheMissError,
-    DecodingConfig,
     HttpChatTransport,
     LLMCache,
     LLMGateway,

@@ -7,8 +7,9 @@ a ``manual_rewrite`` per turn).  Topics are immutable after parsing and
 safe to share across parallel per-turn workers.
 
 Conversation history is rendered as alternating ``USER:`` / ``SYSTEM:``
-lines of all turns strictly before the current one; by default the system
-side uses the gold responses shipped with the topic.
+lines of all turns strictly before the current one; the system side is
+always the gold response shipped with the topic, so every turn's history
+is known before any turn runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "Turn",
     "Topic",
     "parse_topics",
-    "serialize_topics",
     "render_context",
     "ptkb_text",
 ]
@@ -127,42 +127,11 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
     return [_parse_topic(entry, position) for position, entry in enumerate(data, start=1)]
 
 
-def serialize_topics(topics: list[Topic]) -> str:
-    """Serialize topics back to the JSON format accepted by parse_topics."""
-    payload = []
-    for topic in topics:
-        turns = []
-        for turn in topic.turns:
-            entry: dict = {
-                "turn_number": turn.turn_number,
-                "utterance": turn.user_utterance,
-                "response": turn.gold_response,
-            }
-            if turn.manual_rewrite is not None:
-                entry["manual_rewrite"] = turn.manual_rewrite
-            turns.append(entry)
-        payload.append(
-            {
-                "number": topic.topic_id,
-                "title": topic.title,
-                "ptkb": {str(s.index): s.text for s in topic.ptkb},
-                "turns": turns,
-            }
-        )
-    return json.dumps(payload, indent=2, ensure_ascii=False)
-
-
-def render_context(
-    topic: Topic,
-    current_turn: int,
-    response_overrides: Mapping[int, str] | None = None,
-) -> str:
+def render_context(topic: Topic, current_turn: int) -> str:
     """Render the history of all turns strictly before ``current_turn``.
 
-    Each prior turn contributes a ``USER:`` line then a ``SYSTEM:`` line;
-    turn 1 has an empty history.
-    ``response_overrides`` substitutes generated responses for gold ones
-    (keyed by turn number); by default gold responses are used.
+    Each prior turn contributes a ``USER:`` line then a ``SYSTEM:`` line
+    with its gold response; turn 1 has an empty history.
 
     Raises:
         ValueError: if ``current_turn`` is outside ``1..len(turns)``.
@@ -173,11 +142,8 @@ def render_context(
         )
     lines: list[str] = []
     for turn in topic.turns[: current_turn - 1]:
-        response = turn.gold_response
-        if response_overrides is not None and turn.turn_number in response_overrides:
-            response = response_overrides[turn.turn_number]
         lines.append(f"USER: {turn.user_utterance}")
-        lines.append(f"SYSTEM: {response}")
+        lines.append(f"SYSTEM: {turn.gold_response}")
     return "\n".join(lines)
 
 

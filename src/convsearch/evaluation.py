@@ -1,16 +1,16 @@
 """TREC-style evaluation: qrels and run files, ranking metrics, sliced reports.
 
 Metrics follow the trec_eval conventions used by the conversational
-benchmark this package targets: nDCG with linear gain
-``rel / log2(rank + 1)`` (exponential gain available as an option), and a
-binary relevance threshold (default ``rel >= 1``) for MRR, precision,
-recall, and average precision.
+benchmark this package targets: nDCG with linear gain, each rank adding
+``rel / log2(rank + 1)``, and a binary relevance threshold (default
+``rel >= 1``) for MRR, precision, recall, and average precision.
 
 Queries present in the run but absent from the qrels are excluded from
 aggregation and listed; queries judged but with no relevant document score
 0 and are flagged, so aggregates stay stable across runs.  Report slices
 group per-query means by turn depth (turn number) and by topic, with
-query ids parsed as ``<topic>_<turn>``.
+query ids parsed as ``<topic>_<turn>`` by :func:`default_query_id_parser`,
+the form the pipeline writes turn ids in.
 """
 
 from __future__ import annotations
@@ -91,19 +91,10 @@ def parse_qrels(source: str | Path | IO[str]) -> Qrels:
     return Qrels(judgments)
 
 
-def _gain(rel: int, exponential: bool) -> float:
-    return float(2**rel - 1) if exponential else float(rel)
-
-
-def ndcg_at_k(
-    ranking: RankedList,
-    qrels: Qrels,
-    k: int | None = None,
-    exponential: bool = False,
-) -> float:
+def ndcg_at_k(ranking: RankedList, qrels: Qrels, k: int | None = None) -> float:
     """Normalized discounted cumulative gain at cutoff ``k`` (None = full).
 
-    DCG sums ``gain(rel_i) / log2(i + 1)`` over ranks ``i <= k``; the ideal
+    DCG sums ``rel_i / log2(i + 1)`` over ranks ``i <= k``; the ideal
     DCG comes from the relevance-sorted judged documents.  A query with no
     positively judged document scores 0 (callers flag it).
     """
@@ -112,8 +103,7 @@ def ndcg_at_k(
     if k is not None:
         ideal_gains = ideal_gains[:k]
     idcg = sum(
-        _gain(rel, exponential) / math.log2(position + 1)
-        for position, rel in enumerate(ideal_gains, start=1)
+        rel / math.log2(position + 1) for position, rel in enumerate(ideal_gains, start=1)
     )
     if idcg == 0.0:
         return 0.0
@@ -121,7 +111,7 @@ def ndcg_at_k(
     if k is not None:
         docs = docs[:k]
     dcg = sum(
-        _gain(judged.get(doc_id, 0), exponential) / math.log2(position + 1)
+        judged.get(doc_id, 0) / math.log2(position + 1)
         for position, doc_id in enumerate(docs, start=1)
     )
     return dcg / idcg
@@ -183,7 +173,6 @@ class EvalCutoffs:
     precision_cutoff: int = 20
     recall_cutoff: int = 100
     threshold: int = 1
-    exponential_gain: bool = False
 
     def metric_columns(self) -> list[str]:
         return [
@@ -279,10 +268,8 @@ def write_run_file(
 
 def _compute_metrics(ranking: RankedList, qrels: Qrels, cutoffs: EvalCutoffs) -> dict[str, float]:
     return {
-        f"nDCG@{cutoffs.ndcg_cutoff}": ndcg_at_k(
-            ranking, qrels, cutoffs.ndcg_cutoff, cutoffs.exponential_gain
-        ),
-        "nDCG": ndcg_at_k(ranking, qrels, None, cutoffs.exponential_gain),
+        f"nDCG@{cutoffs.ndcg_cutoff}": ndcg_at_k(ranking, qrels, cutoffs.ndcg_cutoff),
+        "nDCG": ndcg_at_k(ranking, qrels),
         "MRR": reciprocal_rank(ranking, qrels, cutoffs.threshold),
         f"Recall@{cutoffs.recall_cutoff}": recall_at_k(
             ranking, qrels, cutoffs.recall_cutoff, cutoffs.threshold
@@ -313,7 +300,6 @@ def evaluate_rankings(
     rankings: dict[str, RankedList],
     qrels: Qrels,
     cutoffs: EvalCutoffs = EvalCutoffs(),
-    query_id_parser: Callable[[str], tuple[str, int]] = default_query_id_parser,
 ) -> MetricReport:
     """Evaluate per-query rankings and assemble the sliced report.
 
@@ -325,9 +311,7 @@ def evaluate_rankings(
         ValueError: when a query_id cannot be parsed into (topic, turn).
     """
     metrics = cutoffs.metric_columns()
-    parsed: dict[str, tuple[str, int]] = {}
-    for query_id in rankings:
-        parsed[query_id] = query_id_parser(query_id)
+    parsed = {query_id: default_query_id_parser(query_id) for query_id in rankings}
     judged_queries = qrels.query_ids()
     excluded = sorted(qid for qid in rankings if qid not in judged_queries)
     per_query: dict[str, dict[str, float]] = {}
@@ -362,11 +346,9 @@ def evaluate_run(
     run_source: str | Path | IO[str],
     qrels: Qrels,
     cutoffs: EvalCutoffs = EvalCutoffs(),
-    query_id_parser: Callable[[str], tuple[str, int]] = default_query_id_parser,
 ) -> MetricReport:
     """Evaluate a TREC run file against qrels."""
-    rankings = read_run_file(run_source)
-    return evaluate_rankings(rankings, qrels, cutoffs, query_id_parser)
+    return evaluate_rankings(read_run_file(run_source), qrels, cutoffs)
 
 
 def _format_row(label: str, values: dict[str, float], metrics: Sequence[str], width: int) -> str:

@@ -76,8 +76,7 @@ _SCORER_STOPWORDS = frozenset(
 class LexicalOverlapScorer:
     """Fraction of distinct content-word query tokens that occur in the passage."""
 
-    def __init__(self, analyzer: AnalyzerConfig | None = None):
-        self.analyzer = analyzer or AnalyzerConfig(stopwords=_SCORER_STOPWORDS)
+    analyzer = AnalyzerConfig(stopwords=_SCORER_STOPWORDS)
 
     def score(self, query: str, passages: Sequence[Passage]) -> list[float]:
         query_terms = set(self.analyzer.tokenize(query))
@@ -94,13 +93,15 @@ class PseudoCrossEncoder:
     """Deterministic offline stand-in for a named cross-encoder.
 
     Lexical overlap dominates the score; a stable content hash seeded by
-    the scorer name adds a small per-model perturbation so distinct names
-    produce distinct but plausible rankings.  Pure and platform-stable.
+    the scorer name adds a perturbation of up to ``JITTER`` so distinct
+    names produce distinct but plausible rankings.  Pure and
+    platform-stable.
     """
 
-    def __init__(self, name: str, jitter: float = 0.25):
+    JITTER = 0.25
+
+    def __init__(self, name: str):
         self.name = name
-        self.jitter = jitter
         self._overlap = LexicalOverlapScorer()
 
     def _unit_hash(self, query: str, text: str) -> float:
@@ -110,7 +111,7 @@ class PseudoCrossEncoder:
     def score(self, query: str, passages: Sequence[Passage]) -> list[float]:
         overlaps = self._overlap.score(query, passages)
         return [
-            overlap + self.jitter * self._unit_hash(query, passage.text)
+            overlap + self.JITTER * self._unit_hash(query, passage.text)
             for overlap, passage in zip(overlaps, passages)
         ]
 

@@ -62,32 +62,27 @@ B = 0.4
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    """Text analysis settings shared by indexing and query parsing.
+    """Text analysis shared by indexing and query parsing.
 
-    Defaults: lowercase, split on non-alphanumeric runs, no stemming,
-    no stopwords.
+    Tokens are the ASCII alphanumeric runs, each lowercased, without
+    stemming; ``stopwords`` (none by default) are dropped after lowercasing.
     """
 
-    lowercase: bool = True
     stopwords: frozenset[str] = frozenset()
 
     def tokenize(self, text: str) -> list[str]:
-        tokens = _TOKEN_RE.findall(text)
-        if self.lowercase:
-            tokens = [t.lower() for t in tokens]
+        tokens = [t.lower() for t in _TOKEN_RE.findall(text)]
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         return tokens
 
     def to_dict(self) -> dict:
-        return {"lowercase": self.lowercase, "stopwords": sorted(self.stopwords)}
+        return {"stopwords": sorted(self.stopwords)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalyzerConfig":
-        return cls(
-            lowercase=bool(data.get("lowercase", True)),
-            stopwords=frozenset(data.get("stopwords", ())),
-        )
+        """Inverse of :meth:`to_dict`; other keys (an older ``lowercase`` flag) are ignored."""
+        return cls(stopwords=frozenset(data.get("stopwords", ())))
 
 
 @dataclass(frozen=True)
@@ -297,26 +292,22 @@ def _build(
 
 
 def build_index(
-    corpus: Iterable[Passage],
-    analyzer: AnalyzerConfig | None = None,
-    allow_empty_text: bool = False,
+    corpus: Iterable[Passage], analyzer: AnalyzerConfig | None = None
 ) -> InvertedIndex:
     """Build a BM25-mode index from a passage stream.
 
     Deterministic given identical corpus order and analyzer config.
 
     Raises:
-        ValueError: on a duplicate doc_id (naming it), or on an empty
-            passage text unless ``allow_empty_text`` is set.
+        ValueError: on a duplicate doc_id or an empty passage text, naming
+            the doc_id.
     """
     analyzer = analyzer or AnalyzerConfig()
 
     def rows() -> Iterator[tuple[str, int, Counter]]:
         for passage in corpus:
-            if not passage.text and not allow_empty_text:
-                raise ValueError(
-                    f"empty text for doc_id '{passage.doc_id}' (allow_empty_text=False)"
-                )
+            if not passage.text:
+                raise ValueError(f"empty text for doc_id '{passage.doc_id}'")
             tokens = analyzer.tokenize(passage.text)
             yield passage.doc_id, len(tokens), Counter(tokens)
 

@@ -10,6 +10,11 @@ Three modes:
   and no network traffic occurs.
 * ``live``    - always call the transport; results are still stored.
 
+A transport is any callable ``(model_id, prompt) -> response text``.
+Decoding is fixed: :class:`HttpChatTransport` always asks for temperature
+0 and sends no other setting, so the cache key covers everything a
+request carries.  A cache record is checked against its key when read.
+
 The gateway's task-level operations (query generation, single rewrite,
 PTKB classification, grounded answer generation) render the frozen prompt
 templates, call :meth:`LLMGateway.complete`, and normalize the raw model
@@ -39,7 +44,6 @@ from .prompts import TEMPLATES, render_prompt
 __all__ = [
     "CacheMissError",
     "TransportError",
-    "DecodingConfig",
     "QuerySet",
     "cache_key",
     "LLMCache",
@@ -50,8 +54,8 @@ __all__ = [
     "match_ptkb_labels",
 ]
 
-# transport signature: (model_id, prompt, decoding) -> response text
-Transport = Callable[[str, str, "DecodingConfig"], str]
+# transport signature: (model_id, prompt) -> response text
+Transport = Callable[[str, str], str]
 
 
 class CacheMissError(Exception):
@@ -64,17 +68,6 @@ class CacheMissError(Exception):
 
 class TransportError(Exception):
     """A retriable transport failure, distinct from a replay cache miss."""
-
-
-@dataclass(frozen=True)
-class DecodingConfig:
-    """Decoding parameters sent to the completion endpoint.
-
-    Deterministic by default (temperature 0).  Not part of the cache key.
-    """
-
-    temperature: float = 0.0
-    max_tokens: int | None = None
 
 
 @dataclass(frozen=True)
@@ -120,12 +113,21 @@ class LLMCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> str | None:
+        """The cached response for ``key``, or None.
+
+        Raises:
+            ValueError: naming the file, for a record that does not parse, lacks
+                a field, or whose ``model_id`` and ``prompt`` hash to another key.
+        """
         path = self._path(key)
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))["response"]
-        except (ValueError, KeyError, TypeError) as exc:
+            record = json.loads(path.read_text(encoding="utf-8"))
+            if cache_key(record["model_id"], record["prompt"]) != key:
+                raise ValueError("its model_id and prompt belong to another key")
+            return record["response"]
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"corrupt cache record {path}: {exc!r}") from exc
 
     def put(self, key: str, model_id: str, prompt: str, response: str) -> None:
@@ -151,7 +153,7 @@ class LLMCache:
 class HttpChatTransport:
     """Chat-completion adapter speaking a JSON POST protocol.
 
-    Posts ``{"model", "messages", "temperature"}`` and reads the first
+    Posts ``{"model", "messages", "temperature": 0.0}`` and reads the first
     choice's message content, the shape used by common completion APIs.
     ``max_requests_per_second`` is an optional client-side rate ceiling.
     """
@@ -170,15 +172,12 @@ class HttpChatTransport:
         self._next_slot = 0.0
         self._slot_lock = threading.Lock()
 
-    def build_payload(self, model_id: str, prompt: str, decoding: DecodingConfig) -> dict:
-        payload: dict = {
+    def build_payload(self, model_id: str, prompt: str) -> dict:
+        return {
             "model": model_id,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": decoding.temperature,
+            "temperature": 0.0,
         }
-        if decoding.max_tokens is not None:
-            payload["max_tokens"] = decoding.max_tokens
-        return payload
 
     @staticmethod
     def parse_response(body: bytes) -> str:
@@ -199,9 +198,9 @@ class HttpChatTransport:
         if slot > now:
             time.sleep(slot - now)
 
-    def __call__(self, model_id: str, prompt: str, decoding: DecodingConfig) -> str:
+    def __call__(self, model_id: str, prompt: str) -> str:
         self._throttle()
-        body = json.dumps(self.build_payload(model_id, prompt, decoding)).encode("utf-8")
+        body = json.dumps(self.build_payload(model_id, prompt)).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -263,7 +262,6 @@ class LLMGateway:
         cache_dir: str | Path,
         mode: str = "replay",
         transport: Transport | None = None,
-        decoding: DecodingConfig = DecodingConfig(),
     ):
         if mode not in ("record", "replay", "live"):
             raise ValueError(f"unknown llm mode '{mode}'")
@@ -271,12 +269,11 @@ class LLMGateway:
         self.cache = LLMCache(cache_dir)
         self.mode = mode
         self.transport = transport
-        self.decoding = decoding
 
     def _call_transport(self, prompt: str) -> str:
         if self.transport is None:
             raise TransportError("no transport configured (replay-only gateway)")
-        return self.transport(self.model_id, prompt, self.decoding)
+        return self.transport(self.model_id, prompt)
 
     def complete(self, prompt: str) -> str:
         """Return the model response for ``prompt`` per the gateway mode."""
@@ -325,7 +322,7 @@ class LLMGateway:
     def classify_ptkb(
         self,
         ctx: str,
-        statements: Sequence[PTKBStatement] | Sequence[str],
+        statements: Sequence[PTKBStatement],
         utterance: str,
     ) -> list[int]:
         """Label each persona statement relevant (1) or not (0) for this turn.
@@ -336,7 +333,7 @@ class LLMGateway:
         """
         if not statements:
             raise ValueError("classify_ptkb requires at least one statement")
-        texts = [s.text if isinstance(s, PTKBStatement) else str(s) for s in statements]
+        texts = [s.text for s in statements]
         numbered = "\n".join(f"{i}. {text}" for i, text in enumerate(texts, start=1))
         rendered = render_prompt(TEMPLATES["ptkb_classify"], {"ptkb": numbered})
         prompt = (

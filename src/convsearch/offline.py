@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import re
 
-from .llm import DecodingConfig
-
 __all__ = ["scripted_response", "ScriptedTransport"]
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
@@ -124,6 +122,6 @@ class ScriptedTransport:
     def __init__(self) -> None:
         self.calls = 0
 
-    def __call__(self, model_id: str, prompt: str, decoding: DecodingConfig) -> str:
+    def __call__(self, model_id: str, prompt: str) -> str:
         self.calls += 1
         return scripted_response(prompt)

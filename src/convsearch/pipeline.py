@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, ClassVar, Mapping, Sequence, get_origin, get_type_hints
 
 from .conversation import Topic, parse_topics, ptkb_text, render_context
 from .evaluation import write_run_file
@@ -69,10 +69,44 @@ _RETRIEVERS = ("bm25", "sparse")
 _FUSIONS = ("pool_then_rerank", "interleave", "none")
 
 
+def _json_fields(cls: type, data: Mapping) -> dict:
+    """The entries of ``data`` that name fields of dataclass ``cls``, type-checked.
+
+    A ``str``, ``int`` or ``bool`` field takes exactly that JSON type (an
+    ``int`` no boolean); a tuple field takes a list of strings, returned as
+    a tuple, and a mapping field an object of strings.  Absent fields are
+    left to the dataclass defaults.
+
+    Raises:
+        ValueError: naming the field whose value has another JSON type.
+    """
+    hints = get_type_hints(cls)
+    values = {}
+    for name in (f.name for f in fields(cls) if f.name in data):
+        value, kind = data[name], get_origin(hints[name]) or hints[name]
+        if kind is tuple:
+            wanted = "a list of strings"
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            value = tuple(value) if ok else value
+        elif issubclass(kind, Mapping):
+            wanted = "an object of strings"
+            ok = isinstance(value, dict) and all(
+                isinstance(v, str) for item in value.items() for v in item
+            )
+            value = dict(value) if ok else value
+        else:
+            wanted, ok = kind.__name__, type(value) is kind
+        if not ok:
+            raise ValueError(f"field '{name}' must be {wanted}, got {value!r}")
+        values[name] = value
+    return values
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Seams and depths for one run."""
+    """Seams and depths for one run; turn ids are ``<topic>_<turn>``."""
 
+    turn_id_template: ClassVar[str] = "{topic}_{turn}"
     run_tag: str
     rewriter: str
     retriever: str
@@ -81,7 +115,6 @@ class RunConfig:
     phi: int = 5
     rerank_depth: int = 1000
     retrieval_depth: int = 1000
-    turn_id_template: str = "{topic}_{turn}"
     filtered_ptkb: bool = False
     scorer_endpoints: Mapping[str, str] = field(default_factory=dict)
 
@@ -107,20 +140,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
-        """Build a config from a JSON mapping; unknown keys are ignored."""
-        return cls(
-            run_tag=data["run_tag"],
-            rewriter=data["rewriter"],
-            retriever=data["retriever"],
-            fusion=data.get("fusion", "none"),
-            scorer_ids=tuple(data.get("scorer_ids", ())),
-            phi=int(data.get("phi", 5)),
-            rerank_depth=int(data.get("rerank_depth", 1000)),
-            retrieval_depth=int(data.get("retrieval_depth", 1000)),
-            turn_id_template=data.get("turn_id_template", "{topic}_{turn}"),
-            filtered_ptkb=bool(data.get("filtered_ptkb", False)),
-            scorer_endpoints=dict(data.get("scorer_endpoints", {})),
-        )
+        """Build a config from the field keys of a JSON mapping; other keys are ignored.
+
+        Raises:
+            ValueError: naming a field whose value has the wrong JSON type.
+        """
+        return cls(**_json_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -315,21 +340,27 @@ class RunSpec:
 
 
 def load_run_spec(path: str | Path) -> RunSpec:
-    """Load a JSON run spec; relative paths resolve against the file's directory."""
+    """Load a JSON run spec; relative paths resolve against the file's directory.
+
+    Raises:
+        ValueError: naming the file and key, for a key that is neither a
+            :class:`RunConfig` field nor one of ``paths``, ``model_id``,
+            ``llm_mode`` and the ignored legacy ``reranker``; or naming the
+            field, for a value of the wrong JSON type.
+    """
     spec_path = Path(path)
     data = json.loads(spec_path.read_text(encoding="utf-8"))
-    config = RunConfig.from_dict(data)
+    known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}
+    unknown = sorted(set(data) - known - {"reranker"})  # a dropped field older specs carry
+    if unknown:
+        raise ValueError(f"run spec {spec_path}: unknown keys {unknown}")
+    settings = _json_fields(RunSpec, data)
     base = spec_path.parent
-    paths = {
+    settings["paths"] = {
         name: (base / value).resolve() if not Path(value).is_absolute() else Path(value)
-        for name, value in data.get("paths", {}).items()
+        for name, value in settings.get("paths", {}).items()
     }
-    return RunSpec(
-        config=config,
-        paths=paths,
-        model_id=data.get("model_id", "gpt-4"),
-        llm_mode=data.get("llm_mode", "replay"),
-    )
+    return RunSpec(config=RunConfig.from_dict(data), **settings)
 
 
 def load_resources(

@@ -12,7 +12,6 @@ from convsearch.conversation import (
     parse_topics,
     ptkb_text,
     render_context,
-    serialize_topics,
 )
 
 
@@ -82,14 +81,6 @@ def test_parse_topics_keeps_manual_rewrite():
     assert topics[0].turns[1].manual_rewrite is None
 
 
-def test_round_trip_parse_serialize_parse():
-    payload = [_topic_payload("1"), _topic_payload("2", n_turns=2)]
-    payload[0]["turns"][0]["manual_rewrite"] = "rw"
-    first = parse_topics(io.StringIO(json.dumps(payload)))
-    second = parse_topics(io.StringIO(serialize_topics(first)))
-    assert first == second
-
-
 def _topic(n_turns=3):
     return Topic(
         topic_id="t",
@@ -124,12 +115,6 @@ def test_render_context_monotone_prefix():
         shorter = render_context(topic, t)
         longer = render_context(topic, t + 1)
         assert longer.startswith(shorter)
-
-
-def test_render_context_generated_history_override():
-    ctx = render_context(_topic(), 3, response_overrides={1: "generated r1"})
-    assert "SYSTEM: generated r1" in ctx
-    assert "SYSTEM: r2" in ctx
 
 
 def test_ptkb_text_empty():

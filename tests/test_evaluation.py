@@ -224,16 +224,6 @@ def test_recall_monotone_in_k():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_exponential_gain_option():
-    ranking = _ranking("q", ["A", "B"])
-    qrels = _qrels("q", {"A": 1, "B": 2})
-    linear = ndcg_at_k(ranking, qrels, None, exponential=False)
-    exponential = ndcg_at_k(ranking, qrels, None, exponential=True)
-    assert linear != exponential
-    expected = (1 + 3 / math.log2(3)) / (3 + 1 / math.log2(3))
-    assert exponential == pytest.approx(expected, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # qrels parsing
 # ---------------------------------------------------------------------------

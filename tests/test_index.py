@@ -101,11 +101,8 @@ def test_build_index_rejects_duplicate_doc_id():
 
 
 def test_build_index_empty_text_policy():
-    with pytest.raises(ValueError, match="d1"):
-        build_index([Passage("d1", "")])
-    index = build_index([Passage("d1", "")], allow_empty_text=True)
-    assert index.doc_count == 1
-    assert index.doc_lengths["d1"] == 0
+    with pytest.raises(ValueError, match="empty text for doc_id 'd1'"):
+        build_index([Passage("d0", "a"), Passage("d1", "")])
 
 
 def test_build_index_token_accounting_matches_direct_count():
@@ -430,6 +427,22 @@ def test_save_load_index_roundtrip(tmp_path):
             assert not arr.flags.writeable
     query = "banana"
     assert bm25_retrieve(loaded, query, 5).items == bm25_retrieve(index, query, 5).items
+
+
+def test_load_index_reads_the_older_analyzer_layout(tmp_path):
+    # indexes saved while the analyzer had a lowercase flag still load
+    docs = {"d1": "Apple banana", "d2": "BANANA cherry banana", "d3": "cherry"}
+    built = build_index([Passage(d, t) for d, t in docs.items()])
+    path = tmp_path / "index.json"
+    save_index(built, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["analyzer"] == {"stopwords": []}
+    payload["analyzer"] = {"lowercase": True, "stopwords": []}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = load_index(path)
+    assert loaded.analyzer == built.analyzer == AnalyzerConfig()
+    for query in ("banana", "Cherry APPLE", "banana banana cherry"):
+        assert bm25_retrieve(loaded, query, 5).items == bm25_retrieve(built, query, 5).items
 
 
 def test_load_index_accepts_postings_in_corpus_order(tmp_path):

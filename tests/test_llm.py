@@ -12,7 +12,6 @@ from convsearch.conversation import PTKBStatement
 from convsearch.index import Passage
 from convsearch.llm import (
     CacheMissError,
-    DecodingConfig,
     HttpChatTransport,
     LLMCache,
     LLMGateway,
@@ -179,12 +178,13 @@ def test_concurrent_puts_of_one_key_all_succeed(tmp_path):
     threads, rounds = 8, 20
     barrier = threading.Barrier(threads)
     errors = []
+    keys = [cache_key("m", f"prompt {r}") for r in range(rounds)]
 
     def writer():
         for r in range(rounds):
             barrier.wait(timeout=10)
             try:
-                cache.put(f"key{r}", "m", "prompt", "response")
+                cache.put(keys[r], "m", f"prompt {r}", "response")
             except Exception as exc:  # collected and asserted on below
                 errors.append(exc)
 
@@ -201,13 +201,21 @@ def test_concurrent_puts_of_one_key_all_succeed(tmp_path):
     assert not any(worker.is_alive() for worker in workers)
     assert errors == []
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == sorted(f"key{r}.json" for r in range(rounds))
-    assert len(cache) == rounds and cache.get("key0") == "response"
+    assert names == sorted(f"{key}.json" for key in keys)
+    assert len(cache) == rounds and cache.get(keys[0]) == "response"
 
 
 def test_corrupt_cache_record_names_its_path(tmp_path):
     cache = LLMCache(tmp_path)
-    for key, body in (("truncated", '{"response": "a'), ("noresponse", '{"prompt": "p"}')):
+    cache.put(cache_key("m", "one"), "m", "one", "answer one")
+    copied = (tmp_path / f"{cache_key('m', 'one')}.json").read_text(encoding="utf-8")
+    bodies = {
+        "truncated": '{"response": "a',
+        "noresponse": '{"prompt": "p"}',
+        cache_key("m", "two"): copied,  # a whole record, filed under another key
+    }
+    assert cache.get(cache_key("m", "one")) == "answer one"
+    for key, body in bodies.items():
         path = tmp_path / f"{key}.json"
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"corrupt cache record {path}")):
@@ -280,7 +288,7 @@ def test_generate_rewrite_returns_first_line(tmp_path):
 def test_generate_rewrite_sends_the_multi_query_prompt_at_phi_one(tmp_path):
     prompts = []
 
-    def transport(model_id, prompt, decoding):
+    def transport(model_id, prompt):
         prompts.append(prompt)
         return "1. rewritten query\n2. extra line"
 
@@ -377,7 +385,7 @@ def test_generate_response_no_docs_rejected(tmp_path):
 
 def test_http_transport_payload_shape():
     transport = HttpChatTransport("http://example.invalid/v1/chat")
-    payload = transport.build_payload("gpt-4", "hello", DecodingConfig(temperature=0.0))
+    payload = transport.build_payload("gpt-4", "hello")
     assert payload == {
         "model": "gpt-4",
         "messages": [{"role": "user", "content": "hello"}],

@@ -2,10 +2,13 @@
 
 import io
 import json
+import re
+from dataclasses import fields
 
 import pytest
 
 from convsearch.conversation import PTKBStatement, Topic, Turn, parse_topics
+from convsearch.evaluation import default_query_id_parser
 from convsearch.index import Passage, RankedList, build_index, read_corpus
 from convsearch.llm import CacheMissError, LLMGateway
 from convsearch.offline import ScriptedTransport
@@ -15,6 +18,7 @@ from convsearch.pipeline import (
     TurnExecutionError,
     TurnResult,
     execute_run,
+    execute_spec,
     execute_turn,
     load_resources,
     load_run_spec,
@@ -344,6 +348,70 @@ def test_legacy_reranker_key_is_ignored():
     assert RunConfig.from_dict(dict(bare, reranker="none")) == RunConfig.from_dict(bare)
 
 
+def test_from_dict_reads_every_field_and_defaults_the_rest():
+    data = {
+        "run_tag": "x", "rewriter": "multi_query", "retriever": "sparse",
+        "fusion": "interleave", "scorer_ids": ["a", "b"], "phi": 3, "rerank_depth": 7,
+        "retrieval_depth": 9, "filtered_ptkb": True, "scorer_endpoints": {"a": "http://h/a"},
+    }
+    assert set(data) == {f.name for f in fields(RunConfig)}
+    assert RunConfig.from_dict(data) == RunConfig(**dict(data, scorer_ids=("a", "b")))
+    bare = {"run_tag": "x", "rewriter": "single_rewrite", "retriever": "bm25"}
+    assert RunConfig.from_dict(bare) == RunConfig(**bare)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("scorer_ids", "deberta-v3"),
+        ("scorer_ids", ["deberta-v3", 3]),
+        ("filtered_ptkb", "false"),
+        ("filtered_ptkb", 0),
+        ("phi", "5"),
+        ("phi", 5.0),
+        ("phi", True),
+        ("rerank_depth", "1000"),
+        ("retrieval_depth", 1000.0),
+        ("scorer_endpoints", {"a": 1}),
+    ],
+)
+def test_config_values_must_have_their_json_type(key, value):
+    data = {"run_tag": "x", "rewriter": "single_rewrite", "retriever": "bm25", key: value}
+    with pytest.raises(ValueError, match=f"field '{key}' must be"):
+        RunConfig.from_dict(data)
+
+
+def test_turn_ids_parse_back_into_topic_and_turn():
+    turn_id = RunConfig.turn_id_template.format(topic="t_1", turn=3)
+    assert default_query_id_parser(turn_id) == ("t_1", 3)
+
+
+def test_run_spec_rejects_unknown_keys(tmp_path):
+    # a misspelt scorer_ids would otherwise run without reranking
+    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    data["scorer_id"] = data.pop("scorer_ids")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown keys ['scorer_id']")):
+        load_run_spec(path)
+
+
+def test_run_spec_keys_are_config_fields_spec_settings_and_legacy_reranker(tmp_path):
+    # generated specs carry a shipped config with absolute paths
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        spec = load_run_spec(path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["paths"] = {name: str(value) for name, value in spec.paths.items()}
+        data["reranker"] = "single"
+        copy = tmp_path / path.name
+        copy.write_text(json.dumps(data), encoding="utf-8")
+        assert load_run_spec(copy) == spec
+    data["model_id"] = 4
+    copy.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match="field 'model_id' must be str"):
+        load_run_spec(copy)
+
+
 def test_golden_turn_matches_frozen_record():
     golden = json.loads((TESTS_FIXTURE_DIR / "golden_turn.json").read_text())
     spec = load_run_spec(CONFIG_DIR / "mq4cs_qr_deberta.json")
@@ -355,6 +423,20 @@ def test_golden_turn_matches_frozen_record():
     assert list(result.ptkb_labels) == golden["ptkb_labels"]
     assert result.answer == golden["answer"]
     assert list(result.provenance) == golden["provenance"]
+
+
+def test_fixture_cache_is_what_the_six_configs_record(tmp_path):
+    # recorded from an empty cache, the configs write the shipped cache byte
+    # for byte, and use every entry of it
+    transport = ScriptedTransport()
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        spec = load_run_spec(path)
+        shipped = spec.paths["cache_dir"]
+        spec.paths["cache_dir"] = tmp_path / "cache"
+        execute_spec(spec, tmp_path / "out", transport=transport, llm_mode="record")
+    recorded = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+    assert recorded == {p.name: p.read_bytes() for p in shipped.iterdir()}
+    assert len(recorded) == transport.calls == 47
 
 
 def test_fixture_topics_parse():
