@@ -52,10 +52,8 @@ from .index import (
     bm25_retrieve,
     build_index,
     build_sparse_index,
-    load_index,
     load_sparse_vectors,
     read_corpus,
-    save_index,
     sparse_retrieve,
     text_to_query_vector,
 )

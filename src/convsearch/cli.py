@@ -1,4 +1,8 @@
-"""Command-line entry points: index, run, evaluate, fuse, cache."""
+"""Command-line entry points: run, evaluate, fuse, cache.
+
+A run builds its index from the corpus or sparse-vector file its spec
+names, so there is no separate indexing step.
+"""
 
 from __future__ import annotations
 
@@ -10,19 +14,8 @@ from pathlib import Path
 from .evaluation import EvalCutoffs, evaluate_run, format_report, parse_qrels
 from .evaluation import read_run_file, write_run_file
 from .fusion import ensemble_fuse, interleave
-from .index import build_index, build_sparse_index, load_sparse_vectors, read_corpus, save_index
 from .llm import HttpChatTransport, Transport
 from .pipeline import execute_spec, load_run_spec
-
-
-def _cmd_index(args: argparse.Namespace) -> int:
-    if args.corpus:
-        index = build_index(read_corpus(args.corpus))
-    else:
-        index = build_sparse_index(load_sparse_vectors(args.sparse_vectors))
-    save_index(index, args.out)
-    print(f"indexed {index.doc_count} docs ({index.mode} mode) -> {args.out}")
-    return 0
 
 
 def _build_transport(args: argparse.Namespace) -> Transport | None:
@@ -87,13 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", help="build and save an inverted index")
-    source = p_index.add_mutually_exclusive_group(required=True)
-    source.add_argument("--corpus", help="passage file: <doc_id>\\t<text> per line")
-    source.add_argument("--sparse-vectors", help="sparse-vector file: <doc_id>\\t<term>:<w> ...")
-    p_index.add_argument("--out", required=True, help="output index file (JSON)")
-    p_index.set_defaults(func=_cmd_index)
-
     def add_run_arguments(p: argparse.ArgumentParser, with_mode: bool) -> None:
         p.add_argument("--config", required=True, help="run spec JSON file")
         p.add_argument("--out-dir", default="out", help="directory for run outputs")
@@ -110,7 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--scripted", action="store_true",
             help="use the deterministic offline model as transport",
         )
-        p.add_argument("--workers", type=int, default=1, help="parallel turn workers")
+        p.add_argument(
+            "--workers", type=int, default=1,
+            help="parallel turn workers; pays off only when turns wait on an LLM "
+            "transport (record or live mode) or a remote scorer",
+        )
 
     p_run = sub.add_parser("run", help="execute a run config end to end")
     add_run_arguments(p_run, with_mode=True)

@@ -20,11 +20,14 @@ clause, each posting document's score becomes ``score + query_weight *
 weight``, from 0.0.  Positive scores rank descending, ties by ascending
 doc_id.  Indexes are immutable (read-only arrays) and safe for concurrent
 readers; retrieval is deterministic bit for bit.
+
+An index lives in memory only: :func:`build_index` makes one from a passage
+stream and :func:`build_sparse_index` from ingested document vectors, so a
+run builds its index from its sources at load time.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from array import array
@@ -32,7 +35,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,8 +52,6 @@ __all__ = [
     "bm25_retrieve",
     "sparse_retrieve",
     "text_to_query_vector",
-    "save_index",
-    "load_index",
 ]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
@@ -75,14 +76,6 @@ class AnalyzerConfig:
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         return tokens
-
-    def to_dict(self) -> dict:
-        return {"stopwords": sorted(self.stopwords)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalyzerConfig":
-        """Inverse of :meth:`to_dict`; other keys (an older ``lowercase`` flag) are ignored."""
-        return cls(stopwords=frozenset(data.get("stopwords", ())))
 
 
 @dataclass(frozen=True)
@@ -169,11 +162,12 @@ class InvertedIndex:
 
     ``doc_ids`` lists the documents in ascending order (posting doc indices
     point into it), ``doc_lengths`` in insertion order.  ``avg_doc_length``
-    is the mean length, 0.0 for an empty index.
+    is the mean length, 0.0 for an empty index.  Every index analyzes text
+    with the default :class:`AnalyzerConfig`, read as ``index.analyzer``.
     """
 
+    analyzer: ClassVar[AnalyzerConfig] = AnalyzerConfig()
     mode: str
-    analyzer: AnalyzerConfig
     doc_ids: tuple[str, ...]
     doc_lengths: dict[str, int]
     avg_doc_length: float
@@ -242,18 +236,12 @@ def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
         yield Passage(doc_id=doc_id, text=text)
 
 
-def _build(
-    mode: str,
-    rows: Iterable[tuple[str, int, Mapping[str, float]]],
-    analyzer: AnalyzerConfig,
-) -> InvertedIndex:
+def _build(mode: str, rows: Iterable[tuple[str, int, Mapping[str, float]]]) -> InvertedIndex:
     """Pack ``(doc_id, length, {term: payload})`` rows; raises ValueError on a duplicate doc_id.
 
     Rows stream into flat buffers, then documents are renumbered by doc_id
     rank and postings grouped by term.
     """
-    if mode not in ("bm25", "sparse"):
-        raise ValueError(f"unknown index mode '{mode}'")
     doc_lengths: dict[str, int] = {}
     term_ids: dict[str, int] = {}
     row_sizes, row_terms, row_payloads = array("i"), array("i"), array("d")
@@ -287,22 +275,20 @@ def _build(
     for arr in (offsets, docs, payloads, weights):
         arr.flags.writeable = False
     return InvertedIndex(
-        mode, analyzer, doc_ids, doc_lengths, avg, term_ids, offsets, docs, payloads, weights
+        mode, doc_ids, doc_lengths, avg, term_ids, offsets, docs, payloads, weights
     )
 
 
-def build_index(
-    corpus: Iterable[Passage], analyzer: AnalyzerConfig | None = None
-) -> InvertedIndex:
+def build_index(corpus: Iterable[Passage]) -> InvertedIndex:
     """Build a BM25-mode index from a passage stream.
 
-    Deterministic given identical corpus order and analyzer config.
+    Deterministic given identical corpus order.
 
     Raises:
         ValueError: on a duplicate doc_id or an empty passage text, naming
             the doc_id.
     """
-    analyzer = analyzer or AnalyzerConfig()
+    analyzer = InvertedIndex.analyzer
 
     def rows() -> Iterator[tuple[str, int, Counter]]:
         for passage in corpus:
@@ -311,20 +297,17 @@ def build_index(
             tokens = analyzer.tokenize(passage.text)
             yield passage.doc_id, len(tokens), Counter(tokens)
 
-    return _build("bm25", rows(), analyzer)
+    return _build("bm25", rows())
 
 
-def build_sparse_index(
-    vectors: dict[str, SparseVector],
-    analyzer: AnalyzerConfig | None = None,
-) -> InvertedIndex:
+def build_sparse_index(vectors: dict[str, SparseVector]) -> InvertedIndex:
     """Build a sparse-mode index from precomputed document vectors.
 
     Document length is the number of stored (non-zero) terms; it is kept
     for corpus statistics only and plays no role in dot-product scoring.
     """
     rows = ((doc_id, len(vector), vector.entries) for doc_id, vector in vectors.items())
-    return _build("sparse", rows, analyzer or AnalyzerConfig())
+    return _build("sparse", rows)
 
 
 _VECTOR_ENTRY_RE = re.compile(r"^(?P<term>.+):(?P<weight>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)$")
@@ -422,30 +405,3 @@ def text_to_query_vector(text: str, analyzer: AnalyzerConfig | None = None) -> S
     weight 1 per occurrence.
     """
     return SparseVector(Counter((analyzer or AnalyzerConfig()).tokenize(text)))
-
-
-def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Serialize an index to a JSON file at exactly ``path``."""
-    payload = {
-        "mode": index.mode,
-        "analyzer": index.analyzer.to_dict(),
-        "doc_lengths": index.doc_lengths,
-        "doc_count": index.doc_count,
-        "avg_doc_length": index.avg_doc_length,
-        "postings": {t: [list(pair) for pair in index.posting(t)] for t in index.terms},
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_index(path: str | Path) -> InvertedIndex:
-    """Load an index saved by :func:`save_index`; BM25 impacts are recomputed."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows: dict[str, dict[str, float]] = {doc_id: {} for doc_id in payload["doc_lengths"]}
-    for term, posting in payload["postings"].items():
-        for doc_id, value in posting:
-            rows[doc_id][term] = float(value)
-    return _build(
-        payload["mode"],
-        ((doc_id, int(n), rows[doc_id]) for doc_id, n in payload["doc_lengths"].items()),
-        AnalyzerConfig.from_dict(payload.get("analyzer", {})),
-    )

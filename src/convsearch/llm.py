@@ -131,6 +131,13 @@ class LLMCache:
             raise ValueError(f"corrupt cache record {path}: {exc!r}") from exc
 
     def put(self, key: str, model_id: str, prompt: str, response: str) -> None:
+        """Store ``response`` under ``key``, which must be ``cache_key(model_id, prompt)``.
+
+        Raises:
+            ValueError: if ``key`` is another key, whose record :meth:`get` would reject.
+        """
+        if key != cache_key(model_id, prompt):
+            raise ValueError(f"cache key {key!r} is not the key of its model_id and prompt")
         record = {"model_id": model_id, "prompt": prompt, "response": response}
         # unique per write, as threads and processes may put one key at once; unlike
         # mkstemp's 0600, open(..., "x") applies the umask, so other users can replay

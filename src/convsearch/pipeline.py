@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import IO, ClassVar, Mapping, Sequence, get_origin, get_type_hints
 
@@ -39,7 +39,6 @@ from .index import (
     bm25_retrieve,
     build_index,
     build_sparse_index,
-    load_index,
     load_sparse_vectors,
     read_corpus,
     sparse_retrieve,
@@ -67,6 +66,8 @@ MAX_RANKING = 1000
 _REWRITERS = ("multi_query", "single_rewrite", "human_rewrite")
 _RETRIEVERS = ("bm25", "sparse")
 _FUSIONS = ("pool_then_rerank", "interleave", "none")
+# the files a run spec names: its two index sources, topics, qrels, the LLM cache
+_PATH_NAMES = ("corpus", "sparse_vectors", "topics", "qrels", "cache_dir")
 
 
 def _json_fields(cls: type, data: Mapping) -> dict:
@@ -143,8 +144,15 @@ class RunConfig:
         """Build a config from the field keys of a JSON mapping; other keys are ignored.
 
         Raises:
-            ValueError: naming a field whose value has the wrong JSON type.
+            ValueError: naming the fields without a default that are absent,
+                or a field whose value has the wrong JSON type.
         """
+        missing = [
+            f.name for f in fields(cls)
+            if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"missing fields {missing}")
         return cls(**_json_fields(cls, data))
 
 
@@ -343,39 +351,46 @@ def load_run_spec(path: str | Path) -> RunSpec:
     """Load a JSON run spec; relative paths resolve against the file's directory.
 
     Raises:
-        ValueError: naming the file and key, for a key that is neither a
-            :class:`RunConfig` field nor one of ``paths``, ``model_id``,
-            ``llm_mode`` and the ignored legacy ``reranker``; or naming the
-            field, for a value of the wrong JSON type.
+        ValueError: naming the file and then the key, for a key that is
+            neither a :class:`RunConfig` field nor one of ``paths``,
+            ``model_id``, ``llm_mode`` and the ignored legacy ``reranker``;
+            a ``paths`` name other than ``corpus``, ``sparse_vectors``,
+            ``topics``, ``qrels`` and ``cache_dir``; an absent field without
+            a default; a value of the wrong JSON type; or an invalid config.
     """
     spec_path = Path(path)
     data = json.loads(spec_path.read_text(encoding="utf-8"))
-    known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}
-    unknown = sorted(set(data) - known - {"reranker"})  # a dropped field older specs carry
-    if unknown:
-        raise ValueError(f"run spec {spec_path}: unknown keys {unknown}")
-    settings = _json_fields(RunSpec, data)
-    base = spec_path.parent
-    settings["paths"] = {
-        name: (base / value).resolve() if not Path(value).is_absolute() else Path(value)
-        for name, value in settings.get("paths", {}).items()
-    }
-    return RunSpec(config=RunConfig.from_dict(data), **settings)
+    try:
+        known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}
+        unknown = sorted(set(data) - known - {"reranker"})  # a dropped field older specs carry
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        settings = _json_fields(RunSpec, data)
+        paths = settings.get("paths", {})
+        unknown = sorted(set(paths) - set(_PATH_NAMES))
+        if unknown:
+            raise ValueError(f"unknown paths {unknown}")
+        base = spec_path.parent
+        settings["paths"] = {
+            name: (base / value).resolve() if not Path(value).is_absolute() else Path(value)
+            for name, value in paths.items()
+        }
+        return RunSpec(config=RunConfig.from_dict(data), **settings)
+    except ValueError as exc:
+        raise ValueError(f"run spec {spec_path}: {exc}") from exc
 
 
 def load_resources(
     spec: RunSpec,
 ) -> tuple[InvertedIndex, list[Topic], dict[str, Passage]]:
-    """Load the index, topics, and passage store a run spec points at."""
+    """Load the topics and passage store a run spec points at, and build its index.
+
+    The index is built at load time: from ``sparse_vectors`` for the sparse
+    retriever, otherwise from the passages read from ``corpus``.
+    """
     paths = spec.paths
     passages = {p.doc_id: p for p in read_corpus(paths["corpus"])}
-    if "index" in paths and Path(paths["index"]).exists():
-        index = load_index(paths["index"])
-        if index.mode != spec.config.retriever:
-            raise ValueError(
-                f"index mode '{index.mode}' does not match retriever '{spec.config.retriever}'"
-            )
-    elif spec.config.retriever == "sparse":
+    if spec.config.retriever == "sparse":
         index = build_sparse_index(load_sparse_vectors(paths["sparse_vectors"]))
     else:
         index = build_index(passages.values())

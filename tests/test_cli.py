@@ -1,34 +1,15 @@
 """Command-line interface, exercised against the shipped fixture."""
 
 import json
+import shlex
 
 import pytest
 
-from convsearch.cli import main
+from convsearch.cli import build_parser, main
 from convsearch.evaluation import read_run_file
 from convsearch.fusion import ensemble_fuse, interleave
-from convsearch.index import load_index
 
-from conftest import CONFIG_DIR, FIXTURE_DIR
-
-
-def test_cli_index_corpus(tmp_path, capsys):
-    out = tmp_path / "index.json"
-    code = main(["index", "--corpus", str(FIXTURE_DIR / "corpus.tsv"), "--out", str(out)])
-    assert code == 0
-    index = load_index(out)
-    assert index.mode == "bm25"
-    assert index.doc_count == 50
-    assert "indexed 50 docs" in capsys.readouterr().out
-
-
-def test_cli_index_sparse(tmp_path):
-    out = tmp_path / "sparse.json"
-    code = main(
-        ["index", "--sparse-vectors", str(FIXTURE_DIR / "sparse_vectors.tsv"), "--out", str(out)]
-    )
-    assert code == 0
-    assert load_index(out).mode == "sparse"
+from conftest import CONFIG_DIR, FIXTURE_DIR, REPO
 
 
 def test_cli_run_replay_and_evaluate(tmp_path, capsys):
@@ -118,3 +99,14 @@ def test_cli_error_exit_code(tmp_path, capsys):
     code = main(["evaluate", "--run", str(tmp_path / "missing.run"), "--qrels", "nope"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_readme_cli_quickstart_commands_parse():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quickstart (CLI)", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("convsearch ")]
+    assert {argv[0] for argv in commands} == {"run", "evaluate", "fuse", "cache"}
+    parser = build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv).func)

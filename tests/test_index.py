@@ -1,7 +1,6 @@
 """Index construction and retrieval, checked against full-scan oracles."""
 
 import io
-import json
 import math
 import re
 from collections import Counter
@@ -19,10 +18,8 @@ from convsearch.index import (
     bm25_retrieve,
     build_index,
     build_sparse_index,
-    load_index,
     load_sparse_vectors,
     read_corpus,
-    save_index,
     sparse_retrieve,
     text_to_query_vector,
 )
@@ -132,6 +129,10 @@ def test_index_invariants_hold():
     assert index.avg_doc_length == pytest.approx(
         sum(index.doc_lengths.values()) / index.doc_count
     )
+    sparse = build_sparse_index({"d1": SparseVector({"a": 1.0})})
+    for built in (index, sparse):
+        for arr in (built._offsets, built._docs, built._payloads, built._weights):
+            assert not arr.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -407,63 +408,3 @@ def test_read_corpus_rejects_missing_tab():
 def test_text_to_query_vector_counts():
     vector = text_to_query_vector("Apple apple banana!")
     assert vector.entries == {"apple": 2.0, "banana": 1.0}
-
-
-def test_save_load_index_roundtrip(tmp_path):
-    passages = [Passage("d1", "apple banana"), Passage("d2", "banana cherry")]
-    index = build_index(passages)
-    path = tmp_path / "index.json"
-    save_index(index, path)
-    loaded = load_index(path)
-    assert list(tmp_path.iterdir()) == [path]
-    assert {t: loaded.posting(t) for t in loaded.terms} == {
-        t: index.posting(t) for t in index.terms
-    }
-    assert loaded.doc_lengths == index.doc_lengths
-    assert loaded.avg_doc_length == index.avg_doc_length
-    assert loaded.mode == index.mode
-    for built in (index, loaded):
-        for arr in (built._offsets, built._docs, built._payloads, built._weights):
-            assert not arr.flags.writeable
-    query = "banana"
-    assert bm25_retrieve(loaded, query, 5).items == bm25_retrieve(index, query, 5).items
-
-
-def test_load_index_reads_the_older_analyzer_layout(tmp_path):
-    # indexes saved while the analyzer had a lowercase flag still load
-    docs = {"d1": "Apple banana", "d2": "BANANA cherry banana", "d3": "cherry"}
-    built = build_index([Passage(d, t) for d, t in docs.items()])
-    path = tmp_path / "index.json"
-    save_index(built, path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["analyzer"] == {"stopwords": []}
-    payload["analyzer"] = {"lowercase": True, "stopwords": []}
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    loaded = load_index(path)
-    assert loaded.analyzer == built.analyzer == AnalyzerConfig()
-    for query in ("banana", "Cherry APPLE", "banana banana cherry"):
-        assert bm25_retrieve(loaded, query, 5).items == bm25_retrieve(built, query, 5).items
-
-
-def test_load_index_accepts_postings_in_corpus_order(tmp_path):
-    # save files list postings in any doc order: this one is in corpus order
-    docs = {"d2": "banana cherry banana", "d1": "apple banana", "d3": "cherry"}
-    payload = {
-        "mode": "bm25",
-        "analyzer": AnalyzerConfig().to_dict(),
-        "doc_lengths": {"d2": 3, "d1": 2, "d3": 1},
-        "doc_count": 3,
-        "avg_doc_length": 2.0,
-        "postings": {
-            "banana": [["d2", 2.0], ["d1", 1.0]],
-            "cherry": [["d2", 1.0], ["d3", 1.0]],
-            "apple": [["d1", 1.0]],
-        },
-    }
-    path = tmp_path / "index.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    loaded = load_index(path)
-    built = build_index([Passage(d, t) for d, t in docs.items()])
-    assert loaded.doc_ids == built.doc_ids == ("d1", "d2", "d3")
-    for query in ("banana", "cherry apple", "banana banana cherry"):
-        assert bm25_retrieve(loaded, query, 5).items == bm25_retrieve(built, query, 5).items

@@ -230,8 +230,20 @@ def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        cache.put("k", "m", "prompt", "response")
+        cache.put(cache_key("m", "prompt"), "m", "prompt", "response")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_put_rejects_a_key_that_is_not_its_records(tmp_path):
+    # such a record would be stored, and then rejected as corrupt by get
+    cache = LLMCache(tmp_path)
+    with pytest.raises(ValueError, match="cache key 'k' is not the key"):
+        cache.put("k", "m", "p", "r")
+    with pytest.raises(ValueError, match="is not the key"):
+        cache.put(cache_key("m", "p"), "m", "another prompt", "r")
+    assert list(tmp_path.iterdir()) == []
+    cache.put(cache_key("m", "p"), "m", "p", "r")
+    assert cache.get(cache_key("m", "p")) == "r"
 
 
 def test_unknown_mode_rejected(tmp_path):

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import threading
 from dataclasses import fields
 
 import pytest
@@ -212,6 +213,29 @@ def test_execute_run_deterministic_and_parallel_consistent(tmp_path):
     assert sequential == again == parallel
 
 
+def test_record_mode_workers_overlap_transport_waits(tmp_path):
+    # the first two transport calls return only once both are waiting, so
+    # the run completes only if two turns wait on the transport at once
+    index, _, passages = _mini_env(tmp_path)
+    config = RunConfig(run_tag="x", rewriter="single_rewrite", retriever="bm25")
+    barrier = threading.Barrier(2, timeout=10)
+    calls, lock, scripted = [], threading.Lock(), ScriptedTransport()
+
+    def transport(model_id, prompt):
+        with lock:
+            calls.append(prompt)
+            waits = len(calls) <= 2
+        if waits:
+            barrier.wait()
+        return scripted(model_id, prompt)
+
+    overlapped = LLMGateway("m", tmp_path / "a", mode="record", transport=transport)
+    plain = LLMGateway("m", tmp_path / "b", mode="record", transport=ScriptedTransport())
+    results = execute_run(config, _two_topics(), index, overlapped, passages=passages, workers=2)
+    assert results == execute_run(config, _two_topics(), index, plain, passages=passages)
+    assert not barrier.broken and len(calls) > 2
+
+
 def test_execute_run_benchmark_scale(tmp_path):
     # 13 topics totalling 103 turns enumerate to 103 results
     index, gateway, passages = _mini_env(tmp_path)
@@ -394,6 +418,28 @@ def test_run_spec_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: unknown keys ['scorer_id']")):
         load_run_spec(path)
+
+
+def test_run_spec_rejects_unknown_path_names(tmp_path):
+    # a spec naming a saved index must fail, not silently build from its sources
+    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    for name in ("index", "corpus_file"):
+        path = tmp_path / f"{name}.json"
+        spec = dict(data, paths=dict(data["paths"], **{name: "x.json"}))
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown paths ['{name}']")):
+            load_run_spec(path)
+
+
+def test_run_spec_names_a_missing_field_and_its_file(tmp_path):
+    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    for name in ("run_tag", "rewriter", "retriever"):
+        path = tmp_path / f"no_{name}.json"
+        path.write_text(json.dumps({k: v for k, v in data.items() if k != name}), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing fields ['{name}']")):
+            load_run_spec(path)
+    with pytest.raises(ValueError, match=re.escape("['run_tag', 'rewriter', 'retriever']")):
+        RunConfig.from_dict({})
 
 
 def test_run_spec_keys_are_config_fields_spec_settings_and_legacy_reranker(tmp_path):
