@@ -23,7 +23,10 @@ readers; retrieval is deterministic bit for bit.
 
 An index lives in memory only: :func:`build_index` makes one from a passage
 stream and :func:`build_sparse_index` from ingested document vectors, so a
-run builds its index from its sources at load time.
+run builds its index from its sources at load time.  Documents stream into
+flat columns (per entry a term id and a payload, per document its row end)
+that one packer turns into the CSR arrays; :func:`load_sparse_vectors`
+writes a vector file straight into those columns.
 """
 
 from __future__ import annotations
@@ -236,31 +239,69 @@ def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
         yield Passage(doc_id=doc_id, text=text)
 
 
-def _build(mode: str, rows: Iterable[tuple[str, int, Mapping[str, float]]]) -> InvertedIndex:
-    """Pack ``(doc_id, length, {term: payload})`` rows; raises ValueError on a duplicate doc_id.
+class _Columns(Mapping[str, SparseVector]):
+    """Documents as flat columns, the rows :func:`_build` packs into postings.
 
-    Rows stream into flat buffers, then documents are renumbered by doc_id
-    rank and postings grouped by term.
+    Per entry a term id (terms numbered as first seen) and a payload; per
+    row its doc_id, length and end offset.  Read as a mapping, a row is the
+    :class:`SparseVector` of its entries, made on access.
     """
-    doc_lengths: dict[str, int] = {}
-    term_ids: dict[str, int] = {}
-    row_sizes, row_terms, row_payloads = array("i"), array("i"), array("d")
-    for doc_id, length, entries in rows:
-        if doc_id in doc_lengths:
+
+    def __init__(self) -> None:
+        self.rows: dict[str, int] = {}
+        self.lengths = array("q")
+        self.ends = array("q")
+        self.term_ids: dict[str, int] = {}
+        self.terms = array("i")
+        self.payloads = array("d")
+        self._names: list[str] = []  # term_ids' keys, listed again when it has grown
+
+    def append(
+        self, doc_id: str, length: int, terms: Iterable[str], payloads: Iterable[float]
+    ) -> None:
+        """Add a row of distinct terms; raises ValueError on a duplicate doc_id."""
+        if doc_id in self.rows:
             raise ValueError(f"duplicate doc_id '{doc_id}'")
-        doc_lengths[doc_id] = length
-        row_sizes.append(len(entries))
-        row_terms.extend([term_ids.setdefault(t, len(term_ids)) for t in entries])
-        row_payloads.extend(entries.values())
+        term_ids = self.term_ids
+        self.rows[doc_id] = len(self.rows)
+        self.lengths.append(length)
+        self.terms.extend([term_ids.setdefault(t, len(term_ids)) for t in terms])
+        self.payloads.extend(payloads)
+        self.ends.append(len(self.terms))
+
+    def __getitem__(self, doc_id: str) -> SparseVector:
+        row = self.rows[doc_id]
+        start, end = self.ends[row - 1] if row else 0, self.ends[row]
+        if len(self._names) != len(self.term_ids):
+            self._names = list(self.term_ids)
+        names = self._names
+        return SparseVector(
+            dict(zip([names[t] for t in self.terms[start:end]], self.payloads[start:end]))
+        )
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _build(mode: str, columns: _Columns) -> InvertedIndex:
+    """Pack the rows of ``columns`` into CSR postings.
+
+    Documents are renumbered by doc_id rank and postings grouped by term.
+    """
+    doc_lengths = dict(zip(columns.rows, columns.lengths))
+    term_ids = columns.term_ids
     doc_ids = tuple(sorted(doc_lengths))
     n = len(doc_ids)
     rank_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
     ranks = np.array([rank_of[d] for d in doc_lengths], dtype=np.int32)
-    terms = np.array(row_terms, dtype=np.int32)
-    docs = np.repeat(ranks, np.array(row_sizes, dtype=np.int32))
+    terms = np.array(columns.terms, dtype=np.int32)
+    docs = np.repeat(ranks, np.diff(np.array(columns.ends, dtype=np.int64), prepend=0))
     order = np.lexsort((docs, terms))
     docs = docs[order]
-    payloads = np.array(row_payloads, dtype=np.float64)[order]
+    payloads = np.array(columns.payloads, dtype=np.float64)[order]
     df = np.bincount(terms, minlength=len(term_ids))
     offsets = np.concatenate(([0], np.cumsum(df))).astype(np.int64)
     avg = sum(doc_lengths.values()) / n if n else 0.0
@@ -288,45 +329,73 @@ def build_index(corpus: Iterable[Passage]) -> InvertedIndex:
         ValueError: on a duplicate doc_id or an empty passage text, naming
             the doc_id.
     """
-    analyzer = InvertedIndex.analyzer
-
-    def rows() -> Iterator[tuple[str, int, Counter]]:
-        for passage in corpus:
-            if not passage.text:
-                raise ValueError(f"empty text for doc_id '{passage.doc_id}'")
-            tokens = analyzer.tokenize(passage.text)
-            yield passage.doc_id, len(tokens), Counter(tokens)
-
-    return _build("bm25", rows())
+    columns = _Columns()
+    for passage in corpus:
+        if not passage.text:
+            raise ValueError(f"empty text for doc_id '{passage.doc_id}'")
+        tokens = InvertedIndex.analyzer.tokenize(passage.text)
+        counts = Counter(tokens)
+        columns.append(passage.doc_id, len(tokens), counts, counts.values())
+    return _build("bm25", columns)
 
 
-def build_sparse_index(vectors: dict[str, SparseVector]) -> InvertedIndex:
+def build_sparse_index(vectors: Mapping[str, SparseVector]) -> InvertedIndex:
     """Build a sparse-mode index from precomputed document vectors.
 
-    Document length is the number of stored (non-zero) terms; it is kept
-    for corpus statistics only and plays no role in dot-product scoring.
+    Vectors from :func:`load_sparse_vectors` are packed from the columns
+    they already are; any other mapping is first copied into such columns,
+    row by row in its order.  Document length is the number of stored
+    (non-zero) terms; it is kept for corpus statistics only and plays no
+    role in dot-product scoring.
     """
-    rows = ((doc_id, len(vector), vector.entries) for doc_id, vector in vectors.items())
-    return _build("sparse", rows)
+    columns = vectors
+    if not isinstance(columns, _Columns):
+        columns = _Columns()
+        for doc_id, vector in vectors.items():
+            columns.append(doc_id, len(vector), vector.entries, vector.entries.values())
+    return _build("sparse", columns)
 
 
 _VECTOR_ENTRY_RE = re.compile(r"^(?P<term>.+):(?P<weight>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)$")
+# a payload of single-colon entries with unsigned ASCII weights, single-spaced:
+# it splits at every colon and space into alternating terms and weights
+_PLAIN_ENTRY = r"[^: ]+:[0-9]+(?:\.[0-9]+)?(?:[eE][0-9]+)?"
+_PLAIN_PAYLOAD_RE = re.compile(rf"{_PLAIN_ENTRY}(?: {_PLAIN_ENTRY})*")
 
 
-def load_sparse_vectors(source: str | Path | IO[str]) -> dict[str, SparseVector]:
+def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVector]:
     """Parse a ``<doc_id><TAB><term>:<weight>( <term>:<weight>)*`` file.
 
     Weights must be non-negative decimals; zero weights are dropped per the
-    sparse-vector invariant.  A doc_id may appear on one line only.
+    sparse-vector invariant, and a term repeated within a line keeps its
+    first position and its last weight.  A doc_id may appear on one line
+    only.
+
+    The file streams line by line into flat columns (term ids, weights,
+    row ends) that :func:`build_sparse_index` packs without another pass;
+    the returned read-only mapping makes a document's
+    :class:`SparseVector` only when it is looked up.  A line whose entries
+    all have one colon, a non-empty term and an unsigned ASCII decimal
+    weight, single-spaced, with distinct terms and no zero weight, is split
+    whole; any other line, including every malformed one, is parsed entry
+    by entry under the same grammar.
 
     Raises:
         ValueError: naming the line number, for malformed lines, negative
             weights, or duplicate doc_ids.
     """
-    vectors: dict[str, SparseVector] = {}
+    columns = _Columns()
+    plain = _PLAIN_PAYLOAD_RE.fullmatch
     for lineno, doc_id, payload in _tab_rows(source, "sparse-vector", "entries"):
-        if doc_id in vectors:
+        if doc_id in columns.rows:
             raise ValueError(f"sparse-vector line {lineno}: duplicate doc_id '{doc_id}'")
+        if plain(payload):
+            fields = payload.replace(":", " ").split(" ")
+            terms = fields[0::2]
+            weights = array("d", map(float, fields[1::2]))
+            if 0.0 not in weights and len(set(terms)) == len(terms):
+                columns.append(doc_id, len(terms), terms, weights)
+                continue
         entries: dict[str, float] = {}
         for part in payload.split(" "):
             if not part:
@@ -338,8 +407,9 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> dict[str, SparseVector]
             if weight < 0:
                 raise ValueError(f"sparse-vector line {lineno}: negative weight in '{part}'")
             entries[match.group("term")] = weight
-        vectors[doc_id] = SparseVector(entries)
-    return vectors
+        entries = SparseVector(entries).entries
+        columns.append(doc_id, len(entries), entries, entries.values())
+    return columns
 
 
 def _score_at_a_time(

@@ -356,11 +356,14 @@ def load_run_spec(path: str | Path) -> RunSpec:
             ``model_id``, ``llm_mode`` and the ignored legacy ``reranker``;
             a ``paths`` name other than ``corpus``, ``sparse_vectors``,
             ``topics``, ``qrels`` and ``cache_dir``; an absent field without
-            a default; a value of the wrong JSON type; or an invalid config.
+            a default; a value of the wrong JSON type; an invalid config; or a
+            file that is not a JSON object.
     """
     spec_path = Path(path)
-    data = json.loads(spec_path.read_text(encoding="utf-8"))
     try:
+        data = json.loads(spec_path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}
         unknown = sorted(set(data) - known - {"reranker"})  # a dropped field older specs carry
         if unknown:
@@ -380,6 +383,12 @@ def load_run_spec(path: str | Path) -> RunSpec:
         raise ValueError(f"run spec {spec_path}: {exc}") from exc
 
 
+def _require_paths(spec: RunSpec, names: Sequence[str]) -> None:
+    missing = [name for name in names if name not in spec.paths]
+    if missing:
+        raise ValueError(f"run spec '{spec.config.run_tag}' is missing paths {missing}")
+
+
 def load_resources(
     spec: RunSpec,
 ) -> tuple[InvertedIndex, list[Topic], dict[str, Passage]]:
@@ -387,10 +396,15 @@ def load_resources(
 
     The index is built at load time: from ``sparse_vectors`` for the sparse
     retriever, otherwise from the passages read from ``corpus``.
+
+    Raises:
+        ValueError: naming the paths the run needs that the spec lacks.
     """
+    sparse = spec.config.retriever == "sparse"
+    _require_paths(spec, ("corpus", "sparse_vectors", "topics") if sparse else ("corpus", "topics"))
     paths = spec.paths
     passages = {p.doc_id: p for p in read_corpus(paths["corpus"])}
-    if spec.config.retriever == "sparse":
+    if sparse:
         index = build_sparse_index(load_sparse_vectors(paths["sparse_vectors"]))
     else:
         index = build_index(passages.values())
@@ -409,7 +423,12 @@ def execute_spec(
 
     ``llm_mode`` overrides the spec's mode (the record/replay CLI path).
     Returns the two output paths.
+
+    Raises:
+        ValueError: naming the paths the run needs that the spec lacks,
+            ``cache_dir`` among them.
     """
+    _require_paths(spec, ("cache_dir",))
     index, topics, passages = load_resources(spec)
     llm = LLMGateway(
         model_id=spec.model_id,

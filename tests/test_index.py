@@ -7,11 +7,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convsearch.index import (
     B,
     K1,
     AnalyzerConfig,
+    InvertedIndex,
     Passage,
     RankedList,
     SparseVector,
@@ -383,6 +386,198 @@ def test_load_sparse_vectors_rejects_duplicate_doc():
 def test_load_sparse_vectors_drops_zero_weights():
     vectors = load_sparse_vectors(io.StringIO("d1\ta:0 b:2.0\n"))
     assert vectors["d1"].entries == {"b": 2.0}
+
+
+# the per-entry parser the loader had before it streamed into columns, kept
+# as the reference: every line, one regex match per entry into a dict
+_ORACLE_ENTRY_RE = re.compile(r"^(?P<term>.+):(?P<weight>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)$")
+
+
+def oracle_sparse_vectors(text: str) -> dict[str, list[tuple[str, float]]]:
+    """``{doc_id: [(term, weight), ...]}`` in file and entry order, or the loader's ValueError."""
+    vectors: dict[str, list[tuple[str, float]]] = {}
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ValueError(f"sparse-vector line {lineno}: expected '<doc_id>\\t<entries>'")
+        doc_id, payload = line.split("\t", 1)
+        if not doc_id:
+            raise ValueError(f"sparse-vector line {lineno}: empty doc_id")
+        if doc_id in vectors:
+            raise ValueError(f"sparse-vector line {lineno}: duplicate doc_id '{doc_id}'")
+        entries: dict[str, float] = {}
+        for part in payload.split(" "):
+            if not part:
+                continue
+            match = _ORACLE_ENTRY_RE.match(part)
+            if match is None:
+                raise ValueError(f"sparse-vector line {lineno}: malformed entry '{part}'")
+            weight = float(match.group("weight"))
+            if weight < 0:
+                raise ValueError(f"sparse-vector line {lineno}: negative weight in '{part}'")
+            entries[match.group("term")] = weight
+        vectors[doc_id] = [(t, w) for t, w in entries.items() if w > 0]
+    return vectors
+
+
+def _assert_same_index(got: InvertedIndex, want: InvertedIndex) -> None:
+    """Same documents, terms in the same order, and equal read-only CSR arrays."""
+    assert got.doc_ids == want.doc_ids and got.terms == want.terms
+    assert list(got.doc_lengths.items()) == list(want.doc_lengths.items())
+    assert got.avg_doc_length == want.avg_doc_length
+    for name in ("_offsets", "_docs", "_payloads", "_weights"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype and np.array_equal(got_array, want_array)
+        assert not got_array.flags.writeable and not want_array.flags.writeable
+
+
+def _loaded(text: str) -> dict[str, list[tuple[str, float]]]:
+    vectors = load_sparse_vectors(io.StringIO(text))
+    return {doc_id: list(vectors[doc_id].entries.items()) for doc_id in vectors}
+
+
+_ALPHABET = ":-.eE+_ \t0123456789\u0663"  # U+0663 ARABIC-INDIC DIGIT THREE
+
+
+def _decimal(digits: str, signs: str) -> st.SearchStrategy[str]:
+    """``[sign]digits[.digits][(e|E)[sign]digits]`` over the given digit and sign characters."""
+    run = st.text(digits, min_size=1, max_size=3)
+    sign = st.sampled_from(["", *signs])
+    return st.builds(
+        "{}{}{}{}".format,
+        sign,
+        run,
+        st.one_of(st.just(""), run.map(".{}".format)),
+        st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"), sign, run)),
+    )
+
+
+_entry = st.builds(
+    "{}:{}".format,
+    st.text(_ALPHABET.replace(" ", ""), min_size=1, max_size=3),
+    st.one_of(
+        _decimal("0123456789", ""),
+        _decimal("0123456789\u0663", "-+"),
+        st.text(_ALPHABET, max_size=4),
+    ),
+)
+# mostly lines of well-formed entries, some of them broken by a stray string
+_entries = st.one_of(
+    st.lists(
+        st.builds(
+            "{}:{}".format, st.text("eE_+-.:", min_size=1, max_size=3), _decimal("0123456789", "")
+        ),
+        max_size=8,
+    ).map(" ".join),
+    st.lists(st.one_of(_entry, _entry, st.text(_ALPHABET, max_size=6)), max_size=8).map(" ".join),
+    st.text(_ALPHABET, max_size=30),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(["d1", "d2", "d3", "d4"]), _entries), max_size=5))
+def test_load_sparse_vectors_agrees_with_the_per_entry_parser(lines):
+    text = "".join(f"{doc_id}\t{payload}\n" for doc_id, payload in lines)
+    try:
+        expected = oracle_sparse_vectors(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            load_sparse_vectors(io.StringIO(text))
+        assert str(raised.value) == str(exc)
+    else:
+        assert _loaded(text) == expected
+        _assert_same_index(
+            build_sparse_index(load_sparse_vectors(io.StringIO(text))),
+            build_sparse_index({d: SparseVector(dict(v)) for d, v in expected.items()}),
+        )
+
+
+@pytest.mark.parametrize(
+    "payload, entries",
+    [
+        ("a:b:1.5 c:2", [("a:b", 1.5), ("c", 2.0)]),  # a colon inside a term
+        ("a:1 b:2 a:3", [("a", 3.0), ("b", 2.0)]),  # first position, last weight
+        ("a:1 b:2 a:0", [("b", 2.0)]),
+        ("a:0 b:-0 c:0.0e5 d:-0.0 e:1", [("e", 1.0)]),  # zero weights dropped
+        ("a:1e-3 b:2E+1 c:1.5e2", [("a", 0.001), ("b", 20.0), ("c", 150.0)]),
+        ("a:\u0663 b:1.\u0663", [("a", 3.0), ("b", 1.3)]),  # Unicode digits
+        ("  a:1  b:2 ", [("a", 1.0), ("b", 2.0)]),  # runs of spaces
+        ("a\tb:1", [("a\tb", 1.0)]),  # a tab inside a term
+        ("", []),
+    ],
+)
+def test_load_sparse_vectors_rare_legal_forms(payload, entries):
+    text = f"d1\t{payload}\n"
+    assert oracle_sparse_vectors(text) == {"d1": entries}
+    assert _loaded(text) == {"d1": entries}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ("a:1 b", "malformed entry 'b'"),
+        ("a:1:", "malformed entry 'a:1:'"),
+        (":1", "malformed entry ':1'"),
+        ("a:.5", "malformed entry 'a:.5'"),
+        ("a:5.", "malformed entry 'a:5.'"),
+        ("a:1.e5", "malformed entry 'a:1.e5'"),
+        ("a:1.2.3", "malformed entry 'a:1.2.3'"),
+        ("a:inf", "malformed entry 'a:inf'"),
+        ("a:1_0", "malformed entry 'a:1_0'"),
+        ("a:1\t", "malformed entry 'a:1\t'"),
+        ("a 1:b:2", "malformed entry 'a'"),
+        ("a:2 b:-1e-3", "negative weight in 'b:-1e-3'"),
+    ],
+)
+def test_load_sparse_vectors_names_the_bad_entry(payload, message):
+    text = f"d0\tz:1\nd1\t{payload}\n"
+    with pytest.raises(ValueError) as raised:
+        load_sparse_vectors(io.StringIO(text))
+    assert str(raised.value) == f"sparse-vector line 2: {message}"
+    with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+        oracle_sparse_vectors(text)
+
+
+def test_loaded_vectors_are_a_read_only_mapping():
+    vectors = load_sparse_vectors(io.StringIO("d2\tz:1 a:0\nd1\ta:2 z:3\n"))
+    assert list(vectors) == ["d2", "d1"] and len(vectors) == 2 and "d1" in vectors
+    assert vectors == {"d2": SparseVector({"z": 1.0}), "d1": SparseVector({"a": 2.0, "z": 3.0})}
+    with pytest.raises(KeyError):
+        vectors["d3"]
+    with pytest.raises(TypeError):
+        vectors["d3"] = SparseVector({"a": 1.0})
+    # a term first seen with a zero weight is first indexed where it is non-zero
+    assert build_sparse_index(vectors).terms == ("z", "a")
+
+
+def test_index_from_a_file_equals_index_from_the_dict():
+    rng = np.random.default_rng(23)
+    vectors: dict[str, dict[str, float]] = {}
+    lines = []
+    for n, i in enumerate(rng.permutation(400)):
+        terms = [f"t{t}" for t in rng.choice(600, size=rng.integers(1, 50), replace=False)]
+        weights = np.round(rng.uniform(0.001, 9.0, size=len(terms)), 3).tolist()
+        doc_id = f"d{i:04d}"
+        vectors[doc_id] = dict(zip(terms, weights))
+        entries = [f"{t}:{w!r}" for t, w in zip(terms, weights)]
+        # every fifth line takes the per-entry path: a zero weight, a
+        # repeated term, an exponent or a run of spaces the dict does not show
+        kind = n % 20
+        if kind == 5:
+            entries.insert(0, "tzero:0.0")
+        elif kind == 10:
+            entries.insert(0, f"{terms[0]}:1.5")
+        elif kind == 15:
+            entries[-1] = f"{terms[-1]}:{round(weights[-1] * 1000)}e-3"
+        elif kind == 0:
+            entries.append("")
+        lines.append(f"{doc_id}\t{' '.join(entries)}\n")
+    from_file = build_sparse_index(load_sparse_vectors(io.StringIO("".join(lines))))
+    from_dict = build_sparse_index({d: SparseVector(v) for d, v in vectors.items()})
+    _assert_same_index(from_file, from_dict)
+    assert "tzero" not in from_file.terms
 
 
 def test_sparse_vector_rejects_negative():

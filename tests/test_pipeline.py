@@ -442,6 +442,46 @@ def test_run_spec_names_a_missing_field_and_its_file(tmp_path):
         RunConfig.from_dict({})
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "Expecting property name"), ("5", "expected a JSON object, got int"),
+     ("[]", "expected a JSON object, got list"), ("null", "got NoneType")],
+    ids=["invalid", "number", "array", "null"],
+)
+def test_run_spec_that_is_not_a_json_object_names_its_file(tmp_path, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"run spec {path}: ") + f".*{message}"):
+        load_run_spec(path)
+
+
+def test_a_run_names_the_paths_its_spec_lacks(tmp_path):
+    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    shipped = load_run_spec(CONFIG_DIR / "gpt4qr_deberta.json").paths
+    cases = [
+        ("sparse", ("corpus",), "['corpus']"),
+        ("sparse", ("topics", "sparse_vectors"), "['sparse_vectors', 'topics']"),
+        ("bm25", ("topics",), "['topics']"),
+    ]
+    for retriever, dropped, message in cases:
+        path = tmp_path / "spec.json"
+        paths = {k: str(v) for k, v in shipped.items() if k not in dropped}
+        path.write_text(json.dumps(dict(data, retriever=retriever, paths=paths)), "utf-8")
+        spec = load_run_spec(path)
+        expected = re.escape(f"run spec 'gpt4qr-deberta' is missing paths {message}")
+        for run in (load_resources, lambda s: execute_spec(s, tmp_path / "out")):
+            with pytest.raises(ValueError, match=expected):
+                run(spec)
+    # a bm25 run reads no vectors, and a spec may leave cache_dir to its caller
+    paths = {k: str(v) for k, v in shipped.items() if k not in ("sparse_vectors", "cache_dir")}
+    path.write_text(json.dumps(dict(data, retriever="bm25", paths=paths)), "utf-8")
+    spec = load_run_spec(path)
+    assert load_resources(spec)[0].mode == "bm25"
+    with pytest.raises(ValueError, match=re.escape("is missing paths ['cache_dir']")):
+        execute_spec(spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_spec_keys_are_config_fields_spec_settings_and_legacy_reranker(tmp_path):
     # generated specs carry a shipped config with absolute paths
     for path in sorted(CONFIG_DIR.glob("*.json")):
