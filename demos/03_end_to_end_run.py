@@ -41,7 +41,7 @@ def main():
         print(f"  - {q}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        run_path, responses_path = execute_spec(spec, out_dir=tmp, llm_mode="replay")
+        run_path, responses_path = execute_spec(spec, out_dir=tmp)
         run_lines = run_path.read_text().splitlines()
         print(f"\nrun file: {len(run_lines)} lines, first three:")
         for line in run_lines[:3]:

@@ -22,7 +22,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for config_path in sorted((REPO / "configs").glob("*.json")):
             spec = load_run_spec(config_path)
-            run_path, _ = execute_spec(spec, out_dir=tmp, llm_mode="replay")
+            run_path, _ = execute_spec(spec, out_dir=tmp)
             reports[spec.config.run_tag] = evaluate_run(run_path, qrels)
 
     metrics = next(iter(reports.values())).metrics

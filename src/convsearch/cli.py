@@ -1,7 +1,8 @@
-"""Command-line entry points: run, evaluate, fuse, cache.
+"""Command-line entry points: run, evaluate, fuse.
 
 A run builds its index from the corpus or sparse-vector file its spec
-names, so there is no separate indexing step.
+names, so there is no separate indexing step; ``run --llm-mode`` records
+or replays its LLM exchanges.
 """
 
 from __future__ import annotations
@@ -14,32 +15,32 @@ from pathlib import Path
 from .evaluation import EvalCutoffs, evaluate_run, format_report, parse_qrels
 from .evaluation import read_run_file, write_run_file
 from .fusion import ensemble_fuse, interleave
-from .llm import HttpChatTransport, Transport
+from .llm import LLM_MODES, HttpChatTransport, Transport
 from .pipeline import execute_spec, load_run_spec
 
 
 def _build_transport(args: argparse.Namespace) -> Transport | None:
-    if getattr(args, "endpoint", None):
-        return HttpChatTransport(args.endpoint, api_key=getattr(args, "api_key", None))
-    if getattr(args, "scripted", False):
+    if args.endpoint:
+        return HttpChatTransport(args.endpoint, api_key=args.api_key)
+    if args.scripted:
         from .offline import ScriptedTransport
 
         return ScriptedTransport()
     return None
 
 
-def _cmd_run(args: argparse.Namespace, llm_mode: str | None = None) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_run_spec(args.config)
     if args.cache_dir:
         spec.paths["cache_dir"] = Path(args.cache_dir).resolve()
     if args.model_id:
         spec = dataclasses.replace(spec, model_id=args.model_id)
-    mode = llm_mode or args.llm_mode
+    if args.llm_mode:
+        spec = dataclasses.replace(spec, llm_mode=args.llm_mode)
     run_path, responses_path = execute_spec(
         spec,
         out_dir=args.out_dir,
         transport=_build_transport(args),
-        llm_mode=mode,
         workers=args.workers,
     )
     print(f"wrote {run_path}")
@@ -80,30 +81,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_arguments(p: argparse.ArgumentParser, with_mode: bool) -> None:
-        p.add_argument("--config", required=True, help="run spec JSON file")
-        p.add_argument("--out-dir", default="out", help="directory for run outputs")
-        if with_mode:
-            p.add_argument(
-                "--llm-mode", choices=["record", "replay", "live"], default=None,
-                help="override the spec's LLM mode",
-            )
-        p.add_argument("--model-id", default=None, help="override the spec's model id")
-        p.add_argument("--cache-dir", default=None, help="override the spec's cache directory")
-        p.add_argument("--endpoint", default=None, help="chat-completion endpoint URL")
-        p.add_argument("--api-key", default=None, help="bearer token for the endpoint")
-        p.add_argument(
-            "--scripted", action="store_true",
-            help="use the deterministic offline model as transport",
-        )
-        p.add_argument(
-            "--workers", type=int, default=1,
-            help="parallel turn workers; pays off only when turns wait on an LLM "
-            "transport (record or live mode) or a remote scorer",
-        )
-
     p_run = sub.add_parser("run", help="execute a run config end to end")
-    add_run_arguments(p_run, with_mode=True)
+    p_run.add_argument("--config", required=True, help="run spec JSON file")
+    p_run.add_argument("--out-dir", default="out", help="directory for run outputs")
+    p_run.add_argument(
+        "--llm-mode", choices=LLM_MODES, default=None, help="override the spec's LLM mode"
+    )
+    p_run.add_argument("--model-id", default=None, help="override the spec's model id")
+    p_run.add_argument("--cache-dir", default=None, help="override the spec's cache directory")
+    p_run.add_argument("--endpoint", default=None, help="chat-completion endpoint URL")
+    p_run.add_argument("--api-key", default=None, help="bearer token for the endpoint")
+    p_run.add_argument(
+        "--scripted", action="store_true",
+        help="use the deterministic offline model as transport",
+    )
+    p_run.add_argument(
+        "--workers", type=int, default=1,
+        help="parallel turn workers; pays off only when turns wait on an LLM "
+        "transport (record mode) or a remote scorer",
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_eval = sub.add_parser("evaluate", help="score a TREC run file against qrels")
@@ -124,13 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--run-tag", default="fused")
     p_fuse.add_argument("--out", required=True, help="output run file")
     p_fuse.set_defaults(func=_cmd_fuse)
-
-    p_cache = sub.add_parser("cache", help="execute a run with a fixed cache mode")
-    cache_sub = p_cache.add_subparsers(dest="cache_mode", required=True)
-    for mode in ("record", "replay"):
-        p_mode = cache_sub.add_parser(mode, help=f"run with --llm-mode {mode}")
-        add_run_arguments(p_mode, with_mode=False)
-        p_mode.set_defaults(func=lambda args, m=mode: _cmd_run(args, llm_mode=m), llm_mode=None)
 
     return parser
 

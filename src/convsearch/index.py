@@ -95,11 +95,12 @@ class Passage:
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Term-to-weight mapping with strictly positive weights.
+    """Term-to-weight mapping with strictly positive, finite weights.
 
-    Zero-weight entries are dropped on construction; negative weights are
-    rejected.  Represents learned-sparse document/query expansions as well
-    as plain term-count query vectors.
+    Zero-weight entries are dropped on construction; negative and
+    non-finite (NaN, infinite) weights are rejected.  Represents
+    learned-sparse document/query expansions as well as plain term-count
+    query vectors.
     """
 
     entries: dict[str, float] = field(default_factory=dict)
@@ -110,6 +111,8 @@ class SparseVector:
             w = float(weight)
             if w < 0:
                 raise ValueError(f"negative weight {w} for term '{term}'")
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w} for term '{term}'")
             if w > 0:
                 cleaned[term] = w
         object.__setattr__(self, "entries", cleaned)
@@ -366,23 +369,23 @@ _PLAIN_PAYLOAD_RE = re.compile(rf"{_PLAIN_ENTRY}(?: {_PLAIN_ENTRY})*")
 def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVector]:
     """Parse a ``<doc_id><TAB><term>:<weight>( <term>:<weight>)*`` file.
 
-    Weights must be non-negative decimals; zero weights are dropped per the
-    sparse-vector invariant, and a term repeated within a line keeps its
-    first position and its last weight.  A doc_id may appear on one line
-    only.
+    Weights must be non-negative, finite decimals (``1e999`` overflows and
+    is rejected); zero weights are dropped per the sparse-vector
+    invariant, and a term repeated within a line keeps its first position
+    and its last weight.  A doc_id may appear on one line only.
 
     The file streams line by line into flat columns (term ids, weights,
     row ends) that :func:`build_sparse_index` packs without another pass;
     the returned read-only mapping makes a document's
     :class:`SparseVector` only when it is looked up.  A line whose entries
     all have one colon, a non-empty term and an unsigned ASCII decimal
-    weight, single-spaced, with distinct terms and no zero weight, is split
-    whole; any other line, including every malformed one, is parsed entry
-    by entry under the same grammar.
+    weight, single-spaced, with distinct terms and no zero or infinite
+    weight, is split whole; any other line, including every malformed one,
+    is parsed entry by entry under the same grammar.
 
     Raises:
         ValueError: naming the line number, for malformed lines, negative
-            weights, or duplicate doc_ids.
+            or non-finite weights, or duplicate doc_ids.
     """
     columns = _Columns()
     plain = _PLAIN_PAYLOAD_RE.fullmatch
@@ -393,7 +396,9 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
             fields = payload.replace(":", " ").split(" ")
             terms = fields[0::2]
             weights = array("d", map(float, fields[1::2]))
-            if 0.0 not in weights and len(set(terms)) == len(terms):
+            # an overflowing weight reads as inf; a sum is cheaper than a scan for it
+            finite = math.isfinite(sum(weights))
+            if finite and 0.0 not in weights and len(set(terms)) == len(terms):
                 columns.append(doc_id, len(terms), terms, weights)
                 continue
         entries: dict[str, float] = {}
@@ -406,6 +411,8 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
             weight = float(match.group("weight"))
             if weight < 0:
                 raise ValueError(f"sparse-vector line {lineno}: negative weight in '{part}'")
+            if not math.isfinite(weight):
+                raise ValueError(f"sparse-vector line {lineno}: non-finite weight in '{part}'")
             entries[match.group("term")] = weight
         entries = SparseVector(entries).entries
         columns.append(doc_id, len(entries), entries, entries.values())

@@ -2,13 +2,13 @@
 
 Every exchange is cached under a content hash of ``(model_id, prompt)`` in
 an append-only directory of human-readable JSON records, one file per key.
-Three modes:
+Two modes, :data:`LLM_MODES`:
 
 * ``record``  - serve from cache when present, otherwise call the transport
-  and store the result.
+  and store the result; pointed at an empty cache directory, every
+  exchange goes to the transport.
 * ``replay``  - cache only; a missing key raises :class:`CacheMissError`
   and no network traffic occurs.
-* ``live``    - always call the transport; results are still stored.
 
 A transport is any callable ``(model_id, prompt) -> response text``.
 Decoding is fixed: :class:`HttpChatTransport` always asks for temperature
@@ -42,6 +42,7 @@ from .index import Passage
 from .prompts import TEMPLATES, render_prompt
 
 __all__ = [
+    "LLM_MODES",
     "CacheMissError",
     "TransportError",
     "QuerySet",
@@ -56,6 +57,8 @@ __all__ = [
 
 # transport signature: (model_id, prompt) -> response text
 Transport = Callable[[str, str], str]
+
+LLM_MODES = ("record", "replay")
 
 
 class CacheMissError(Exception):
@@ -270,7 +273,7 @@ class LLMGateway:
         mode: str = "replay",
         transport: Transport | None = None,
     ):
-        if mode not in ("record", "replay", "live"):
+        if mode not in LLM_MODES:
             raise ValueError(f"unknown llm mode '{mode}'")
         self.model_id = model_id
         self.cache = LLMCache(cache_dir)
@@ -285,12 +288,11 @@ class LLMGateway:
     def complete(self, prompt: str) -> str:
         """Return the model response for ``prompt`` per the gateway mode."""
         key = cache_key(self.model_id, prompt)
-        if self.mode != "live":
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-            if self.mode == "replay":
-                raise CacheMissError(key)
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached
+        if self.mode == "replay":
+            raise CacheMissError(key)
         response = self._call_transport(prompt)
         self.cache.put(key, self.model_id, prompt, response)
         return response

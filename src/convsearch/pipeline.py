@@ -1,10 +1,10 @@
 """End-to-end run orchestration and TREC-format output.
 
-A run configuration names a rewriter (multi-aspect query generation, a
-single LLM rewrite, or the human rewrite shipped with the topic file), a
-first-stage retriever (bm25 or sparse), a fusion strategy, and the
-reranking scorers: a run reranks iff ``scorer_ids`` is non-empty, and
-several scorers are averaged.  Three fusion strategies cover the
+A run configuration names a rewriter (multi-aspect query generation of up
+to ``phi`` queries, a single LLM rewrite at ``phi`` 1, or the human
+rewrite shipped with the topic file), a first-stage retriever (bm25 or
+sparse), a fusion strategy, and the reranking scorers: a run reranks iff
+``scorer_ids`` is non-empty, and several scorers are averaged.  Three fusion strategies cover the
 submitted-run shapes:
 
 * ``pool_then_rerank`` - retrieve per generated query, pool the candidate
@@ -44,7 +44,7 @@ from .index import (
     sparse_retrieve,
     text_to_query_vector,
 )
-from .llm import LLMGateway, Transport
+from .llm import LLM_MODES, LLMGateway, Transport
 
 __all__ = [
     "MAX_RANKING",
@@ -63,7 +63,7 @@ __all__ = [
 # TREC submission depth; final rankings are capped here.
 MAX_RANKING = 1000
 
-_REWRITERS = ("multi_query", "single_rewrite", "human_rewrite")
+_REWRITERS = ("multi_query", "human_rewrite")
 _RETRIEVERS = ("bm25", "sparse")
 _FUSIONS = ("pool_then_rerank", "interleave", "none")
 # the files a run spec names: its two index sources, topics, qrels, the LLM cache
@@ -241,8 +241,6 @@ def _execute_turn_inner(
         queries = list(
             llm.generate_queries(ctx, ptkb_string, turn.user_utterance, config.phi).queries
         )
-    elif config.rewriter == "single_rewrite":
-        queries = [llm.generate_rewrite(ctx, ptkb_string, turn.user_utterance)]
     else:
         if turn.manual_rewrite is None:
             raise ValueError(f"no manual_rewrite for topic {topic.topic_id} turn {turn_number}")
@@ -346,6 +344,10 @@ class RunSpec:
     model_id: str = "gpt-4"
     llm_mode: str = "replay"
 
+    def __post_init__(self) -> None:
+        if self.llm_mode not in LLM_MODES:
+            raise ValueError(f"unknown llm_mode '{self.llm_mode}'")
+
 
 def load_run_spec(path: str | Path) -> RunSpec:
     """Load a JSON run spec; relative paths resolve against the file's directory.
@@ -356,8 +358,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
             ``model_id``, ``llm_mode`` and the ignored legacy ``reranker``;
             a ``paths`` name other than ``corpus``, ``sparse_vectors``,
             ``topics``, ``qrels`` and ``cache_dir``; an absent field without
-            a default; a value of the wrong JSON type; an invalid config; or a
-            file that is not a JSON object.
+            a default; a value of the wrong JSON type; an invalid config or
+            ``llm_mode``; or a file that is not a JSON object.
     """
     spec_path = Path(path)
     try:
@@ -416,13 +418,12 @@ def execute_spec(
     spec: RunSpec,
     out_dir: str | Path,
     transport: Transport | None = None,
-    llm_mode: str | None = None,
     workers: int = 1,
 ) -> tuple[Path, Path]:
     """Execute a run spec and write ``<run_tag>.run`` and ``<run_tag>.responses.jsonl``.
 
-    ``llm_mode`` overrides the spec's mode (the record/replay CLI path).
-    Returns the two output paths.
+    The LLM gateway runs in the spec's ``llm_mode``.  Returns the two
+    output paths.
 
     Raises:
         ValueError: naming the paths the run needs that the spec lacks,
@@ -433,7 +434,7 @@ def execute_spec(
     llm = LLMGateway(
         model_id=spec.model_id,
         cache_dir=spec.paths["cache_dir"],
-        mode=llm_mode or spec.llm_mode,
+        mode=spec.llm_mode,
         transport=transport,
     )
     results = execute_run(

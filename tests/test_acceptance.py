@@ -339,6 +339,7 @@ def test_criterion_5_replay_determinism(tmp_path):
     assert len(config_paths) == 6
     for config_path in config_paths:
         spec = load_run_spec(config_path)
+        assert spec.llm_mode == "replay"
         outputs = []
         for attempt in range(3):
             started = time.monotonic()
@@ -346,7 +347,6 @@ def test_criterion_5_replay_determinism(tmp_path):
                 spec,
                 out_dir=tmp_path / f"{config_path.stem}_{attempt}",
                 transport=None,  # replay mode: any network attempt would fail loudly
-                llm_mode="replay",
             )
             assert time.monotonic() - started < 60.0
             outputs.append((run_path.read_bytes(), responses_path.read_bytes()))
@@ -415,7 +415,7 @@ def test_criterion_6_prompt_fidelity():
 @criterion(7, "report shape")
 def test_criterion_7_report_shape(tmp_path):
     spec = load_run_spec(CONFIG_DIR / "mq4cs_qr_deberta.json")
-    run_path, _ = execute_spec(spec, out_dir=tmp_path, llm_mode="replay")
+    run_path, _ = execute_spec(spec, out_dir=tmp_path)
     qrels = parse_qrels(FIXTURE_DIR / "qrels.txt")
     report = evaluate_run(run_path, qrels, EvalCutoffs())
     assert report.metrics == ["nDCG@5", "nDCG", "MRR", "Recall@100", "P@20", "mAP"]

@@ -67,12 +67,12 @@ def test_cli_fuse(tmp_path):
             )
 
 
-def test_cli_cache_record_then_replay(tmp_path):
+def test_cli_run_record_then_replay(tmp_path):
     cache_dir = tmp_path / "cache"
     out_dir = tmp_path / "out"
     code = main(
         [
-            "cache", "record",
+            "run", "--llm-mode", "record",
             "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"),
             "--cache-dir", str(cache_dir),
             "--scripted",
@@ -83,7 +83,7 @@ def test_cli_cache_record_then_replay(tmp_path):
     assert list(cache_dir.glob("*.json"))
     code = main(
         [
-            "cache", "replay",
+            "run", "--llm-mode", "replay",
             "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"),
             "--cache-dir", str(cache_dir),
             "--out-dir", str(out_dir / "b"),
@@ -93,6 +93,21 @@ def test_cli_cache_record_then_replay(tmp_path):
     first = (out_dir / "a" / "gpt4qr-deberta.run").read_bytes()
     second = (out_dir / "b" / "gpt4qr-deberta.run").read_bytes()
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["cache", "record"], "invalid choice: 'cache'"),
+     (["run", "--llm-mode", "live"], "invalid choice: 'live'")],
+    ids=["cache-subcommand", "live-mode"],
+)
+def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
+    config = str(CONFIG_DIR / "gpt4qr_deberta.json")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--config", config, "--out-dir", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
@@ -106,7 +121,9 @@ def test_readme_cli_quickstart_commands_parse():
     block = readme.split("## Quickstart (CLI)", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("convsearch ")]
-    assert {argv[0] for argv in commands} == {"run", "evaluate", "fuse", "cache"}
+    assert {argv[0] for argv in commands} == {"run", "evaluate", "fuse"}
+    modes = {argv[argv.index("--llm-mode") + 1] for argv in commands if "--llm-mode" in argv}
+    assert modes == {"record", "replay"}
     parser = build_parser()
     for argv in commands:
         assert callable(parser.parse_args(argv).func)

@@ -417,6 +417,8 @@ def oracle_sparse_vectors(text: str) -> dict[str, list[tuple[str, float]]]:
             weight = float(match.group("weight"))
             if weight < 0:
                 raise ValueError(f"sparse-vector line {lineno}: negative weight in '{part}'")
+            if not math.isfinite(weight):
+                raise ValueError(f"sparse-vector line {lineno}: non-finite weight in '{part}'")
             entries[match.group("term")] = weight
         vectors[doc_id] = [(t, w) for t, w in entries.items() if w > 0]
     return vectors
@@ -529,6 +531,10 @@ def test_load_sparse_vectors_rare_legal_forms(payload, entries):
         ("a:1\t", "malformed entry 'a:1\t'"),
         ("a 1:b:2", "malformed entry 'a'"),
         ("a:2 b:-1e-3", "negative weight in 'b:-1e-3'"),
+        ("a:2 b:1e999", "non-finite weight in 'b:1e999'"),  # a line the fast path splits
+        ("a:1e999 a:2", "non-finite weight in 'a:1e999'"),  # a later weight does not hide it
+        ("a:1.5e400 b:-1e999", "non-finite weight in 'a:1.5e400'"),  # in entry order
+        ("a:-1e999 b:1e999", "negative weight in 'a:-1e999'"),
     ],
 )
 def test_load_sparse_vectors_names_the_bad_entry(payload, message):
@@ -538,6 +544,13 @@ def test_load_sparse_vectors_names_the_bad_entry(payload, message):
     assert str(raised.value) == f"sparse-vector line 2: {message}"
     with pytest.raises(ValueError, match=re.escape(str(raised.value))):
         oracle_sparse_vectors(text)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_sparse_vector_rejects_non_finite_weights(weight):
+    kind = "negative" if weight < 0 else "non-finite"
+    with pytest.raises(ValueError, match=re.escape(f"{kind} weight {weight} for term 'b'")):
+        SparseVector({"a": 1.0, "b": weight})
 
 
 def test_loaded_vectors_are_a_read_only_mapping():

@@ -145,15 +145,6 @@ def test_replay_serves_recorded_response(tmp_path):
     assert replayer.complete(prompt) == recorded
 
 
-def test_live_mode_always_calls_transport(tmp_path):
-    transport = ScriptedTransport()
-    gateway = LLMGateway("m", tmp_path, mode="live", transport=transport)
-    prompt = "# Doc1: alpha\n# User query: q"
-    gateway.complete(prompt)
-    gateway.complete(prompt)
-    assert transport.calls == 2
-
-
 def test_record_without_transport_is_transport_error(tmp_path):
     gateway = LLMGateway("m", tmp_path, mode="record")
     with pytest.raises(TransportError):
@@ -247,8 +238,9 @@ def test_put_rejects_a_key_that_is_not_its_records(tmp_path):
 
 
 def test_unknown_mode_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        LLMGateway("m", tmp_path, mode="stream")
+    for mode in ("stream", "live"):
+        with pytest.raises(ValueError, match=f"unknown llm mode '{mode}'"):
+            LLMGateway("m", tmp_path, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +296,7 @@ def test_generate_rewrite_sends_the_multi_query_prompt_at_phi_one(tmp_path):
         prompts.append(prompt)
         return "1. rewritten query\n2. extra line"
 
-    gateway = LLMGateway("m", tmp_path, mode="live", transport=transport)
+    gateway = LLMGateway("m", tmp_path / "empty", mode="record", transport=transport)
     assert gateway.generate_rewrite("C", "1. P", "U") == "rewritten query"
     bindings = {"phi": "1", "ptkb": "1. P", "ctx": "C", "user utterance": "U"}
     assert prompts == [render_prompt(TEMPLATES["multi_query"], bindings)]

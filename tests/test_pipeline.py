@@ -4,7 +4,7 @@ import io
 import json
 import re
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -53,7 +53,7 @@ def test_run_config_accepts_submitted_run_shapes():
 def test_run_config_pool_requires_multi_query():
     with pytest.raises(ValueError, match="multi_query"):
         RunConfig(
-            run_tag="x", rewriter="single_rewrite", retriever="sparse",
+            run_tag="x", rewriter="human_rewrite", retriever="sparse",
             fusion="pool_then_rerank", scorer_ids=("s",),
         )
 
@@ -118,7 +118,7 @@ def _mini_env(tmp_path):
 def test_execute_turn_single_rewrite_shape(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
     config = RunConfig(
-        run_tag="x", rewriter="single_rewrite", retriever="bm25",
+        run_tag="x", rewriter="multi_query", phi=1, retriever="bm25",
         scorer_ids=("lexical-overlap",),
     )
     result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
@@ -166,7 +166,7 @@ def test_execute_turn_interleave_path(tmp_path):
 def test_execute_turn_replay_miss_carries_turn_id(tmp_path):
     index, _, passages = _mini_env(tmp_path)
     replay = LLMGateway("m", tmp_path / "empty_cache", mode="replay")
-    config = RunConfig(run_tag="x", rewriter="single_rewrite", retriever="bm25")
+    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
     with pytest.raises(TurnExecutionError, match="t1_1") as excinfo:
         execute_turn(config, _mini_topic(), 1, index, replay, passages=passages)
     assert isinstance(excinfo.value.__cause__, CacheMissError)
@@ -199,14 +199,14 @@ def _two_topics():
 
 def test_execute_run_enumerates_in_order(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
-    config = RunConfig(run_tag="x", rewriter="single_rewrite", retriever="bm25")
+    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
     results = execute_run(config, _two_topics(), index, gateway, passages=passages)
     assert [r.turn_id for r in results] == ["t1_1", "t1_2", "t1_3", "t2_1", "t2_2", "t2_3"]
 
 
 def test_execute_run_deterministic_and_parallel_consistent(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
-    config = RunConfig(run_tag="x", rewriter="single_rewrite", retriever="bm25")
+    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
     sequential = execute_run(config, _two_topics(), index, gateway, passages=passages)
     again = execute_run(config, _two_topics(), index, gateway, passages=passages)
     parallel = execute_run(config, _two_topics(), index, gateway, passages=passages, workers=4)
@@ -217,7 +217,7 @@ def test_record_mode_workers_overlap_transport_waits(tmp_path):
     # the first two transport calls return only once both are waiting, so
     # the run completes only if two turns wait on the transport at once
     index, _, passages = _mini_env(tmp_path)
-    config = RunConfig(run_tag="x", rewriter="single_rewrite", retriever="bm25")
+    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
     barrier = threading.Barrier(2, timeout=10)
     calls, lock, scripted = [], threading.Lock(), ScriptedTransport()
 
@@ -252,7 +252,7 @@ def test_execute_run_benchmark_scale(tmp_path):
                 ),
             )
         )
-    config = RunConfig(run_tag="x", rewriter="single_rewrite", retriever="bm25")
+    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
     results = execute_run(config, topics, index, gateway, passages=passages, workers=4)
     assert len(results) == 103
     sink = io.StringIO()
@@ -262,7 +262,7 @@ def test_execute_run_benchmark_scale(tmp_path):
 def test_execute_run_is_atomic_on_failure(tmp_path):
     index, _, passages = _mini_env(tmp_path)
     replay = LLMGateway("m", tmp_path / "empty", mode="replay")
-    config = RunConfig(run_tag="x", rewriter="single_rewrite", retriever="bm25")
+    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
     with pytest.raises(TurnExecutionError):
         execute_run(config, _two_topics(), index, replay, passages=passages)
 
@@ -270,7 +270,7 @@ def test_execute_run_is_atomic_on_failure(tmp_path):
 def test_filtered_ptkb_mode_changes_prompt_inputs(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
     config = RunConfig(
-        run_tag="x", rewriter="single_rewrite", retriever="bm25", filtered_ptkb=True,
+        run_tag="x", rewriter="multi_query", phi=1, retriever="bm25", filtered_ptkb=True,
     )
     result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
     assert result.answer
@@ -284,7 +284,7 @@ def test_filtered_ptkb_mode_changes_prompt_inputs(tmp_path):
 
 
 def test_run_config_default_depths_are_1000():
-    config = RunConfig(run_tag="x", rewriter="single_rewrite", retriever="bm25")
+    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
     assert config.rerank_depth == 1000
     assert config.retrieval_depth == 1000
 
@@ -348,7 +348,7 @@ def test_shipped_configs_reproduce_submitted_run_seams():
     expected = {
         "mq4cs-qr-deberta": ("multi_query", "sparse", "pool_then_rerank", 1, 5),
         "mq4cs-qr-ensemble": ("multi_query", "sparse", "pool_then_rerank", 5, 5),
-        "gpt4qr-deberta": ("single_rewrite", "sparse", "none", 1, 5),
+        "gpt4qr-deberta": ("multi_query", "sparse", "none", 1, 1),
         "gpt4qr-bm25-qd1": ("multi_query", "bm25", "none", 1, 1),
         "humanqr-deberta": ("human_rewrite", "sparse", "none", 1, 5),
         "humanqr-ensemble": ("human_rewrite", "sparse", "none", 5, 5),
@@ -368,7 +368,7 @@ def test_legacy_reranker_key_is_ignored():
         data = json.loads(path.read_text(encoding="utf-8"))
         legacy = dict(data, reranker="ensemble" if len(data["scorer_ids"]) > 1 else "single")
         assert RunConfig.from_dict(legacy) == RunConfig.from_dict(data)
-    bare = {"run_tag": "x", "rewriter": "single_rewrite", "retriever": "bm25"}
+    bare = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
     assert RunConfig.from_dict(dict(bare, reranker="none")) == RunConfig.from_dict(bare)
 
 
@@ -380,7 +380,7 @@ def test_from_dict_reads_every_field_and_defaults_the_rest():
     }
     assert set(data) == {f.name for f in fields(RunConfig)}
     assert RunConfig.from_dict(data) == RunConfig(**dict(data, scorer_ids=("a", "b")))
-    bare = {"run_tag": "x", "rewriter": "single_rewrite", "retriever": "bm25"}
+    bare = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
     assert RunConfig.from_dict(bare) == RunConfig(**bare)
 
 
@@ -400,7 +400,7 @@ def test_from_dict_reads_every_field_and_defaults_the_rest():
     ],
 )
 def test_config_values_must_have_their_json_type(key, value):
-    data = {"run_tag": "x", "rewriter": "single_rewrite", "retriever": "bm25", key: value}
+    data = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25", key: value}
     with pytest.raises(ValueError, match=f"field '{key}' must be"):
         RunConfig.from_dict(data)
 
@@ -429,6 +429,29 @@ def test_run_spec_rejects_unknown_path_names(tmp_path):
         path.write_text(json.dumps(spec), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: unknown paths ['{name}']")):
             load_run_spec(path)
+
+
+def test_run_spec_rejects_the_single_rewrite_rewriter(tmp_path):
+    # a single rewrite is multi_query at phi 1; the old spelling has no alias
+    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(dict(data, rewriter="single_rewrite")), encoding="utf-8")
+    message = f"run spec {path}: unknown rewriter 'single_rewrite'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_run_spec(path)
+
+
+def test_run_spec_rejects_an_unknown_llm_mode_before_any_index_is_built(tmp_path):
+    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    for mode in ("live", "bogus"):
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(dict(data, llm_mode=mode)), encoding="utf-8")
+        message = f"run spec {path}: unknown llm_mode '{mode}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_run_spec(path)
+    spec = load_run_spec(CONFIG_DIR / "gpt4qr_deberta.json")
+    with pytest.raises(ValueError, match="unknown llm_mode 'live'"):
+        replace(spec, llm_mode="live")
 
 
 def test_run_spec_names_a_missing_field_and_its_file(tmp_path):
@@ -519,7 +542,7 @@ def test_fixture_cache_is_what_the_six_configs_record(tmp_path):
         spec = load_run_spec(path)
         shipped = spec.paths["cache_dir"]
         spec.paths["cache_dir"] = tmp_path / "cache"
-        execute_spec(spec, tmp_path / "out", transport=transport, llm_mode="record")
+        execute_spec(replace(spec, llm_mode="record"), tmp_path / "out", transport=transport)
     recorded = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
     assert recorded == {p.name: p.read_bytes() for p in shipped.iterdir()}
     assert len(recorded) == transport.calls == 47
