@@ -12,7 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from convsearch import LLMGateway, execute_spec, load_run_spec
+from convsearch import LLMGateway, execute_spec, load_run_spec, ptkb_text
 from convsearch.pipeline import load_resources
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,8 +32,7 @@ def main():
     gateway = LLMGateway(spec.model_id, spec.paths["cache_dir"], mode="replay")
     topic = topics[0]
     queries = gateway.generate_queries(
-        "", "\n".join(f"{s.index}. {s.text}" for s in topic.ptkb),
-        topic.turns[0].user_utterance, config.phi,
+        "", ptkb_text(topic), topic.turns[0].user_utterance, config.phi
     )
     print(f"\nturn 1 utterance : {topic.turns[0].user_utterance}")
     print("generated aspect queries:")

@@ -82,15 +82,26 @@ class Topic:
                 raise ValueError(f"topic '{self.topic_id}': non-contiguous turns")
 
 
+def _integer(value: object, topic_id: str, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        message = f"topic '{topic_id}': {field} must be an integer, got {value!r}"
+        raise ValueError(message) from None
+
+
 def _parse_topic(entry: dict, position: int) -> Topic:
     for required in ("number", "title", "ptkb", "turns"):
         if required not in entry:
             raise ValueError(f"topic #{position}: missing field '{required}'")
     topic_id = str(entry["number"])
-    ptkb_raw: Mapping[str, str] = entry["ptkb"]
-    statements = []
-    for key in sorted(ptkb_raw, key=lambda k: int(k)):
-        statements.append(PTKBStatement(index=int(key), text=str(ptkb_raw[key])))
+    ptkb_raw = entry["ptkb"]
+    if not isinstance(ptkb_raw, Mapping):
+        raise ValueError(
+            f"topic '{topic_id}': field 'ptkb' must be an object, got {type(ptkb_raw).__name__}"
+        )
+    indexed = [(_integer(key, topic_id, "ptkb key"), str(text)) for key, text in ptkb_raw.items()]
+    statements = [PTKBStatement(i, text) for i, text in sorted(indexed, key=lambda pair: pair[0])]
     turns = []
     for turn_entry in entry["turns"]:
         for required in ("turn_number", "utterance"):
@@ -100,7 +111,7 @@ def _parse_topic(entry: dict, position: int) -> Topic:
                 )
         turns.append(
             Turn(
-                turn_number=int(turn_entry["turn_number"]),
+                turn_number=_integer(turn_entry["turn_number"], topic_id, "field 'turn_number'"),
                 user_utterance=str(turn_entry["utterance"]),
                 gold_response=str(turn_entry.get("response", "")),
                 manual_rewrite=(
@@ -117,8 +128,9 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
     """Parse a topics file, preserving order and validating all invariants.
 
     Raises:
-        ValueError: naming the topic and field for missing fields,
-            non-contiguous turn numbers, or malformed ptkb indices.
+        ValueError: naming the topic and field for missing fields, a ptkb
+            that is not an object, a ptkb key or turn number that is not an
+            integer, or numbering that is not contiguous from 1.
     """
     with _text(source) as handle:
         data = json.load(handle)

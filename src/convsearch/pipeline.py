@@ -4,8 +4,10 @@ A run configuration names a rewriter (multi-aspect query generation of up
 to ``phi`` queries, a single LLM rewrite at ``phi`` 1, or the human
 rewrite shipped with the topic file), a first-stage retriever (bm25 or
 sparse), a fusion strategy, and the reranking scorers: a run reranks iff
-``scorer_ids`` is non-empty, and several scorers are averaged.  Three fusion strategies cover the
-submitted-run shapes:
+``scorer_ids`` is non-empty, and several scorers are averaged.  Every stage
+ranks to the TREC submission depth ``MAX_RANKING``, and every prompt gets
+the topic's whole PTKB.  Three fusion strategies cover the submitted-run
+shapes:
 
 * ``pool_then_rerank`` - retrieve per generated query, pool the candidate
   union, then rerank the pool with an independent single rewrite.
@@ -60,7 +62,7 @@ __all__ = [
     "write_response_records",
 ]
 
-# TREC submission depth; final rankings are capped here.
+# TREC submission depth: first-stage retrieval, pooling and reranking rank to it.
 MAX_RANKING = 1000
 
 _REWRITERS = ("multi_query", "human_rewrite")
@@ -73,10 +75,10 @@ _PATH_NAMES = ("corpus", "sparse_vectors", "topics", "qrels", "cache_dir")
 def _json_fields(cls: type, data: Mapping) -> dict:
     """The entries of ``data`` that name fields of dataclass ``cls``, type-checked.
 
-    A ``str``, ``int`` or ``bool`` field takes exactly that JSON type (an
-    ``int`` no boolean); a tuple field takes a list of strings, returned as
-    a tuple, and a mapping field an object of strings.  Absent fields are
-    left to the dataclass defaults.
+    A ``str`` or ``int`` field takes exactly that JSON type (an ``int`` no
+    boolean); a tuple field takes a list of strings, returned as a tuple,
+    and a mapping field an object of strings.  Absent fields are left to the
+    dataclass defaults.
 
     Raises:
         ValueError: naming the field whose value has another JSON type.
@@ -105,7 +107,7 @@ def _json_fields(cls: type, data: Mapping) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Seams and depths for one run; turn ids are ``<topic>_<turn>``."""
+    """The seams one run varies; turn ids are ``<topic>_<turn>``."""
 
     turn_id_template: ClassVar[str] = "{topic}_{turn}"
     run_tag: str
@@ -114,9 +116,6 @@ class RunConfig:
     fusion: str = "none"
     scorer_ids: tuple[str, ...] = ()
     phi: int = 5
-    rerank_depth: int = 1000
-    retrieval_depth: int = 1000
-    filtered_ptkb: bool = False
     scorer_endpoints: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -130,8 +129,6 @@ class RunConfig:
             raise ValueError(f"unknown fusion '{self.fusion}'")
         if self.phi < 1:
             raise ValueError("phi must be >= 1")
-        if self.rerank_depth < 1 or self.retrieval_depth < 1:
-            raise ValueError("depths must be >= 1")
         if self.fusion in ("pool_then_rerank", "interleave") and self.rewriter != "multi_query":
             raise ValueError(f"fusion '{self.fusion}' requires the multi_query rewriter")
         if self.fusion == "pool_then_rerank" and not self.scorer_ids:
@@ -183,15 +180,9 @@ def _retrieve(
     config: RunConfig, index: InvertedIndex, query: str, query_id: str
 ) -> RankedList:
     if config.retriever == "bm25":
-        return bm25_retrieve(index, query, config.retrieval_depth, query_id=query_id)
+        return bm25_retrieve(index, query, MAX_RANKING, query_id=query_id)
     vector = text_to_query_vector(query, index.analyzer)
-    return sparse_retrieve(index, vector, config.retrieval_depth, query_id=query_id)
-
-
-def _truncate(ranking: RankedList, depth: int) -> RankedList:
-    if len(ranking) <= depth:
-        return ranking
-    return RankedList(ranking.query_id, ranking.items[:depth])
+    return sparse_retrieve(index, vector, MAX_RANKING, query_id=query_id)
 
 
 def execute_turn(
@@ -212,69 +203,52 @@ def execute_turn(
     """
     turn_id = config.turn_id_template.format(topic=topic.topic_id, turn=turn_number)
     try:
-        return _execute_turn_inner(config, topic, turn_number, turn_id, index, llm, passages)
-    except Exception as exc:
-        raise TurnExecutionError(f"turn {turn_id}: {exc}") from exc
-
-
-def _execute_turn_inner(
-    config: RunConfig,
-    topic: Topic,
-    turn_number: int,
-    turn_id: str,
-    index: InvertedIndex,
-    llm: LLMGateway,
-    passages: Mapping[str, Passage],
-) -> TurnResult:
-    turn = topic.turns[turn_number - 1]
-    ctx = render_context(topic, turn_number)
-    labels = llm.classify_ptkb(ctx, topic.ptkb, turn.user_utterance)
-
-    if config.filtered_ptkb:
-        ptkb_string = "\n".join(
-            f"{s.index}. {s.text}" for s, label in zip(topic.ptkb, labels) if label
-        )
-    else:
+        turn = topic.turns[turn_number - 1]
+        ctx = render_context(topic, turn_number)
+        labels = llm.classify_ptkb(ctx, topic.ptkb, turn.user_utterance)
         ptkb_string = ptkb_text(topic)
 
-    if config.rewriter == "multi_query":
-        queries = list(
-            llm.generate_queries(ctx, ptkb_string, turn.user_utterance, config.phi).queries
-        )
-    else:
-        if turn.manual_rewrite is None:
+        if config.rewriter == "multi_query":
+            queries = list(
+                llm.generate_queries(ctx, ptkb_string, turn.user_utterance, config.phi).queries
+            )
+        elif turn.manual_rewrite is None:
             raise ValueError(f"no manual_rewrite for topic {topic.topic_id} turn {turn_number}")
-        queries = [turn.manual_rewrite]
+        else:
+            queries = [turn.manual_rewrite]
 
-    get_passage = passages.__getitem__
-    scorers = [resolve_scorer(s, config.scorer_endpoints) for s in config.scorer_ids]
-    retrieved = [_retrieve(config, index, q, turn_id) for q in queries]
+        get_passage = passages.__getitem__
+        scorers = [resolve_scorer(s, config.scorer_endpoints) for s in config.scorer_ids]
+        retrieved = [_retrieve(config, index, q, turn_id) for q in queries]
 
-    if config.fusion == "pool_then_rerank":
-        pooled = pool_candidates(retrieved, config.retrieval_depth)
-        rerank_query = llm.generate_rewrite(ctx, ptkb_string, turn.user_utterance)
-        ranking = rerank(scorers, rerank_query, pooled, config.rerank_depth, get_passage, turn_id)
-    else:
-        if scorers:
-            retrieved = [
-                rerank(scorers, q, lst.doc_ids(), config.rerank_depth, get_passage, turn_id)
-                for q, lst in zip(queries, retrieved)
-            ]
-        # without fusion there is exactly one query (phi > 1 requires a fusion)
-        ranking = interleave(retrieved) if config.fusion == "interleave" else retrieved[0]
-    ranking = _truncate(ranking, MAX_RANKING)
+        if config.fusion == "pool_then_rerank":
+            pooled = pool_candidates(retrieved, MAX_RANKING)
+            rerank_query = llm.generate_rewrite(ctx, ptkb_string, turn.user_utterance)
+            ranking = rerank(scorers, rerank_query, pooled, MAX_RANKING, get_passage, turn_id)
+        else:
+            if scorers:
+                retrieved = [
+                    rerank(scorers, q, lst.doc_ids(), MAX_RANKING, get_passage, turn_id)
+                    for q, lst in zip(queries, retrieved)
+                ]
+            # without fusion there is exactly one query (phi > 1 requires a fusion)
+            ranking = interleave(retrieved) if config.fusion == "interleave" else retrieved[0]
+        if len(ranking) > MAX_RANKING:  # an interleaved ranking can run longer
+            ranking = RankedList(ranking.query_id, ranking.items[:MAX_RANKING])
 
-    top_docs = [get_passage(doc_id) for doc_id in ranking.doc_ids()[:5]]
-    answer, provenance = llm.generate_response(
-        ctx, ptkb_string, turn.user_utterance, top_docs
-    )
-    return TurnResult(
-        turn_id=turn_id,
-        ranking=ranking,
-        ptkb_labels=tuple(labels),
-        answer=answer,
-        provenance=tuple(provenance),
-    )
+        top_docs = [get_passage(doc_id) for doc_id in ranking.doc_ids()[:5]]
+        answer, provenance = llm.generate_response(
+            ctx, ptkb_string, turn.user_utterance, top_docs
+        )
+        return TurnResult(
+            turn_id=turn_id,
+            ranking=ranking,
+            ptkb_labels=tuple(labels),
+            answer=answer,
+            provenance=tuple(provenance),
+        )
+    except Exception as exc:
+        raise TurnExecutionError(f"turn {turn_id}: {exc}") from exc
 
 
 def execute_run(
@@ -291,9 +265,14 @@ def execute_run(
     them in a thread pool; results are assembled in deterministic order
     either way.  The run is atomic: the first failing turn raises and no
     partial result list is returned.
+
+    Raises:
+        ValueError: if ``workers`` is below 1.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     jobs = [(topic, turn.turn_number) for topic in topics for turn in topic.turns]
-    if workers <= 1:
+    if workers == 1:
         return [
             execute_turn(config, topic, turn_number, index, llm, passages)
             for topic, turn_number in jobs
@@ -355,11 +334,11 @@ def load_run_spec(path: str | Path) -> RunSpec:
     Raises:
         ValueError: naming the file and then the key, for a key that is
             neither a :class:`RunConfig` field nor one of ``paths``,
-            ``model_id``, ``llm_mode`` and the ignored legacy ``reranker``;
-            a ``paths`` name other than ``corpus``, ``sparse_vectors``,
-            ``topics``, ``qrels`` and ``cache_dir``; an absent field without
-            a default; a value of the wrong JSON type; an invalid config or
-            ``llm_mode``; or a file that is not a JSON object.
+            ``model_id`` and ``llm_mode``; a ``paths`` name other than
+            ``corpus``, ``sparse_vectors``, ``topics``, ``qrels`` and
+            ``cache_dir``; an absent field without a default; a value of the
+            wrong JSON type; an invalid config or ``llm_mode``; or a file
+            that is not a JSON object.
     """
     spec_path = Path(path)
     try:
@@ -367,7 +346,7 @@ def load_run_spec(path: str | Path) -> RunSpec:
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}
-        unknown = sorted(set(data) - known - {"reranker"})  # a dropped field older specs carry
+        unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
         settings = _json_fields(RunSpec, data)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -70,6 +71,25 @@ def test_parse_topics_rejects_gapped_ptkb():
     payload = _topic_payload()
     payload["ptkb"] = {"1": "a", "3": "b"}
     with pytest.raises(ValueError, match="contiguous"):
+        parse_topics(io.StringIO(json.dumps([payload])))
+
+
+@pytest.mark.parametrize(
+    "topic_fields, turn_fields, message",
+    [
+        ({"ptkb": {"1": "s", "a": "t"}}, {}, "ptkb key must be an integer, got 'a'"),
+        ({"ptkb": ["s", "t"]}, {}, "field 'ptkb' must be an object, got list"),
+        ({}, {"turn_number": "one"}, "field 'turn_number' must be an integer, got 'one'"),
+        ({}, {"turn_number": None}, "field 'turn_number' must be an integer, got None"),
+    ],
+    ids=["ptkb-key", "ptkb-list", "turn-number", "turn-number-null"],
+)
+def test_parse_topics_names_the_topic_and_field_of_a_bad_number(
+    topic_fields, turn_fields, message
+):
+    payload = dict(_topic_payload(), **topic_fields)
+    payload["turns"][0].update(turn_fields)
+    with pytest.raises(ValueError, match=re.escape(f"topic '1': {message}")):
         parse_topics(io.StringIO(json.dumps([payload])))
 
 

@@ -267,26 +267,18 @@ def test_execute_run_is_atomic_on_failure(tmp_path):
         execute_run(config, _two_topics(), index, replay, passages=passages)
 
 
-def test_filtered_ptkb_mode_changes_prompt_inputs(tmp_path):
+@pytest.mark.parametrize("workers", [0, -1])
+def test_execute_run_rejects_fewer_than_one_worker(tmp_path, workers):
     index, gateway, passages = _mini_env(tmp_path)
-    config = RunConfig(
-        run_tag="x", rewriter="multi_query", phi=1, retriever="bm25", filtered_ptkb=True,
-    )
-    result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
-    assert result.answer
-    # the rewrite prompt carried only the statements classified relevant
-    prompts = [
-        json.loads(f.read_text())["prompt"] for f in gateway.cache.directory.glob("*.json")
-    ]
-    rewrite_prompts = [p for p in prompts if "# Generated queries:" in p]
-    assert rewrite_prompts
-    assert all("dislike pears" not in p for p in rewrite_prompts)
+    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
+    with pytest.raises(ValueError, match=re.escape("workers must be >= 1")):
+        execute_run(config, _two_topics(), index, gateway, passages=passages, workers=workers)
+    assert not any(gateway.cache.directory.glob("*.json"))
 
 
 def test_run_config_default_depths_are_1000():
-    config = RunConfig(run_tag="x", rewriter="multi_query", phi=1, retriever="bm25")
-    assert config.rerank_depth == 1000
-    assert config.retrieval_depth == 1000
+    # every stage ranks to the TREC submission depth
+    assert MAX_RANKING == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +356,7 @@ def test_shipped_configs_reproduce_submitted_run_seams():
 
 
 def test_legacy_reranker_key_is_ignored():
+    # from_dict reads only its fields; load_run_spec is what rejects other keys
     for path in sorted(CONFIG_DIR.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         legacy = dict(data, reranker="ensemble" if len(data["scorer_ids"]) > 1 else "single")
@@ -375,8 +368,8 @@ def test_legacy_reranker_key_is_ignored():
 def test_from_dict_reads_every_field_and_defaults_the_rest():
     data = {
         "run_tag": "x", "rewriter": "multi_query", "retriever": "sparse",
-        "fusion": "interleave", "scorer_ids": ["a", "b"], "phi": 3, "rerank_depth": 7,
-        "retrieval_depth": 9, "filtered_ptkb": True, "scorer_endpoints": {"a": "http://h/a"},
+        "fusion": "interleave", "scorer_ids": ["a", "b"], "phi": 3,
+        "scorer_endpoints": {"a": "http://h/a"},
     }
     assert set(data) == {f.name for f in fields(RunConfig)}
     assert RunConfig.from_dict(data) == RunConfig(**dict(data, scorer_ids=("a", "b")))
@@ -389,13 +382,13 @@ def test_from_dict_reads_every_field_and_defaults_the_rest():
     [
         ("scorer_ids", "deberta-v3"),
         ("scorer_ids", ["deberta-v3", 3]),
-        ("filtered_ptkb", "false"),
-        ("filtered_ptkb", 0),
+        ("run_tag", 5),
+        ("rewriter", None),
         ("phi", "5"),
         ("phi", 5.0),
         ("phi", True),
-        ("rerank_depth", "1000"),
-        ("retrieval_depth", 1000.0),
+        ("retriever", ["bm25"]),
+        ("fusion", False),
         ("scorer_endpoints", {"a": 1}),
     ],
 )
@@ -417,6 +410,20 @@ def test_run_spec_rejects_unknown_keys(tmp_path):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: unknown keys ['scorer_id']")):
+        load_run_spec(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("rerank_depth", 1000), ("retrieval_depth", 1000), ("filtered_ptkb", False),
+     ("reranker", "single")],
+)
+def test_run_spec_rejects_the_retired_keys(tmp_path, key, value):
+    # every stage ranks to MAX_RANKING and every prompt gets the whole PTKB
+    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(dict(data, **{key: value})), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"run spec {path}: unknown keys ['{key}']")):
         load_run_spec(path)
 
 
@@ -505,13 +512,12 @@ def test_a_run_names_the_paths_its_spec_lacks(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_spec_keys_are_config_fields_spec_settings_and_legacy_reranker(tmp_path):
+def test_run_spec_keys_are_config_fields_and_spec_settings(tmp_path):
     # generated specs carry a shipped config with absolute paths
     for path in sorted(CONFIG_DIR.glob("*.json")):
         spec = load_run_spec(path)
         data = json.loads(path.read_text(encoding="utf-8"))
         data["paths"] = {name: str(value) for name, value in spec.paths.items()}
-        data["reranker"] = "single"
         copy = tmp_path / path.name
         copy.write_text(json.dumps(data), encoding="utf-8")
         assert load_run_spec(copy) == spec
