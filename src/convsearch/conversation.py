@@ -82,12 +82,13 @@ class Topic:
                 raise ValueError(f"topic '{self.topic_id}': non-contiguous turns")
 
 
-def _integer(value: object, topic_id: str, field: str) -> int:
+def _integer(value: object, well_formed: bool, topic_id: str, field: str) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        message = f"topic '{topic_id}': {field} must be an integer, got {value!r}"
-        raise ValueError(message) from None
+        if well_formed:
+            return int(value)
+    except ValueError:  # int() refuses a string of more than 4,300 digits
+        pass
+    raise ValueError(f"topic '{topic_id}': {field} must be an integer, got {value!r}")
 
 
 def _parse_topic(entry: dict, position: int) -> Topic:
@@ -100,7 +101,10 @@ def _parse_topic(entry: dict, position: int) -> Topic:
         raise ValueError(
             f"topic '{topic_id}': field 'ptkb' must be an object, got {type(ptkb_raw).__name__}"
         )
-    indexed = [(_integer(key, topic_id, "ptkb key"), str(text)) for key, text in ptkb_raw.items()]
+    indexed = [
+        (_integer(key, key.isascii() and key.isdigit(), topic_id, "ptkb key"), str(text))
+        for key, text in ptkb_raw.items()
+    ]
     statements = [PTKBStatement(i, text) for i, text in sorted(indexed, key=lambda pair: pair[0])]
     turns = []
     for turn_entry in entry["turns"]:
@@ -109,9 +113,10 @@ def _parse_topic(entry: dict, position: int) -> Topic:
                 raise ValueError(
                     f"topic '{topic_id}': turn missing field '{required}'"
                 )
+        number = turn_entry["turn_number"]
         turns.append(
             Turn(
-                turn_number=_integer(turn_entry["turn_number"], topic_id, "field 'turn_number'"),
+                turn_number=_integer(number, type(number) is int, topic_id, "field 'turn_number'"),
                 user_utterance=str(turn_entry["utterance"]),
                 gold_response=str(turn_entry.get("response", "")),
                 manual_rewrite=(
@@ -129,8 +134,8 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
 
     Raises:
         ValueError: naming the topic and field for missing fields, a ptkb
-            that is not an object, a ptkb key or turn number that is not an
-            integer, or numbering that is not contiguous from 1.
+            that is not an object, a ptkb key that is not ASCII digits, a turn
+            number that is not a JSON integer, or numbering not contiguous from 1.
     """
     with _text(source) as handle:
         data = json.load(handle)

@@ -120,12 +120,14 @@ class RemoteScorer:
     """Adapter for a cross-encoder service.
 
     POSTs ``{"query": ..., "passages": [{"doc_id", "text"}, ...]}`` and
-    expects ``{"scores": [...]}`` aligned with the input.
+    expects ``{"scores": [...]}`` of finite JSON numbers aligned with the
+    input.  A request that fails, or outlasts ``TIMEOUT`` seconds, raises.
     """
 
-    def __init__(self, endpoint_url: str, timeout: float = 60.0):
+    TIMEOUT = 60.0
+
+    def __init__(self, endpoint_url: str):
         self.endpoint_url = endpoint_url
-        self.timeout = timeout
 
     def score(self, query: str, passages: Sequence[Passage]) -> list[float]:
         payload = {
@@ -137,14 +139,17 @@ class RemoteScorer:
             self.endpoint_url, data=body, headers={"Content-Type": "application/json"}
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(request, timeout=self.TIMEOUT) as response:
                 data = json.loads(response.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise RuntimeError(f"scorer request failed: {exc}") from exc
+            raise RuntimeError(f"scorer request to {self.endpoint_url} failed: {exc}") from exc
         try:
-            scores = [float(s) for s in data["scores"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RuntimeError(f"malformed scorer reply: {exc!r}") from exc
+            raw = data["scores"]
+            scores = [float(s) for s in raw]  # an int past the float range overflows
+            if any(type(s) not in (int, float) for s in raw) or not np.isfinite(scores).all():
+                raise ValueError("scores must be finite JSON numbers")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise RuntimeError(f"malformed scorer reply: {exc!r} from {self.endpoint_url}") from exc
         if len(scores) != len(passages):
             raise RuntimeError(
                 f"scorer returned {len(scores)} scores for {len(passages)} passages"

@@ -6,7 +6,7 @@ Two modes, :data:`LLM_MODES`:
 
 * ``record``  - serve from cache when present, otherwise call the transport
   and store the result; pointed at an empty cache directory, every
-  exchange goes to the transport.
+  exchange goes to the transport.  Re-running a failed run resumes it.
 * ``replay``  - cache only; a missing key raises :class:`CacheMissError`
   and no network traffic occurs.
 
@@ -28,8 +28,6 @@ import json
 import os
 import re
 import string
-import threading
-import time
 import urllib.error
 import urllib.request
 import uuid
@@ -70,7 +68,7 @@ class CacheMissError(Exception):
 
 
 class TransportError(Exception):
-    """A retriable transport failure, distinct from a replay cache miss."""
+    """A failed transport call: it aborts the run, and a re-run in record mode resumes it."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,8 @@ class LLMCache:
 
         Raises:
             ValueError: naming the file, for a record that does not parse, lacks
-                a field, or whose ``model_id`` and ``prompt`` hash to another key.
+                a field, has a response that is not a string, or whose
+                ``model_id`` and ``prompt`` hash to another key.
         """
         path = self._path(key)
         if not path.exists():
@@ -129,6 +128,8 @@ class LLMCache:
             record = json.loads(path.read_text(encoding="utf-8"))
             if cache_key(record["model_id"], record["prompt"]) != key:
                 raise ValueError("its model_id and prompt belong to another key")
+            if not isinstance(record["response"], str):
+                raise TypeError(f"its response is {type(record['response']).__name__}, not str")
             return record["response"]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"corrupt cache record {path}: {exc!r}") from exc
@@ -165,22 +166,14 @@ class HttpChatTransport:
 
     Posts ``{"model", "messages", "temperature": 0.0}`` and reads the first
     choice's message content, the shape used by common completion APIs.
-    ``max_requests_per_second`` is an optional client-side rate ceiling.
+    A request that fails, or outlasts ``TIMEOUT`` seconds, raises :class:`TransportError`.
     """
 
-    def __init__(
-        self,
-        endpoint_url: str,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        max_requests_per_second: float | None = None,
-    ):
+    TIMEOUT = 60.0
+
+    def __init__(self, endpoint_url: str, api_key: str | None = None):
         self.endpoint_url = endpoint_url
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_requests_per_second = max_requests_per_second
-        self._next_slot = 0.0
-        self._slot_lock = threading.Lock()
 
     def build_payload(self, model_id: str, prompt: str) -> dict:
         return {
@@ -192,31 +185,21 @@ class HttpChatTransport:
     @staticmethod
     def parse_response(body: bytes) -> str:
         try:
-            data = json.loads(body.decode("utf-8"))
-            return data["choices"][0]["message"]["content"]
+            content = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content {content!r} is not a string")
+            return content
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
 
-    def _throttle(self) -> None:
-        """Reserve the next request slot under the lock; sleep until it without the lock."""
-        if self.max_requests_per_second is None:
-            return
-        with self._slot_lock:
-            now = time.monotonic()
-            slot = max(now, self._next_slot)
-            self._next_slot = slot + 1.0 / self.max_requests_per_second
-        if slot > now:
-            time.sleep(slot - now)
-
     def __call__(self, model_id: str, prompt: str) -> str:
-        self._throttle()
         body = json.dumps(self.build_payload(model_id, prompt)).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         request = urllib.request.Request(self.endpoint_url, data=body, headers=headers)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(request, timeout=self.TIMEOUT) as response:
                 return self.parse_response(response.read())
         except (urllib.error.URLError, OSError) as exc:
             raise TransportError(f"completion request failed: {exc}") from exc

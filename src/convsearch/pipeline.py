@@ -406,9 +406,12 @@ def execute_spec(
 
     Raises:
         ValueError: naming the paths the run needs that the spec lacks,
-            ``cache_dir`` among them.
+            ``cache_dir`` among them, or if ``workers`` is below 1; both
+            before any index is built.
     """
     _require_paths(spec, ("cache_dir",))
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     index, topics, passages = load_resources(spec)
     llm = LLMGateway(
         model_id=spec.model_id,

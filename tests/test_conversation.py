@@ -81,8 +81,26 @@ def test_parse_topics_rejects_gapped_ptkb():
         ({"ptkb": ["s", "t"]}, {}, "field 'ptkb' must be an object, got list"),
         ({}, {"turn_number": "one"}, "field 'turn_number' must be an integer, got 'one'"),
         ({}, {"turn_number": None}, "field 'turn_number' must be an integer, got None"),
+        # numbers that int() would coerce in silence
+        ({}, {"turn_number": 1.9}, "field 'turn_number' must be an integer, got 1.9"),
+        ({}, {"turn_number": 1.0}, "field 'turn_number' must be an integer, got 1.0"),
+        ({}, {"turn_number": True}, "field 'turn_number' must be an integer, got True"),
+        ({}, {"turn_number": "1"}, "field 'turn_number' must be an integer, got '1'"),
+        ({"ptkb": {"1": "s", " 2 ": "t"}}, {}, "ptkb key must be an integer, got ' 2 '"),
+        ({"ptkb": {"1": "s", "+2": "t"}}, {}, "ptkb key must be an integer, got '+2'"),
+        ({"ptkb": {"1": "s", "2_0": "t"}}, {}, "ptkb key must be an integer, got '2_0'"),
+        ({"ptkb": {"1": "s", "\uff12": "t"}}, {}, "ptkb key must be an integer, got '\uff12'"),
+        (
+            {"ptkb": {"1": "s", "2" * 5000: "t"}}, {},
+            "ptkb key must be an integer, got '" + "2" * 5000 + "'",
+        ),
     ],
-    ids=["ptkb-key", "ptkb-list", "turn-number", "turn-number-null"],
+    ids=[
+        "ptkb-key", "ptkb-list", "turn-number", "turn-number-null", "turn-number-float",
+        "turn-number-integral-float", "turn-number-bool", "turn-number-string",
+        "ptkb-key-padded", "ptkb-key-signed", "ptkb-key-underscore", "ptkb-key-fullwidth",
+        "ptkb-key-past-int-limit",
+    ],
 )
 def test_parse_topics_names_the_topic_and_field_of_a_bad_number(
     topic_fields, turn_fields, message

@@ -1,6 +1,7 @@
 """Normalization, ensemble fusion, interleaving, pooling, reranking."""
 
 import io
+import json
 import urllib.request
 
 import numpy as np
@@ -345,10 +346,41 @@ def test_resolve_scorer_registry():
 
 @pytest.mark.parametrize(
     "reply, problem",
-    [(b"{}", "KeyError"), (b"[1]", "TypeError"), (b'{"scores": ["x"]}', "ValueError")],
+    [
+        (b"{}", "KeyError"),
+        (b"[1]", "TypeError"),
+        (b'{"scores": ["x"]}', "ValueError"),
+        # only finite JSON numbers are scores; these once passed as 1.0, 1.5
+        # or a non-finite score that failed later without naming the scorer
+        (b'{"scores": [true]}', "ValueError"),
+        (b'{"scores": ["1.5"]}', "ValueError"),
+        (b'{"scores": [NaN]}', "ValueError"),
+        (b'{"scores": [Infinity]}', "ValueError"),
+        (b'{"scores": [1' + b"0" * 400 + b"]}", "OverflowError"),
+    ],
 )
 def test_remote_scorer_malformed_reply_is_runtime_error(monkeypatch, reply, problem):
     monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(reply))
     scorer = RemoteScorer("http://scorer.invalid")
-    with pytest.raises(RuntimeError, match=f"malformed scorer reply: {problem}"):
+    with pytest.raises(RuntimeError, match=f"malformed scorer reply: {problem}") as caught:
         scorer.score("q", [Passage("d1", "text")])
+    assert str(caught.value).endswith("from http://scorer.invalid")
+
+
+def test_remote_scorer_posts_query_and_passages_with_its_timeout(monkeypatch):
+    requests = []
+
+    def urlopen(request, timeout):
+        requests.append((request, timeout))
+        return io.BytesIO(b'{"scores": [2, 0.5]}')
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    passages = [Passage("d1", "one"), Passage("d2", "two")]
+    assert RemoteScorer("http://scorer.invalid").score("q", passages) == [2.0, 0.5]
+    [(request, timeout)] = requests
+    assert request.full_url == "http://scorer.invalid"
+    assert json.loads(request.data) == {
+        "query": "q",
+        "passages": [{"doc_id": "d1", "text": "one"}, {"doc_id": "d2", "text": "two"}],
+    }
+    assert timeout == RemoteScorer.TIMEOUT == 60.0

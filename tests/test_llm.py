@@ -1,10 +1,13 @@
 """Prompt rendering, exchange cache behaviour, and output parsing."""
 
+import io
+import json
 import os
 import re
 import sys
 import threading
-import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -204,6 +207,8 @@ def test_corrupt_cache_record_names_its_path(tmp_path):
         "truncated": '{"response": "a',
         "noresponse": '{"prompt": "p"}',
         cache_key("m", "two"): copied,  # a whole record, filed under another key
+        # a null response would read as a miss of a key whose file exists
+        cache_key("m", "null"): json.dumps({"model_id": "m", "prompt": "null", "response": None}),
     }
     assert cache.get(cache_key("m", "one")) == "answer one"
     for key, body in bodies.items():
@@ -403,37 +408,50 @@ def test_http_transport_parses_choices():
 
 
 def test_http_transport_malformed_response():
-    with pytest.raises(TransportError):
-        HttpChatTransport.parse_response(b'{"unexpected": true}')
+    bodies = [
+        b'{"unexpected": true}',
+        b'{"choices": []}',
+        # content that is not a string would be cached, then break the turn
+        b'{"choices": [{"message": {"content": null}}]}',
+        b'{"choices": [{"message": {"content": 5}}]}',
+    ]
+    for body in bodies:
+        with pytest.raises(TransportError, match="malformed completion response"):
+            HttpChatTransport.parse_response(body)
 
 
-def test_http_transport_throttle_spaces_concurrent_requests():
-    rate, threads = 200.0, 4
-    interval = 1.0 / rate
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            transport = HttpChatTransport("http://example.invalid", max_requests_per_second=rate)
-            barrier = threading.Barrier(threads)
-            released = []
+@pytest.mark.parametrize("api_key", [None, "secret"])
+def test_http_transport_posts_the_payload_to_its_endpoint(monkeypatch, api_key):
+    requests = []
 
-            def request():
-                barrier.wait(timeout=10)
-                transport._throttle()
-                released.append(time.monotonic())
+    def urlopen(request, timeout):
+        requests.append((request, timeout))
+        return io.BytesIO(b'{"choices": [{"message": {"content": "hi there"}}]}')
 
-            workers = [threading.Thread(target=request) for _ in range(threads)]
-            start = time.monotonic()
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=10)
-            # the k-th request may not leave before k intervals have passed
-            for k, at in enumerate(sorted(released)):
-                assert at - start >= k * interval * 0.99
-    finally:
-        sys.setswitchinterval(switch)
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    transport = HttpChatTransport("http://example.invalid/v1/chat", api_key=api_key)
+    assert transport("gpt-4", "hello") == "hi there"
+    [(request, timeout)] = requests
+    assert request.full_url == "http://example.invalid/v1/chat"
+    assert json.loads(request.data) == transport.build_payload("gpt-4", "hello")
+    assert request.get_header("Content-type") == "application/json"
+    expected = f"Bearer {api_key}" if api_key else None
+    assert request.get_header("Authorization") == expected
+    assert timeout == HttpChatTransport.TIMEOUT == 60.0
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [urllib.error.URLError("connection refused"), ConnectionResetError("reset"), TimeoutError()],
+    ids=["url-error", "os-error", "timeout"],
+)
+def test_http_transport_failure_is_transport_error(monkeypatch, failure):
+    def urlopen(request, timeout):
+        raise failure
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(TransportError, match="completion request failed"):
+        HttpChatTransport("http://example.invalid/v1/chat")("gpt-4", "hello")
 
 
 def test_scripted_response_is_deterministic():

@@ -8,10 +8,11 @@ from dataclasses import fields, replace
 
 import pytest
 
+from convsearch import pipeline
 from convsearch.conversation import PTKBStatement, Topic, Turn, parse_topics
 from convsearch.evaluation import default_query_id_parser
 from convsearch.index import Passage, RankedList, build_index, read_corpus
-from convsearch.llm import CacheMissError, LLMGateway
+from convsearch.llm import CacheMissError, LLMGateway, TransportError
 from convsearch.offline import ScriptedTransport
 from convsearch.pipeline import (
     MAX_RANKING,
@@ -274,6 +275,54 @@ def test_execute_run_rejects_fewer_than_one_worker(tmp_path, workers):
     with pytest.raises(ValueError, match=re.escape("workers must be >= 1")):
         execute_run(config, _two_topics(), index, gateway, passages=passages, workers=workers)
     assert not any(gateway.cache.directory.glob("*.json"))
+
+
+def test_execute_spec_rejects_fewer_than_one_worker_before_set_up(tmp_path, monkeypatch):
+    def load_resources(spec):
+        raise AssertionError("set-up ran before the workers check")
+
+    monkeypatch.setattr(pipeline, "load_resources", load_resources)
+    spec = load_run_spec(CONFIG_DIR / "gpt4qr_bm25_qd1.json")
+    with pytest.raises(ValueError, match=re.escape("workers must be >= 1")):
+        execute_spec(spec, tmp_path / "out", workers=0)
+    assert not (tmp_path / "out").exists()
+
+
+class _CountingTransport:
+    """Scripted responses, counted under a lock; call ``fail_on`` raises instead."""
+
+    def __init__(self, fail_on=None):
+        self.calls, self.fail_on = 0, fail_on
+        self._lock, self._scripted = threading.Lock(), ScriptedTransport()
+
+    def __call__(self, model_id, prompt):
+        with self._lock:
+            self.calls += 1
+            fails = self.calls == self.fail_on
+        if fails:
+            raise TransportError(f"injected failure on call {self.fail_on}")
+        return self._scripted(model_id, prompt)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_record_run_resumes_when_re_run(tmp_path, workers):
+    # the cache is the checkpoint: a re-run asks only for what the failed run
+    # did not store, and writes what an uninterrupted run writes
+    spec = load_run_spec(CONFIG_DIR / "mq4cs_qr_ensemble.json")
+    replayed = execute_spec(spec, tmp_path / "replay")
+    spec.paths["cache_dir"] = tmp_path / "cache"
+    spec = replace(spec, llm_mode="record")
+    failing = _CountingTransport(fail_on=9)
+    with pytest.raises(TurnExecutionError):
+        execute_spec(spec, tmp_path / "out", transport=failing, workers=workers)
+    assert not (tmp_path / "out").exists()
+    working = _CountingTransport()
+    resumed = execute_spec(spec, tmp_path / "out", transport=working, workers=workers)
+    cached = len(list((tmp_path / "cache").glob("*.json")))
+    assert failing.calls + working.calls == cached + 1
+    assert 9 <= failing.calls and 0 < working.calls
+    for ours, reference in zip(resumed, replayed):
+        assert ours.read_bytes() == reference.read_bytes()
 
 
 def test_run_config_default_depths_are_1000():
