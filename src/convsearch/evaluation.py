@@ -65,9 +65,11 @@ class Qrels:
 def parse_qrels(source: str | Path | IO[str]) -> Qrels:
     """Parse ``<query_id> <iter> <doc_id> <rel>`` lines (whitespace-separated).
 
+    A grade is ASCII digits with an optional leading ``-``.
+
     Raises:
-        ValueError: with the line number for malformed lines, negative
-            grades, or duplicate (query_id, doc_id) pairs.
+        ValueError: with the line number for malformed lines or grades,
+            negative grades, or duplicate (query_id, doc_id) pairs.
     """
     judgments: dict[tuple[str, str], int] = {}
     with _text(source) as handle:
@@ -78,7 +80,10 @@ def parse_qrels(source: str | Path | IO[str]) -> Qrels:
             if len(parts) != 4:
                 raise ValueError(f"qrels line {lineno}: expected 4 fields, got {len(parts)}")
             query_id, _, doc_id, rel_text = parts
+            digits = rel_text.removeprefix("-")
             try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
                 rel = int(rel_text)
             except ValueError:
                 raise ValueError(f"qrels line {lineno}: non-integer relevance '{rel_text}'")
@@ -225,7 +230,12 @@ def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
 
     Documents are reordered by (descending score, ascending doc_id), so a
     run produced elsewhere with a different tie policy evaluates
-    consistently.
+    consistently.  A score is an ASCII decimal without ``_`` that reads as
+    a finite number.
+
+    Raises:
+        ValueError: with the line number for malformed lines, scores that
+            are not numbers or not finite, or a doc listed twice for a query.
     """
     per_query: dict[str, dict[str, float]] = {}
     with _text(source) as handle:
@@ -237,9 +247,13 @@ def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
                 raise ValueError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
             query_id, _, doc_id, _, score_text, _ = parts
             try:
+                if not score_text.isascii() or "_" in score_text:
+                    raise ValueError
                 score = float(score_text)
             except ValueError:
                 raise ValueError(f"run line {lineno}: non-numeric score '{score_text}'")
+            if not math.isfinite(score):
+                raise ValueError(f"run line {lineno}: non-finite score '{score_text}'")
             bucket = per_query.setdefault(query_id, {})
             if doc_id in bucket:
                 raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")

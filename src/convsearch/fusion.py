@@ -17,6 +17,7 @@ deterministic scorers back tests, demos, and the shipped fixture configs.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import re
 import urllib.error
@@ -141,7 +142,7 @@ class RemoteScorer:
         try:
             with urllib.request.urlopen(request, timeout=self.TIMEOUT) as response:
                 data = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (urllib.error.URLError, OSError, http.client.HTTPException, ValueError) as exc:
             raise RuntimeError(f"scorer request to {self.endpoint_url} failed: {exc}") from exc
         try:
             raw = data["scores"]

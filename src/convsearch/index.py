@@ -25,8 +25,11 @@ An index lives in memory only: :func:`build_index` makes one from a passage
 stream and :func:`build_sparse_index` from ingested document vectors, so a
 run builds its index from its sources at load time.  Documents stream into
 flat columns (per entry a term id and a payload, per document its row end)
-that one packer turns into the CSR arrays; :func:`load_sparse_vectors`
-writes a vector file straight into those columns.
+that one packer turns into the CSR arrays with one sort of ``(term, doc)``
+keys.  A BM25 row holds one entry per token, repeats included, and no
+payloads: the packer counts the repeats into term frequencies.  A sparse
+row holds distinct terms with their weights; :func:`load_sparse_vectors`
+writes a vector file straight into such rows.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ __all__ = [
 ]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+# ASCII letters to lower case, digits kept, every other ASCII character a space
+_ASCII_TOKEN_TABLE = str.maketrans(
+    {c: c.lower() if c.isalnum() else " " for c in map(chr, range(128))}
+)
 
 # BM25 saturation and length normalisation, applied when the index is built
 K1 = 0.9
@@ -75,7 +82,12 @@ class AnalyzerConfig:
     stopwords: frozenset[str] = frozenset()
 
     def tokenize(self, text: str) -> list[str]:
-        tokens = [t.lower() for t in _TOKEN_RE.findall(text)]
+        if text.isascii():
+            tokens = text.translate(_ASCII_TOKEN_TABLE).split()
+        else:
+            # the table passes non-ASCII characters through, and lowering them
+            # first can make ASCII letters ('\u0130', '\u212a')
+            tokens = [t.lower() for t in _TOKEN_RE.findall(text)]
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         return tokens
@@ -242,33 +254,43 @@ def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
         yield Passage(doc_id=doc_id, text=text)
 
 
+class _TermIds(dict):
+    """Term to id, numbering a term not seen before with the next id."""
+
+    def __missing__(self, term: str) -> int:
+        self[term] = tid = len(self)
+        return tid
+
+
 class _Columns(Mapping[str, SparseVector]):
     """Documents as flat columns, the rows :func:`_build` packs into postings.
 
-    Per entry a term id (terms numbered as first seen) and a payload; per
-    row its doc_id, length and end offset.  Read as a mapping, a row is the
-    :class:`SparseVector` of its entries, made on access.
+    Per entry a term id (terms numbered as first seen) and, in a sparse
+    row, a payload; per row its doc_id, length and end offset.  A BM25 row
+    holds one entry per token, repeats included, and no payloads;
+    :func:`_build` counts the repeats.  A sparse row holds distinct terms,
+    and read as a mapping it is the :class:`SparseVector` of its entries,
+    made on access.
     """
 
     def __init__(self) -> None:
         self.rows: dict[str, int] = {}
         self.lengths = array("q")
         self.ends = array("q")
-        self.term_ids: dict[str, int] = {}
+        self.term_ids = _TermIds()
         self.terms = array("i")
         self.payloads = array("d")
         self._names: list[str] = []  # term_ids' keys, listed again when it has grown
 
     def append(
-        self, doc_id: str, length: int, terms: Iterable[str], payloads: Iterable[float]
+        self, doc_id: str, length: int, terms: Iterable[str], payloads: Iterable[float] = ()
     ) -> None:
-        """Add a row of distinct terms; raises ValueError on a duplicate doc_id."""
+        """Add a row; raises ValueError on a duplicate doc_id."""
         if doc_id in self.rows:
             raise ValueError(f"duplicate doc_id '{doc_id}'")
-        term_ids = self.term_ids
         self.rows[doc_id] = len(self.rows)
         self.lengths.append(length)
-        self.terms.extend([term_ids.setdefault(t, len(term_ids)) for t in terms])
+        self.terms.fromlist(list(map(self.term_ids.__getitem__, terms)))
         self.payloads.extend(payloads)
         self.ends.append(len(self.terms))
 
@@ -292,19 +314,28 @@ class _Columns(Mapping[str, SparseVector]):
 def _build(mode: str, columns: _Columns) -> InvertedIndex:
     """Pack the rows of ``columns`` into CSR postings.
 
-    Documents are renumbered by doc_id rank and postings grouped by term.
+    Documents are renumbered by doc_id rank and postings grouped by term,
+    both with one sort of the entries' ``term * N + rank`` keys.  In
+    ``bm25`` mode equal keys are one term's repeats in one document, and
+    their count is its term frequency.
     """
     doc_lengths = dict(zip(columns.rows, columns.lengths))
-    term_ids = columns.term_ids
+    term_ids = dict(columns.term_ids)
     doc_ids = tuple(sorted(doc_lengths))
     n = len(doc_ids)
     rank_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    ranks = np.array([rank_of[d] for d in doc_lengths], dtype=np.int32)
-    terms = np.array(columns.terms, dtype=np.int32)
-    docs = np.repeat(ranks, np.diff(np.array(columns.ends, dtype=np.int64), prepend=0))
-    order = np.lexsort((docs, terms))
-    docs = docs[order]
-    payloads = np.array(columns.payloads, dtype=np.float64)[order]
+    ranks = np.array([rank_of[d] for d in doc_lengths], dtype=np.int64)
+    row_sizes = np.diff(np.array(columns.ends, dtype=np.int64), prepend=0)
+    keys = np.array(columns.terms, dtype=np.int64) * n + np.repeat(ranks, row_sizes)
+    if mode == "bm25":
+        keys, tf = np.unique(keys, return_counts=True)
+        payloads = tf.astype(np.float64)
+    else:
+        order = np.argsort(keys)  # a sparse row's terms are distinct, so keys are too
+        keys = keys[order]
+        payloads = np.array(columns.payloads, dtype=np.float64)[order]
+    terms, docs = np.divmod(keys, n or 1)
+    docs = docs.astype(np.int32)
     df = np.bincount(terms, minlength=len(term_ids))
     offsets = np.concatenate(([0], np.cumsum(df))).astype(np.int64)
     avg = sum(doc_lengths.values()) / n if n else 0.0
@@ -337,8 +368,7 @@ def build_index(corpus: Iterable[Passage]) -> InvertedIndex:
         if not passage.text:
             raise ValueError(f"empty text for doc_id '{passage.doc_id}'")
         tokens = InvertedIndex.analyzer.tokenize(passage.text)
-        counts = Counter(tokens)
-        columns.append(passage.doc_id, len(tokens), counts, counts.values())
+        columns.append(passage.doc_id, len(tokens), tokens)
     return _build("bm25", columns)
 
 

@@ -24,6 +24,7 @@ output into queries, binary labels, or an answer with provenance.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import re
@@ -201,7 +202,7 @@ class HttpChatTransport:
         try:
             with urllib.request.urlopen(request, timeout=self.TIMEOUT) as response:
                 return self.parse_response(response.read())
-        except (urllib.error.URLError, OSError) as exc:
+        except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
             raise TransportError(f"completion request failed: {exc}") from exc
 
 

@@ -252,6 +252,15 @@ def test_parse_qrels_malformed():
         parse_qrels(io.StringIO("q 0 d -1\n"))
 
 
+@pytest.mark.parametrize("grade", ["+1", "1_0", "\u0661", "\uff12", "1.0", "-", "--1"])
+def test_parse_qrels_takes_only_ascii_digit_grades(grade):
+    message = f"qrels line 2: non-integer relevance '{grade}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_qrels(io.StringIO(f"q 0 a 1\nq 0 b {grade}\n"))
+    qrels = parse_qrels(io.StringIO("q 0 a 007\nq 0 b -0\nq 0 c 0\n"))
+    assert qrels.judgments == {("q", "a"): 7, ("q", "b"): 0, ("q", "c"): 0}
+
+
 def test_read_run_file_rejections_name_their_line():
     cases = [
         ("q Q0 a 1 1.0\n", "run line 1: expected 6 fields, got 5"),
@@ -261,6 +270,25 @@ def test_read_run_file_rejections_name_their_line():
     for text, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             read_run_file(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "score, problem",
+    [
+        ("1_000", "non-numeric"),  # float() reads it as 1000.0
+        ("\u0661.\u0665", "non-numeric"),  # Arabic-Indic digits, 1.5 to float()
+        ("\uff11", "non-numeric"),  # a full-width digit
+        ("nan", "non-finite"),
+        ("-inf", "non-finite"),
+        ("Infinity", "non-finite"),
+        ("1e999", "non-finite"),  # overflows
+    ],
+)
+def test_read_run_file_takes_only_ascii_finite_scores(score, problem):
+    with pytest.raises(ValueError, match=re.escape(f"run line 2: {problem} score '{score}'")):
+        read_run_file(io.StringIO(f"q Q0 a 1 2.0 t\nq Q0 b 2 {score} t\n"))
+    run = read_run_file(io.StringIO("q Q0 a 1 +1.5 t\nq Q0 b 2 .5 t\nq Q0 c 3 -2E-1 t\n"))
+    assert run["q"].items == (("a", 1.5), ("b", 0.5), ("c", -0.2))
 
 
 # ---------------------------------------------------------------------------

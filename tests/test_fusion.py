@@ -1,5 +1,6 @@
 """Normalization, ensemble fusion, interleaving, pooling, reranking."""
 
+import http.client
 import io
 import json
 import urllib.request
@@ -365,6 +366,16 @@ def test_remote_scorer_malformed_reply_is_runtime_error(monkeypatch, reply, prob
     with pytest.raises(RuntimeError, match=f"malformed scorer reply: {problem}") as caught:
         scorer.score("q", [Passage("d1", "text")])
     assert str(caught.value).endswith("from http://scorer.invalid")
+
+
+def test_remote_scorer_truncated_reply_names_the_endpoint(monkeypatch):
+    def urlopen(request, timeout):
+        raise http.client.IncompleteRead(b"partial")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(RuntimeError) as caught:
+        RemoteScorer("http://scorer.invalid").score("q", [Passage("d1", "text")])
+    assert str(caught.value).startswith("scorer request to http://scorer.invalid failed: ")
 
 
 def test_remote_scorer_posts_query_and_passages_with_its_timeout(monkeypatch):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsearch.index import (
@@ -616,3 +616,103 @@ def test_read_corpus_rejects_missing_tab():
 def test_text_to_query_vector_counts():
     vector = text_to_query_vector("Apple apple banana!")
     assert vector.entries == {"apple": 2.0, "banana": 1.0}
+
+
+# ---------------------------------------------------------------------------
+# tokenizer and packer against the methods they replaced
+# ---------------------------------------------------------------------------
+
+_STOPWORDS = frozenset({"the", "a", "x1"})
+# mostly ASCII, with characters that lower to ASCII letters (U+0130, the
+# Kelvin sign U+212A), a non-ASCII space and an ASCII separator str.split() splits at
+_TEXT_ALPHABET = "aAbZxX019 _-.,'\t\n\x1c\x7f\xa0\u0130\u212a\xe9"
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(st.one_of(st.text(), st.text(_TEXT_ALPHABET), st.text("theTHEaA1xX ")))
+def test_tokenize_is_the_lowered_ascii_alphanumeric_runs(text):
+    expected = [w.lower() for w in re.findall(r"[A-Za-z0-9]+", text)]
+    assert AnalyzerConfig().tokenize(text) == expected
+    filtered = [w for w in expected if w not in _STOPWORDS]
+    assert AnalyzerConfig(stopwords=_STOPWORDS).tokenize(text) == filtered
+
+
+def reference_pack(mode: str, rows: list[tuple[str, int, dict[str, float]]]) -> InvertedIndex:
+    """The packer as it was: rows of distinct terms, one ``lexsort`` by (term, doc)."""
+    term_ids: dict[str, int] = {}
+    entry_terms, entry_rows, entry_payloads = [], [], []
+    for row, (_, _, entries) in enumerate(rows):
+        for term, payload in entries.items():
+            entry_terms.append(term_ids.setdefault(term, len(term_ids)))
+            entry_rows.append(row)
+            entry_payloads.append(payload)
+    doc_lengths = {doc_id: length for doc_id, length, _ in rows}
+    doc_ids = tuple(sorted(doc_lengths))
+    n = len(doc_ids)
+    rank_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    terms = np.array(entry_terms, dtype=np.int32)
+    docs = np.array([rank_of[rows[row][0]] for row in entry_rows], dtype=np.int32)
+    order = np.lexsort((docs, terms))
+    docs = docs[order]
+    payloads = np.array(entry_payloads, dtype=np.float64)[order]
+    df = np.bincount(terms, minlength=len(term_ids))
+    offsets = np.concatenate(([0], np.cumsum(df))).astype(np.int64)
+    avg = sum(doc_lengths.values()) / n if n else 0.0
+    weights = payloads
+    if mode == "bm25":
+        idf = [math.log(1.0 + (n - f + 0.5) / (f + 0.5)) for f in df.tolist()]
+        lengths = np.array([doc_lengths[d] for d in doc_ids], dtype=np.float64)
+        norm = 1.0 - B + B * (lengths[docs] / (avg or 1.0))
+        weights = np.repeat(idf, df) * (payloads * (K1 + 1.0)) / (payloads + K1 * norm)
+    for arr in (offsets, docs, payloads, weights):
+        arr.flags.writeable = False
+    return InvertedIndex(
+        mode, doc_ids, doc_lengths, avg, term_ids, offsets, docs, payloads, weights
+    )
+
+
+_doc_ids = st.text("abc123", min_size=1, max_size=3)
+_words = st.sampled_from(
+    ["apple", "Apple", "APPLE", "b2", "B2", "the", "\xe9t\xe9", "\u0130x", "z"]
+)
+_passage_text = st.one_of(
+    st.lists(_words, min_size=1, max_size=12).map(" ".join),
+    st.lists(_words, min_size=1, max_size=12).map("-".join),
+    st.text(_TEXT_ALPHABET, min_size=1, max_size=20),  # may hold no token at all
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.lists(st.tuples(_doc_ids, _passage_text), unique_by=lambda p: p[0], max_size=8))
+@example([])
+@example([("d1", "Apple apple, APPLE!")])
+def test_build_index_packs_as_the_per_passage_counter_did(passages):
+    index = build_index([Passage(doc_id, text) for doc_id, text in passages])
+    rows = []
+    for doc_id, text in passages:
+        tokens = AnalyzerConfig().tokenize(text)
+        rows.append((doc_id, len(tokens), dict(Counter(tokens))))
+    _assert_same_index(index, reference_pack("bm25", rows))
+    assert type(index._term_ids) is dict
+
+
+_sparse_entries = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c:d", "\xe9"]),
+        st.sampled_from(["0", "1", "2.5", "0.125", "3e2"]),
+    ),
+    max_size=6,
+).map(lambda entries: " ".join(f"{term}:{weight}" for term, weight in entries))
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.lists(st.tuples(_doc_ids, _sparse_entries), unique_by=lambda p: p[0], max_size=8))
+@example([])
+@example([("d1", "a:1 b:0 a:2")])
+def test_build_sparse_index_packs_as_the_lexsort_did(lines):
+    text = "".join(f"{doc_id}\t{payload}\n" for doc_id, payload in lines)
+    vectors = load_sparse_vectors(io.StringIO(text))
+    rows = [(doc_id, len(vector), vector.entries) for doc_id, vector in vectors.items()]
+    index = build_sparse_index(vectors)
+    _assert_same_index(index, reference_pack("sparse", rows))
+    assert type(index._term_ids) is dict

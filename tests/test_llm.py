@@ -1,5 +1,6 @@
 """Prompt rendering, exchange cache behaviour, and output parsing."""
 
+import http.client
 import io
 import json
 import os
@@ -442,8 +443,13 @@ def test_http_transport_posts_the_payload_to_its_endpoint(monkeypatch, api_key):
 
 @pytest.mark.parametrize(
     "failure",
-    [urllib.error.URLError("connection refused"), ConnectionResetError("reset"), TimeoutError()],
-    ids=["url-error", "os-error", "timeout"],
+    [
+        urllib.error.URLError("connection refused"),
+        ConnectionResetError("reset"),
+        TimeoutError(),
+        http.client.IncompleteRead(b"partial"),  # a truncated reply body
+    ],
+    ids=["url-error", "os-error", "timeout", "incomplete-read"],
 )
 def test_http_transport_failure_is_transport_error(monkeypatch, failure):
     def urlopen(request, timeout):
