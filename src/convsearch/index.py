@@ -60,10 +60,11 @@ __all__ = [
     "text_to_query_vector",
 ]
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
-# ASCII letters to lower case, digits kept, every other ASCII character a space
-_ASCII_TOKEN_TABLE = str.maketrans(
-    {c: c.lower() if c.isalnum() else " " for c in map(chr, range(128))}
+# UTF-8 bytes: ASCII letters to lower case, digits kept, every other byte a
+# space.  Every byte of a non-ASCII character's UTF-8 form is 0x80 or above,
+# so non-ASCII characters only separate tokens.
+_TOKEN_TABLE = bytes(
+    ord(chr(b).lower()) if b < 128 and chr(b).isalnum() else ord(" ") for b in range(256)
 )
 
 # BM25 saturation and length normalisation, applied when the index is built
@@ -82,12 +83,9 @@ class AnalyzerConfig:
     stopwords: frozenset[str] = frozenset()
 
     def tokenize(self, text: str) -> list[str]:
-        if text.isascii():
-            tokens = text.translate(_ASCII_TOKEN_TABLE).split()
-        else:
-            # the table passes non-ASCII characters through, and lowering them
-            # first can make ASCII letters ('\u0130', '\u212a')
-            tokens = [t.lower() for t in _TOKEN_RE.findall(text)]
+        # surrogatepass: JSON-decoded text can hold lone surrogates
+        raw = text.encode("utf-8", "surrogatepass").translate(_TOKEN_TABLE)
+        tokens = raw.decode("ascii").split()
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         return tokens

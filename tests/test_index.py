@@ -624,8 +624,9 @@ def test_text_to_query_vector_counts():
 
 _STOPWORDS = frozenset({"the", "a", "x1"})
 # mostly ASCII, with characters that lower to ASCII letters (U+0130, the
-# Kelvin sign U+212A), a non-ASCII space and an ASCII separator str.split() splits at
-_TEXT_ALPHABET = "aAbZxX019 _-.,'\t\n\x1c\x7f\xa0\u0130\u212a\xe9"
+# Kelvin sign U+212A), a non-ASCII space, an ASCII separator str.split()
+# splits at and a lone surrogate, which JSON-decoded text can hold
+_TEXT_ALPHABET = "aAbZxX019 _-.,'\t\n\x1c\x7f\xa0\u0130\u212a\xe9\ud800"
 
 
 @settings(max_examples=400, derandomize=True, database=None)
