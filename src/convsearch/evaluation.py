@@ -218,11 +218,14 @@ class MetricReport:
 
 
 def default_query_id_parser(query_id: str) -> tuple[str, int]:
-    """Split ``<topic>_<turn>`` on the last underscore."""
+    """Split ``<topic>_<turn>`` on the last underscore; a turn is ASCII digits."""
     topic, _, turn = query_id.rpartition("_")
-    if not topic or not turn.isdigit():
-        raise ValueError(f"query_id '{query_id}' is not of the form <topic>_<turn>")
-    return topic, int(turn)
+    try:
+        if topic and turn.isascii() and turn.isdigit():
+            return topic, int(turn)
+    except ValueError:  # int() refuses a string of more than 4,300 digits
+        pass
+    raise ValueError(f"query_id '{query_id}' is not of the form <topic>_<turn>")
 
 
 def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:

@@ -6,14 +6,15 @@ rewrite shipped with the topic file), a first-stage retriever (bm25 or
 sparse), a fusion strategy, and the reranking scorers: a run reranks iff
 ``scorer_ids`` is non-empty, and several scorers are averaged.  Every stage
 ranks to the TREC submission depth ``MAX_RANKING``, and every prompt gets
-the topic's whole PTKB.  Three fusion strategies cover the submitted-run
+the topic's whole PTKB.  Two fusion strategies cover the submitted-run
 shapes:
 
 * ``pool_then_rerank`` - retrieve per generated query, pool the candidate
   union, then rerank the pool with an independent single rewrite.
-* ``interleave``       - retrieve and rerank per query, then interleave
-  the resulting lists round-robin.
 * ``none``             - one query drives retrieval and reranking.
+
+Interleaving per-query lists is not a run shape; it stays a way to fuse
+finished run files (``convsearch fuse --method interleave``).
 
 Each turn also produces PTKB relevance labels and a grounded answer from
 the top five ranked passages.  Turns use gold-response history, so they
@@ -32,7 +33,7 @@ from typing import IO, ClassVar, Mapping, Sequence, get_origin, get_type_hints
 
 from .conversation import Topic, parse_topics, ptkb_text, render_context
 from .evaluation import write_run_file
-from .fusion import interleave, pool_candidates, rerank, resolve_scorer
+from .fusion import pool_candidates, rerank, resolve_scorer
 from .index import (
     InvertedIndex,
     Passage,
@@ -67,7 +68,7 @@ MAX_RANKING = 1000
 
 _REWRITERS = ("multi_query", "human_rewrite")
 _RETRIEVERS = ("bm25", "sparse")
-_FUSIONS = ("pool_then_rerank", "interleave", "none")
+_FUSIONS = ("pool_then_rerank", "none")
 # the files a run spec names: its two index sources, topics, qrels, the LLM cache
 _PATH_NAMES = ("corpus", "sparse_vectors", "topics", "qrels", "cache_dir")
 
@@ -107,7 +108,10 @@ def _json_fields(cls: type, data: Mapping) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The seams one run varies; turn ids are ``<topic>_<turn>``."""
+    """The seams one run varies; turn ids are ``<topic>_<turn>``.
+
+    ``fusion`` names one of the two run shapes: ``pool_then_rerank`` or ``none``.
+    """
 
     turn_id_template: ClassVar[str] = "{topic}_{turn}"
     run_tag: str
@@ -129,28 +133,12 @@ class RunConfig:
             raise ValueError(f"unknown fusion '{self.fusion}'")
         if self.phi < 1:
             raise ValueError("phi must be >= 1")
-        if self.fusion in ("pool_then_rerank", "interleave") and self.rewriter != "multi_query":
-            raise ValueError(f"fusion '{self.fusion}' requires the multi_query rewriter")
+        if self.fusion == "pool_then_rerank" and self.rewriter != "multi_query":
+            raise ValueError("fusion 'pool_then_rerank' requires the multi_query rewriter")
         if self.fusion == "pool_then_rerank" and not self.scorer_ids:
             raise ValueError("pool_then_rerank requires a reranker (non-empty scorer_ids)")
         if self.rewriter == "multi_query" and self.phi > 1 and self.fusion == "none":
             raise ValueError("multi_query with phi > 1 requires a fusion strategy")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RunConfig":
-        """Build a config from the field keys of a JSON mapping; other keys are ignored.
-
-        Raises:
-            ValueError: naming the fields without a default that are absent,
-                or a field whose value has the wrong JSON type.
-        """
-        missing = [
-            f.name for f in fields(cls)
-            if f.name not in data and f.default is MISSING and f.default_factory is MISSING
-        ]
-        if missing:
-            raise ValueError(f"missing fields {missing}")
-        return cls(**_json_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -221,20 +209,16 @@ def execute_turn(
         scorers = [resolve_scorer(s, config.scorer_endpoints) for s in config.scorer_ids]
         retrieved = [_retrieve(config, index, q, turn_id) for q in queries]
 
+        # a run that does not pool has exactly one query (phi > 1 requires pooling)
         if config.fusion == "pool_then_rerank":
             pooled = pool_candidates(retrieved, MAX_RANKING)
             rerank_query = llm.generate_rewrite(ctx, ptkb_string, turn.user_utterance)
             ranking = rerank(scorers, rerank_query, pooled, MAX_RANKING, get_passage, turn_id)
+        elif scorers:
+            candidates = retrieved[0].doc_ids()
+            ranking = rerank(scorers, queries[0], candidates, MAX_RANKING, get_passage, turn_id)
         else:
-            if scorers:
-                retrieved = [
-                    rerank(scorers, q, lst.doc_ids(), MAX_RANKING, get_passage, turn_id)
-                    for q, lst in zip(queries, retrieved)
-                ]
-            # without fusion there is exactly one query (phi > 1 requires a fusion)
-            ranking = interleave(retrieved) if config.fusion == "interleave" else retrieved[0]
-        if len(ranking) > MAX_RANKING:  # an interleaved ranking can run longer
-            ranking = RankedList(ranking.query_id, ranking.items[:MAX_RANKING])
+            ranking = retrieved[0]
 
         top_docs = [get_passage(doc_id) for doc_id in ranking.doc_ids()[:5]]
         answer, provenance = llm.generate_response(
@@ -359,7 +343,13 @@ def load_run_spec(path: str | Path) -> RunSpec:
             name: (base / value).resolve() if not Path(value).is_absolute() else Path(value)
             for name, value in paths.items()
         }
-        return RunSpec(config=RunConfig.from_dict(data), **settings)
+        missing = [
+            f.name for f in fields(RunConfig)
+            if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"missing fields {missing}")
+        return RunSpec(config=RunConfig(**_json_fields(RunConfig, data)), **settings)
     except ValueError as exc:
         raise ValueError(f"run spec {spec_path}: {exc}") from exc
 

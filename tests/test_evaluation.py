@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convsearch.evaluation import (
     EvalCutoffs,
@@ -291,6 +293,51 @@ def test_read_run_file_takes_only_ascii_finite_scores(score, problem):
     assert run["q"].items == (("a", 1.5), ("b", 0.5), ("c", -0.2))
 
 
+# one whitespace-free field, drawn mostly from the characters a number is made of
+def _fields(alphabet):
+    return st.one_of(
+        st.text(alphabet, min_size=1, max_size=12),
+        st.integers().map(str),
+        st.integers().map("{:_}".format),  # int() and float() read "1_000"
+        st.floats().map(str),
+        st.text(min_size=1),
+    ).filter(lambda text: text.split() == [text])
+
+
+_ODD_DIGITS = "\u0661\uff11\u00b2"  # Arabic-Indic one, full-width one, superscript two
+# the run-file score grammar: an ASCII decimal, no "_", no inf or nan spelling
+_ASCII_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_fields("0123456789+-.eE_infatyINFATY" + _ODD_DIGITS), st.integers(0, 3))
+def test_read_run_file_takes_a_score_iff_it_is_an_ascii_finite_decimal(score, lineno):
+    good = "".join(f"q Q0 d{i} {i + 1} 1.0 t\n" for i in range(lineno))
+    text = f"{good}q Q0 x {lineno + 1} {score} t\n"
+    accepted = _ASCII_DECIMAL.fullmatch(score) is not None and math.isfinite(float(score))
+    if accepted:
+        assert dict(read_run_file(io.StringIO(text))["q"].items)["x"] == float(score)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"run line {lineno + 1}: ")):
+            read_run_file(io.StringIO(text))
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_fields("0123456789+-._e " + _ODD_DIGITS), st.integers(0, 3))
+def test_parse_qrels_takes_a_grade_iff_it_is_ascii_digits(grade, lineno):
+    good = "".join(f"q 0 d{i} 1\n" for i in range(lineno))
+    text = f"{good}q 0 x {grade}\n"
+    prefix = f"qrels line {lineno + 1}: "
+    if re.fullmatch(r"-?[0-9]+", grade) is None:
+        with pytest.raises(ValueError, match=re.escape(f"{prefix}non-integer relevance")):
+            parse_qrels(io.StringIO(text))
+    elif int(grade) < 0:
+        with pytest.raises(ValueError, match=re.escape(f"{prefix}negative relevance")):
+            parse_qrels(io.StringIO(text))
+    else:
+        assert parse_qrels(io.StringIO(text)).judgments[("q", "x")] == int(grade)
+
+
 # ---------------------------------------------------------------------------
 # evaluate_run report
 # ---------------------------------------------------------------------------
@@ -356,10 +403,13 @@ def test_evaluate_run_flags_zero_relevant():
 
 
 def test_evaluate_run_rejects_bad_query_id():
-    rows = [("nounderscore", "A", 1, 1.0)]
-    qrels = parse_qrels(io.StringIO("nounderscore 0 A 1\n"))
-    with pytest.raises(ValueError, match="nounderscore"):
-        evaluate_run(_run_file(rows), qrels)
+    # a turn is ASCII digits: not a superscript, an Arabic-Indic or a full-width digit
+    for query_id in ("nounderscore", "1_\u00b2", "1_\u0661", "1_\uff11", "1_" + "1" * 4301):
+        rows = [(query_id, "A", 1, 1.0)]
+        qrels = parse_qrels(io.StringIO(f"{query_id} 0 A 1\n"))
+        message = f"query_id '{query_id}' is not of the form <topic>_<turn>"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_run(_run_file(rows), qrels)
 
 
 def test_evaluate_custom_cutoffs_change_columns():

@@ -153,17 +153,6 @@ def test_execute_turn_pool_then_rerank_uses_independent_rewrite(tmp_path):
     assert any("more than 1 queries" in p for p in prompts)
 
 
-def test_execute_turn_interleave_path(tmp_path):
-    index, gateway, passages = _mini_env(tmp_path)
-    config = RunConfig(
-        run_tag="x", rewriter="multi_query", retriever="bm25", phi=3,
-        fusion="interleave", scorer_ids=("lexical-overlap",),
-    )
-    result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
-    scores = [s for _, s in result.ranking.items]
-    assert scores == [1.0 / r for r in range(1, len(scores) + 1)]
-
-
 def test_execute_turn_replay_miss_carries_turn_id(tmp_path):
     index, _, passages = _mini_env(tmp_path)
     replay = LLMGateway("m", tmp_path / "empty_cache", mode="replay")
@@ -404,26 +393,43 @@ def test_shipped_configs_reproduce_submitted_run_seams():
     assert seen == expected
 
 
-def test_legacy_reranker_key_is_ignored():
-    # from_dict reads only its fields; load_run_spec is what rejects other keys
+def test_pooling_is_exactly_a_multi_query_run_of_several_queries(tmp_path):
+    # every shipped config pools iff it asks for several queries, and at phi 1
+    # pooling changes no byte: the independent rewrite is queries[0]'s cache
+    # entry, and a one-list pool is that list
     for path in sorted(CONFIG_DIR.glob("*.json")):
-        data = json.loads(path.read_text(encoding="utf-8"))
-        legacy = dict(data, reranker="ensemble" if len(data["scorer_ids"]) > 1 else "single")
-        assert RunConfig.from_dict(legacy) == RunConfig.from_dict(data)
-    bare = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
-    assert RunConfig.from_dict(dict(bare, reranker="none")) == RunConfig.from_dict(bare)
+        config = load_run_spec(path).config
+        pools = config.rewriter == "multi_query" and config.phi > 1
+        assert (config.fusion == "pool_then_rerank") == pools, path.name
+    for name in ("gpt4qr_deberta", "gpt4qr_bm25_qd1"):
+        spec = load_run_spec(CONFIG_DIR / f"{name}.json")
+        assert spec.config.fusion == "none"
+        outputs = []
+        for fusion in ("none", "pool_then_rerank"):
+            config = replace(spec.config, fusion=fusion)
+            paths = execute_spec(replace(spec, config=config), tmp_path / fusion)
+            outputs.append([p.read_bytes() for p in paths])
+        assert outputs[0] == outputs[1]
 
 
-def test_from_dict_reads_every_field_and_defaults_the_rest():
+def _write_spec(tmp_path, data):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def test_from_dict_reads_every_field_and_defaults_the_rest(tmp_path):
+    # load_run_spec is the one JSON reader of a run config
     data = {
         "run_tag": "x", "rewriter": "multi_query", "retriever": "sparse",
-        "fusion": "interleave", "scorer_ids": ["a", "b"], "phi": 3,
+        "fusion": "pool_then_rerank", "scorer_ids": ["a", "b"], "phi": 3,
         "scorer_endpoints": {"a": "http://h/a"},
     }
     assert set(data) == {f.name for f in fields(RunConfig)}
-    assert RunConfig.from_dict(data) == RunConfig(**dict(data, scorer_ids=("a", "b")))
+    expected = RunConfig(**dict(data, scorer_ids=("a", "b")))
+    assert load_run_spec(_write_spec(tmp_path, data)).config == expected
     bare = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
-    assert RunConfig.from_dict(bare) == RunConfig(**bare)
+    assert load_run_spec(_write_spec(tmp_path, bare)).config == RunConfig(**bare)
 
 
 @pytest.mark.parametrize(
@@ -441,10 +447,10 @@ def test_from_dict_reads_every_field_and_defaults_the_rest():
         ("scorer_endpoints", {"a": 1}),
     ],
 )
-def test_config_values_must_have_their_json_type(key, value):
+def test_config_values_must_have_their_json_type(tmp_path, key, value):
     data = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25", key: value}
     with pytest.raises(ValueError, match=f"field '{key}' must be"):
-        RunConfig.from_dict(data)
+        load_run_spec(_write_spec(tmp_path, data))
 
 
 def test_turn_ids_parse_back_into_topic_and_turn():
@@ -488,13 +494,15 @@ def test_run_spec_rejects_unknown_path_names(tmp_path):
 
 
 def test_run_spec_rejects_the_single_rewrite_rewriter(tmp_path):
-    # a single rewrite is multi_query at phi 1; the old spelling has no alias
+    # a single rewrite is multi_query at phi 1, and a run pools its lists
+    # rather than interleaving them; neither old spelling has an alias
     data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
     path = tmp_path / "old.json"
-    path.write_text(json.dumps(dict(data, rewriter="single_rewrite")), encoding="utf-8")
-    message = f"run spec {path}: unknown rewriter 'single_rewrite'"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        load_run_spec(path)
+    for key, value in (("rewriter", "single_rewrite"), ("fusion", "interleave")):
+        path.write_text(json.dumps(dict(data, **{key: value})), encoding="utf-8")
+        message = f"run spec {path}: unknown {key} '{value}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_run_spec(path)
 
 
 def test_run_spec_rejects_an_unknown_llm_mode_before_any_index_is_built(tmp_path):
@@ -517,8 +525,11 @@ def test_run_spec_names_a_missing_field_and_its_file(tmp_path):
         path.write_text(json.dumps({k: v for k, v in data.items() if k != name}), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing fields ['{name}']")):
             load_run_spec(path)
-    with pytest.raises(ValueError, match=re.escape("['run_tag', 'rewriter', 'retriever']")):
-        RunConfig.from_dict({})
+    path = tmp_path / "paths_only.json"
+    path.write_text(json.dumps({"paths": data["paths"]}), encoding="utf-8")
+    message = f"{path}: missing fields ['run_tag', 'rewriter', 'retriever']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_run_spec(path)
 
 
 @pytest.mark.parametrize(
