@@ -4,6 +4,8 @@
 Prints one JSON line:
 
 * ``src_lines``        - lines in every ``.py`` file under ``src/``.
+* ``public_names``     - distinct objects listed in the ``convsearch``
+  modules' ``__all__``: functions, classes and constants alike.
 * ``settable_values``  - parameters a caller can set on the public API: for
   each name in a ``convsearch`` module's ``__all__``, a function's
   parameters, or a class's constructor parameters (dataclass fields
@@ -89,6 +91,7 @@ def census(root: Path) -> dict:
     cli = importlib.import_module("convsearch.cli")
     return {
         "src_lines": lines,
+        "public_names": len(seen),
         "settable_values": settable,
         "defaulted_values": defaulted,
         "cli_options": _cli_options(cli.build_parser()),

@@ -79,6 +79,6 @@ from .pipeline import (
     write_response_records,
     write_trec_run,
 )
-from .prompts import TEMPLATES, PromptTemplate, render_prompt
+from .prompts import TEMPLATES, render_prompt
 
 __version__ = "0.1.0"

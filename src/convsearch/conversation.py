@@ -105,7 +105,11 @@ def _parse_topic(entry: dict, position: int) -> Topic:
         (_integer(key, key.isascii() and key.isdigit(), topic_id, "ptkb key"), str(text))
         for key, text in ptkb_raw.items()
     ]
-    statements = [PTKBStatement(i, text) for i, text in sorted(indexed, key=lambda pair: pair[0])]
+    indexed.sort(key=lambda pair: pair[0])
+    try:
+        statements = [PTKBStatement(i, text) for i, text in indexed]
+    except ValueError as exc:  # a key of 0 or an empty statement
+        raise ValueError(f"topic '{topic_id}': {exc}") from None
     turns = []
     for turn_entry in entry["turns"]:
         for required in ("turn_number", "utterance"):
@@ -134,8 +138,9 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
 
     Raises:
         ValueError: naming the topic and field for missing fields, a ptkb
-            that is not an object, a ptkb key that is not ASCII digits, a turn
-            number that is not a JSON integer, or numbering not contiguous from 1.
+            that is not an object, a ptkb key that is not ASCII digits, an
+            empty statement, a turn number that is not a JSON integer, or
+            numbering not contiguous from 1.
     """
     with _text(source) as handle:
         data = json.load(handle)

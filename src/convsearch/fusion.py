@@ -10,23 +10,23 @@ union of per-list prefixes for a later reranking pass.
 Rerankers are pluggable scorers: anything with
 ``score(query, passages) -> list[float]`` aligned with its input.  Scorers
 must be pure in (query, passage) and safe for concurrent batch calls.
-Cross-encoder services plug in through :class:`RemoteScorer`; offline
-deterministic scorers back tests, demos, and the shipped fixture configs.
+Cross-encoder services plug in through :class:`RemoteScorer`, which posts
+through the chat transport's JSON POST helper in :mod:`convsearch.llm`;
+offline deterministic scorers back tests, demos, and the shipped fixture
+configs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import re
-import urllib.error
-import urllib.request
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .index import AnalyzerConfig, Passage, RankedList
+from .llm import _post_json
 
 __all__ = [
     "Scorer",
@@ -121,11 +121,12 @@ class RemoteScorer:
     """Adapter for a cross-encoder service.
 
     POSTs ``{"query": ..., "passages": [{"doc_id", "text"}, ...]}`` and
-    expects ``{"scores": [...]}`` of finite JSON numbers aligned with the
-    input.  A request that fails, or outlasts ``TIMEOUT`` seconds, raises.
+    expects ``{"scores": [...]}`` of finite JSON numbers, one per passage.
+    Every failure raises a :class:`RuntimeError` naming the endpoint: a
+    request that fails, or outlasts ``llm.TIMEOUT`` seconds, raises
+    :class:`~convsearch.llm.TransportError`, and any other reply
+    "malformed scorer reply".
     """
-
-    TIMEOUT = 60.0
 
     def __init__(self, endpoint_url: str):
         self.endpoint_url = endpoint_url
@@ -135,26 +136,16 @@ class RemoteScorer:
             "query": query,
             "passages": [{"doc_id": p.doc_id, "text": p.text} for p in passages],
         }
-        body = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint_url, data=body, headers={"Content-Type": "application/json"}
-        )
+        body = _post_json(self.endpoint_url, payload)
         try:
-            with urllib.request.urlopen(request, timeout=self.TIMEOUT) as response:
-                data = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, http.client.HTTPException, ValueError) as exc:
-            raise RuntimeError(f"scorer request to {self.endpoint_url} failed: {exc}") from exc
-        try:
-            raw = data["scores"]
+            raw = json.loads(body.decode("utf-8"))["scores"]
             scores = [float(s) for s in raw]  # an int past the float range overflows
             if any(type(s) not in (int, float) for s in raw) or not np.isfinite(scores).all():
                 raise ValueError("scores must be finite JSON numbers")
+            if len(scores) != len(passages):
+                raise ValueError(f"{len(scores)} scores for {len(passages)} passages")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RuntimeError(f"malformed scorer reply: {exc!r} from {self.endpoint_url}") from exc
-        if len(scores) != len(passages):
-            raise RuntimeError(
-                f"scorer returned {len(scores)} scores for {len(passages)} passages"
-            )
         return scores
 
 
@@ -229,32 +220,26 @@ def ensemble_fuse(lists: Sequence[RankedList]) -> RankedList:
 def interleave(lists: Sequence[RankedList]) -> RankedList:
     """Merge lists round-robin with global deduplication.
 
-    On each list's turn its cursor advances past already-emitted documents
-    and contributes at most one new document.  Output scores are synthetic
-    1/rank values, preserving the ranked-list invariant.
+    On each list's turn it contributes its next document not yet emitted;
+    a list that runs out drops out of the rounds.  Output scores are
+    synthetic 1/rank values, preserving the ranked-list invariant.
 
     Raises:
         ValueError: when the lists do not share one query_id.
     """
     query_id = _require_shared_query_id(lists)
-    cursors = [0] * len(lists)
+    iterators = [iter(ranked.doc_ids()) for ranked in lists]
     seen: set[str] = set()
     merged: list[str] = []
-    remaining = True
-    while remaining:
-        remaining = False
-        for position, ranked in enumerate(lists):
-            cursor = cursors[position]
-            while cursor < len(ranked.items) and ranked.items[cursor][0] in seen:
-                cursor += 1
-            if cursor < len(ranked.items):
-                doc_id = ranked.items[cursor][0]
-                seen.add(doc_id)
-                merged.append(doc_id)
-                cursors[position] = cursor + 1
-                remaining = True
-            else:
-                cursors[position] = cursor
+    while iterators:
+        for iterator in tuple(iterators):
+            for doc_id in iterator:
+                if doc_id not in seen:
+                    seen.add(doc_id)
+                    merged.append(doc_id)
+                    break
+            else:  # the list ran out
+                iterators.remove(iterator)
     items = tuple((doc_id, 1.0 / rank) for rank, doc_id in enumerate(merged, start=1))
     return RankedList(query_id, items)
 

@@ -14,6 +14,10 @@ A transport is any callable ``(model_id, prompt) -> response text``.
 Decoding is fixed: :class:`HttpChatTransport` always asks for temperature
 0 and sends no other setting, so the cache key covers everything a
 request carries.  A cache record is checked against its key when read.
+The chat transport and :class:`~convsearch.fusion.RemoteScorer` send
+their requests through one JSON POST helper, which waits at most
+:data:`TIMEOUT` seconds and reports any failure as a
+:class:`TransportError` naming the URL.
 
 The gateway's task-level operations (query generation, single rewrite,
 PTKB classification, grounded answer generation) render the frozen prompt
@@ -29,12 +33,11 @@ import json
 import os
 import re
 import string
-import urllib.error
 import urllib.request
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .conversation import PTKBStatement
 from .index import Passage
@@ -59,6 +62,8 @@ Transport = Callable[[str, str], str]
 
 LLM_MODES = ("record", "replay")
 
+TIMEOUT = 60.0  # seconds one HTTP request may take
+
 
 class CacheMissError(Exception):
     """Raised in replay mode when the requested cache key is absent."""
@@ -68,8 +73,27 @@ class CacheMissError(Exception):
         self.key = key
 
 
-class TransportError(Exception):
+class TransportError(RuntimeError):
     """A failed transport call: it aborts the run, and a re-run in record mode resumes it."""
+
+
+def _post_json(url: str, payload: object, headers: Mapping[str, str] = {}) -> bytes:
+    """POST ``payload`` as JSON to ``url`` and return the reply body.
+
+    Raises:
+        TransportError: naming ``url``, when the request fails, its reply is
+            cut short, or it outlasts :data:`TIMEOUT` seconds.
+    """
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json", **headers},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=TIMEOUT) as response:
+            return response.read()
+    except (OSError, http.client.HTTPException) as exc:  # URLError and timeouts are OSErrors
+        raise TransportError(f"request to {url} failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -167,10 +191,9 @@ class HttpChatTransport:
 
     Posts ``{"model", "messages", "temperature": 0.0}`` and reads the first
     choice's message content, the shape used by common completion APIs.
-    A request that fails, or outlasts ``TIMEOUT`` seconds, raises :class:`TransportError`.
+    A request that fails, or outlasts :data:`TIMEOUT` seconds, and a reply
+    that is not such JSON raise :class:`TransportError`.
     """
-
-    TIMEOUT = 60.0
 
     def __init__(self, endpoint_url: str, api_key: str | None = None):
         self.endpoint_url = endpoint_url
@@ -194,16 +217,9 @@ class HttpChatTransport:
             raise TransportError(f"malformed completion response: {exc}") from exc
 
     def __call__(self, model_id: str, prompt: str) -> str:
-        body = json.dumps(self.build_payload(model_id, prompt)).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(self.endpoint_url, data=body, headers=headers)
-        try:
-            with urllib.request.urlopen(request, timeout=self.TIMEOUT) as response:
-                return self.parse_response(response.read())
-        except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
-            raise TransportError(f"completion request failed: {exc}") from exc
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        payload = self.build_payload(model_id, prompt)
+        return self.parse_response(_post_json(self.endpoint_url, payload, headers))
 
 
 _ENUMERATION_RE = re.compile(r"^\s*(?:\d+[.)]|[-*•])\s*")

@@ -361,9 +361,9 @@ def test_criterion_5_replay_determinism(tmp_path):
 
 @criterion(6, "prompt fidelity")
 def test_criterion_6_prompt_fidelity():
-    multi = TEMPLATES["multi_query"].body
-    rag = TEMPLATES["rag_answer"].body
-    classify = TEMPLATES["ptkb_classify"].body
+    multi = TEMPLATES["multi_query"]
+    rag = TEMPLATES["rag_answer"]
+    classify = TEMPLATES["ptkb_classify"]
 
     # golden bodies, frozen verbatim
     assert multi == (

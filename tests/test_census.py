@@ -16,6 +16,8 @@ def test_census_prints_one_json_line_of_counts(tmp_path):
     lines = done.stdout.splitlines()
     assert len(lines) == 1
     counts = json.loads(lines[0])
-    assert set(counts) == {"src_lines", "settable_values", "defaulted_values", "cli_options"}
+    assert set(counts) == {
+        "src_lines", "public_names", "settable_values", "defaulted_values", "cli_options"
+    }
     assert all(type(value) is int and value > 0 for value in counts.values())
     assert counts["defaulted_values"] < counts["settable_values"]

@@ -5,6 +5,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convsearch.conversation import (
     PTKBStatement,
@@ -78,6 +80,7 @@ def test_parse_topics_rejects_gapped_ptkb():
     "topic_fields, turn_fields, message",
     [
         ({"ptkb": {"1": "s", "a": "t"}}, {}, "ptkb key must be an integer, got 'a'"),
+        ({"ptkb": {"0": "s"}}, {}, "ptkb statement index must be >= 1"),
         ({"ptkb": ["s", "t"]}, {}, "field 'ptkb' must be an object, got list"),
         ({}, {"turn_number": "one"}, "field 'turn_number' must be an integer, got 'one'"),
         ({}, {"turn_number": None}, "field 'turn_number' must be an integer, got None"),
@@ -96,8 +99,8 @@ def test_parse_topics_rejects_gapped_ptkb():
         ),
     ],
     ids=[
-        "ptkb-key", "ptkb-list", "turn-number", "turn-number-null", "turn-number-float",
-        "turn-number-integral-float", "turn-number-bool", "turn-number-string",
+        "ptkb-key", "ptkb-key-zero", "ptkb-list", "turn-number", "turn-number-null",
+        "turn-number-float", "turn-number-integral-float", "turn-number-bool", "turn-number-string",
         "ptkb-key-padded", "ptkb-key-signed", "ptkb-key-underscore", "ptkb-key-fullwidth",
         "ptkb-key-past-int-limit",
     ],
@@ -108,6 +111,61 @@ def test_parse_topics_names_the_topic_and_field_of_a_bad_number(
     payload = dict(_topic_payload(), **topic_fields)
     payload["turns"][0].update(turn_fields)
     with pytest.raises(ValueError, match=re.escape(f"topic '1': {message}")):
+        parse_topics(io.StringIO(json.dumps([payload])))
+
+
+# a JSON token for a turn number: any JSON number, and values of other types
+_TURN_TOKENS = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?", fullmatch=True),
+    st.sampled_from(["1", "-0", "1.0", "1e0", "10E-1", "true", "null", '"1"', "[1]", "{}"]),
+    st.builds(json.dumps, st.one_of(st.floats(), st.text(max_size=4), st.booleans())),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_TURN_TOKENS)
+def test_parse_topics_takes_a_turn_number_iff_it_is_a_json_integer(token):
+    text = json.dumps([_topic_payload(n_turns=1)])
+    text = text.replace('"turn_number": 1', f'"turn_number": {token}')
+    value = json.loads(token)
+    if re.fullmatch(r"-?(0|[1-9][0-9]*)", token) is None:
+        message = f"field 'turn_number' must be an integer, got {value!r}"
+    elif value != 1:
+        message = "non-contiguous turns"
+    else:
+        assert parse_topics(io.StringIO(text))[0].turns[0].turn_number == 1
+        return
+    with pytest.raises(ValueError, match=re.escape(f"topic '1': {message}")):
+        parse_topics(io.StringIO(text))
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.text("0123456789 +-_.\u0661\uff11\u00b2", min_size=1, max_size=6),
+        st.integers(-2, 12).map(str),
+        st.integers().map("{:_}".format),  # int() reads "1_000"
+        st.text(max_size=6),
+    )
+)
+def test_parse_topics_takes_a_ptkb_key_iff_it_is_ascii_digits(key):
+    text = json.dumps([dict(_topic_payload(), ptkb={key: "statement"})])
+    if re.fullmatch("[0-9]+", key) is None:
+        message = f"ptkb key must be an integer, got {key!r}"
+    elif int(key) == 0:
+        message = "ptkb statement index must be >= 1"
+    elif int(key) != 1:
+        message = "ptkb indices must be contiguous from 1"
+    else:
+        assert parse_topics(io.StringIO(text))[0].ptkb == (PTKBStatement(1, "statement"),)
+        return
+    with pytest.raises(ValueError, match=re.escape(f"topic '1': {message}")):
+        parse_topics(io.StringIO(text))
+
+
+def test_parse_topics_names_the_topic_of_an_empty_statement():
+    payload = dict(_topic_payload(), ptkb={"1": ""})
+    with pytest.raises(ValueError, match="topic '1': ptkb statement text must be non-empty"):
         parse_topics(io.StringIO(json.dumps([payload])))
 
 

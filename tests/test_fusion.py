@@ -3,6 +3,7 @@
 import http.client
 import io
 import json
+import re
 import urllib.request
 
 import numpy as np
@@ -21,6 +22,7 @@ from convsearch.fusion import (
     resolve_scorer,
 )
 from convsearch.index import Passage, RankedList
+from convsearch.llm import TIMEOUT
 
 
 def _ranked(query_id: str, pairs) -> RankedList:
@@ -358,12 +360,15 @@ def test_resolve_scorer_registry():
         (b'{"scores": [NaN]}', "ValueError"),
         (b'{"scores": [Infinity]}', "ValueError"),
         (b'{"scores": [1' + b"0" * 400 + b"]}", "OverflowError"),
+        # one score per passage, or the reply is malformed too
+        (b'{"scores": [1, 2]}', "ValueError('2 scores for 1 passages')"),
     ],
 )
 def test_remote_scorer_malformed_reply_is_runtime_error(monkeypatch, reply, problem):
     monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(reply))
     scorer = RemoteScorer("http://scorer.invalid")
-    with pytest.raises(RuntimeError, match=f"malformed scorer reply: {problem}") as caught:
+    message = re.escape(f"malformed scorer reply: {problem}")
+    with pytest.raises(RuntimeError, match=message) as caught:
         scorer.score("q", [Passage("d1", "text")])
     assert str(caught.value).endswith("from http://scorer.invalid")
 
@@ -375,7 +380,7 @@ def test_remote_scorer_truncated_reply_names_the_endpoint(monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     with pytest.raises(RuntimeError) as caught:
         RemoteScorer("http://scorer.invalid").score("q", [Passage("d1", "text")])
-    assert str(caught.value).startswith("scorer request to http://scorer.invalid failed: ")
+    assert str(caught.value).startswith("request to http://scorer.invalid failed: ")
 
 
 def test_remote_scorer_posts_query_and_passages_with_its_timeout(monkeypatch):
@@ -394,4 +399,4 @@ def test_remote_scorer_posts_query_and_passages_with_its_timeout(monkeypatch):
         "query": "q",
         "passages": [{"doc_id": "d1", "text": "one"}, {"doc_id": "d2", "text": "two"}],
     }
-    assert timeout == RemoteScorer.TIMEOUT == 60.0
+    assert timeout == TIMEOUT == 60.0

@@ -13,8 +13,10 @@ import urllib.request
 import pytest
 
 from convsearch.conversation import PTKBStatement
+from convsearch.fusion import RemoteScorer
 from convsearch.index import Passage
 from convsearch.llm import (
+    TIMEOUT,
     CacheMissError,
     HttpChatTransport,
     LLMCache,
@@ -27,7 +29,7 @@ from convsearch.llm import (
     parse_query_lines,
 )
 from convsearch.offline import ScriptedTransport, scripted_response
-from convsearch.prompts import TEMPLATES, PromptTemplate, render_prompt
+from convsearch.prompts import TEMPLATES, render_prompt
 
 # ---------------------------------------------------------------------------
 # prompt templates
@@ -70,9 +72,9 @@ GOLDEN_PTKB = (
 
 
 def test_template_bodies_match_golden_texts():
-    assert TEMPLATES["multi_query"].body == GOLDEN_MULTI_QUERY
-    assert TEMPLATES["rag_answer"].body == GOLDEN_RAG
-    assert TEMPLATES["ptkb_classify"].body == GOLDEN_PTKB
+    assert TEMPLATES["multi_query"] == GOLDEN_MULTI_QUERY
+    assert TEMPLATES["rag_answer"] == GOLDEN_RAG
+    assert TEMPLATES["ptkb_classify"] == GOLDEN_PTKB
 
 
 def test_render_multi_query_phi_substitution():
@@ -98,16 +100,6 @@ def test_render_missing_binding_names_placeholder():
         render_prompt(
             TEMPLATES["multi_query"], {"phi": "5", "ptkb": "P", "user utterance": "U"}
         )
-
-
-def test_template_rejects_unknown_placeholder():
-    with pytest.raises(ValueError, match="allowed set"):
-        PromptTemplate("multi_query", "hello {bogus}")
-
-
-def test_template_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown template"):
-        PromptTemplate("other", "hello")
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +430,7 @@ def test_http_transport_posts_the_payload_to_its_endpoint(monkeypatch, api_key):
     assert request.get_header("Content-type") == "application/json"
     expected = f"Bearer {api_key}" if api_key else None
     assert request.get_header("Authorization") == expected
-    assert timeout == HttpChatTransport.TIMEOUT == 60.0
+    assert timeout == TIMEOUT == 60.0
 
 
 @pytest.mark.parametrize(
@@ -456,8 +448,53 @@ def test_http_transport_failure_is_transport_error(monkeypatch, failure):
         raise failure
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    with pytest.raises(TransportError, match="completion request failed"):
-        HttpChatTransport("http://example.invalid/v1/chat")("gpt-4", "hello")
+    url = "http://example.invalid/v1/chat"
+    with pytest.raises(TransportError, match=re.escape(f"request to {url} failed: ")):
+        HttpChatTransport(url)("gpt-4", "hello")
+
+
+_SERVICE = "http://service.invalid"
+# each adapter's call, and how its error for a reply that is not UTF-8 JSON starts
+_ADAPTERS = {
+    "chat": (
+        lambda: HttpChatTransport(_SERVICE)("gpt-4", "hello"),
+        "malformed completion response: ",
+    ),
+    "scorer": (
+        lambda: RemoteScorer(_SERVICE).score("q", [Passage("d1", "text")]),
+        "malformed scorer reply: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("adapter", sorted(_ADAPTERS))
+@pytest.mark.parametrize(
+    "reply",
+    [
+        urllib.error.URLError("connection refused"),
+        ConnectionResetError("reset"),
+        TimeoutError(),
+        http.client.IncompleteRead(b"partial"),
+        b"<html>busy</html>",
+        b"\xff\xfe not utf-8",
+    ],
+    ids=["url-error", "connection-reset", "timeout", "incomplete-read", "not-json", "not-utf-8"],
+)
+def test_http_adapters_fail_with_a_runtime_error(monkeypatch, adapter, reply):
+    def urlopen(request, timeout):
+        if isinstance(reply, bytes):
+            return io.BytesIO(reply)
+        raise reply
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    call, malformed = _ADAPTERS[adapter]
+    with pytest.raises(RuntimeError) as caught:
+        call()
+    if isinstance(reply, bytes):  # a reply that came back but is not UTF-8 JSON
+        assert str(caught.value).startswith(malformed)
+    else:  # a request that failed: the same error from both adapters
+        assert type(caught.value) is TransportError
+        assert str(caught.value).startswith(f"request to {_SERVICE} failed: ")
 
 
 def test_scripted_response_is_deterministic():
