@@ -5,7 +5,8 @@ query id.  The ensemble path min-max normalizes each input list and
 averages per document (a document missing from a list contributes 0 for
 that list); the interleave path merges orderings round-robin with global
 deduplication and synthetic 1/rank scores; pooling takes the deduplicated
-union of per-list prefixes for a later reranking pass.
+union of per-list prefixes for a later reranking pass, which fuses its
+scorers' scores as arrays and builds one ranked list.
 
 Rerankers are pluggable scorers: anything with
 ``score(query, passages) -> list[float]`` aligned with its input.  Scorers
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from itertools import zip_longest
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -167,6 +169,14 @@ def resolve_scorer(scorer_id: str, endpoints: Mapping[str, str] | None = None) -
     return PseudoCrossEncoder(scorer_id)
 
 
+def _min_max(scores: np.ndarray) -> np.ndarray:
+    """Rescale to [0, 1]; a degenerate range (max == min) maps every score to 1.0."""
+    low, high = scores.min(), scores.max()
+    if high == low:
+        return np.ones_like(scores)
+    return (scores - low) / (high - low)
+
+
 def min_max_normalize(ranked: RankedList) -> RankedList:
     """Rescale scores to [0, 1] keeping ordering and documents unchanged.
 
@@ -175,14 +185,8 @@ def min_max_normalize(ranked: RankedList) -> RankedList:
     """
     if not ranked.items:
         return ranked
-    scores = np.array([s for _, s in ranked.items], dtype=float)
-    low, high = float(scores.min()), float(scores.max())
-    if high == low:
-        normalized = np.ones_like(scores)
-    else:
-        normalized = (scores - low) / (high - low)
-    items = tuple((doc_id, float(s)) for (doc_id, _), s in zip(ranked.items, normalized))
-    return RankedList(ranked.query_id, items)
+    normalized = _min_max(np.array([s for _, s in ranked.items]))
+    return RankedList(ranked.query_id, tuple(zip(ranked.doc_ids(), normalized.tolist())))
 
 
 def _require_shared_query_id(lists: Sequence[RankedList]) -> str:
@@ -252,16 +256,8 @@ def pool_candidates(lists: Sequence[RankedList], per_list_depth: int) -> list[st
     """
     if per_list_depth < 1:
         raise ValueError("per_list_depth must be >= 1")
-    seen: set[str] = set()
-    pooled: list[str] = []
-    for rank in range(min(per_list_depth, max((len(r) for r in lists), default=0))):
-        for ranked in lists:
-            if rank < len(ranked.items):
-                doc_id = ranked.items[rank][0]
-                if doc_id not in seen:
-                    seen.add(doc_id)
-                    pooled.append(doc_id)
-    return pooled
+    ranks = zip_longest(*(ranked.doc_ids()[:per_list_depth] for ranked in lists))
+    return list(dict.fromkeys(d for rank in ranks for d in rank if d is not None))
 
 
 def rerank(
@@ -276,13 +272,15 @@ def rerank(
 
     Candidates beyond ``depth`` are dropped; the output is a permutation
     of the scored prefix sorted by descending score (ties by doc_id).
-    One scorer's scores rank the candidates as they are; with several,
-    each scorer's scores over the same candidates are min-max normalized
-    and averaged.
+    One scorer's scores rank the candidates as they are; several, one
+    array row each, are min-max normalized and averaged to the floats
+    :func:`ensemble_fuse` gives for their rankings.  Only the result is
+    built as a ranked list.
 
     Raises:
-        ValueError: for no scorers, depth < 1, duplicate candidates, or an
-            unknown doc_id (named in the message).
+        ValueError: for no scorers, depth < 1, duplicate candidates, an
+            unknown doc_id or a non-finite score (both named in the
+            message), or a scorer giving the wrong number of scores.
     """
     if not scorers:
         raise ValueError("rerank requires at least one scorer")
@@ -299,14 +297,16 @@ def rerank(
             raise ValueError(f"unknown doc_id '{doc_id}'") from exc
     if not scored_ids:
         return RankedList(query_id, ())
-    per_scorer_lists = []
+    rows = []
     for scorer in scorers:
-        scores = scorer.score(query, passages)
-        if len(scores) != len(passages):
+        row = np.array(scorer.score(query, passages), dtype=float)
+        if row.shape != (len(passages),):
             raise ValueError("scorer returned misaligned scores")
-        per_scorer_lists.append(
-            RankedList.from_scores(query_id, dict(zip(scored_ids, scores)))
-        )
-    if len(per_scorer_lists) == 1:
-        return per_scorer_lists[0]
-    return ensemble_fuse(per_scorer_lists)
+        finite = np.isfinite(row)
+        if not finite.all():
+            bad = int(finite.argmin())
+            raise ValueError(f"non-finite score {row[bad]} for doc_id '{scored_ids[bad]}'")
+        rows.append(row)
+    # the same float operations, in the same order, as ensemble_fuse's sum and mean
+    fused = rows[0] if len(rows) == 1 else sum(map(_min_max, rows)) / len(rows)
+    return RankedList.from_scores(query_id, dict(zip(scored_ids, fused.tolist())))

@@ -191,35 +191,32 @@ class HttpChatTransport:
 
     Posts ``{"model", "messages", "temperature": 0.0}`` and reads the first
     choice's message content, the shape used by common completion APIs.
-    A request that fails, or outlasts :data:`TIMEOUT` seconds, and a reply
-    that is not such JSON raise :class:`TransportError`.
+    Every failure raises :class:`TransportError` naming the endpoint: a
+    request that fails, or outlasts :data:`TIMEOUT` seconds, and a reply
+    that is not such JSON ("malformed completion response").
     """
 
     def __init__(self, endpoint_url: str, api_key: str | None = None):
         self.endpoint_url = endpoint_url
         self.api_key = api_key
 
-    def build_payload(self, model_id: str, prompt: str) -> dict:
-        return {
+    def __call__(self, model_id: str, prompt: str) -> str:
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        payload = {
             "model": model_id,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0.0,
         }
-
-    @staticmethod
-    def parse_response(body: bytes) -> str:
+        body = _post_json(self.endpoint_url, payload, headers)
         try:
             content = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content {content!r} is not a string")
-            return content
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed completion response: {exc}") from exc
-
-    def __call__(self, model_id: str, prompt: str) -> str:
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        payload = self.build_payload(model_id, prompt)
-        return self.parse_response(_post_json(self.endpoint_url, payload, headers))
+            raise TransportError(
+                f"malformed completion response: {exc} from {self.endpoint_url}"
+            ) from exc
+        return content
 
 
 _ENUMERATION_RE = re.compile(r"^\s*(?:\d+[.)]|[-*•])\s*")

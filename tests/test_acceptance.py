@@ -7,6 +7,8 @@ acceptance is property- and oracle-based.
 """
 
 import functools
+import hashlib
+import json
 import math
 import time
 from pathlib import Path
@@ -39,7 +41,7 @@ from convsearch.index import (
 from convsearch.pipeline import execute_spec, load_run_spec
 from convsearch.prompts import TEMPLATES, render_prompt
 
-from conftest import CONFIG_DIR, FIXTURE_DIR
+from conftest import CONFIG_DIR, FIXTURE_DIR, TESTS_FIXTURE_DIR
 
 
 def criterion(number: int, name: str):
@@ -337,6 +339,9 @@ def test_criterion_4_recall_dominance():
 def test_criterion_5_replay_determinism(tmp_path):
     config_paths = sorted(CONFIG_DIR.glob("*.json"))
     assert len(config_paths) == 6
+    # sha256 of each config's .run and .responses.jsonl, frozen when recorded
+    golden = json.loads((TESTS_FIXTURE_DIR / "golden_outputs.json").read_text())
+    digests = {}
     for config_path in config_paths:
         spec = load_run_spec(config_path)
         assert spec.llm_mode == "replay"
@@ -352,6 +357,9 @@ def test_criterion_5_replay_determinism(tmp_path):
             outputs.append((run_path.read_bytes(), responses_path.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][0] and outputs[0][1]
+        for path, data in zip((run_path, responses_path), outputs[0]):
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == golden
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import http.client
 import io
 import json
+import math
 import re
 import urllib.request
 
@@ -309,6 +310,56 @@ def test_rerank_ensemble_averages_normalized_scores():
     second = Fixed({"d1": 10.0, "d2": 0.0, "d3": 5.0})
     result = rerank([first, second], "q", ["d1", "d2", "d3"], 3, get_passage)
     assert dict(result.items) == pytest.approx({"d1": 0.5, "d2": 0.25, "d3": 0.75})
+
+
+class _Row:
+    """Scores each passage with the next value of a fixed row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def score(self, query, passages):
+        assert len(passages) == len(self.row)
+        return list(self.row)
+
+
+def _bits(ranked: RankedList):
+    return [(doc_id, score.hex()) for doc_id, score in ranked.items]
+
+
+def test_rerank_equals_ensemble_fuse_of_the_per_scorer_rankings():
+    rng = np.random.default_rng(53)
+    doc_ids = [f"d{i:02d}" for i in range(40)]
+    get_passage = _store(*doc_ids)
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        chosen = [doc_ids[int(i)] for i in rng.choice(40, size=n, replace=False)]
+        rows = []
+        for _ in range(int(rng.integers(2, 6))):
+            kind = int(rng.integers(3))
+            if kind == 0:  # spread over several magnitudes
+                row = rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4))
+            elif kind == 1:  # few distinct values: forced ties
+                row = rng.integers(0, 3, size=n).astype(float)
+            else:  # a constant row normalizes to ones
+                row = np.full(n, rng.normal())
+            rows.append(row.tolist())
+        result = rerank([_Row(row) for row in rows], "q", chosen, n, get_passage, "q")
+        per_scorer = [RankedList.from_scores("q", dict(zip(chosen, row))) for row in rows]
+        assert _bits(result) == _bits(ensemble_fuse(per_scorer))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rerank_rejects_a_non_finite_score(bad):
+    get_passage = _store("d1", "d2", "d3")
+    good = _Row([1.0, 2.0, 3.0])
+    for row, named in (([bad] * 3, r"d\d"), ([1.0, bad, 3.0], "d2")):
+        # alone, and as one of two scorers, where an all-infinite row would
+        # otherwise min-max normalize to ones
+        for scorers in ([_Row(row)], [good, _Row(row)]):
+            message = re.escape(f"non-finite score {bad} for doc_id '") + named + "'"
+            with pytest.raises(ValueError, match=message):
+                rerank(scorers, "q", ["d1", "d2", "d3"], 3, get_passage)
 
 
 def test_rerank_empty_candidates():

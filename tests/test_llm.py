@@ -385,22 +385,39 @@ def test_generate_response_no_docs_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_http_transport_payload_shape():
-    transport = HttpChatTransport("http://example.invalid/v1/chat")
-    payload = transport.build_payload("gpt-4", "hello")
-    assert payload == {
-        "model": "gpt-4",
-        "messages": [{"role": "user", "content": "hello"}],
-        "temperature": 0.0,
-    }
+_CHAT = "http://example.invalid/v1/chat"
+_PAYLOAD = {
+    "model": "gpt-4",
+    "messages": [{"role": "user", "content": "hello"}],
+    "temperature": 0.0,
+}
 
 
-def test_http_transport_parses_choices():
-    body = b'{"choices": [{"message": {"content": "hi there"}}]}'
-    assert HttpChatTransport.parse_response(body) == "hi there"
+def _reply_with(monkeypatch, body: bytes) -> list:
+    """Serve ``body`` to every request instead of the network; return the requests seen."""
+    requests = []
+
+    def urlopen(request, timeout):
+        requests.append((request, timeout))
+        return io.BytesIO(body)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return requests
 
 
-def test_http_transport_malformed_response():
+def test_http_transport_payload_shape(monkeypatch):
+    requests = _reply_with(monkeypatch, b'{"choices": [{"message": {"content": "hi"}}]}')
+    HttpChatTransport(_CHAT)("gpt-4", "hello")
+    [(request, _)] = requests
+    assert json.loads(request.data) == _PAYLOAD
+
+
+def test_http_transport_parses_choices(monkeypatch):
+    _reply_with(monkeypatch, b'{"choices": [{"message": {"content": "hi there"}}]}')
+    assert HttpChatTransport(_CHAT)("gpt-4", "hello") == "hi there"
+
+
+def test_http_transport_malformed_response(monkeypatch):
     bodies = [
         b'{"unexpected": true}',
         b'{"choices": []}',
@@ -409,24 +426,19 @@ def test_http_transport_malformed_response():
         b'{"choices": [{"message": {"content": 5}}]}',
     ]
     for body in bodies:
-        with pytest.raises(TransportError, match="malformed completion response"):
-            HttpChatTransport.parse_response(body)
+        _reply_with(monkeypatch, body)
+        with pytest.raises(TransportError, match="malformed completion response") as caught:
+            HttpChatTransport(_CHAT)("gpt-4", "hello")
+        assert str(caught.value).endswith(f"from {_CHAT}")
 
 
 @pytest.mark.parametrize("api_key", [None, "secret"])
 def test_http_transport_posts_the_payload_to_its_endpoint(monkeypatch, api_key):
-    requests = []
-
-    def urlopen(request, timeout):
-        requests.append((request, timeout))
-        return io.BytesIO(b'{"choices": [{"message": {"content": "hi there"}}]}')
-
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    transport = HttpChatTransport("http://example.invalid/v1/chat", api_key=api_key)
-    assert transport("gpt-4", "hello") == "hi there"
+    requests = _reply_with(monkeypatch, b'{"choices": [{"message": {"content": "hi there"}}]}')
+    assert HttpChatTransport(_CHAT, api_key=api_key)("gpt-4", "hello") == "hi there"
     [(request, timeout)] = requests
-    assert request.full_url == "http://example.invalid/v1/chat"
-    assert json.loads(request.data) == transport.build_payload("gpt-4", "hello")
+    assert request.full_url == _CHAT
+    assert json.loads(request.data) == _PAYLOAD
     assert request.get_header("Content-type") == "application/json"
     expected = f"Bearer {api_key}" if api_key else None
     assert request.get_header("Authorization") == expected
@@ -492,6 +504,7 @@ def test_http_adapters_fail_with_a_runtime_error(monkeypatch, adapter, reply):
         call()
     if isinstance(reply, bytes):  # a reply that came back but is not UTF-8 JSON
         assert str(caught.value).startswith(malformed)
+        assert str(caught.value).endswith(f"from {_SERVICE}")
     else:  # a request that failed: the same error from both adapters
         assert type(caught.value) is TransportError
         assert str(caught.value).startswith(f"request to {_SERVICE} failed: ")
