@@ -29,7 +29,7 @@ that one packer turns into the CSR arrays with one sort of ``(term, doc)``
 keys.  A BM25 row holds one entry per token, repeats included, and no
 payloads: the packer counts the repeats into term frequencies.  A sparse
 row holds distinct terms with their weights; :func:`load_sparse_vectors`
-writes a vector file straight into such rows.
+writes a vector file straight into such rows, a block of lines at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import IO, ClassVar, Iterable, Iterator, Mapping
 
@@ -227,19 +228,18 @@ def _text(source: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
         yield source
 
 
-def _tab_rows(source: str | Path | IO[str], kind: str, rest: str) -> Iterator[tuple]:
-    """``(lineno, doc_id, rest)`` of each non-empty ``<doc_id><TAB><rest>`` line."""
-    with _text(source) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{kind} line {lineno}: expected '<doc_id>\\t<{rest}>'")
-            doc_id, text = line.split("\t", 1)
-            if not doc_id:
-                raise ValueError(f"{kind} line {lineno}: empty doc_id")
-            yield lineno, doc_id, text
+def _tab_rows(lines: Iterable[str], kind: str, rest: str, start: int = 1) -> Iterator[tuple]:
+    """``(lineno, doc_id, rest)`` of each non-empty ``<doc_id><TAB><rest>`` line, from ``start``."""
+    for lineno, raw in enumerate(lines, start=start):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{kind} line {lineno}: expected '<doc_id>\\t<{rest}>'")
+        doc_id, text = line.split("\t", 1)
+        if not doc_id:
+            raise ValueError(f"{kind} line {lineno}: empty doc_id")
+        yield lineno, doc_id, text
 
 
 def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
@@ -248,8 +248,9 @@ def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
     Raises ValueError with the line number for lines without a tab.
     Blank lines are skipped.
     """
-    for _, doc_id, text in _tab_rows(source, "corpus", "text"):
-        yield Passage(doc_id=doc_id, text=text)
+    with _text(source) as handle:
+        for _, doc_id, text in _tab_rows(handle, "corpus", "text"):
+            yield Passage(doc_id=doc_id, text=text)
 
 
 class _TermIds(dict):
@@ -291,6 +292,19 @@ class _Columns(Mapping[str, SparseVector]):
         self.terms.fromlist(list(map(self.term_ids.__getitem__, terms)))
         self.payloads.extend(payloads)
         self.ends.append(len(self.terms))
+
+    def extend(
+        self, doc_ids: Iterable[str], lengths: np.ndarray, terms: np.ndarray, payloads: np.ndarray
+    ) -> None:
+        """Add rows of new, distinct doc_ids.
+
+        Per row a length; per entry an int32 term id and a float64 payload.
+        """
+        self.rows.update(zip(doc_ids, range(len(self.rows), len(self.rows) + len(lengths))))
+        self.lengths.frombytes(lengths.astype(np.int64).tobytes())
+        self.ends.frombytes((np.cumsum(lengths, dtype=np.int64) + len(self.terms)).tobytes())
+        self.terms.frombytes(terms.tobytes())
+        self.payloads.frombytes(payloads.tobytes())
 
     def __getitem__(self, doc_id: str) -> SparseVector:
         row = self.rows[doc_id]
@@ -387,48 +401,77 @@ def build_sparse_index(vectors: Mapping[str, SparseVector]) -> InvertedIndex:
     return _build("sparse", columns)
 
 
-_VECTOR_ENTRY_RE = re.compile(r"^(?P<term>.+):(?P<weight>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)$")
-# a payload of single-colon entries with unsigned ASCII weights, single-spaced:
-# it splits at every colon and space into alternating terms and weights
-_PLAIN_ENTRY = r"[^: ]+:[0-9]+(?:\.[0-9]+)?(?:[eE][0-9]+)?"
-_PLAIN_PAYLOAD_RE = re.compile(rf"{_PLAIN_ENTRY}(?: {_PLAIN_ENTRY})*")
+_VECTOR_ENTRY_RE = re.compile(
+    r"^(?P<term>.+):(?P<weight>-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)$"
+)
+_BLOCK_LINES = 256  # lines of a vector file read and checked together
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": ")
+_FOLD_EXPONENT = bytes.maketrans(b"E+", b"e-")  # 1E+5 is checked as 1e-5 is
 
 
 def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVector]:
     """Parse a ``<doc_id><TAB><term>:<weight>( <term>:<weight>)*`` file.
 
-    Weights must be non-negative, finite decimals (``1e999`` overflows and
-    is rejected); zero weights are dropped per the sparse-vector
-    invariant, and a term repeated within a line keeps its first position
-    and its last weight.  A doc_id may appear on one line only.
+    Weights must be non-negative, finite ASCII decimals (``1e999``
+    overflows and is rejected); zero weights are dropped per the
+    sparse-vector invariant, and a term repeated within a line keeps its
+    first position and its last weight.  A doc_id may appear on one line
+    only.
 
-    The file streams line by line into flat columns (term ids, weights,
-    row ends) that :func:`build_sparse_index` packs without another pass;
-    the returned read-only mapping makes a document's
-    :class:`SparseVector` only when it is looked up.  A line whose entries
-    all have one colon, a non-empty term and an unsigned ASCII decimal
-    weight, single-spaced, with distinct terms and no zero or infinite
-    weight, is split whole; any other line, including every malformed one,
-    is parsed entry by entry under the same grammar.
+    The file streams in blocks of lines into flat columns (term ids,
+    weights, row ends) that :func:`build_sparse_index` packs without
+    another pass; the returned read-only mapping makes a document's
+    :class:`SparseVector` only when it is looked up.  A block whose lines
+    are all plain is split and converted whole: each line has a tab, a
+    new doc_id and distinct terms, entries with one colon each, non-empty
+    terms, and finite weights with no sign in front.  A block with any
+    other line is split and the parts retried: a line with other than
+    one colon per space is parsed entry by entry and the runs between
+    such lines are tried whole, and a block without one is halved, down
+    to single lines.  Every line that is not plain, every malformed one
+    included, is parsed entry by entry under the same grammar, so an
+    error names the first bad line.
 
     Raises:
-        ValueError: naming the line number, for malformed lines, negative
-            or non-finite weights, or duplicate doc_ids.
+        ValueError: naming the first bad line's number, for malformed
+            lines, negative or non-finite weights, or duplicate doc_ids.
     """
     columns = _Columns()
-    plain = _PLAIN_PAYLOAD_RE.fullmatch
-    for lineno, doc_id, payload in _tab_rows(source, "sparse-vector", "entries"):
+    with _text(source) as handle:
+        lineno = 1
+        while block := list(islice(handle, _BLOCK_LINES)):
+            _load_lines(columns, block, lineno)
+            lineno += len(block)
+    return columns
+
+
+def _load_lines(columns: _Columns, lines: list[str], start: int) -> None:
+    """Append ``lines``, numbered from ``start``: whole if plain, else in parts."""
+    if _append_plain(columns, lines):
+        return
+    # a line with other than one colon per space is not plain (or holds a run of
+    # spaces): it is parsed entry by entry and the runs between such lines are
+    # tried whole; a block without one is halved, down to single lines
+    odd = [i for i, line in enumerate(lines) if line.count(":") != line.count(" ") + 1]
+    if odd:
+        for a, b in zip([-1, *odd], [*odd, len(lines)]):
+            if a + 1 < b:
+                _load_lines(columns, lines[a + 1 : b], start + a + 1)
+            if b < len(lines):
+                _append_entries(columns, lines[b], start + b)
+    elif len(lines) > 1:
+        half = len(lines) // 2
+        _load_lines(columns, lines[:half], start)
+        _load_lines(columns, lines[half:], start + half)
+    else:
+        _append_entries(columns, lines[0], start)
+
+
+def _append_entries(columns: _Columns, line: str, lineno: int) -> None:
+    """Append one line parsed entry by entry: the source of every error the loader raises."""
+    for lineno, doc_id, payload in _tab_rows([line], "sparse-vector", "entries", lineno):
         if doc_id in columns.rows:
             raise ValueError(f"sparse-vector line {lineno}: duplicate doc_id '{doc_id}'")
-        if plain(payload):
-            fields = payload.replace(":", " ").split(" ")
-            terms = fields[0::2]
-            weights = array("d", map(float, fields[1::2]))
-            # an overflowing weight reads as inf; a sum is cheaper than a scan for it
-            finite = math.isfinite(sum(weights))
-            if finite and 0.0 not in weights and len(set(terms)) == len(terms):
-                columns.append(doc_id, len(terms), terms, weights)
-                continue
         entries: dict[str, float] = {}
         for part in payload.split(" "):
             if not part:
@@ -444,7 +487,56 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
             entries[match.group("term")] = weight
         entries = SparseVector(entries).entries
         columns.append(doc_id, len(entries), entries, entries.values())
-    return columns
+
+
+def _append_plain(columns: _Columns, lines: list[str]) -> bool:
+    """Append ``lines`` whole and return True if every one is plain; else append nothing."""
+    doc_ids, tabs, payloads = zip(*map(str.partition, lines, repeat("\t")))
+    new = len(set(doc_ids)) == len(lines) and columns.rows.keys().isdisjoint(doc_ids)
+    if "" in tabs or "" in doc_ids or not new:
+        return False
+    text = " ".join(payloads).replace("\n", "")
+    while "  " in text:  # a run of spaces separates entries as one space does
+        text = text.replace("  ", " ")
+    text = text.strip(" ")
+    # across the block, fields alternate: term ':' weight ' ' term ...
+    separators = text.encode("ascii", "replace").translate(None, _NOT_SEPARATOR)
+    if separators != b": " * (len(separators) // 2) + b":":
+        return False
+    fields = text.replace(":", " ").split(" ")
+    terms, texts = fields[0::2], fields[1::2]
+    # an ASCII decimal float() reads is in the grammar, [0-9]+(.[0-9]+)?([eE][-+]?[0-9]+)?,
+    # if it has no sign in front, no '.' at either end and a sign only after e or E
+    spaced = f" {' '.join(texts)} ".encode("ascii", "replace").translate(_FOLD_EXPONENT)
+    if not all(terms) or spaced.translate(None, b"0123456789.e- ") or b" ." in spaced:
+        return False
+    if b". " in spaced or b".e" in spaced or spaced.count(b"-") != spaced.count(b"e-"):
+        return False
+    try:
+        weights = np.array(texts, dtype=np.float64)
+    except ValueError:  # such as '1e5e5'
+        return False
+    if not np.isfinite(weights).all():
+        return False
+    keep = weights != 0.0
+    term_ids = columns.term_ids
+    seen = len(term_ids)
+    ids = np.fromiter(map(term_ids.__getitem__, terms), np.int32, len(terms))
+    rows = np.repeat(np.arange(len(lines)), list(map(str.count, payloads, repeat(":"))))
+    keys = np.sort(rows * len(term_ids) + ids)
+    repeated = (keys[1:] == keys[:-1]).any()
+    if repeated or (ids[~keep] >= seen).any():
+        # a term repeated in its row sends the block on; a term seen only at
+        # weight 0 must not keep the id it just took, so number the block again
+        while len(term_ids) > seen:
+            term_ids.popitem()
+        if repeated:
+            return False
+        ids = np.fromiter(map(term_ids.__getitem__, compress(terms, keep.tolist())), np.int32)
+    else:
+        ids = ids[keep]
+    columns.extend(doc_ids, np.bincount(rows[keep], minlength=len(lines)), ids, weights[keep])
+    return True
 
 
 def _score_at_a_time(

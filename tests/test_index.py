@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsearch.index import (
+    _BLOCK_LINES,
     B,
     K1,
     AnalyzerConfig,
@@ -390,7 +391,9 @@ def test_load_sparse_vectors_drops_zero_weights():
 
 # the per-entry parser the loader had before it streamed into columns, kept
 # as the reference: every line, one regex match per entry into a dict
-_ORACLE_ENTRY_RE = re.compile(r"^(?P<term>.+):(?P<weight>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)$")
+_ORACLE_ENTRY_RE = re.compile(
+    r"^(?P<term>.+):(?P<weight>-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)$"
+)
 
 
 def oracle_sparse_vectors(text: str) -> dict[str, list[tuple[str, float]]]:
@@ -504,7 +507,7 @@ def test_load_sparse_vectors_agrees_with_the_per_entry_parser(lines):
         ("a:1 b:2 a:0", [("b", 2.0)]),
         ("a:0 b:-0 c:0.0e5 d:-0.0 e:1", [("e", 1.0)]),  # zero weights dropped
         ("a:1e-3 b:2E+1 c:1.5e2", [("a", 0.001), ("b", 20.0), ("c", 150.0)]),
-        ("a:\u0663 b:1.\u0663", [("a", 3.0), ("b", 1.3)]),  # Unicode digits
+        ("a:1e-400 b:2", [("b", 2.0)]),  # a weight that underflows to zero
         ("  a:1  b:2 ", [("a", 1.0), ("b", 2.0)]),  # runs of spaces
         ("a\tb:1", [("a\tb", 1.0)]),  # a tab inside a term
         ("", []),
@@ -530,6 +533,11 @@ def test_load_sparse_vectors_rare_legal_forms(payload, entries):
         ("a:1_0", "malformed entry 'a:1_0'"),
         ("a:1\t", "malformed entry 'a:1\t'"),
         ("a 1:b:2", "malformed entry 'a'"),
+        # float() reads any Unicode decimal digit; the file grammar takes ASCII only
+        ("a:\u0661 b:1", "malformed entry 'a:\u0661'"),  # ARABIC-INDIC DIGIT ONE
+        ("a:\U0001d7d0", "malformed entry 'a:\U0001d7d0'"),  # MATHEMATICAL BOLD DIGIT TWO
+        ("a:\u0663.\u0665", "malformed entry 'a:\u0663.\u0665'"),
+        ("a:\u0663 b:1.\u0663", "malformed entry 'a:\u0663'"),
         ("a:2 b:-1e-3", "negative weight in 'b:-1e-3'"),
         ("a:2 b:1e999", "non-finite weight in 'b:1e999'"),  # a line the fast path splits
         ("a:1e999 a:2", "non-finite weight in 'a:1e999'"),  # a later weight does not hide it
@@ -575,7 +583,7 @@ def test_index_from_a_file_equals_index_from_the_dict():
         doc_id = f"d{i:04d}"
         vectors[doc_id] = dict(zip(terms, weights))
         entries = [f"{t}:{w!r}" for t, w in zip(terms, weights)]
-        # every fifth line takes the per-entry path: a zero weight, a
+        # every fifth line differs from the dict's entries: a zero weight, a
         # repeated term, an exponent or a run of spaces the dict does not show
         kind = n % 20
         if kind == 5:
@@ -591,6 +599,83 @@ def test_index_from_a_file_equals_index_from_the_dict():
     from_dict = build_sparse_index({d: SparseVector(v) for d, v in vectors.items()})
     _assert_same_index(from_file, from_dict)
     assert "tzero" not in from_file.terms
+
+
+def _plain_lines(count: int) -> list[str]:
+    """``count`` plain lines whose vocabulary grows all through the file."""
+    rng = np.random.default_rng(29)
+    lines = []
+    for i in range(count):
+        terms = rng.choice(20 + i, size=rng.integers(1, 12), replace=False)
+        entries = " ".join(f"w{t}:{rng.uniform(0.001, 9.0):.3f}" for t in terms)
+        lines.append(f"d{i:04d}\t{entries}\n")
+    return lines
+
+
+_PLAIN_LINES = _plain_lines(3 * _BLOCK_LINES)
+
+
+# legal variations of a plain line (doc_id, entries): some are not plain, and
+# the others take the block path's rarer branches
+_ODD_LINES = {
+    "zero weight": lambda d, e: f"{d}\t{' '.join(e[:-1] + [e[-1].split(':')[0] + ':0'])}\n",
+    "first seen at zero": lambda d, e: f"{d}\t{' '.join(e)} late:0.000\n",
+    "repeated term": lambda d, e: f"{d}\t{' '.join(e)} {e[0].split(':')[0]}:9.5\n",
+    "repeated at zero": lambda d, e: f"{d}\t{' '.join(e)} {e[0].split(':')[0]}:0\n",
+    "exponents": lambda d, e: f"{d}\t{' '.join(e)} x:15e-3 y:2E+1 z:1.5e2 u:1e-400\n",
+    "runs of spaces": lambda d, e: f"{d}\t {'  '.join(e)} \n",
+    "colon in a term": lambda d, e: f"{d}\ta:b:1.5 {' '.join(e)}\n",
+    "signed zero": lambda d, e: f"{d}\tneg:-0.0 {' '.join(e)}\n",
+    "no entries": lambda d, e: f"{d}\t\n",
+    "blank line after": lambda d, e: f"{d}\t{' '.join(e)}\n\n",
+}
+_N_LINES = 2 * _BLOCK_LINES + 100
+_EDGES = [0, *(b + k for b in (_BLOCK_LINES, 2 * _BLOCK_LINES) for k in (-1, 0, 1)), _N_LINES - 1]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.dictionaries(
+        st.one_of(st.sampled_from(_EDGES), st.integers(0, _N_LINES - 1)),
+        st.sampled_from(sorted(_ODD_LINES)),
+        max_size=12,
+    )
+)
+def test_load_sparse_vectors_agrees_with_the_per_entry_parser_across_blocks(odd):
+    lines = _PLAIN_LINES[:_N_LINES]
+    lines[-1] = lines[-1].replace("\n", " late:4.5\n")  # 'late' first has a weight here
+    for position, kind in odd.items():
+        doc_id, payload = lines[position].rstrip("\n").split("\t")
+        lines[position] = _ODD_LINES[kind](doc_id, payload.split(" "))
+    text = "".join(lines)
+    expected = oracle_sparse_vectors(text)
+    assert _loaded(text) == expected
+    _assert_same_index(
+        build_sparse_index(load_sparse_vectors(io.StringIO(text))),
+        build_sparse_index({d: SparseVector(dict(v)) for d, v in expected.items()}),
+    )
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({0: "d0000\tw0:1 b\n", 1: "no-tab-here\n"}, "line 1: malformed entry 'b'"),
+        ({0: "d0000\tw0:1 b\n", 600: "no-tab-here\n"}, "line 1: malformed entry 'b'"),
+        ({600: "no-tab-here\n"}, "line 601: expected '<doc_id>\\t<entries>'"),
+        ({1: "d0001\tw1:-1\n", 600: "\tw1:1\n"}, "line 2: negative weight in 'w1:-1'"),
+        ({600: "d0003\tw1:1\n"}, "line 601: duplicate doc_id 'd0003'"),
+        ({600: "\tw1:1\n"}, "line 601: empty doc_id"),
+        ({600: "d0600\tw1:1 w1:2\n", 601: "d0600\tw1:1\n"}, "line 602: duplicate doc_id 'd0600'"),
+    ],
+)
+def test_load_sparse_vectors_names_the_first_bad_line_in_file_order(edits, message):
+    lines = [edits.get(i, line) for i, line in enumerate(_PLAIN_LINES)]
+    text = "".join(lines)
+    with pytest.raises(ValueError) as raised:
+        load_sparse_vectors(io.StringIO(text))
+    assert str(raised.value) == f"sparse-vector {message}"
+    with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+        oracle_sparse_vectors(text)
 
 
 def test_sparse_vector_rejects_negative():
