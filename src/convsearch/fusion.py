@@ -1,12 +1,12 @@
 """Rank fusion and reranking: min-max ensembling, interleaving, pooling.
 
 Fusion operates on :class:`~convsearch.index.RankedList` values sharing a
-query id.  The ensemble path min-max normalizes each input list and
-averages per document (a document missing from a list contributes 0 for
-that list); the interleave path merges orderings round-robin with global
-deduplication and synthetic 1/rank scores; pooling takes the deduplicated
-union of per-list prefixes for a later reranking pass, which fuses its
-scorers' scores as arrays and builds one ranked list.
+query id.  Ensemble fusion, min-max normalization and reranking rank
+through one kernel: a float row per input list or scorer (min-max
+normalized, except a lone scorer's; 0 where a list lacks a document),
+averaged into one ranked list.  Interleaving merges orderings round-robin
+with global deduplication and synthetic 1/rank scores; pooling takes the
+deduplicated union of per-list prefixes for a later reranking pass.
 
 Rerankers are pluggable scorers: anything with
 ``score(query, passages) -> list[float]`` aligned with its input.  Scorers
@@ -170,23 +170,28 @@ def resolve_scorer(scorer_id: str, endpoints: Mapping[str, str] | None = None) -
 
 
 def _min_max(scores: np.ndarray) -> np.ndarray:
-    """Rescale to [0, 1]; a degenerate range (max == min) maps every score to 1.0."""
-    low, high = scores.min(), scores.max()
+    """Rescale to [0, 1], never -0.0; a degenerate range (max == min) maps every score to 1.0."""
+    low, high = float(scores.min()), float(scores.max())
     if high == low:
         return np.ones_like(scores)
-    return (scores - low) / (high - low)
+    if not np.isfinite(high - low):  # Python floats overflow to inf without a warning
+        scores, low, high = scores / 2, low / 2, high / 2
+    return (scores - low) / (high - low) + 0.0  # -0.0 minus a +0.0 minimum leaves -0.0
+
+
+def _fuse(query_id: str, doc_ids: Sequence[str], rows: Sequence[np.ndarray]) -> RankedList:
+    """Rank ``doc_ids`` by the mean of ``rows``, summed in order as ``rows[0] + rows[1] + ...``."""
+    fused = sum(rows[1:], rows[0]) / len(rows)
+    return RankedList.from_scores(query_id, dict(zip(doc_ids, fused.tolist())))
 
 
 def min_max_normalize(ranked: RankedList) -> RankedList:
-    """Rescale scores to [0, 1] keeping ordering and documents unchanged.
+    """Rescale scores to [0, 1], keeping the documents: ``ensemble_fuse([ranked])``.
 
     A degenerate range (max == min, including singletons) maps every score
-    to 1.0.  Empty lists pass through.
+    to 1.0.  Scores that round to a tie are ordered by ascending doc_id.
     """
-    if not ranked.items:
-        return ranked
-    normalized = _min_max(np.array([s for _, s in ranked.items]))
-    return RankedList(ranked.query_id, tuple(zip(ranked.doc_ids(), normalized.tolist())))
+    return ensemble_fuse([ranked])
 
 
 def _require_shared_query_id(lists: Sequence[RankedList]) -> str:
@@ -204,21 +209,21 @@ def _require_shared_query_id(lists: Sequence[RankedList]) -> str:
 def ensemble_fuse(lists: Sequence[RankedList]) -> RankedList:
     """Fuse lists by the arithmetic mean of min-max-normalized scores.
 
-    A document absent from a list contributes 0 for that list.  Output is
+    A document absent from a list scores 0 in that list's row.  Output is
     sorted by descending fused score, ties broken by ascending doc_id.
 
     Raises:
         ValueError: when the lists do not share one query_id.
     """
     query_id = _require_shared_query_id(lists)
-    normalized = [min_max_normalize(ranked) for ranked in lists]
-    totals: dict[str, float] = {}
-    for ranked in normalized:
-        for doc_id, score in ranked.items:
-            totals[doc_id] = totals.get(doc_id, 0.0) + score
-    count = len(lists)
-    fused = {doc_id: total / count for doc_id, total in totals.items()}
-    return RankedList.from_scores(query_id, fused)
+    doc_ids = list(dict.fromkeys(doc_id for ranked in lists for doc_id, _ in ranked.items))
+    column = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    rows = np.zeros((len(lists), len(doc_ids)))
+    for row, ranked in zip(rows, lists):
+        if ranked.items:
+            ids, scores = zip(*ranked.items)
+            row[[column[doc_id] for doc_id in ids]] = _min_max(np.array(scores))
+    return _fuse(query_id, doc_ids, rows)
 
 
 def interleave(lists: Sequence[RankedList]) -> RankedList:
@@ -273,9 +278,8 @@ def rerank(
     Candidates beyond ``depth`` are dropped; the output is a permutation
     of the scored prefix sorted by descending score (ties by doc_id).
     One scorer's scores rank the candidates as they are; several, one
-    array row each, are min-max normalized and averaged to the floats
-    :func:`ensemble_fuse` gives for their rankings.  Only the result is
-    built as a ranked list.
+    array row each, are min-max normalized and averaged by the same rule
+    as :func:`ensemble_fuse`.  Only the result is built as a ranked list.
 
     Raises:
         ValueError: for no scorers, depth < 1, duplicate candidates, an
@@ -307,6 +311,4 @@ def rerank(
             bad = int(finite.argmin())
             raise ValueError(f"non-finite score {row[bad]} for doc_id '{scored_ids[bad]}'")
         rows.append(row)
-    # the same float operations, in the same order, as ensemble_fuse's sum and mean
-    fused = rows[0] if len(rows) == 1 else sum(map(_min_max, rows)) / len(rows)
-    return RankedList.from_scores(query_id, dict(zip(scored_ids, fused.tolist())))
+    return _fuse(query_id, scored_ids, rows if len(rows) == 1 else [_min_max(r) for r in rows])

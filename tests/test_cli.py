@@ -1,5 +1,6 @@
 """Command-line interface, exercised against the shipped fixture."""
 
+import hashlib
 import json
 import shlex
 
@@ -65,6 +66,52 @@ def test_cli_fuse(tmp_path):
             assert [s for _, s in ranking.items] == pytest.approx(
                 [s for _, s in want.items], rel=0, abs=5e-7
             )
+
+
+# sha256 of `convsearch fuse` over the six configs' runs, in config-name order
+FUSED_DIGESTS = {
+    "ensemble": "61576c2b12aced86ec2def8f194b91303e7a7db11f63cfb66c63ada35a0dd78c",
+    "interleave": "291dd72f4f836e6a79cdd08dae9f1ba800183e786c3a833a50b3826a6f515378",
+}
+
+
+def test_cli_fuse_output_digests(tmp_path):
+    runs = []
+    for config in sorted(CONFIG_DIR.glob("*.json")):
+        out_dir = tmp_path / config.stem
+        assert main(["run", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        runs.extend(map(str, out_dir.glob("*.run")))
+    assert len(runs) == 6
+    for method, digest in FUSED_DIGESTS.items():
+        fused = tmp_path / f"{method}.run"
+        assert main(["fuse", *runs, "--method", method, "--out", str(fused)]) == 0
+        assert hashlib.sha256(fused.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "inputs, fused",
+    [
+        # dB and dA normalize to the same 1.0, in descending doc_id order
+        (
+            ["q_1 Q0 dB 1 1.000001 a\nq_1 Q0 dA 2 1.000000 a\nq_1 Q0 dZ 3 -100000000000.000000 a\n",
+             "q_1 Q0 dA 1 2.0 b\n"],
+            ["dA 1 1.000000", "dB 2 0.500000", "dZ 3 0.000000"],
+        ),
+        # finite scores whose range overflows a float
+        (
+            ["q_1 Q0 dA 1 1e308 c\nq_1 Q0 dB 2 0 c\nq_1 Q0 dC 3 -1e308 c\n"],
+            ["dA 1 1.000000", "dB 2 0.500000", "dC 3 0.000000"],
+        ),
+    ],
+    ids=["rounding-tie", "overflowing-range"],
+)
+def test_cli_fuse_ensemble_edge_scores(tmp_path, inputs, fused):
+    runs = [tmp_path / f"{i}.run" for i in range(len(inputs))]
+    for run, text in zip(runs, inputs):
+        run.write_text(text)
+    out = tmp_path / "f.run"
+    assert main(["fuse", *map(str, runs), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [f"q_1 Q0 {line} fused" for line in fused]
 
 
 def test_cli_run_record_then_replay(tmp_path):

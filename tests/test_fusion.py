@@ -5,7 +5,9 @@ import io
 import json
 import math
 import re
+import sys
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +97,48 @@ def test_ensemble_missing_doc_contributes_zero():
     # b appears only in the first list: (0.0 + 0) / 2
     assert fused["b"] == 0.0
     assert fused["a"] == pytest.approx(1.0)
+
+
+def test_ensemble_orders_rounding_ties_by_doc_id():
+    # dB and dA both normalize to 1.0, in descending doc_id order
+    first = RankedList("q_1", (("dB", 1.000001), ("dA", 1.0), ("dZ", -1e11)))
+    second = RankedList("q_1", (("dA", 2.0),))
+    assert min_max_normalize(first).items == (("dA", 1.0), ("dB", 1.0), ("dZ", 0.0))
+    fused = ensemble_fuse([first, second])
+    assert fused.items == (("dA", 1.0), ("dB", 0.5), ("dZ", 0.0))
+
+
+def test_min_max_finite_range_past_the_float_maximum():
+    ranked = RankedList("q", (("a", 1e308), ("b", 0.0), ("c", -1e308)))
+    top = RankedList("q", (("a", sys.float_info.max), ("b", -sys.float_info.max)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        assert min_max_normalize(ranked).items == (("a", 1.0), ("b", 0.5), ("c", 0.0))
+        assert min_max_normalize(top).items == (("a", 1.0), ("b", 0.0))
+        assert ensemble_fuse([ranked, top]).items == (("a", 1.0), ("b", 0.25), ("c", 0.0))
+        result = rerank(
+            [_Row([1e308, 0.0, -1e308]), _Row([1.0, 1.0, 0.0])],
+            "q", ["a", "b", "c"], 3, _store("a", "b", "c"),
+        )
+    assert result.items == (("a", 1.0), ("b", 0.75), ("c", 0.0))
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus-first", "minus-first"])
+def test_min_max_never_gives_negative_zero(zeros):
+    # -0.0 minus a +0.0 minimum is -0.0; a normalized score is +0.0 instead
+    ranked = RankedList("q", (("c", 1.0), ("a", zeros[0]), ("b", zeros[1])))
+    get_passage = _store("a", "b", "c")
+    row = _Row([zeros[0], zeros[1], 1.0])
+    for fused in (
+        min_max_normalize(ranked),
+        ensemble_fuse([ranked]),
+        ensemble_fuse([ranked, ranked]),
+        rerank([row, row], "q", ["a", "b", "c"], 3, get_passage),
+    ):
+        assert _bits(fused) == [("c", "0x1.0000000000000p+0"), ("a", "0x0.0p+0"), ("b", "0x0.0p+0")]
+    # one scorer's scores rank the candidates as they are
+    alone = rerank([row], "q", ["a", "b", "c"], 3, get_passage)
+    assert _bits(alone) == [("c", (1.0).hex()), ("a", zeros[0].hex()), ("b", zeros[1].hex())]
 
 
 def test_ensemble_rejects_mismatched_query_ids():
@@ -327,6 +371,31 @@ def _bits(ranked: RankedList):
     return [(doc_id, score.hex()) for doc_id, score in ranked.items]
 
 
+def reference_ensemble(query_id: str, lists) -> RankedList:
+    """The min-max mean in plain floats, each document's total summed in list order."""
+    totals: dict[str, float] = {}
+    for ranked in lists:
+        scores = [score for _, score in ranked.items]
+        low, high = min(scores, default=0.0), max(scores, default=0.0)
+        for doc_id, score in ranked.items:
+            normalized = 1.0 if high == low else (score - low) / (high - low)
+            totals[doc_id] = totals.get(doc_id, 0.0) + normalized
+    return RankedList.from_scores(query_id, {d: total / len(lists) for d, total in totals.items()})
+
+
+def _random_row(rng, n: int) -> list[float]:
+    kind = int(rng.integers(4))
+    if kind == 0:  # spread over several magnitudes
+        row = rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4))
+    elif kind == 1:  # few distinct values: forced ties
+        row = rng.integers(0, 3, size=n).astype(float)
+    elif kind == 2:  # a constant row normalizes to ones
+        row = np.full(n, rng.normal())
+    else:  # both signed zeros
+        row = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+    return row.tolist()
+
+
 def test_rerank_equals_ensemble_fuse_of_the_per_scorer_rankings():
     rng = np.random.default_rng(53)
     doc_ids = [f"d{i:02d}" for i in range(40)]
@@ -334,19 +403,19 @@ def test_rerank_equals_ensemble_fuse_of_the_per_scorer_rankings():
     for _ in range(300):
         n = int(rng.integers(1, 41))
         chosen = [doc_ids[int(i)] for i in rng.choice(40, size=n, replace=False)]
-        rows = []
-        for _ in range(int(rng.integers(2, 6))):
-            kind = int(rng.integers(3))
-            if kind == 0:  # spread over several magnitudes
-                row = rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4))
-            elif kind == 1:  # few distinct values: forced ties
-                row = rng.integers(0, 3, size=n).astype(float)
-            else:  # a constant row normalizes to ones
-                row = np.full(n, rng.normal())
-            rows.append(row.tolist())
+        rows = [_random_row(rng, n) for _ in range(int(rng.integers(2, 6)))]
         result = rerank([_Row(row) for row in rows], "q", chosen, n, get_passage, "q")
         per_scorer = [RankedList.from_scores("q", dict(zip(chosen, row))) for row in rows]
-        assert _bits(result) == _bits(ensemble_fuse(per_scorer))
+        want = _bits(reference_ensemble("q", per_scorer))
+        assert _bits(result) == want
+        assert _bits(ensemble_fuse(per_scorer)) == want
+        # one to five lists that share only some documents, empty lists and singletons
+        lists = []
+        for _ in range(int(rng.integers(1, 6))):
+            size = int(rng.choice([0, 1, int(rng.integers(n + 1))]))
+            subset = [chosen[int(i)] for i in rng.choice(n, size=size, replace=False)]
+            lists.append(RankedList.from_scores("q", dict(zip(subset, _random_row(rng, size)))))
+        assert _bits(ensemble_fuse(lists)) == _bits(reference_ensemble("q", lists))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
