@@ -3,8 +3,9 @@
 A topic file is a JSON array of objects with fields ``number`` (topic id),
 ``title``, ``ptkb`` (object mapping "1", "2", ... to statements) and
 ``turns`` (list of ``{turn_number, utterance, response}``, optionally with
-a ``manual_rewrite`` per turn).  Topics are immutable after parsing and
-safe to share across parallel per-turn workers.
+a ``manual_rewrite`` per turn).  The title, statements and turn texts are
+JSON strings; an optional one is omitted by leaving it out.  Topics are
+immutable after parsing and safe to share across parallel per-turn workers.
 
 Conversation history is rendered as alternating ``USER:`` / ``SYSTEM:``
 lines of all turns strictly before the current one; the system side is
@@ -91,18 +92,28 @@ def _integer(value: object, well_formed: bool, topic_id: str, field: str) -> int
     raise ValueError(f"topic '{topic_id}': {field} must be an integer, got {value!r}")
 
 
+def _string(value: object, topic_id: str, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"topic '{topic_id}': {field} must be a string, got {value!r}")
+    return value
+
+
 def _parse_topic(entry: dict, position: int) -> Topic:
     for required in ("number", "title", "ptkb", "turns"):
         if required not in entry:
             raise ValueError(f"topic #{position}: missing field '{required}'")
     topic_id = str(entry["number"])
+    title = _string(entry["title"], topic_id, "field 'title'")
     ptkb_raw = entry["ptkb"]
     if not isinstance(ptkb_raw, Mapping):
         raise ValueError(
             f"topic '{topic_id}': field 'ptkb' must be an object, got {type(ptkb_raw).__name__}"
         )
     indexed = [
-        (_integer(key, key.isascii() and key.isdigit(), topic_id, "ptkb key"), str(text))
+        (
+            _integer(key, key.isascii() and key.isdigit(), topic_id, "ptkb key"),
+            _string(text, topic_id, f"ptkb statement '{key}'"),
+        )
         for key, text in ptkb_raw.items()
     ]
     indexed.sort(key=lambda pair: pair[0])
@@ -118,19 +129,16 @@ def _parse_topic(entry: dict, position: int) -> Topic:
                     f"topic '{topic_id}': turn missing field '{required}'"
                 )
         number = turn_entry["turn_number"]
+        number = _integer(number, type(number) is int, topic_id, "field 'turn_number'")
+        text = {
+            name: _string(turn_entry[name], topic_id, f"turn {number} field '{name}'")
+            for name in ("utterance", "response", "manual_rewrite")
+            if name in turn_entry
+        }
         turns.append(
-            Turn(
-                turn_number=_integer(number, type(number) is int, topic_id, "field 'turn_number'"),
-                user_utterance=str(turn_entry["utterance"]),
-                gold_response=str(turn_entry.get("response", "")),
-                manual_rewrite=(
-                    str(turn_entry["manual_rewrite"])
-                    if "manual_rewrite" in turn_entry
-                    else None
-                ),
-            )
+            Turn(number, text["utterance"], text.get("response", ""), text.get("manual_rewrite"))
         )
-    return Topic(topic_id=topic_id, title=str(entry["title"]), ptkb=tuple(statements), turns=tuple(turns))
+    return Topic(topic_id=topic_id, title=title, ptkb=tuple(statements), turns=tuple(turns))
 
 
 def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
@@ -139,8 +147,10 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
     Raises:
         ValueError: naming the topic and field for missing fields, a ptkb
             that is not an object, a ptkb key that is not ASCII digits, an
-            empty statement, a turn number that is not a JSON integer, or
-            numbering not contiguous from 1.
+            empty statement, a turn number that is not a JSON integer,
+            numbering not contiguous from 1, or a title, statement,
+            utterance, response or manual rewrite that is not a JSON string
+            (naming the turn too).
     """
     with _text(source) as handle:
         data = json.load(handle)

@@ -3,7 +3,10 @@
 Metrics follow the trec_eval conventions used by the conversational
 benchmark this package targets: nDCG with linear gain, each rank adding
 ``rel / log2(rank + 1)``, and a binary relevance threshold (default
-``rel >= 1``) for MRR, precision, recall, and average precision.
+``rel >= 1``) for MRR, precision, recall, and average precision.  Each
+metric reads one stream of grades in rank order (0 when unjudged), cut at
+its ``k`` before any grade is looked up.  Qrels and run files are read by
+one loop over whitespace-separated records.
 
 Queries present in the run but absent from the qrels are excluded from
 aggregation and listed; queries judged but with no relevant document score
@@ -18,8 +21,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .index import RankedList, _text
 
@@ -62,6 +67,28 @@ class Qrels:
         return set(self._by_query)
 
 
+def _ascii_int(text: str) -> int | None:
+    """``text`` as an int if it is ASCII digits, else None."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # int() refuses a string of more than 4,300 digits
+        pass
+    return None
+
+
+def _records(source: str | Path | IO[str], kind: str, width: int) -> Iterator[tuple[int, list]]:
+    """``(lineno, fields)`` of each non-blank line, split on whitespace into ``width`` fields."""
+    with _text(source) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != width:
+                raise ValueError(f"{kind} line {lineno}: expected {width} fields, got {len(parts)}")
+            yield lineno, parts
+
+
 def parse_qrels(source: str | Path | IO[str]) -> Qrels:
     """Parse ``<query_id> <iter> <doc_id> <rel>`` lines (whitespace-separated).
 
@@ -72,72 +99,60 @@ def parse_qrels(source: str | Path | IO[str]) -> Qrels:
             negative grades, or duplicate (query_id, doc_id) pairs.
     """
     judgments: dict[tuple[str, str], int] = {}
-    with _text(source) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"qrels line {lineno}: expected 4 fields, got {len(parts)}")
-            query_id, _, doc_id, rel_text = parts
-            digits = rel_text.removeprefix("-")
-            try:
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError
-                rel = int(rel_text)
-            except ValueError:
-                raise ValueError(f"qrels line {lineno}: non-integer relevance '{rel_text}'")
-            if rel < 0:
-                raise ValueError(f"qrels line {lineno}: negative relevance {rel}")
-            pair = (query_id, doc_id)
-            if pair in judgments:
-                raise ValueError(f"qrels line {lineno}: duplicate pair {pair}")
-            judgments[pair] = rel
+    for lineno, (query_id, _, doc_id, rel_text) in _records(source, "qrels", 4):
+        rel = _ascii_int(rel_text.removeprefix("-"))
+        if rel is None:
+            raise ValueError(f"qrels line {lineno}: non-integer relevance '{rel_text}'")
+        if rel and rel_text.startswith("-"):
+            raise ValueError(f"qrels line {lineno}: negative relevance -{rel}")
+        pair = (query_id, doc_id)
+        if pair in judgments:
+            raise ValueError(f"qrels line {lineno}: duplicate pair {pair}")
+        judgments[pair] = rel
     return Qrels(judgments)
 
 
+def _gains(
+    ranking: RankedList, qrels: Qrels, k: int | None = None
+) -> tuple[dict[str, int], Iterator[int]]:
+    """The query's judgments, and the lazy grades (0 if unjudged) of its top ``k`` or all ranks."""
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+    judged = qrels.for_query(ranking.query_id)
+    return judged, map(judged.get, map(itemgetter(0), ranking.items[:k]), repeat(0))
+
+
+def _dcg(grades: Iterable[int]) -> float:
+    return sum(rel / math.log2(position + 1) for position, rel in enumerate(grades, start=1))
+
+
+def _relevant(grades: Iterable[int], threshold: int) -> int:
+    return sum(rel >= threshold for rel in grades)
+
+
 def ndcg_at_k(ranking: RankedList, qrels: Qrels, k: int | None = None) -> float:
-    """Normalized discounted cumulative gain at cutoff ``k`` (None = full).
+    """Normalized discounted cumulative gain at cutoff ``k`` (None = full, else >= 1).
 
     DCG sums ``rel_i / log2(i + 1)`` over ranks ``i <= k``; the ideal
     DCG comes from the relevance-sorted judged documents.  A query with no
     positively judged document scores 0 (callers flag it).
     """
-    judged = qrels.for_query(ranking.query_id)
-    ideal_gains = sorted((rel for rel in judged.values() if rel > 0), reverse=True)
-    if k is not None:
-        ideal_gains = ideal_gains[:k]
-    idcg = sum(
-        rel / math.log2(position + 1) for position, rel in enumerate(ideal_gains, start=1)
-    )
-    if idcg == 0.0:
-        return 0.0
-    docs = ranking.doc_ids()
-    if k is not None:
-        docs = docs[:k]
-    dcg = sum(
-        judged.get(doc_id, 0) / math.log2(position + 1)
-        for position, doc_id in enumerate(docs, start=1)
-    )
-    return dcg / idcg
+    judged, grades = _gains(ranking, qrels, k)
+    idcg = _dcg(sorted((rel for rel in judged.values() if rel > 0), reverse=True)[:k])
+    return _dcg(grades) / idcg if idcg else 0.0
 
 
 def reciprocal_rank(ranking: RankedList, qrels: Qrels, threshold: int = 1) -> float:
     """1/rank of the first document with ``rel >= threshold``, else 0."""
-    judged = qrels.for_query(ranking.query_id)
-    for position, doc_id in enumerate(ranking.doc_ids(), start=1):
-        if judged.get(doc_id, 0) >= threshold:
-            return 1.0 / position
-    return 0.0
+    _, grades = _gains(ranking, qrels)
+    hits = (1.0 / position for position, rel in enumerate(grades, start=1) if rel >= threshold)
+    return next(hits, 0.0)
 
 
 def precision_at_k(ranking: RankedList, qrels: Qrels, k: int, threshold: int = 1) -> float:
     """Relevant documents in the top k divided by k (fixed denominator)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    judged = qrels.for_query(ranking.query_id)
-    hits = sum(1 for doc_id in ranking.doc_ids()[:k] if judged.get(doc_id, 0) >= threshold)
-    return hits / k
+    _, grades = _gains(ranking, qrels, k)
+    return _relevant(grades, threshold) / k
 
 
 def recall_at_k(ranking: RankedList, qrels: Qrels, k: int, threshold: int = 1) -> float:
@@ -145,26 +160,20 @@ def recall_at_k(ranking: RankedList, qrels: Qrels, k: int, threshold: int = 1) -
 
     Zero relevant documents in the qrels yields 0 (callers flag it).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    judged = qrels.for_query(ranking.query_id)
-    total_relevant = sum(1 for rel in judged.values() if rel >= threshold)
-    if total_relevant == 0:
-        return 0.0
-    hits = sum(1 for doc_id in ranking.doc_ids()[:k] if judged.get(doc_id, 0) >= threshold)
-    return hits / total_relevant
+    judged, grades = _gains(ranking, qrels, k)
+    total_relevant = _relevant(judged.values(), threshold)
+    return _relevant(grades, threshold) / total_relevant if total_relevant else 0.0
 
 
 def average_precision(ranking: RankedList, qrels: Qrels, threshold: int = 1) -> float:
     """Mean of P@i over relevant ranks i, divided by total relevant count."""
-    judged = qrels.for_query(ranking.query_id)
-    total_relevant = sum(1 for rel in judged.values() if rel >= threshold)
+    judged, grades = _gains(ranking, qrels)
+    total_relevant = _relevant(judged.values(), threshold)
     if total_relevant == 0:
         return 0.0
-    hits = 0
-    precision_sum = 0.0
-    for position, doc_id in enumerate(ranking.doc_ids(), start=1):
-        if judged.get(doc_id, 0) >= threshold:
+    hits, precision_sum = 0, 0.0
+    for position, rel in enumerate(grades, start=1):
+        if rel >= threshold:
             hits += 1
             precision_sum += hits / position
     return precision_sum / total_relevant
@@ -180,14 +189,8 @@ class EvalCutoffs:
     threshold: int = 1
 
     def metric_columns(self) -> list[str]:
-        return [
-            f"nDCG@{self.ndcg_cutoff}",
-            "nDCG",
-            "MRR",
-            f"Recall@{self.recall_cutoff}",
-            f"P@{self.precision_cutoff}",
-            "mAP",
-        ]
+        ndcg, recall, precision = self.ndcg_cutoff, self.recall_cutoff, self.precision_cutoff
+        return [f"nDCG@{ndcg}", "nDCG", "MRR", f"Recall@{recall}", f"P@{precision}", "mAP"]
 
 
 @dataclass
@@ -219,13 +222,11 @@ class MetricReport:
 
 def default_query_id_parser(query_id: str) -> tuple[str, int]:
     """Split ``<topic>_<turn>`` on the last underscore; a turn is ASCII digits."""
-    topic, _, turn = query_id.rpartition("_")
-    try:
-        if topic and turn.isascii() and turn.isdigit():
-            return topic, int(turn)
-    except ValueError:  # int() refuses a string of more than 4,300 digits
-        pass
-    raise ValueError(f"query_id '{query_id}' is not of the form <topic>_<turn>")
+    topic, _, turn_text = query_id.rpartition("_")
+    turn = _ascii_int(turn_text)
+    if not topic or turn is None:
+        raise ValueError(f"query_id '{query_id}' is not of the form <topic>_<turn>")
+    return topic, turn
 
 
 def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
@@ -241,26 +242,19 @@ def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
             are not numbers or not finite, or a doc listed twice for a query.
     """
     per_query: dict[str, dict[str, float]] = {}
-    with _text(source) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
-            query_id, _, doc_id, _, score_text, _ = parts
-            try:
-                if not score_text.isascii() or "_" in score_text:
-                    raise ValueError
-                score = float(score_text)
-            except ValueError:
-                raise ValueError(f"run line {lineno}: non-numeric score '{score_text}'")
-            if not math.isfinite(score):
-                raise ValueError(f"run line {lineno}: non-finite score '{score_text}'")
-            bucket = per_query.setdefault(query_id, {})
-            if doc_id in bucket:
-                raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")
-            bucket[doc_id] = score
+    for lineno, (query_id, _, doc_id, _, score_text, _) in _records(source, "run", 6):
+        try:
+            if not score_text.isascii() or "_" in score_text:
+                raise ValueError
+            score = float(score_text)
+        except ValueError:
+            raise ValueError(f"run line {lineno}: non-numeric score '{score_text}'")
+        if not math.isfinite(score):
+            raise ValueError(f"run line {lineno}: non-finite score '{score_text}'")
+        bucket = per_query.setdefault(query_id, {})
+        if doc_id in bucket:
+            raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")
+        bucket[doc_id] = score
     return {qid: RankedList.from_scores(qid, scores) for qid, scores in per_query.items()}
 
 
@@ -284,18 +278,16 @@ def write_run_file(
 
 
 def _compute_metrics(ranking: RankedList, qrels: Qrels, cutoffs: EvalCutoffs) -> dict[str, float]:
-    return {
-        f"nDCG@{cutoffs.ndcg_cutoff}": ndcg_at_k(ranking, qrels, cutoffs.ndcg_cutoff),
-        "nDCG": ndcg_at_k(ranking, qrels),
-        "MRR": reciprocal_rank(ranking, qrels, cutoffs.threshold),
-        f"Recall@{cutoffs.recall_cutoff}": recall_at_k(
-            ranking, qrels, cutoffs.recall_cutoff, cutoffs.threshold
-        ),
-        f"P@{cutoffs.precision_cutoff}": precision_at_k(
-            ranking, qrels, cutoffs.precision_cutoff, cutoffs.threshold
-        ),
-        "mAP": average_precision(ranking, qrels, cutoffs.threshold),
-    }
+    threshold = cutoffs.threshold
+    values = (
+        ndcg_at_k(ranking, qrels, cutoffs.ndcg_cutoff),
+        ndcg_at_k(ranking, qrels),
+        reciprocal_rank(ranking, qrels, threshold),
+        recall_at_k(ranking, qrels, cutoffs.recall_cutoff, threshold),
+        precision_at_k(ranking, qrels, cutoffs.precision_cutoff, threshold),
+        average_precision(ranking, qrels, threshold),
+    )
+    return dict(zip(cutoffs.metric_columns(), values))
 
 
 def _mean_by_group(
@@ -331,31 +323,20 @@ def evaluate_rankings(
     parsed = {query_id: default_query_id_parser(query_id) for query_id in rankings}
     judged_queries = qrels.query_ids()
     excluded = sorted(qid for qid in rankings if qid not in judged_queries)
-    per_query: dict[str, dict[str, float]] = {}
-    zero_relevant: list[str] = []
-    for query_id in sorted(qid for qid in rankings if qid in judged_queries):
-        ranking = rankings[query_id]
-        values = _compute_metrics(ranking, qrels, cutoffs)
-        per_query[query_id] = values
-        if not any(rel > 0 for rel in qrels.for_query(query_id).values()):
-            zero_relevant.append(query_id)
-    if per_query:
-        aggregate = {
-            m: sum(values[m] for values in per_query.values()) / len(per_query)
-            for m in metrics
-        }
-    else:
-        aggregate = {m: 0.0 for m in metrics}
+    per_query = {
+        qid: _compute_metrics(rankings[qid], qrels, cutoffs)
+        for qid in sorted(judged_queries.intersection(rankings))
+    }
+    zero_relevant = [
+        qid for qid in per_query if not any(rel > 0 for rel in qrels.for_query(qid).values())
+    ]
+    # the aggregate is the mean over one group of every query; zeros when none is judged
+    everything = _mean_by_group(per_query, metrics, lambda qid: "all")
+    aggregate = everything.get("all", dict.fromkeys(metrics, 0.0))
     per_depth = _mean_by_group(per_query, metrics, lambda qid: parsed[qid][1])
     per_topic = _mean_by_group(per_query, metrics, lambda qid: parsed[qid][0])
     return MetricReport(
-        metrics=metrics,
-        per_query=per_query,
-        aggregate=aggregate,
-        per_depth=per_depth,
-        per_topic=per_topic,
-        excluded=excluded,
-        zero_relevant=zero_relevant,
+        metrics, per_query, aggregate, per_depth, per_topic, excluded, zero_relevant
     )
 
 
@@ -382,19 +363,17 @@ def format_report(
     width = 16
     header = f"{'':<{width}}" + "".join(f"{m:>12}" for m in report.metrics)
     lines = [header, _format_row("all", report.aggregate, report.metrics, width)]
-    if per_depth and report.per_depth:
-        lines.append("")
-        lines.append("per depth (turn number):")
-        for depth, values in report.per_depth.items():
-            lines.append(_format_row(f"  depth {depth}", values, report.metrics, width))
-    if per_topic and report.per_topic:
-        lines.append("")
-        lines.append("per topic:")
-        for topic, values in report.per_topic.items():
-            lines.append(_format_row(f"  topic {topic}", values, report.metrics, width))
+    slices = (
+        (per_depth, "per depth (turn number):", "depth", report.per_depth),
+        (per_topic, "per topic:", "topic", report.per_topic),
+    )
+    for wanted, title, label, groups in slices:
+        if wanted and groups:
+            lines += ["", title]
+            lines += (_format_row(f"  {label} {key}", values, report.metrics, width)
+                      for key, values in groups.items())
     if report.excluded:
-        lines.append("")
-        lines.append(f"excluded (not in qrels): {', '.join(report.excluded)}")
+        lines += ["", f"excluded (not in qrels): {', '.join(report.excluded)}"]
     if report.zero_relevant:
         lines.append(f"flagged (no relevant docs): {', '.join(report.zero_relevant)}")
     return "\n".join(lines)

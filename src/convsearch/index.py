@@ -245,12 +245,16 @@ def _tab_rows(lines: Iterable[str], kind: str, rest: str, start: int = 1) -> Ite
 def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
     """Yield passages from a ``<doc_id><TAB><text>`` file (UTF-8, one per line).
 
-    Raises ValueError with the line number for lines without a tab.
-    Blank lines are skipped.
+    Raises ValueError with the line number for lines without a tab and for
+    a doc_id seen on an earlier line.  Blank lines are skipped.
     """
+    seen: set[str] = set()
     with _text(source) as handle:
-        for _, doc_id, text in _tab_rows(handle, "corpus", "text"):
-            yield Passage(doc_id=doc_id, text=text)
+        for lineno, doc_id, text in _tab_rows(handle, "corpus", "text"):
+            if doc_id in seen:
+                raise ValueError(f"corpus line {lineno}: duplicate doc_id '{doc_id}'")
+            seen.add(doc_id)
+            yield Passage(doc_id, text)  # positional: keywords cost as much as the check above
 
 
 class _TermIds(dict):

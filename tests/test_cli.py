@@ -7,7 +7,7 @@ import shlex
 import pytest
 
 from convsearch.cli import build_parser, main
-from convsearch.evaluation import read_run_file
+from convsearch.evaluation import evaluate_run, format_report, parse_qrels, read_run_file
 from convsearch.fusion import ensemble_fuse, interleave
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO
@@ -86,6 +86,64 @@ def test_cli_fuse_output_digests(tmp_path):
         fused = tmp_path / f"{method}.run"
         assert main(["fuse", *runs, "--method", method, "--out", str(fused)]) == 0
         assert hashlib.sha256(fused.read_bytes()).hexdigest() == digest
+
+
+# sha256 of each report's `json.dumps(report.to_dict())` and of its sliced text table,
+# for the six configs' runs and their two fusions, at the default cut-offs
+REPORT_DIGESTS = {
+    "gpt4qr-bm25-qd1.run": [
+        "4f948c766e2329b8f82a403bff0041d68acf09c288d042b44ee02e45ab718fdc",
+        "d8b955f0b3a37f8e96b2ba0eab440bbb569f9b1690016b3ee814ecebc51ceaef",
+    ],
+    "gpt4qr-deberta.run": [
+        "09abfc3c0200a28b59c8754d5d629847cce4c91fdd045b079d94a8d739d97679",
+        "2f69814c3fd9e67e399b09e9d251b2d2e2bf3f283f87e59035d9d6c820f6edfc",
+    ],
+    "humanqr-deberta.run": [
+        "84f0ec36e73db12bd2c7605081d69184acb1cd8c97a0a50db34a00ea4fd10f16",
+        "6387cea8ad63aa7534681d148eda4fce395ab1233c75b012dc2e37e2dd424e78",
+    ],
+    "humanqr-ensemble.run": [
+        "349ed26053c8c3818039a4e569111c4b476bf5784e45a82478166b0103336e08",
+        "0b4f42e8c281e3eb390e8894e81a9a03dc4710c2b1435866b70e3a4a50fd822d",
+    ],
+    "mq4cs-qr-deberta.run": [
+        "54bd1103ad3f4a42466730d8598bfbabbb1efc30e8abe77dc1f3e35e7ba2d3a4",
+        "1f8726d2a1900e6749d4cf29a1a5cf6dc2870dbdaf8d3cb952bdb7fddd2740e6",
+    ],
+    "mq4cs-qr-ensemble.run": [
+        "72925ff8f5b7fda408d68cade81dc6d58429b3f55aba5843cb0482fc98f4e26b",
+        "227c2e9ee1f6f8956f85389f132bb5582cbd710619b02834d98fe1c14765fbde",
+    ],
+    "ensemble.run": [
+        "1e7858c1123cccafb081e64efad64c961d785aeeb1975ae3ecff6b2674a51ea0",
+        "ae75901d10e5631f89d7d64208a3027ce5d4b44d9347b24b5a6b1de12f37c951",
+    ],
+    "interleave.run": [
+        "1708f9b255d0a65da25ba9f63c1f631e9a9f06fe784aa32f5001a7f4063ae0fb",
+        "12753f9395f69c744efc32e59769b586742fc9a25da11b6752cbfb538d1a0823",
+    ],
+}
+
+
+def test_evaluation_report_digests(tmp_path):
+    runs = []
+    for config in sorted(CONFIG_DIR.glob("*.json")):
+        out_dir = tmp_path / config.stem
+        assert main(["run", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        runs.extend(out_dir.glob("*.run"))
+    for method in FUSED_DIGESTS:
+        fused = tmp_path / f"{method}.run"
+        assert main(["fuse", *map(str, runs[:6]), "--method", method, "--out", str(fused)]) == 0
+        runs.append(fused)
+    qrels = parse_qrels(FIXTURE_DIR / "qrels.txt")
+    digests = {}
+    for run in runs:
+        report = evaluate_run(run, qrels)
+        table = format_report(report, per_depth=True, per_topic=True)
+        texts = (json.dumps(report.to_dict()), table)
+        digests[run.name] = [hashlib.sha256(text.encode()).hexdigest() for text in texts]
+    assert digests == REPORT_DIGESTS
 
 
 @pytest.mark.parametrize(

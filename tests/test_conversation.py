@@ -169,6 +169,37 @@ def test_parse_topics_names_the_topic_of_an_empty_statement():
         parse_topics(io.StringIO(json.dumps([payload])))
 
 
+@pytest.mark.parametrize("value", [None, 5, ["text"]], ids=["null", "number", "list"])
+@pytest.mark.parametrize(
+    "where, field",
+    [
+        ("title", "field 'title'"),
+        ("ptkb", "ptkb statement '2'"),
+        ("utterance", "turn 2 field 'utterance'"),
+        ("response", "turn 2 field 'response'"),
+        ("manual_rewrite", "turn 2 field 'manual_rewrite'"),
+    ],
+    ids=["title", "ptkb", "utterance", "response", "manual_rewrite"],
+)
+def test_parse_topics_takes_text_fields_only_as_json_strings(where, field, value):
+    payload = _topic_payload()
+    if where == "title":
+        payload["title"] = value
+    elif where == "ptkb":
+        payload["ptkb"]["2"] = value
+    else:
+        payload["turns"][1][where] = value
+    message = f"topic '1': {field} must be a string, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_topics(io.StringIO(json.dumps([payload])))
+    if where in ("response", "manual_rewrite"):  # an optional field is omitted by leaving it out
+        del payload["turns"][1][where]
+        turn = parse_topics(io.StringIO(json.dumps([payload])))[0].turns[1]
+        assert (turn.gold_response, turn.manual_rewrite) == (
+            "" if where == "response" else "response 2", None
+        )
+
+
 def test_parse_topics_keeps_manual_rewrite():
     payload = _topic_payload()
     payload["turns"][0]["manual_rewrite"] = "rewritten"

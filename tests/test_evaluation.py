@@ -153,6 +153,15 @@ def test_precision_recall_values():
     assert recall_at_k(ranking, qrels, 100) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_cutoffs_below_one_are_rejected(k):
+    # nDCG@-1 used to score all but the last rank, and nDCG@0 read 0
+    ranking, qrels = _ranking("q", ["A", "B"]), _qrels("q", {"A": 1, "B": 1})
+    for metric in (ndcg_at_k, precision_at_k, recall_at_k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            metric(ranking, qrels, k)
+
+
 def test_precision_fixed_denominator():
     qrels = _qrels("q", {"A": 1, "B": 1})
     ranking = _ranking("q", ["A", "B", "X"])  # only 3 retrieved
@@ -197,6 +206,96 @@ def test_metrics_match_brute_force_on_random_instances():
         assert average_precision(ranking, qrels) == pytest.approx(
             brute_ap(doc_ids, judged), abs=1e-9
         )
+
+
+# the five metric bodies as they stood when each read the judgments and the ranking on
+# its own, kept verbatim as a bit-exact reference for the shared grade stream
+
+
+def reference_ndcg(ranking, qrels, k=None):
+    judged = qrels.for_query(ranking.query_id)
+    ideal_gains = sorted((rel for rel in judged.values() if rel > 0), reverse=True)
+    if k is not None:
+        ideal_gains = ideal_gains[:k]
+    idcg = sum(
+        rel / math.log2(position + 1) for position, rel in enumerate(ideal_gains, start=1)
+    )
+    if idcg == 0.0:
+        return 0.0
+    docs = ranking.doc_ids()
+    if k is not None:
+        docs = docs[:k]
+    dcg = sum(
+        judged.get(doc_id, 0) / math.log2(position + 1)
+        for position, doc_id in enumerate(docs, start=1)
+    )
+    return dcg / idcg
+
+
+def reference_rr(ranking, qrels, threshold=1):
+    judged = qrels.for_query(ranking.query_id)
+    for position, doc_id in enumerate(ranking.doc_ids(), start=1):
+        if judged.get(doc_id, 0) >= threshold:
+            return 1.0 / position
+    return 0.0
+
+
+def reference_p(ranking, qrels, k, threshold=1):
+    judged = qrels.for_query(ranking.query_id)
+    hits = sum(1 for doc_id in ranking.doc_ids()[:k] if judged.get(doc_id, 0) >= threshold)
+    return hits / k
+
+
+def reference_r(ranking, qrels, k, threshold=1):
+    judged = qrels.for_query(ranking.query_id)
+    total_relevant = sum(1 for rel in judged.values() if rel >= threshold)
+    if total_relevant == 0:
+        return 0.0
+    hits = sum(1 for doc_id in ranking.doc_ids()[:k] if judged.get(doc_id, 0) >= threshold)
+    return hits / total_relevant
+
+
+def reference_ap(ranking, qrels, threshold=1):
+    judged = qrels.for_query(ranking.query_id)
+    total_relevant = sum(1 for rel in judged.values() if rel >= threshold)
+    if total_relevant == 0:
+        return 0.0
+    hits = 0
+    precision_sum = 0.0
+    for position, doc_id in enumerate(ranking.doc_ids(), start=1):
+        if judged.get(doc_id, 0) >= threshold:
+            hits += 1
+            precision_sum += hits / position
+    return precision_sum / total_relevant
+
+
+def test_metrics_are_bit_identical_to_the_reference_bodies():
+    cases = [(ndcg_at_k, reference_ndcg, (k,)) for k in (None, 1, 5, 20, 100)]
+    for threshold in (1, 2, 3):
+        cases += [(reciprocal_rank, reference_rr, (threshold,))]
+        cases += [(average_precision, reference_ap, (threshold,))]
+        for k in (1, 5, 20, 100):
+            cases += [(precision_at_k, reference_p, (k, threshold))]
+            cases += [(recall_at_k, reference_r, (k, threshold))]
+    rng = np.random.default_rng(73)
+    for _ in range(600):
+        # empty rankings, rankings shorter and longer than k = 100, unjudged documents,
+        # judged documents left unretrieved, and queries with no relevant judgment
+        n_docs = int(rng.choice([0, 1, 3, 12, 60, 130]))
+        universe = n_docs + int(rng.integers(0, 15))
+        doc_ids = [f"d{i:03d}" for i in rng.permutation(universe)[:n_docs]]
+        n_judged = int(rng.integers(0, min(universe, 40) + 1))
+        top = int(rng.integers(1, 5))  # grades below top, so some queries have none >= 3
+        judgments = {
+            ("q", f"d{int(i):03d}"): int(rng.integers(0, top))
+            for i in rng.choice(universe, size=n_judged, replace=False)
+        }
+        judgments[("other", "d000")] = 3
+        ranking = _ranking("q", doc_ids)
+        qrels = Qrels(judgments)
+        for metric, reference, args in cases:
+            got, want = metric(ranking, qrels, *args), reference(ranking, qrels, *args)
+            assert got.hex() == want.hex(), (metric.__name__, args, doc_ids, judgments)
 
 
 def test_ndcg_adjacent_swap_never_decreases():

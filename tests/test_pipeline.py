@@ -572,6 +572,18 @@ def test_a_run_names_the_paths_its_spec_lacks(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config", ["gpt4qr_bm25_qd1.json", "gpt4qr_deberta.json"])
+def test_load_resources_rejects_a_repeated_corpus_doc_id(tmp_path, config):
+    # a BM25 spec and a sparse one: the later passage must not replace the earlier
+    spec = load_run_spec(CONFIG_DIR / config)
+    corpus = tmp_path / "corpus.tsv"
+    text = spec.paths["corpus"].read_text(encoding="utf-8")
+    corpus.write_text(text + "D001\tanother passage\n", encoding="utf-8")
+    spec.paths["corpus"] = corpus
+    with pytest.raises(ValueError, match=re.escape("corpus line 51: duplicate doc_id 'D001'")):
+        load_resources(spec)
+
+
 def test_run_spec_keys_are_config_fields_and_spec_settings(tmp_path):
     # generated specs carry a shipped config with absolute paths
     for path in sorted(CONFIG_DIR.glob("*.json")):
