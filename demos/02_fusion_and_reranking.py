@@ -13,7 +13,6 @@ from convsearch import (
     RankedList,
     ensemble_fuse,
     interleave,
-    min_max_normalize,
     pool_candidates,
     read_corpus,
     rerank,
@@ -26,7 +25,7 @@ def main():
     # --- min-max normalization -------------------------------------------
     raw = RankedList("q", (("C", 6.0), ("B", 4.0), ("A", 2.0)))
     print("raw      :", list(raw.items))
-    print("min-max  :", list(min_max_normalize(raw).items))
+    print("min-max  :", list(ensemble_fuse([raw]).items))  # the fusion of one list
 
     # --- ensemble fusion: mean of per-list normalized scores -------------
     first = RankedList.from_scores("q", {"A": 2.0, "B": 4.0, "C": 6.0})

@@ -38,7 +38,6 @@ from .fusion import (
     Scorer,
     ensemble_fuse,
     interleave,
-    min_max_normalize,
     pool_candidates,
     rerank,
     resolve_scorer,

@@ -1,6 +1,7 @@
 """Conversational topics: ordered turns plus a persona statement list (PTKB).
 
-A topic file is a JSON array of objects with fields ``number`` (topic id),
+A topic file is a JSON array of objects with fields ``number`` (a topic id
+unique in the file: a JSON string without whitespace, or an integer),
 ``title``, ``ptkb`` (object mapping "1", "2", ... to statements) and
 ``turns`` (list of ``{turn_number, utterance, response}``, optionally with
 a ``manual_rewrite`` per turn).  The title, statements and turn texts are
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping
 
-from .index import _text
+from .index import _ascii_int, _id_problem, _text
 
 __all__ = [
     "PTKBStatement",
@@ -83,39 +84,39 @@ class Topic:
                 raise ValueError(f"topic '{self.topic_id}': non-contiguous turns")
 
 
-def _integer(value: object, well_formed: bool, topic_id: str, field: str) -> int:
-    try:
-        if well_formed:
-            return int(value)
-    except ValueError:  # int() refuses a string of more than 4,300 digits
-        pass
-    raise ValueError(f"topic '{topic_id}': {field} must be an integer, got {value!r}")
-
-
-def _string(value: object, topic_id: str, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"topic '{topic_id}': {field} must be a string, got {value!r}")
+def _typed(value: object, kind: type, topic_id: str, field: str):
+    """``value`` if its JSON type is ``kind`` (str or int; a boolean is no int), else raise."""
+    if type(value) is not kind:
+        wanted = "a string" if kind is str else "an integer"
+        raise ValueError(f"topic '{topic_id}': {field} must be {wanted}, got {value!r}")
     return value
 
 
-def _parse_topic(entry: dict, position: int) -> Topic:
+def _parse_topic(entry: dict, position: int, seen: set[str]) -> Topic:
+    """The topic of ``entry``; its number, new to ``seen`` (the earlier ones), is added to it."""
     for required in ("number", "title", "ptkb", "turns"):
         if required not in entry:
             raise ValueError(f"topic #{position}: missing field '{required}'")
-    topic_id = str(entry["number"])
-    title = _string(entry["title"], topic_id, "field 'title'")
+    number = entry["number"]
+    topic_id = str(number)
+    if type(number) not in (str, int) or _id_problem("number", [topic_id]):
+        raise ValueError(f"topic #{position}: field 'number' must be a JSON integer or a "
+                         f"non-empty string without whitespace, got {number!r}")
+    if topic_id in seen:
+        raise ValueError(f"topic #{position}: duplicate number '{topic_id}'")
+    seen.add(topic_id)
+    title = _typed(entry["title"], str, topic_id, "field 'title'")
     ptkb_raw = entry["ptkb"]
     if not isinstance(ptkb_raw, Mapping):
         raise ValueError(
             f"topic '{topic_id}': field 'ptkb' must be an object, got {type(ptkb_raw).__name__}"
         )
-    indexed = [
-        (
-            _integer(key, key.isascii() and key.isdigit(), topic_id, "ptkb key"),
-            _string(text, topic_id, f"ptkb statement '{key}'"),
-        )
-        for key, text in ptkb_raw.items()
-    ]
+    indexed = []
+    for key, text in ptkb_raw.items():
+        index = _ascii_int(key)
+        if index is None:
+            raise ValueError(f"topic '{topic_id}': ptkb key must be an integer, got {key!r}")
+        indexed.append((index, _typed(text, str, topic_id, f"ptkb statement '{key}'")))
     indexed.sort(key=lambda pair: pair[0])
     try:
         statements = [PTKBStatement(i, text) for i, text in indexed]
@@ -128,10 +129,9 @@ def _parse_topic(entry: dict, position: int) -> Topic:
                 raise ValueError(
                     f"topic '{topic_id}': turn missing field '{required}'"
                 )
-        number = turn_entry["turn_number"]
-        number = _integer(number, type(number) is int, topic_id, "field 'turn_number'")
+        number = _typed(turn_entry["turn_number"], int, topic_id, "field 'turn_number'")
         text = {
-            name: _string(turn_entry[name], topic_id, f"turn {number} field '{name}'")
+            name: _typed(turn_entry[name], str, topic_id, f"turn {number} field '{name}'")
             for name in ("utterance", "response", "manual_rewrite")
             if name in turn_entry
         }
@@ -145,18 +145,21 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
     """Parse a topics file, preserving order and validating all invariants.
 
     Raises:
-        ValueError: naming the topic and field for missing fields, a ptkb
-            that is not an object, a ptkb key that is not ASCII digits, an
-            empty statement, a turn number that is not a JSON integer,
-            numbering not contiguous from 1, or a title, statement,
-            utterance, response or manual rewrite that is not a JSON string
-            (naming the turn too).
+        ValueError: naming the topic and field for missing fields, a
+            ``number`` that is not a JSON string or integer, is empty,
+            holds whitespace or repeats an earlier one (naming the topic
+            ``#N`` by position), a ptkb that is not an object, a ptkb key
+            that is not ASCII digits, an empty statement, a turn number
+            that is not a JSON integer, numbering not contiguous from 1, or
+            a title, statement, utterance, response or manual rewrite that
+            is not a JSON string (naming the turn too).
     """
     with _text(source) as handle:
         data = json.load(handle)
     if not isinstance(data, list):
         raise ValueError("topics file must contain a JSON array of topics")
-    return [_parse_topic(entry, position) for position, entry in enumerate(data, start=1)]
+    seen: set[str] = set()
+    return [_parse_topic(entry, position, seen) for position, entry in enumerate(data, start=1)]
 
 
 def render_context(topic: Topic, current_turn: int) -> str:

@@ -2,11 +2,11 @@
 
 Metrics follow the trec_eval conventions used by the conversational
 benchmark this package targets: nDCG with linear gain, each rank adding
-``rel / log2(rank + 1)``, and a binary relevance threshold (default
-``rel >= 1``) for MRR, precision, recall, and average precision.  Each
-metric reads one stream of grades in rank order (0 when unjudged), cut at
-its ``k`` before any grade is looked up.  Qrels and run files are read by
-one loop over whitespace-separated records.
+``rel / log2(rank + 1)``, and a binary relevance threshold (``rel >= t``
+for a ``t`` of at least 1, default 1) for MRR, precision, recall, and
+average precision.  Each metric reads one stream of grades in rank order
+(0 when unjudged), cut at its ``k`` before any grade is looked up.  Qrels
+and run files are read by one loop over whitespace-separated records.
 
 Queries present in the run but absent from the qrels are excluded from
 aggregation and listed; queries judged but with no relevant document score
@@ -26,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .index import RankedList, _text
+from .index import RankedList, _ascii_int, _id_problem, _text
 
 __all__ = [
     "Qrels",
@@ -67,16 +67,6 @@ class Qrels:
         return set(self._by_query)
 
 
-def _ascii_int(text: str) -> int | None:
-    """``text`` as an int if it is ASCII digits, else None."""
-    try:
-        if text.isascii() and text.isdigit():
-            return int(text)
-    except ValueError:  # int() refuses a string of more than 4,300 digits
-        pass
-    return None
-
-
 def _records(source: str | Path | IO[str], kind: str, width: int) -> Iterator[tuple[int, list]]:
     """``(lineno, fields)`` of each non-blank line, split on whitespace into ``width`` fields."""
     with _text(source) as handle:
@@ -112,12 +102,19 @@ def parse_qrels(source: str | Path | IO[str]) -> Qrels:
     return Qrels(judgments)
 
 
-def _gains(
-    ranking: RankedList, qrels: Qrels, k: int | None = None
-) -> tuple[dict[str, int], Iterator[int]]:
-    """The query's judgments, and the lazy grades (0 if unjudged) of its top ``k`` or all ranks."""
+def _check_cutoffs(k: int | None, threshold: int) -> None:
+    """A cut-off ``k`` (None: all ranks) and a relevance threshold are each >= 1."""
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
+    if threshold < 1:  # below 1, every unjudged document would count as relevant
+        raise ValueError("threshold must be >= 1")
+
+
+def _gains(
+    ranking: RankedList, qrels: Qrels, k: int | None = None, threshold: int = 1
+) -> tuple[dict[str, int], Iterator[int]]:
+    """The query's judgments, and the lazy grades (0 if unjudged) of its top ``k`` or all ranks."""
+    _check_cutoffs(k, threshold)
     judged = qrels.for_query(ranking.query_id)
     return judged, map(judged.get, map(itemgetter(0), ranking.items[:k]), repeat(0))
 
@@ -144,14 +141,14 @@ def ndcg_at_k(ranking: RankedList, qrels: Qrels, k: int | None = None) -> float:
 
 def reciprocal_rank(ranking: RankedList, qrels: Qrels, threshold: int = 1) -> float:
     """1/rank of the first document with ``rel >= threshold``, else 0."""
-    _, grades = _gains(ranking, qrels)
+    _, grades = _gains(ranking, qrels, None, threshold)
     hits = (1.0 / position for position, rel in enumerate(grades, start=1) if rel >= threshold)
     return next(hits, 0.0)
 
 
 def precision_at_k(ranking: RankedList, qrels: Qrels, k: int, threshold: int = 1) -> float:
     """Relevant documents in the top k divided by k (fixed denominator)."""
-    _, grades = _gains(ranking, qrels, k)
+    _, grades = _gains(ranking, qrels, k, threshold)
     return _relevant(grades, threshold) / k
 
 
@@ -160,14 +157,14 @@ def recall_at_k(ranking: RankedList, qrels: Qrels, k: int, threshold: int = 1) -
 
     Zero relevant documents in the qrels yields 0 (callers flag it).
     """
-    judged, grades = _gains(ranking, qrels, k)
+    judged, grades = _gains(ranking, qrels, k, threshold)
     total_relevant = _relevant(judged.values(), threshold)
     return _relevant(grades, threshold) / total_relevant if total_relevant else 0.0
 
 
 def average_precision(ranking: RankedList, qrels: Qrels, threshold: int = 1) -> float:
     """Mean of P@i over relevant ranks i, divided by total relevant count."""
-    judged, grades = _gains(ranking, qrels)
+    judged, grades = _gains(ranking, qrels, None, threshold)
     total_relevant = _relevant(judged.values(), threshold)
     if total_relevant == 0:
         return 0.0
@@ -181,12 +178,15 @@ def average_precision(ranking: RankedList, qrels: Qrels, threshold: int = 1) -> 
 
 @dataclass(frozen=True)
 class EvalCutoffs:
-    """Metric cutoffs and binary threshold; defaults mirror the report suite."""
+    """Metric cutoffs and binary threshold (>= 1); defaults mirror the report suite."""
 
     ndcg_cutoff: int = 5
     precision_cutoff: int = 20
     recall_cutoff: int = 100
     threshold: int = 1
+
+    def __post_init__(self) -> None:
+        _check_cutoffs(None, self.threshold)
 
     def metric_columns(self) -> list[str]:
         ndcg, recall, precision = self.ndcg_cutoff, self.recall_cutoff, self.precision_cutoff
@@ -265,8 +265,11 @@ def write_run_file(
 
     Lines are ``<query_id> Q0 <doc_id> <rank> <score> <run_tag>`` with rank
     starting at 1 and scores rendered to 6 decimal places.  Returns the
-    number of lines written.
+    number of lines written; raises ValueError, writing nothing, for a
+    ``run_tag`` that is empty or holds whitespace.
     """
+    if problem := _id_problem("run_tag", [run_tag]):
+        raise ValueError(problem)
     lines = [
         f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}"
         for query_id, ranking in rankings

@@ -1,12 +1,13 @@
 """Rank fusion and reranking: min-max ensembling, interleaving, pooling.
 
 Fusion operates on :class:`~convsearch.index.RankedList` values sharing a
-query id.  Ensemble fusion, min-max normalization and reranking rank
-through one kernel: a float row per input list or scorer (min-max
-normalized, except a lone scorer's; 0 where a list lacks a document),
-averaged into one ranked list.  Interleaving merges orderings round-robin
-with global deduplication and synthetic 1/rank scores; pooling takes the
-deduplicated union of per-list prefixes for a later reranking pass.
+query id.  Ensemble fusion (of one list: min-max normalization) and
+reranking rank through one kernel: a float row per input list or scorer
+(min-max normalized, except a lone scorer's; 0 where a list lacks a
+document), averaged into one ranked list.  Interleaving merges orderings
+round-robin with global deduplication and synthetic 1/rank scores;
+pooling takes the deduplicated union of per-list prefixes for a later
+reranking pass.
 
 Rerankers are pluggable scorers: anything with
 ``score(query, passages) -> list[float]`` aligned with its input.  Scorers
@@ -37,7 +38,6 @@ __all__ = [
     "PseudoCrossEncoder",
     "RemoteScorer",
     "resolve_scorer",
-    "min_max_normalize",
     "ensemble_fuse",
     "interleave",
     "pool_candidates",
@@ -185,15 +185,6 @@ def _fuse(query_id: str, doc_ids: Sequence[str], rows: Sequence[np.ndarray]) -> 
     return RankedList.from_scores(query_id, dict(zip(doc_ids, fused.tolist())))
 
 
-def min_max_normalize(ranked: RankedList) -> RankedList:
-    """Rescale scores to [0, 1], keeping the documents: ``ensemble_fuse([ranked])``.
-
-    A degenerate range (max == min, including singletons) maps every score
-    to 1.0.  Scores that round to a tie are ordered by ascending doc_id.
-    """
-    return ensemble_fuse([ranked])
-
-
 def _require_shared_query_id(lists: Sequence[RankedList]) -> str:
     if not lists:
         raise ValueError("at least one ranked list required")
@@ -209,8 +200,9 @@ def _require_shared_query_id(lists: Sequence[RankedList]) -> str:
 def ensemble_fuse(lists: Sequence[RankedList]) -> RankedList:
     """Fuse lists by the arithmetic mean of min-max-normalized scores.
 
-    A document absent from a list scores 0 in that list's row.  Output is
-    sorted by descending fused score, ties broken by ascending doc_id.
+    A document absent from a list scores 0 in that list's row, and one list
+    fuses to its min-max normalization (a degenerate range gives 1.0).
+    Output is sorted by descending fused score, ties by ascending doc_id.
 
     Raises:
         ValueError: when the lists do not share one query_id.

@@ -94,14 +94,14 @@ class AnalyzerConfig:
 
 @dataclass(frozen=True)
 class Passage:
-    """One retrievable unit of the collection."""
+    """One retrievable unit of the collection; ``doc_id`` is non-empty and without whitespace."""
 
     doc_id: str
     text: str
 
     def __post_init__(self) -> None:
-        if not self.doc_id:
-            raise ValueError("passage doc_id must be non-empty")
+        if self.doc_id.split() != [self.doc_id]:  # _id_problem's rule at one C call per passage
+            raise ValueError(_id_problem("doc_id", [self.doc_id]))
 
 
 @dataclass(frozen=True)
@@ -228,33 +228,56 @@ def _text(source: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
         yield source
 
 
+def _ascii_int(text: str) -> int | None:
+    """``text`` as an int if it is ASCII digits, else None."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # int() refuses a string of more than 4,300 digits
+        pass
+    return None
+
+
+def _id_problem(what: str, values: list[str]) -> str | None:
+    """None if each of ``values`` is an identifier, else why the first that is not fails.
+
+    An identifier (doc_id, topic id, run tag) is non-empty and has no
+    whitespace, so the ``split()`` reading a run or qrels line keeps it whole.
+    """
+    if " ".join(values).split() == values:
+        return None
+    bad = next(value for value in values if value.split() != [value])
+    return f"whitespace in {what} {bad!r}" if bad else f"empty {what}"
+
+
 def _tab_rows(lines: Iterable[str], kind: str, rest: str, start: int = 1) -> Iterator[tuple]:
-    """``(lineno, doc_id, rest)`` of each non-empty ``<doc_id><TAB><rest>`` line, from ``start``."""
+    """``(lineno, [doc_id, rest])`` per non-empty ``<doc_id><TAB><rest>`` line, from ``start``."""
     for lineno, raw in enumerate(lines, start=start):
         line = raw.rstrip("\n")
         if not line:
             continue
         if "\t" not in line:
             raise ValueError(f"{kind} line {lineno}: expected '<doc_id>\\t<{rest}>'")
-        doc_id, text = line.split("\t", 1)
-        if not doc_id:
-            raise ValueError(f"{kind} line {lineno}: empty doc_id")
-        yield lineno, doc_id, text
+        yield lineno, line.split("\t", 1)
 
 
 def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
     """Yield passages from a ``<doc_id><TAB><text>`` file (UTF-8, one per line).
 
-    Raises ValueError with the line number for lines without a tab and for
-    a doc_id seen on an earlier line.  Blank lines are skipped.
+    Raises ValueError with the line number for a line without a tab, or a
+    doc_id that is empty, holds whitespace or repeats.  Blank lines are skipped.
     """
     seen: set[str] = set()
     with _text(source) as handle:
-        for lineno, doc_id, text in _tab_rows(handle, "corpus", "text"):
+        for lineno, (doc_id, text) in _tab_rows(handle, "corpus", "text"):
             if doc_id in seen:
                 raise ValueError(f"corpus line {lineno}: duplicate doc_id '{doc_id}'")
             seen.add(doc_id)
-            yield Passage(doc_id, text)  # positional: keywords cost as much as the check above
+            try:
+                passage = Passage(doc_id, text)  # positional: keywords cost as much as a check
+            except ValueError as exc:
+                raise ValueError(f"corpus line {lineno}: {exc}") from None
+            yield passage
 
 
 class _TermIds(dict):
@@ -419,8 +442,8 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
     Weights must be non-negative, finite ASCII decimals (``1e999``
     overflows and is rejected); zero weights are dropped per the
     sparse-vector invariant, and a term repeated within a line keeps its
-    first position and its last weight.  A doc_id may appear on one line
-    only.
+    first position and its last weight.  A doc_id is an identifier (not
+    empty, no whitespace) and may appear on one line only.
 
     The file streams in blocks of lines into flat columns (term ids,
     weights, row ends) that :func:`build_sparse_index` packs without
@@ -438,7 +461,7 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
 
     Raises:
         ValueError: naming the first bad line's number, for malformed
-            lines, negative or non-finite weights, or duplicate doc_ids.
+            lines, negative or non-finite weights, or bad or duplicate doc_ids.
     """
     columns = _Columns()
     with _text(source) as handle:
@@ -473,7 +496,9 @@ def _load_lines(columns: _Columns, lines: list[str], start: int) -> None:
 
 def _append_entries(columns: _Columns, line: str, lineno: int) -> None:
     """Append one line parsed entry by entry: the source of every error the loader raises."""
-    for lineno, doc_id, payload in _tab_rows([line], "sparse-vector", "entries", lineno):
+    for lineno, (doc_id, payload) in _tab_rows([line], "sparse-vector", "entries", lineno):
+        if problem := _id_problem("doc_id", [doc_id]):
+            raise ValueError(f"sparse-vector line {lineno}: {problem}")
         if doc_id in columns.rows:
             raise ValueError(f"sparse-vector line {lineno}: duplicate doc_id '{doc_id}'")
         entries: dict[str, float] = {}
@@ -497,7 +522,7 @@ def _append_plain(columns: _Columns, lines: list[str]) -> bool:
     """Append ``lines`` whole and return True if every one is plain; else append nothing."""
     doc_ids, tabs, payloads = zip(*map(str.partition, lines, repeat("\t")))
     new = len(set(doc_ids)) == len(lines) and columns.rows.keys().isdisjoint(doc_ids)
-    if "" in tabs or "" in doc_ids or not new:
+    if "" in tabs or not new or _id_problem("doc_id", list(doc_ids)):
         return False
     text = " ".join(payloads).replace("\n", "")
     while "  " in text:  # a run of spaces separates entries as one space does

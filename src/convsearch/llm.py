@@ -179,12 +179,6 @@ class LLMCache:
             tmp.unlink(missing_ok=True)
             raise
 
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
-
 
 class HttpChatTransport:
     """Chat-completion adapter speaking a JSON POST protocol.
@@ -277,11 +271,6 @@ class LLMGateway:
         self.mode = mode
         self.transport = transport
 
-    def _call_transport(self, prompt: str) -> str:
-        if self.transport is None:
-            raise TransportError("no transport configured (replay-only gateway)")
-        return self.transport(self.model_id, prompt)
-
     def complete(self, prompt: str) -> str:
         """Return the model response for ``prompt`` per the gateway mode."""
         key = cache_key(self.model_id, prompt)
@@ -290,7 +279,9 @@ class LLMGateway:
             return cached
         if self.mode == "replay":
             raise CacheMissError(key)
-        response = self._call_transport(prompt)
+        if self.transport is None:
+            raise TransportError("no transport configured (replay-only gateway)")
+        response = self.transport(self.model_id, prompt)
         self.cache.put(key, self.model_id, prompt, response)
         return response
 

@@ -33,33 +33,22 @@ def _content_words(text: str) -> list[str]:
     return seen
 
 
-def _field(prompt: str, label: str) -> str:
-    """Extract the single-line value following ``label`` in the prompt."""
+def _field(prompt: str, label: str, end: str = "\n") -> str:
+    """The text after ``label: `` in the prompt, up to ``end`` (the line's end by default)."""
     marker = f"{label}: "
     start = prompt.find(marker)
     if start < 0:
         return ""
     start += len(marker)
-    end = prompt.find("\n", start)
-    return prompt[start:] if end < 0 else prompt[start:end]
-
-
-def _block(prompt: str, start_label: str, end_label: str) -> str:
-    """Extract the (possibly multi-line) text between two labels."""
-    marker = f"{start_label}: "
-    start = prompt.find(marker)
-    if start < 0:
-        return ""
-    start += len(marker)
-    end = prompt.find(f"\n{end_label}:", start)
-    return prompt[start:] if end < 0 else prompt[start:end]
+    stop = prompt.find(end, start)
+    return prompt[start:] if stop < 0 else prompt[start:stop]
 
 
 def _query_generation(prompt: str) -> str:
     budget_match = _BUDGET_RE.search(prompt)
     budget = int(budget_match.group(1)) if budget_match else 1
     utterance = _field(prompt, "# User question")
-    ptkb_words = _content_words(_block(prompt, "# Background knowledge", "# Context"))
+    ptkb_words = _content_words(_field(prompt, "# Background knowledge", "\n# Context:"))
     queries = [utterance.strip() or "information request"]
     for word in ptkb_words:
         if len(queries) >= budget:
@@ -85,18 +74,14 @@ def _classification(prompt: str) -> str:
     copied: list[str] = []
     in_ptkb = False
     for line in prompt.splitlines():
-        if line.startswith("Here is the background information about the user:"):
-            in_ptkb = True
-            remainder = line.split(":", 1)[1].strip()
-            match = _STATEMENT_RE.match(remainder)
-            if match and set(_content_words(match.group(2))) & question_words:
-                copied.append(match.group(2))
-            continue
-        if not in_ptkb:
+        header = line.startswith("Here is the background information about the user:")
+        if header:  # the statements start on the header line, after its colon
+            in_ptkb, line = True, line.split(":", 1)[1].strip()
+        elif not in_ptkb:
             continue
         match = _STATEMENT_RE.match(line)
         if match is None:
-            in_ptkb = False
+            in_ptkb = header  # the statements end at the first other line after the header
             continue
         if set(_content_words(match.group(2))) & question_words:
             copied.append(match.group(2))

@@ -38,6 +38,7 @@ from .index import (
     InvertedIndex,
     Passage,
     RankedList,
+    _id_problem,
     _text,
     bm25_retrieve,
     build_index,
@@ -123,8 +124,8 @@ class RunConfig:
     scorer_endpoints: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.run_tag:
-            raise ValueError("run_tag must be non-empty")
+        if problem := _id_problem("run_tag", [self.run_tag]):
+            raise ValueError(problem)
         if self.rewriter not in _REWRITERS:
             raise ValueError(f"unknown rewriter '{self.rewriter}'")
         if self.retriever not in _RETRIEVERS:

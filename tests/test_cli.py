@@ -215,6 +215,45 @@ def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_fuse_rejects_a_run_tag_with_whitespace(tmp_path, capsys):
+    # the tag used to be written as two fields, which read_run_file rejects
+    run = tmp_path / "a.run"
+    run.write_text("1_1 Q0 D001 1 1.000000 a\n", encoding="utf-8")
+    out = tmp_path / "fused.run"
+    assert main(["fuse", str(run), "--run-tag", "a b", "--out", str(out)]) == 1
+    assert "error: whitespace in run_tag 'a b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_cli_evaluate_rejects_a_threshold_below_one(tmp_path, capsys, threshold):
+    # at 0 every unjudged document counted as relevant: Recall@4 and mAP read 4.0
+    run, qrels = tmp_path / "a.run", tmp_path / "qrels.txt"
+    run.write_text("".join(f"1_1 Q0 D{i} {i} {5 - i}.0 a\n" for i in range(1, 5)), encoding="utf-8")
+    qrels.write_text("1_1 0 D1 1\n", encoding="utf-8")
+    argv = ["evaluate", "--run", str(run), "--qrels", str(qrels), "--threshold", threshold]
+    assert main([*argv, "--recall-cutoff", "4", "--precision-cutoff", "4"]) == 1
+    assert "error: threshold must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_a_repeated_topic_number(tmp_path, capsys):
+    # both fixture topics numbered "1": the run used to list doc 'D023' twice for '1_1'
+    topics = json.loads((FIXTURE_DIR / "topics.json").read_text(encoding="utf-8"))
+    for topic in topics:
+        topic["number"] = "1"
+    topics_path = tmp_path / "topics.json"
+    topics_path.write_text(json.dumps(topics), encoding="utf-8")
+    spec = json.loads((CONFIG_DIR / "gpt4qr_bm25_qd1.json").read_text(encoding="utf-8"))
+    paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
+    spec["paths"] = dict(paths, topics=str(topics_path), cache_dir=str(tmp_path / "cache"))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["run", "--config", str(spec_path), "--llm-mode", "record", "--scripted"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert "error: topic #2: duplicate number '1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     code = main(["evaluate", "--run", str(tmp_path / "missing.run"), "--qrels", "nope"])
     assert code == 1

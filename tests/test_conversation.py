@@ -200,6 +200,38 @@ def test_parse_topics_takes_text_fields_only_as_json_strings(where, field, value
         )
 
 
+@pytest.mark.parametrize(
+    "number",
+    [None, True, False, 1.5, [1], {}, "", "2 b", " 2", "2\t", "2\xa0"],
+    ids=["null", "true", "false", "float", "list", "object", "empty", "inner-space",
+         "leading-space", "tab", "no-break-space"],
+)
+def test_parse_topics_takes_a_number_only_as_an_identifier_string_or_a_json_integer(number):
+    # null and true used to read as the topics "None" and "True", "2 b" as a two-field id
+    payload = [_topic_payload("1"), dict(_topic_payload(), number=number)]
+    message = (
+        "topic #2: field 'number' must be a JSON integer or a non-empty string "
+        f"without whitespace, got {number!r}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_topics(io.StringIO(json.dumps(payload)))
+
+
+@pytest.mark.parametrize(
+    "numbers", [("1", "1"), ("1", 1), (7, "7")], ids=["strings", "string-int", "int-string"]
+)
+def test_parse_topics_rejects_a_repeated_number(numbers):
+    payload = [_topic_payload(number) for number in numbers]
+    message = f"topic #2: duplicate number '{numbers[0]}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_topics(io.StringIO(json.dumps(payload)))
+
+
+def test_parse_topics_reads_an_integer_number_as_its_digits():
+    payload = [_topic_payload(7), _topic_payload("t-2_b")]
+    assert [t.topic_id for t in parse_topics(io.StringIO(json.dumps(payload)))] == ["7", "t-2_b"]
+
+
 def test_parse_topics_keeps_manual_rewrite():
     payload = _topic_payload()
     payload["turns"][0]["manual_rewrite"] = "rewritten"

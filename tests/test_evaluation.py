@@ -162,6 +162,18 @@ def test_cutoffs_below_one_are_rejected(k):
             metric(ranking, qrels, k)
 
 
+@pytest.mark.parametrize("threshold", [0, -1])
+def test_thresholds_below_one_are_rejected(threshold):
+    # below 1 every unjudged document counted as relevant, so Recall and mAP passed 1
+    ranking, qrels = _ranking("q", ["A", "B", "C", "D"]), _qrels("q", {"A": 1})
+    with pytest.raises(ValueError, match="threshold must be >= 1"):
+        EvalCutoffs(threshold=threshold)
+    for metric, k in ((reciprocal_rank, ()), (precision_at_k, (4,)), (recall_at_k, (4,)),
+                      (average_precision, ())):
+        with pytest.raises(ValueError, match="threshold must be >= 1"):
+            metric(ranking, qrels, *k, threshold=threshold)
+
+
 def test_precision_fixed_denominator():
     qrels = _qrels("q", {"A": 1, "B": 1})
     ranking = _ranking("q", ["A", "B", "X"])  # only 3 retrieved

@@ -19,7 +19,6 @@ from convsearch.fusion import (
     RemoteScorer,
     ensemble_fuse,
     interleave,
-    min_max_normalize,
     pool_candidates,
     rerank,
     resolve_scorer,
@@ -33,27 +32,27 @@ def _ranked(query_id: str, pairs) -> RankedList:
 
 
 # ---------------------------------------------------------------------------
-# min-max normalization
+# min-max normalization: the ensemble fusion of one list
 # ---------------------------------------------------------------------------
 
 
 def test_min_max_basic_formula():
     ranked = RankedList("q", (("c", 6.0), ("b", 4.0), ("a", 2.0)))
-    normalized = min_max_normalize(ranked)
+    normalized = ensemble_fuse([ranked])
     assert list(normalized.items) == [("c", 1.0), ("b", 0.5), ("a", 0.0)]
 
 
 def test_min_max_degenerate_range():
     ranked = RankedList("q", (("a", 5.0), ("b", 5.0)))
-    assert [s for _, s in min_max_normalize(ranked).items] == [1.0, 1.0]
+    assert [s for _, s in ensemble_fuse([ranked]).items] == [1.0, 1.0]
 
 
 def test_min_max_singleton():
-    assert list(min_max_normalize(RankedList("q", (("x", 7.3),))).items) == [("x", 1.0)]
+    assert list(ensemble_fuse([RankedList("q", (("x", 7.3),))]).items) == [("x", 1.0)]
 
 
 def test_min_max_empty():
-    assert min_max_normalize(RankedList("q", ())).items == ()
+    assert ensemble_fuse([RankedList("q", ())]).items == ()
 
 
 def test_min_max_preserves_order_random():
@@ -62,7 +61,7 @@ def test_min_max_preserves_order_random():
         n = int(rng.integers(1, 30))
         scores = {f"d{i:02d}": float(rng.normal()) for i in range(n)}
         ranked = RankedList.from_scores("q", scores)
-        normalized = min_max_normalize(ranked)
+        normalized = ensemble_fuse([ranked])
         assert normalized.doc_ids() == ranked.doc_ids()
 
 
@@ -75,11 +74,6 @@ def test_ensemble_two_identical_lists_keeps_order():
     ranked = _ranked("q", [("a", 3.0), ("b", 2.0), ("c", 1.0)])
     fused = ensemble_fuse([ranked, ranked])
     assert fused.doc_ids() == ranked.doc_ids()
-
-
-def test_ensemble_single_list_equals_normalization():
-    ranked = _ranked("q", [("a", 3.0), ("b", 2.0), ("c", 1.0)])
-    assert ensemble_fuse([ranked]).items == min_max_normalize(ranked).items
 
 
 def test_ensemble_hand_worked_example():
@@ -103,7 +97,7 @@ def test_ensemble_orders_rounding_ties_by_doc_id():
     # dB and dA both normalize to 1.0, in descending doc_id order
     first = RankedList("q_1", (("dB", 1.000001), ("dA", 1.0), ("dZ", -1e11)))
     second = RankedList("q_1", (("dA", 2.0),))
-    assert min_max_normalize(first).items == (("dA", 1.0), ("dB", 1.0), ("dZ", 0.0))
+    assert ensemble_fuse([first]).items == (("dA", 1.0), ("dB", 1.0), ("dZ", 0.0))
     fused = ensemble_fuse([first, second])
     assert fused.items == (("dA", 1.0), ("dB", 0.5), ("dZ", 0.0))
 
@@ -113,8 +107,8 @@ def test_min_max_finite_range_past_the_float_maximum():
     top = RankedList("q", (("a", sys.float_info.max), ("b", -sys.float_info.max)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning on the way
-        assert min_max_normalize(ranked).items == (("a", 1.0), ("b", 0.5), ("c", 0.0))
-        assert min_max_normalize(top).items == (("a", 1.0), ("b", 0.0))
+        assert ensemble_fuse([ranked]).items == (("a", 1.0), ("b", 0.5), ("c", 0.0))
+        assert ensemble_fuse([top]).items == (("a", 1.0), ("b", 0.0))
         assert ensemble_fuse([ranked, top]).items == (("a", 1.0), ("b", 0.25), ("c", 0.0))
         result = rerank(
             [_Row([1e308, 0.0, -1e308]), _Row([1.0, 1.0, 0.0])],
@@ -130,7 +124,6 @@ def test_min_max_never_gives_negative_zero(zeros):
     get_passage = _store("a", "b", "c")
     row = _Row([zeros[0], zeros[1], 1.0])
     for fused in (
-        min_max_normalize(ranked),
         ensemble_fuse([ranked]),
         ensemble_fuse([ranked, ranked]),
         rerank([row, row], "q", ["a", "b", "c"], 3, get_passage),

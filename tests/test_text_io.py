@@ -1,13 +1,16 @@
 """Readers and writers take a file path or an open text handle alike."""
 
 import io
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convsearch.conversation import parse_topics
-from convsearch.evaluation import parse_qrels, read_run_file
-from convsearch.index import RankedList, load_sparse_vectors, read_corpus
-from convsearch.pipeline import TurnResult, write_response_records, write_trec_run
+from convsearch.evaluation import parse_qrels, read_run_file, write_run_file
+from convsearch.index import Passage, RankedList, load_sparse_vectors, read_corpus
+from convsearch.pipeline import RunConfig, TurnResult, write_response_records, write_trec_run
 
 from conftest import FIXTURE_DIR
 
@@ -82,3 +85,45 @@ def test_whitespace_files_break_lines_only_at_newline(tmp_path, separator):
         for source in (io.StringIO(text), path):
             with pytest.raises(ValueError, match=message):
                 reader(source)
+
+
+# characters str.split() splits on (no line ends), and characters it keeps
+_ID_CHARS = " \x0b\x0c\x1f\x85\xa0\u2003\u3000" + "ab1_-."
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.text(_ID_CHARS, max_size=4))
+@example("d 1")
+@example("")
+def test_an_identifier_is_taken_iff_a_run_line_reads_it_back(value):
+    # a doc_id or run tag with whitespace used to be written as a 7-field run line
+    try:
+        line = f"q_1 Q0 {value} 1 1.000000 {value}\n"
+        reads_back = read_run_file(io.StringIO(line))["q_1"].doc_ids() == [value]
+    except ValueError:
+        reads_back = False
+    entry_points = [
+        lambda: Passage(value, "text"),
+        lambda: list(read_corpus(io.StringIO(f"{value}\ttext\n"))),
+        lambda: load_sparse_vectors(io.StringIO(f"{value}\tw:1\n")),
+        lambda: RunConfig(run_tag=value, rewriter="human_rewrite", retriever="bm25"),
+        lambda: write_run_file([("q_1", RankedList("q_1", (("d1", 1.0),)))], value, io.StringIO()),
+    ]
+    for enter in entry_points:
+        if reads_back:
+            enter()
+        else:
+            with pytest.raises(ValueError, match=f"(empty|whitespace in) (doc_id|run_tag)"):
+                enter()
+
+
+def test_a_bad_doc_id_names_its_line():
+    with pytest.raises(ValueError, match="corpus line 2: whitespace in doc_id 'd 2'"):
+        list(read_corpus(io.StringIO("d1\ta\nd 2\tb\n")))
+    with pytest.raises(ValueError, match="corpus line 1: empty doc_id"):
+        list(read_corpus(io.StringIO("\ta\n")))
+    # a block of plain lines, then the bad line parsed on its own
+    lines = "".join(f"d{i}\tw:1\n" for i in range(300)) + "d\xa0300\tw:1\n"
+    message = "sparse-vector line 301: whitespace in doc_id 'd\\xa0300'"  # as repr() shows it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_sparse_vectors(io.StringIO(lines))
