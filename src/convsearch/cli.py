@@ -89,12 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--model-id", default=None, help="override the spec's model id")
     p_run.add_argument("--cache-dir", default=None, help="override the spec's cache directory")
-    p_run.add_argument("--endpoint", default=None, help="chat-completion endpoint URL")
-    p_run.add_argument("--api-key", default=None, help="bearer token for the endpoint")
-    p_run.add_argument(
+    transport = p_run.add_mutually_exclusive_group()
+    transport.add_argument("--endpoint", default=None, help="chat-completion endpoint URL")
+    transport.add_argument(
         "--scripted", action="store_true",
         help="use the deterministic offline model as transport",
     )
+    p_run.add_argument("--api-key", default=None, help="bearer token for the endpoint")
     p_run.add_argument(
         "--workers", type=int, default=1,
         help="parallel turn workers; pays off only when turns wait on an LLM "

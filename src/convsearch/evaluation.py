@@ -186,7 +186,8 @@ class EvalCutoffs:
     threshold: int = 1
 
     def __post_init__(self) -> None:
-        _check_cutoffs(None, self.threshold)
+        for k in (self.ndcg_cutoff, self.precision_cutoff, self.recall_cutoff):
+            _check_cutoffs(k, self.threshold)
 
     def metric_columns(self) -> list[str]:
         ndcg, recall, precision = self.ndcg_cutoff, self.recall_cutoff, self.precision_cutoff

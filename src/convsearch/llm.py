@@ -17,7 +17,8 @@ request carries.  A cache record is checked against its key when read.
 The chat transport and :class:`~convsearch.fusion.RemoteScorer` send
 their requests through one JSON POST helper, which waits at most
 :data:`TIMEOUT` seconds and reports any failure as a
-:class:`TransportError` naming the URL.
+:class:`TransportError` naming the URL.  The HTTP stack is imported on the
+first request, so replay and scripted runs load no network code.
 
 The gateway's task-level operations (query generation, single rewrite,
 PTKB classification, grounded answer generation) render the frozen prompt
@@ -28,13 +29,10 @@ output into queries, binary labels, or an answer with provenance.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import re
 import string
-import urllib.request
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -84,6 +82,9 @@ def _post_json(url: str, payload: object, headers: Mapping[str, str] = {}) -> by
         TransportError: naming ``url``, when the request fails, its reply is
             cut short, or it outlasts :data:`TIMEOUT` seconds.
     """
+    import http.client  # imported here, so replay and scripted runs load no network code
+    import urllib.request
+
     request = urllib.request.Request(
         url,
         data=json.dumps(payload).encode("utf-8"),
@@ -170,7 +171,7 @@ class LLMCache:
         record = {"model_id": model_id, "prompt": prompt, "response": response}
         # unique per write, as threads and processes may put one key at once; unlike
         # mkstemp's 0600, open(..., "x") applies the umask, so other users can replay
-        tmp = self.directory / f"{key}.{uuid.uuid4().hex}.tmp"
+        tmp = self.directory / f"{key}.{os.urandom(16).hex()}.tmp"
         try:
             with open(tmp, "x", encoding="utf-8") as handle:
                 handle.write(json.dumps(record, indent=2, ensure_ascii=False))

@@ -26,7 +26,6 @@ are atomic - the first failing turn aborts the run.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import IO, ClassVar, Mapping, Sequence, get_origin, get_type_hints
@@ -262,6 +261,8 @@ def execute_run(
             execute_turn(config, topic, turn_number, index, llm, passages)
             for topic, turn_number in jobs
         ]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs load it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(
             pool.map(

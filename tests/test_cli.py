@@ -203,8 +203,11 @@ def test_cli_run_record_then_replay(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [(["cache", "record"], "invalid choice: 'cache'"),
-     (["run", "--llm-mode", "live"], "invalid choice: 'live'")],
-    ids=["cache-subcommand", "live-mode"],
+     (["run", "--llm-mode", "live"], "invalid choice: 'live'"),
+     # --endpoint used to win silently, so the run posted to the endpoint
+     (["run", "--endpoint", "http://service.invalid", "--scripted"],
+      "argument --scripted: not allowed with argument --endpoint")],
+    ids=["cache-subcommand", "live-mode", "endpoint-and-scripted"],
 )
 def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
     config = str(CONFIG_DIR / "gpt4qr_deberta.json")
@@ -234,6 +237,18 @@ def test_cli_evaluate_rejects_a_threshold_below_one(tmp_path, capsys, threshold)
     argv = ["evaluate", "--run", str(run), "--qrels", str(qrels), "--threshold", threshold]
     assert main([*argv, "--recall-cutoff", "4", "--precision-cutoff", "4"]) == 1
     assert "error: threshold must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_evaluate_rejects_a_cutoff_below_one(tmp_path, capsys):
+    # with no judged query no metric checked its cut-off: the report had nDCG@0 and P@-3 columns
+    run, qrels = tmp_path / "a.run", tmp_path / "qrels.txt"
+    run.write_text("9_1 Q0 D1 1 1.0 a\n", encoding="utf-8")
+    qrels.write_text("1_1 0 D1 1\n", encoding="utf-8")
+    argv = ["evaluate", "--run", str(run), "--qrels", str(qrels)]
+    assert main([*argv, "--ndcg-cutoff", "0", "--precision-cutoff", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "error: k must be >= 1" in captured.err
+    assert "nDCG@0" not in captured.out
 
 
 def test_cli_run_rejects_a_repeated_topic_number(tmp_path, capsys):

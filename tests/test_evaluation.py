@@ -160,6 +160,10 @@ def test_cutoffs_below_one_are_rejected(k):
     for metric in (ndcg_at_k, precision_at_k, recall_at_k):
         with pytest.raises(ValueError, match="k must be >= 1"):
             metric(ranking, qrels, k)
+    # EvalCutoffs left them to the metrics, so a run with no judged query printed nDCG@0
+    for field in ("ndcg_cutoff", "precision_cutoff", "recall_cutoff"):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            EvalCutoffs(**{field: k})
 
 
 @pytest.mark.parametrize("threshold", [0, -1])

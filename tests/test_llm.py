@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import threading
 import urllib.error
@@ -30,6 +31,8 @@ from convsearch.llm import (
 )
 from convsearch.offline import ScriptedTransport, scripted_response
 from convsearch.prompts import TEMPLATES, render_prompt
+
+from conftest import REPO
 
 # ---------------------------------------------------------------------------
 # prompt templates
@@ -508,6 +511,29 @@ def test_http_adapters_fail_with_a_runtime_error(monkeypatch, adapter, reply):
     else:  # a request that failed: the same error from both adapters
         assert type(caught.value) is TransportError
         assert str(caught.value).startswith(f"request to {_SERVICE} failed: ")
+
+
+def test_importing_the_package_loads_no_network_or_thread_pool_code():
+    # replay and scripted runs never post, so the HTTP stack waits for the first request;
+    # compared with what numpy left loaded, as a site .pth file may preload modules
+    probe = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import convsearch, convsearch.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "convsearch.cli" in loaded
+    deferred = {
+        "http.client", "urllib.request", "ssl", "socket", "email", "concurrent.futures", "uuid"
+    }
+    assert loaded & deferred == set()
 
 
 def test_scripted_response_is_deterministic():
