@@ -128,6 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "api_key", None) is not None and not args.endpoint:
+        parser.error("argument --api-key: not allowed without argument --endpoint")
     try:
         return args.func(args)
     except Exception as exc:

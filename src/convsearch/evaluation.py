@@ -12,8 +12,8 @@ Queries present in the run but absent from the qrels are excluded from
 aggregation and listed; queries judged but with no relevant document score
 0 and are flagged, so aggregates stay stable across runs.  Report slices
 group per-query means by turn depth (turn number) and by topic, with
-query ids parsed as ``<topic>_<turn>`` by :func:`default_query_id_parser`,
-the form the pipeline writes turn ids in.
+query ids parsed as ``<topic>_<turn>``, the form the pipeline writes turn
+ids in.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "evaluate_run",
     "evaluate_rankings",
     "format_report",
-    "default_query_id_parser",
 ]
 
 
@@ -221,7 +220,7 @@ class MetricReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
 
 
-def default_query_id_parser(query_id: str) -> tuple[str, int]:
+def _default_query_id_parser(query_id: str) -> tuple[str, int]:
     """Split ``<topic>_<turn>`` on the last underscore; a turn is ASCII digits."""
     topic, _, turn_text = query_id.rpartition("_")
     turn = _ascii_int(turn_text)
@@ -324,7 +323,7 @@ def evaluate_rankings(
         ValueError: when a query_id cannot be parsed into (topic, turn).
     """
     metrics = cutoffs.metric_columns()
-    parsed = {query_id: default_query_id_parser(query_id) for query_id in rankings}
+    parsed = {query_id: _default_query_id_parser(query_id) for query_id in rankings}
     judged_queries = qrels.query_ids()
     excluded = sorted(qid for qid in rankings if qid not in judged_queries)
     per_query = {

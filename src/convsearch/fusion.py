@@ -79,15 +79,15 @@ _SCORER_STOPWORDS = frozenset(
 class LexicalOverlapScorer:
     """Fraction of distinct content-word query tokens that occur in the passage."""
 
-    analyzer = AnalyzerConfig(stopwords=_SCORER_STOPWORDS)
+    analyzer = AnalyzerConfig()
 
     def score(self, query: str, passages: Sequence[Passage]) -> list[float]:
-        query_terms = set(self.analyzer.tokenize(query))
+        query_terms = set(self.analyzer.tokenize(query)) - _SCORER_STOPWORDS
         if not query_terms:
             return [0.0 for _ in passages]
         scores = []
         for passage in passages:
-            doc_terms = set(self.analyzer.tokenize(passage.text))
+            doc_terms = set(self.analyzer.tokenize(passage.text)) - _SCORER_STOPWORDS
             scores.append(len(query_terms & doc_terms) / len(query_terms))
         return scores
 

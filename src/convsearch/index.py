@@ -78,18 +78,13 @@ class AnalyzerConfig:
     """Text analysis shared by indexing and query parsing.
 
     Tokens are the ASCII alphanumeric runs, each lowercased, without
-    stemming; ``stopwords`` (none by default) are dropped after lowercasing.
+    stemming or stopwords.
     """
-
-    stopwords: frozenset[str] = frozenset()
 
     def tokenize(self, text: str) -> list[str]:
         # surrogatepass: JSON-decoded text can hold lone surrogates
         raw = text.encode("utf-8", "surrogatepass").translate(_TOKEN_TABLE)
-        tokens = raw.decode("ascii").split()
-        if self.stopwords:
-            tokens = [t for t in tokens if t not in self.stopwords]
-        return tokens
+        return raw.decode("ascii").split()
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,6 @@ __all__ = [
     "LLMCache",
     "LLMGateway",
     "HttpChatTransport",
-    "parse_query_lines",
-    "normalize_statement",
-    "match_ptkb_labels",
 ]
 
 # transport signature: (model_id, prompt) -> response text
@@ -217,7 +214,7 @@ class HttpChatTransport:
 _ENUMERATION_RE = re.compile(r"^\s*(?:\d+[.)]|[-*•])\s*")
 
 
-def parse_query_lines(response: str, phi: int) -> list[str]:
+def _parse_query_lines(response: str, phi: int) -> list[str]:
     """Split a model response into at most ``phi`` queries.
 
     Blank lines are dropped and leading enumeration markers ("1.", "-",
@@ -239,20 +236,20 @@ def parse_query_lines(response: str, phi: int) -> list[str]:
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
-def normalize_statement(text: str) -> str:
+def _normalize_statement(text: str) -> str:
     """Casefold, strip punctuation, and collapse whitespace."""
     return " ".join(text.casefold().translate(_PUNCT_TABLE).split())
 
 
-def match_ptkb_labels(statements: Sequence[str], response: str) -> list[int]:
+def _match_ptkb_labels(statements: Sequence[str], response: str) -> list[int]:
     """Binary label per statement: 1 iff some response line copies it.
 
     Comparison is exact after normalization.  Response lines that match no
     statement are ignored; the sentinel response "None" yields all zeros.
     """
-    response_lines = {normalize_statement(line) for line in response.splitlines()}
+    response_lines = {_normalize_statement(line) for line in response.splitlines()}
     response_lines.discard("")
-    return [1 if normalize_statement(s) in response_lines else 0 for s in statements]
+    return [1 if _normalize_statement(s) in response_lines else 0 for s in statements]
 
 
 class LLMGateway:
@@ -306,7 +303,7 @@ class LLMGateway:
             },
         )
         response = self.complete(prompt)
-        return QuerySet(queries=tuple(parse_query_lines(response, phi)), phi=phi)
+        return QuerySet(queries=tuple(_parse_query_lines(response, phi)), phi=phi)
 
     def generate_rewrite(
         self,
@@ -340,7 +337,7 @@ class LLMGateway:
             f"# User question: {utterance}"
         )
         response = self.complete(prompt)
-        return match_ptkb_labels(texts, response)
+        return _match_ptkb_labels(texts, response)
 
     def generate_response(
         self,

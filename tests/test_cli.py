@@ -200,14 +200,35 @@ def test_cli_run_record_then_replay(tmp_path):
     assert first == second
 
 
+def test_cli_run_model_id_overrides_the_spec(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    argv = [
+        "run", "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"),
+        "--cache-dir", str(cache_dir), "--out-dir", str(tmp_path / "out"),
+    ]
+    assert main([*argv, "--llm-mode", "record", "--scripted", "--model-id", "m2"]) == 0
+    records = [json.loads(path.read_text()) for path in cache_dir.glob("*.json")]
+    assert records and {record["model_id"] for record in records} == {"m2"}
+    capsys.readouterr()
+    # the spec's own model id finds none of those records
+    assert main([*argv, "--llm-mode", "replay"]) == 1
+    assert ": cache miss for key " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["cache", "record"], "invalid choice: 'cache'"),
      (["run", "--llm-mode", "live"], "invalid choice: 'live'"),
      # --endpoint used to win silently, so the run posted to the endpoint
      (["run", "--endpoint", "http://service.invalid", "--scripted"],
-      "argument --scripted: not allowed with argument --endpoint")],
-    ids=["cache-subcommand", "live-mode", "endpoint-and-scripted"],
+      "argument --scripted: not allowed with argument --endpoint"),
+     # the key used to go nowhere, without a word, and the run exited 0
+     (["run", "--api-key", "secret"],
+      "argument --api-key: not allowed without argument --endpoint"),
+     (["run", "--scripted", "--api-key", "secret"],
+      "argument --api-key: not allowed without argument --endpoint")],
+    ids=["cache-subcommand", "live-mode", "endpoint-and-scripted",
+         "api-key-alone", "api-key-with-scripted"],
 )
 def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
     config = str(CONFIG_DIR / "gpt4qr_deberta.json")

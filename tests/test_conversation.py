@@ -69,6 +69,23 @@ def test_parse_topics_rejects_missing_field():
         parse_topics(io.StringIO(json.dumps([payload])))
 
 
+def _without_utterance():
+    payload = _topic_payload()
+    del payload["turns"][1]["utterance"]
+    return [payload]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [({"1": _topic_payload()}, "topics file must contain a JSON array of topics"),
+     (_without_utterance(), "topic '1': turn missing field 'utterance'")],
+    ids=["not-an-array", "turn-without-utterance"],
+)
+def test_parse_topics_rejects_a_bad_shape(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_topics(io.StringIO(json.dumps(data)))
+
+
 def test_parse_topics_rejects_gapped_ptkb():
     payload = _topic_payload()
     payload["ptkb"] = {"1": "a", "3": "b"}

@@ -544,6 +544,17 @@ def test_format_report_renders_slices():
     assert "nDCG@5" in text and "depth 1" in text and "topic 1" in text
 
 
+def test_format_report_lists_excluded_and_flagged_queries():
+    rows = [("1_1", "A", 1, 1.0), ("1_2", "A", 1, 1.0), ("9_9", "A", 1, 1.0), ("8_1", "A", 1, 1.0)]
+    qrels = parse_qrels(io.StringIO("1_1 0 A 1\n1_2 0 A 0\n"))
+    text = format_report(evaluate_run(_run_file(rows), qrels))
+    assert text.splitlines()[-3:] == [
+        "",
+        "excluded (not in qrels): 8_1, 9_9",
+        "flagged (no relevant docs): 1_2",
+    ]
+
+
 def test_report_json_roundtrip(tmp_path):
     qrels = parse_qrels(io.StringIO("1_1 0 A 1\n"))
     report = evaluate_run(_run_file([("1_1", "A", 1, 1.0)]), qrels)

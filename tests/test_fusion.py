@@ -8,6 +8,7 @@ import re
 import sys
 import urllib.request
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,6 +183,12 @@ def test_interleave_single_list_rewrites_scores():
     assert [s for _, s in result.items] == [1.0, 0.5]
 
 
+@pytest.mark.parametrize("fuse", [ensemble_fuse, interleave], ids=["ensemble", "interleave"])
+def test_fusing_no_lists_is_an_error(fuse):
+    with pytest.raises(ValueError, match="at least one ranked list required"):
+        fuse([])
+
+
 def test_interleave_rejects_mismatched_query_ids():
     with pytest.raises(ValueError):
         interleave([RankedList("q1", (("a", 1.0),)), RankedList("q2", (("a", 1.0),))])
@@ -261,6 +268,11 @@ def test_pool_empty_lists():
     assert pool_candidates([RankedList("q", ()), RankedList("q", ())], 5) == []
 
 
+def test_pool_rejects_a_depth_below_one():
+    with pytest.raises(ValueError, match="per_list_depth must be >= 1"):
+        pool_candidates([RankedList("q", (("A", 1.0),))], 0)
+
+
 def test_pool_contains_each_list_prefix():
     rng = np.random.default_rng(43)
     for _ in range(50):
@@ -319,6 +331,9 @@ def test_rerank_rejects_duplicates_and_bad_depth():
         rerank([NumericSuffixScorer()], "q", ["d1", "d1"], 5, get_passage)
     with pytest.raises(ValueError, match="at least one scorer"):
         rerank([], "q", ["d1"], 5, get_passage)
+    short = SimpleNamespace(score=lambda query, passages: [1.0] * (len(passages) - 1))
+    with pytest.raises(ValueError, match="misaligned scores"):
+        rerank([short], "q", ["d1"], 5, get_passage)
 
 
 def test_rerank_is_permutation_of_scored_prefix():

@@ -24,10 +24,10 @@ from convsearch.llm import (
     LLMGateway,
     QuerySet,
     TransportError,
+    _match_ptkb_labels,
+    _normalize_statement,
+    _parse_query_lines,
     cache_key,
-    match_ptkb_labels,
-    normalize_statement,
-    parse_query_lines,
 )
 from convsearch.offline import ScriptedTransport, scripted_response
 from convsearch.prompts import TEMPLATES, render_prompt
@@ -250,18 +250,18 @@ def test_unknown_mode_rejected(tmp_path):
 
 
 def test_parse_query_lines_strips_enumeration():
-    assert parse_query_lines("1. a\n2. b\n\n3. c", 5) == ["a", "b", "c"]
-    assert parse_query_lines("- x\n* y", 5) == ["x", "y"]
+    assert _parse_query_lines("1. a\n2. b\n\n3. c", 5) == ["a", "b", "c"]
+    assert _parse_query_lines("- x\n* y", 5) == ["x", "y"]
 
 
 def test_parse_query_lines_truncates_to_phi():
     response = "\n".join(f"q{i}" for i in range(7))
-    assert parse_query_lines(response, 5) == [f"q{i}" for i in range(5)]
+    assert _parse_query_lines(response, 5) == [f"q{i}" for i in range(5)]
 
 
 def test_parse_query_lines_rejects_empty():
     with pytest.raises(ValueError, match="no queries parsed"):
-        parse_query_lines("\n  \n", 3)
+        _parse_query_lines("\n  \n", 3)
 
 
 def test_query_set_bound():
@@ -271,6 +271,8 @@ def test_query_set_bound():
         QuerySet((), phi=1)
     with pytest.raises(ValueError):
         QuerySet(("a", "  "), phi=2)
+    with pytest.raises(ValueError, match="phi must be >= 1"):
+        QuerySet(("a",), phi=0)
 
 
 def _scripted_gateway(tmp_path) -> LLMGateway:
@@ -282,6 +284,13 @@ def test_generate_queries_respects_phi(tmp_path):
     result = gateway.generate_queries("", "1. I like cycling and maps", "best bike routes", 5)
     assert 1 <= len(result.queries) <= 5
     assert result.queries[0] == "best bike routes"
+
+
+def test_generate_queries_rejects_phi_zero_before_asking_the_model(tmp_path):
+    gateway = _scripted_gateway(tmp_path)
+    with pytest.raises(ValueError, match="phi must be >= 1"):
+        gateway.generate_queries("", "1. I like cycling", "best bike routes", 0)
+    assert not list(tmp_path.iterdir())
 
 
 def test_generate_rewrite_returns_first_line(tmp_path):
@@ -309,21 +318,21 @@ def test_generate_rewrite_sends_the_multi_query_prompt_at_phi_one(tmp_path):
 
 
 def test_normalize_statement():
-    assert normalize_statement("  Hello,   WORLD! ") == "hello world"
+    assert _normalize_statement("  Hello,   WORLD! ") == "hello world"
 
 
 def test_match_labels_verbatim_copies():
     statements = [f"statement number {i}" for i in range(1, 6)]
     response = "statement number 2\nstatement number 4"
-    assert match_ptkb_labels(statements, response) == [0, 1, 0, 1, 0]
+    assert _match_ptkb_labels(statements, response) == [0, 1, 0, 1, 0]
 
 
 def test_match_labels_none_response():
-    assert match_ptkb_labels(["a", "b"], "None") == [0, 0]
+    assert _match_ptkb_labels(["a", "b"], "None") == [0, 0]
 
 
 def test_match_labels_case_insensitive():
-    assert match_ptkb_labels(["I like Tea."], "i like tea") == [1]
+    assert _match_ptkb_labels(["I like Tea."], "i like tea") == [1]
 
 
 def test_classify_ptkb_end_to_end(tmp_path):

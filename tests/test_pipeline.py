@@ -10,7 +10,7 @@ import pytest
 
 from convsearch import pipeline
 from convsearch.conversation import PTKBStatement, Topic, Turn, parse_topics
-from convsearch.evaluation import default_query_id_parser
+from convsearch.evaluation import _default_query_id_parser
 from convsearch.index import Passage, RankedList, build_index, read_corpus
 from convsearch.llm import CacheMissError, LLMGateway, TransportError
 from convsearch.offline import ScriptedTransport
@@ -65,6 +65,17 @@ def test_run_config_pool_requires_reranker():
             run_tag="x", rewriter="multi_query", retriever="sparse",
             fusion="pool_then_rerank",
         )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"retriever": "dense"}, "unknown retriever 'dense'"), ({"phi": 0}, "phi must be >= 1")],
+    ids=["unknown-retriever", "phi-zero"],
+)
+def test_run_config_rejects_a_bad_value(fields, message):
+    base = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(**dict(base, **fields))
 
 
 def test_run_config_multi_query_needs_fusion():
@@ -455,7 +466,7 @@ def test_config_values_must_have_their_json_type(tmp_path, key, value):
 
 def test_turn_ids_parse_back_into_topic_and_turn():
     turn_id = RunConfig.turn_id_template.format(topic="t_1", turn=3)
-    assert default_query_id_parser(turn_id) == ("t_1", 3)
+    assert _default_query_id_parser(turn_id) == ("t_1", 3)
 
 
 def test_run_spec_rejects_unknown_keys(tmp_path):
