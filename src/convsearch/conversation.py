@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO
 
 from .index import _ascii_int, _id_problem, _text
 
@@ -84,16 +84,24 @@ class Topic:
                 raise ValueError(f"topic '{self.topic_id}': non-contiguous turns")
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+
+
 def _typed(value: object, kind: type, topic_id: str, field: str):
-    """``value`` if its JSON type is ``kind`` (str or int; a boolean is no int), else raise."""
+    """``value`` if its JSON type is ``kind`` (a boolean is no int), else raise.
+
+    The message shows the value given for a string or an integer, else only its type.
+    """
     if type(value) is not kind:
-        wanted = "a string" if kind is str else "an integer"
-        raise ValueError(f"topic '{topic_id}': {field} must be {wanted}, got {value!r}")
+        got = repr(value) if kind in (str, int) else type(value).__name__
+        raise ValueError(f"topic '{topic_id}': {field} must be {_JSON_TYPES[kind]}, got {got}")
     return value
 
 
-def _parse_topic(entry: dict, position: int, seen: set[str]) -> Topic:
+def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
     """The topic of ``entry``; its number, new to ``seen`` (the earlier ones), is added to it."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"topic #{position}: must be an object, got {type(entry).__name__}")
     for required in ("number", "title", "ptkb", "turns"):
         if required not in entry:
             raise ValueError(f"topic #{position}: missing field '{required}'")
@@ -106,13 +114,8 @@ def _parse_topic(entry: dict, position: int, seen: set[str]) -> Topic:
         raise ValueError(f"topic #{position}: duplicate number '{topic_id}'")
     seen.add(topic_id)
     title = _typed(entry["title"], str, topic_id, "field 'title'")
-    ptkb_raw = entry["ptkb"]
-    if not isinstance(ptkb_raw, Mapping):
-        raise ValueError(
-            f"topic '{topic_id}': field 'ptkb' must be an object, got {type(ptkb_raw).__name__}"
-        )
     indexed = []
-    for key, text in ptkb_raw.items():
+    for key, text in _typed(entry["ptkb"], dict, topic_id, "field 'ptkb'").items():
         index = _ascii_int(key)
         if index is None:
             raise ValueError(f"topic '{topic_id}': ptkb key must be an integer, got {key!r}")
@@ -123,7 +126,8 @@ def _parse_topic(entry: dict, position: int, seen: set[str]) -> Topic:
     except ValueError as exc:  # a key of 0 or an empty statement
         raise ValueError(f"topic '{topic_id}': {exc}") from None
     turns = []
-    for turn_entry in entry["turns"]:
+    for n, turn_entry in enumerate(_typed(entry["turns"], list, topic_id, "field 'turns'"), 1):
+        turn_entry = _typed(turn_entry, dict, topic_id, f"turn #{n}")
         for required in ("turn_number", "utterance"):
             if required not in turn_entry:
                 raise ValueError(
@@ -145,10 +149,11 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
     """Parse a topics file, preserving order and validating all invariants.
 
     Raises:
-        ValueError: naming the topic and field for missing fields, a
-            ``number`` that is not a JSON string or integer, is empty,
-            holds whitespace or repeats an earlier one (naming the topic
-            ``#N`` by position), a ptkb that is not an object, a ptkb key
+        ValueError: naming the topic and field for a topic that is not an
+            object, missing fields, a ``number`` that is not a JSON string
+            or integer, is empty, holds whitespace or repeats an earlier one
+            (these naming the topic ``#N`` by position), a ptkb that is not
+            an object, turns that are not an array of objects, a ptkb key
             that is not ASCII digits, an empty statement, a turn number
             that is not a JSON integer, numbering not contiguous from 1, or
             a title, statement, utterance, response or manual rewrite that

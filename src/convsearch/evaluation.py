@@ -26,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .index import RankedList, _ascii_int, _id_problem, _text
+from .index import RankedList, _ascii_int, _id_problem, _text, _write_lines
 
 __all__ = [
     "Qrels",
@@ -275,9 +275,7 @@ def write_run_file(
         for query_id, ranking in rankings
         for rank, (doc_id, score) in enumerate(ranking.items, start=1)
     ]
-    with _text(sink, "w") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
+    return _write_lines(sink, lines)
 
 
 def _compute_metrics(ranking: RankedList, qrels: Qrels, cutoffs: EvalCutoffs) -> dict[str, float]:

@@ -14,8 +14,8 @@ Rerankers are pluggable scorers: anything with
 must be pure in (query, passage) and safe for concurrent batch calls.
 Cross-encoder services plug in through :class:`RemoteScorer`, which posts
 through the chat transport's JSON POST helper in :mod:`convsearch.llm`;
-offline deterministic scorers back tests, demos, and the shipped fixture
-configs.
+any other scorer id gets a deterministic :class:`PseudoCrossEncoder`
+stand-in, which backs demos and the shipped fixture configs offline.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .llm import _post_json
 
 __all__ = [
     "Scorer",
-    "NumericSuffixScorer",
-    "LexicalOverlapScorer",
     "PseudoCrossEncoder",
     "RemoteScorer",
     "resolve_scorer",
@@ -52,7 +50,7 @@ class Scorer(Protocol):
 
 
 class NumericSuffixScorer:
-    """Test stub: score equals the trailing digits of the doc_id (0 if none)."""
+    """Test stub, not exported: score equals the trailing digits of the doc_id (0 if none)."""
 
     _SUFFIX_RE = re.compile(r"(\d+)$")
 
@@ -154,18 +152,13 @@ class RemoteScorer:
 def resolve_scorer(scorer_id: str, endpoints: Mapping[str, str] | None = None) -> Scorer:
     """Map a scorer id to a scorer instance.
 
-    Ids present in ``endpoints`` become :class:`RemoteScorer` clients; the
-    builtin ids ``stub-suffix`` and ``lexical-overlap`` map to the offline
-    scorers; any other id becomes a :class:`PseudoCrossEncoder` stand-in
-    seeded by the id, so named cross-encoder configurations stay runnable
-    without model hosting.
+    Ids present in ``endpoints`` become :class:`RemoteScorer` clients; any
+    other id becomes a :class:`PseudoCrossEncoder` stand-in seeded by the
+    id, so named cross-encoder configurations stay runnable without model
+    hosting.
     """
     if endpoints and scorer_id in endpoints:
         return RemoteScorer(endpoints[scorer_id])
-    if scorer_id == "stub-suffix":
-        return NumericSuffixScorer()
-    if scorer_id == "lexical-overlap":
-        return LexicalOverlapScorer()
     return PseudoCrossEncoder(scorer_id)
 
 

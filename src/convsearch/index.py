@@ -223,6 +223,13 @@ def _text(source: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
         yield source
 
 
+def _write_lines(sink: str | Path | IO[str], lines: list[str]) -> int:
+    """Write each of ``lines`` and a newline to ``sink`` (see :func:`_text`); return the count."""
+    with _text(sink, "w") as handle:
+        handle.write("\n".join(lines) + ("\n" if lines else ""))
+    return len(lines)
+
+
 def _ascii_int(text: str) -> int | None:
     """``text`` as an int if it is ASCII digits, else None."""
     try:

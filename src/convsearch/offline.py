@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["scripted_response", "ScriptedTransport"]
+__all__ = ["ScriptedTransport"]
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 _BUDGET_RE = re.compile(r"don't generate more than (\d+) queries")
@@ -88,17 +88,8 @@ def _classification(prompt: str) -> str:
     return "\n".join(copied) if copied else "None"
 
 
-def scripted_response(prompt: str) -> str:
-    """Produce a deterministic response for any of the three prompt shapes."""
-    if "# Generated queries:" in prompt:
-        return _query_generation(prompt)
-    if prompt.startswith("# Doc1:"):
-        return _grounded_answer(prompt)
-    return _classification(prompt)
-
-
 class ScriptedTransport:
-    """Transport-compatible wrapper around :func:`scripted_response`.
+    """A chat transport whose reply to each of the three prompt shapes is a pure function of it.
 
     Counts calls so cache-behaviour tests can assert how often the
     "network" was hit.
@@ -109,4 +100,8 @@ class ScriptedTransport:
 
     def __call__(self, model_id: str, prompt: str) -> str:
         self.calls += 1
-        return scripted_response(prompt)
+        if "# Generated queries:" in prompt:
+            return _query_generation(prompt)
+        if prompt.startswith("# Doc1:"):
+            return _grounded_answer(prompt)
+        return _classification(prompt)

@@ -38,7 +38,7 @@ from .index import (
     Passage,
     RankedList,
     _id_problem,
-    _text,
+    _write_lines,
     bm25_retrieve,
     build_index,
     build_sparse_index,
@@ -111,6 +111,7 @@ class RunConfig:
     """The seams one run varies; turn ids are ``<topic>_<turn>``.
 
     ``fusion`` names one of the two run shapes: ``pool_then_rerank`` or ``none``.
+    ``scorer_endpoints`` maps some of ``scorer_ids`` to cross-encoder services.
     """
 
     turn_id_template: ClassVar[str] = "{topic}_{turn}"
@@ -133,6 +134,9 @@ class RunConfig:
             raise ValueError(f"unknown fusion '{self.fusion}'")
         if self.phi < 1:
             raise ValueError("phi must be >= 1")
+        unknown = sorted(set(self.scorer_endpoints) - set(self.scorer_ids))
+        if unknown:
+            raise ValueError(f"scorer_endpoints keys not in scorer_ids {unknown}")
         if self.fusion == "pool_then_rerank" and self.rewriter != "multi_query":
             raise ValueError("fusion 'pool_then_rerank' requires the multi_query rewriter")
         if self.fusion == "pool_then_rerank" and not self.scorer_ids:
@@ -282,22 +286,19 @@ def write_trec_run(results: Sequence[TurnResult], run_tag: str, sink: str | Path
 
 def write_response_records(results: Sequence[TurnResult], sink: str | Path | IO[str]) -> int:
     """Write one JSON record per turn: turn_id, answer, provenance, labels."""
-    lines = []
-    for result in results:
-        lines.append(
-            json.dumps(
-                {
-                    "turn_id": result.turn_id,
-                    "answer": result.answer,
-                    "provenance": list(result.provenance),
-                    "ptkb_labels": list(result.ptkb_labels),
-                },
-                ensure_ascii=False,
-            )
+    lines = [
+        json.dumps(
+            {
+                "turn_id": result.turn_id,
+                "answer": result.answer,
+                "provenance": list(result.provenance),
+                "ptkb_labels": list(result.ptkb_labels),
+            },
+            ensure_ascii=False,
         )
-    with _text(sink, "w") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
+        for result in results
+    ]
+    return _write_lines(sink, lines)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Command-line interface, exercised against the shipped fixture."""
 
 import hashlib
+import io
 import json
 import shlex
+import urllib.request
 
 import pytest
 
 from convsearch.cli import build_parser, main
 from convsearch.evaluation import evaluate_run, format_report, parse_qrels, read_run_file
 from convsearch.fusion import ensemble_fuse, interleave
+from convsearch.offline import ScriptedTransport
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO
 
@@ -198,6 +201,35 @@ def test_cli_run_record_then_replay(tmp_path):
     first = (out_dir / "a" / "gpt4qr-deberta.run").read_bytes()
     second = (out_dir / "b" / "gpt4qr-deberta.run").read_bytes()
     assert first == second
+
+
+def test_cli_run_records_through_the_endpoint_with_the_api_key(tmp_path, monkeypatch):
+    url = "http://chat.invalid/v1/chat"
+    requests = []
+
+    def urlopen(request, timeout):  # the endpoint answers as the scripted model would
+        requests.append(request)
+        payload = json.loads(request.data)
+        reply = ScriptedTransport()(payload["model"], payload["messages"][0]["content"])
+        return io.BytesIO(json.dumps({"choices": [{"message": {"content": reply}}]}).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    cache_dir = tmp_path / "cache"
+    argv = [
+        "run", "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"), "--endpoint", url,
+        "--api-key", "K", "--llm-mode", "record", "--cache-dir", str(cache_dir),
+        "--out-dir", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 0
+    assert requests
+    assert {request.full_url for request in requests} == {url}
+    assert {request.get_header("Authorization") for request in requests} == {"Bearer K"}
+    posted = [json.loads(request.data) for request in requests]
+    prompts = [(payload["model"], payload["messages"][0]["content"]) for payload in posted]
+    exchanges = {(model, prompt, ScriptedTransport()(model, prompt)) for model, prompt in prompts}
+    records = [json.loads(path.read_text(encoding="utf-8")) for path in cache_dir.glob("*.json")]
+    assert len(records) == len(requests)
+    assert {(r["model_id"], r["prompt"], r["response"]) for r in records} == exchanges
 
 
 def test_cli_run_model_id_overrides_the_spec(tmp_path, capsys):

@@ -75,11 +75,27 @@ def _without_utterance():
     return [payload]
 
 
+def _with_turns(turns):
+    payload = _topic_payload()
+    payload["turns"] = turns
+    return [payload]
+
+
 @pytest.mark.parametrize(
     "data, message",
     [({"1": _topic_payload()}, "topics file must contain a JSON array of topics"),
-     (_without_utterance(), "topic '1': turn missing field 'utterance'")],
-    ids=["not-an-array", "turn-without-utterance"],
+     (_without_utterance(), "topic '1': turn missing field 'utterance'"),
+     ([_topic_payload(), ["number", "title", "ptkb", "turns"]],
+      "topic #2: must be an object, got list"),
+     (["number title ptkb turns"], "topic #1: must be an object, got str"),
+     (_with_turns(3), "topic '1': field 'turns' must be an array, got int"),
+     (_with_turns({"1": {"turn_number": 1, "utterance": "u"}}),
+      "topic '1': field 'turns' must be an array, got dict"),
+     (_with_turns(["turn_number utterance"]), "topic '1': turn #1 must be an object, got str"),
+     (_with_turns([{"turn_number": 1, "utterance": "u"}, ["turn_number", "utterance"]]),
+      "topic '1': turn #2 must be an object, got list")],
+    ids=["not-an-array", "turn-without-utterance", "topic-array", "topic-string",
+         "turns-number", "turns-object", "turn-string", "turn-array"],
 )
 def test_parse_topics_rejects_a_bad_shape(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):

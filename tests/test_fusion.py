@@ -466,8 +466,10 @@ def test_pseudo_cross_encoder_deterministic_and_distinct():
 
 
 def test_resolve_scorer_registry():
-    assert isinstance(resolve_scorer("stub-suffix"), NumericSuffixScorer)
-    assert isinstance(resolve_scorer("lexical-overlap"), LexicalOverlapScorer)
+    for retired in ("stub-suffix", "lexical-overlap"):  # no id names a test stand-in
+        standin = resolve_scorer(retired)
+        assert isinstance(standin, PseudoCrossEncoder)
+        assert standin.name == retired
     standin = resolve_scorer("deberta-v3")
     assert isinstance(standin, PseudoCrossEncoder)
     assert standin.name == "deberta-v3"

@@ -92,6 +92,7 @@ def test_build_index_hand_counts():
     index = build_index([Passage("d1", "apple banana"), Passage("d2", "banana")])
     assert {d for d, _ in index.posting("apple")} == {"d1"}
     assert {d for d, _ in index.posting("banana")} == {"d1", "d2"}
+    assert index.posting("cherry") == ()
     assert index.avg_doc_length == 1.5
     assert index.doc_count == 2
 

@@ -29,7 +29,7 @@ from convsearch.llm import (
     _parse_query_lines,
     cache_key,
 )
-from convsearch.offline import ScriptedTransport, scripted_response
+from convsearch.offline import ScriptedTransport
 from convsearch.prompts import TEMPLATES, render_prompt
 
 from conftest import REPO
@@ -553,6 +553,11 @@ def test_scripted_response_is_deterministic():
         "# User question: how do I start beekeeping?\n"
         "# Generated queries:"
     )
-    assert scripted_response(prompt) == scripted_response(prompt)
-    lines = scripted_response(prompt).splitlines()
+    assert ScriptedTransport()("m", prompt) == ScriptedTransport()("m", prompt)
+    lines = ScriptedTransport()("m", prompt).splitlines()
     assert 1 <= len(lines) <= 3
+
+
+def test_scripted_query_generation_without_a_user_question_asks_for_information():
+    prompt = "# Instruction: ... don't generate more than 3 queries ...\n# Generated queries:"
+    assert ScriptedTransport()("m", prompt) == "1. information request"

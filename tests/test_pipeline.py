@@ -69,8 +69,11 @@ def test_run_config_pool_requires_reranker():
 
 @pytest.mark.parametrize(
     "fields, message",
-    [({"retriever": "dense"}, "unknown retriever 'dense'"), ({"phi": 0}, "phi must be >= 1")],
-    ids=["unknown-retriever", "phi-zero"],
+    [({"retriever": "dense"}, "unknown retriever 'dense'"), ({"phi": 0}, "phi must be >= 1"),
+     # a mis-keyed endpoint used to run the offline stand-in, never the service
+     ({"scorer_ids": ("deberta-v3",), "scorer_endpoints": {"deberta_v3": "http://h/d"}},
+      "scorer_endpoints keys not in scorer_ids ['deberta_v3']")],
+    ids=["unknown-retriever", "phi-zero", "mis-keyed-endpoint"],
 )
 def test_run_config_rejects_a_bad_value(fields, message):
     base = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
@@ -131,7 +134,7 @@ def test_execute_turn_single_rewrite_shape(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
     config = RunConfig(
         run_tag="x", rewriter="multi_query", phi=1, retriever="bm25",
-        scorer_ids=("lexical-overlap",),
+        scorer_ids=("minilm",),
     )
     result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
     assert result.turn_id == "t1_1"
@@ -152,7 +155,7 @@ def test_execute_turn_pool_then_rerank_uses_independent_rewrite(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
     config = RunConfig(
         run_tag="x", rewriter="multi_query", retriever="bm25", phi=3,
-        fusion="pool_then_rerank", scorer_ids=("lexical-overlap",),
+        fusion="pool_then_rerank", scorer_ids=("minilm",),
     )
     result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
     assert len(result.ranking) >= 1
