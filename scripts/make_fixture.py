@@ -71,7 +71,6 @@ def record_cache() -> None:
         execute_spec(spec, out_dir=out_dir, transport=transport)
         print(f"recorded {config_path.name}")
     print(f"cache entries: {sum(1 for _ in cache_dir.glob('*.json'))}")
-    print(f"transport calls: {transport.calls}")
 
 
 def write_golden_turn() -> None:

@@ -50,12 +50,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     qrels = parse_qrels(args.qrels)
-    cutoffs = EvalCutoffs(
-        ndcg_cutoff=args.ndcg_cutoff,
-        precision_cutoff=args.precision_cutoff,
-        recall_cutoff=args.recall_cutoff,
-        threshold=args.threshold,
-    )
+    cutoffs = EvalCutoffs(*(getattr(args, f.name) for f in dataclasses.fields(EvalCutoffs)))
     report = evaluate_run(args.run, qrels, cutoffs)
     print(format_report(report, per_depth=args.per_depth, per_topic=args.per_topic))
     if args.json:
@@ -106,10 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a TREC run file against qrels")
     p_eval.add_argument("--run", required=True, help="TREC run file")
     p_eval.add_argument("--qrels", required=True, help="qrels file")
-    p_eval.add_argument("--ndcg-cutoff", type=int, default=5)
-    p_eval.add_argument("--precision-cutoff", type=int, default=20)
-    p_eval.add_argument("--recall-cutoff", type=int, default=100)
-    p_eval.add_argument("--threshold", type=int, default=1)
+    for cutoff in dataclasses.fields(EvalCutoffs):
+        p_eval.add_argument(f"--{cutoff.name.replace('_', '-')}", type=int, default=cutoff.default)
     p_eval.add_argument("--per-depth", action="store_true", help="slice by turn number")
     p_eval.add_argument("--per-topic", action="store_true", help="slice by topic")
     p_eval.add_argument("--json", default=None, help="also write a JSON report")

@@ -17,6 +17,7 @@ is known before any turn runs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -68,8 +69,8 @@ class Topic:
 
     topic_id: str
     title: str
-    ptkb: tuple[PTKBStatement, ...] = ()
-    turns: tuple[Turn, ...] = ()
+    ptkb: tuple[PTKBStatement, ...]
+    turns: tuple[Turn, ...]
 
     def __post_init__(self) -> None:
         if not self.turns:
@@ -85,16 +86,19 @@ class Topic:
 
 
 _JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # what a lone JSON "\ud800" escape reads as
 
 
-def _typed(value: object, kind: type, topic_id: str, field: str):
-    """``value`` if its JSON type is ``kind`` (a boolean is no int), else raise.
+def _typed(value: object, kind: type, topic: str, field: str):
+    """``value`` if its JSON type is ``kind`` (a boolean is no int) and UTF-8 encodes it.
 
     The message shows the value given for a string or an integer, else only its type.
     """
     if type(value) is not kind:
         got = repr(value) if kind in (str, int) else type(value).__name__
-        raise ValueError(f"topic '{topic_id}': {field} must be {_JSON_TYPES[kind]}, got {got}")
+        raise ValueError(f"{topic}: {field} must be {_JSON_TYPES[kind]}, got {got}")
+    if kind is str and not value.isascii() and (match := _SURROGATE_RE.search(value)):
+        raise ValueError(f"{topic}: {field} holds the lone surrogate {match.group()!r}")
     return value
 
 
@@ -110,32 +114,32 @@ def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
     if type(number) not in (str, int) or _id_problem("number", [topic_id]):
         raise ValueError(f"topic #{position}: field 'number' must be a JSON integer or a "
                          f"non-empty string without whitespace, got {number!r}")
+    _typed(topic_id, str, f"topic #{position}", "field 'number'")
     if topic_id in seen:
         raise ValueError(f"topic #{position}: duplicate number '{topic_id}'")
     seen.add(topic_id)
-    title = _typed(entry["title"], str, topic_id, "field 'title'")
+    topic = f"topic '{topic_id}'"
+    title = _typed(entry["title"], str, topic, "field 'title'")
     indexed = []
-    for key, text in _typed(entry["ptkb"], dict, topic_id, "field 'ptkb'").items():
+    for key, text in _typed(entry["ptkb"], dict, topic, "field 'ptkb'").items():
         index = _ascii_int(key)
         if index is None:
-            raise ValueError(f"topic '{topic_id}': ptkb key must be an integer, got {key!r}")
-        indexed.append((index, _typed(text, str, topic_id, f"ptkb statement '{key}'")))
+            raise ValueError(f"{topic}: ptkb key must be an integer, got {key!r}")
+        indexed.append((index, _typed(text, str, topic, f"ptkb statement '{key}'")))
     indexed.sort(key=lambda pair: pair[0])
     try:
         statements = [PTKBStatement(i, text) for i, text in indexed]
     except ValueError as exc:  # a key of 0 or an empty statement
-        raise ValueError(f"topic '{topic_id}': {exc}") from None
+        raise ValueError(f"{topic}: {exc}") from None
     turns = []
-    for n, turn_entry in enumerate(_typed(entry["turns"], list, topic_id, "field 'turns'"), 1):
-        turn_entry = _typed(turn_entry, dict, topic_id, f"turn #{n}")
+    for n, turn_entry in enumerate(_typed(entry["turns"], list, topic, "field 'turns'"), 1):
+        turn_entry = _typed(turn_entry, dict, topic, f"turn #{n}")
         for required in ("turn_number", "utterance"):
             if required not in turn_entry:
-                raise ValueError(
-                    f"topic '{topic_id}': turn missing field '{required}'"
-                )
-        number = _typed(turn_entry["turn_number"], int, topic_id, "field 'turn_number'")
+                raise ValueError(f"{topic}: turn missing field '{required}'")
+        number = _typed(turn_entry["turn_number"], int, topic, "field 'turn_number'")
         text = {
-            name: _typed(turn_entry[name], str, topic_id, f"turn {number} field '{name}'")
+            name: _typed(turn_entry[name], str, topic, f"turn {number} field '{name}'")
             for name in ("utterance", "response", "manual_rewrite")
             if name in turn_entry
         }
@@ -157,7 +161,8 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
             that is not ASCII digits, an empty statement, a turn number
             that is not a JSON integer, numbering not contiguous from 1, or
             a title, statement, utterance, response or manual rewrite that
-            is not a JSON string (naming the turn too).
+            is not a JSON string (naming the turn too), or any string, the
+            number included, holding a lone surrogate (as a JSON ``"\\ud800"`` gives).
     """
     with _text(source) as handle:
         data = json.load(handle)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -198,23 +198,15 @@ class MetricReport:
     """Per-query metric values plus aggregate and per-depth/per-topic slices."""
 
     metrics: list[str]
-    per_query: dict[str, dict[str, float]]
     aggregate: dict[str, float]
+    per_query: dict[str, dict[str, float]]
     per_depth: dict[int, dict[str, float]]
     per_topic: dict[str, dict[str, float]]
     excluded: list[str] = field(default_factory=list)
     zero_relevant: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "metrics": self.metrics,
-            "aggregate": self.aggregate,
-            "per_query": self.per_query,
-            "per_depth": {str(depth): values for depth, values in self.per_depth.items()},
-            "per_topic": self.per_topic,
-            "excluded": self.excluded,
-            "zero_relevant": self.zero_relevant,
-        }
+        return asdict(self)  # json.dumps writes the int per_depth keys as strings
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
@@ -337,7 +329,7 @@ def evaluate_rankings(
     per_depth = _mean_by_group(per_query, metrics, lambda qid: parsed[qid][1])
     per_topic = _mean_by_group(per_query, metrics, lambda qid: parsed[qid][0])
     return MetricReport(
-        metrics, per_query, aggregate, per_depth, per_topic, excluded, zero_relevant
+        metrics, aggregate, per_query, per_depth, per_topic, excluded, zero_relevant
     )
 
 

@@ -96,20 +96,9 @@ def _post_json(url: str, payload: object, headers: Mapping[str, str] = {}) -> by
 
 @dataclass(frozen=True)
 class QuerySet:
-    """Generated queries for one turn, at most ``phi`` of them."""
+    """Generated queries for one turn: non-blank, at most the ``phi`` asked for."""
 
     queries: tuple[str, ...]
-    phi: int
-
-    def __post_init__(self) -> None:
-        if self.phi < 1:
-            raise ValueError("phi must be >= 1")
-        if not self.queries:
-            raise ValueError("query set must be non-empty")
-        if len(self.queries) > self.phi:
-            raise ValueError(f"{len(self.queries)} queries exceed phi={self.phi}")
-        if any(not q.strip() for q in self.queries):
-            raise ValueError("queries must be non-blank")
 
 
 def cache_key(model_id: str, prompt: str) -> str:
@@ -141,8 +130,8 @@ class LLMCache:
 
         Raises:
             ValueError: naming the file, for a record that does not parse, lacks
-                a field, has a response that is not a string, or whose
-                ``model_id`` and ``prompt`` hash to another key.
+                a field, has a response that is not a string or holds a lone
+                surrogate, or whose ``model_id`` and ``prompt`` hash to another key.
         """
         path = self._path(key)
         if not path.exists():
@@ -153,6 +142,7 @@ class LLMCache:
                 raise ValueError("its model_id and prompt belong to another key")
             if not isinstance(record["response"], str):
                 raise TypeError(f"its response is {type(record['response']).__name__}, not str")
+            record["response"].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
             return record["response"]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"corrupt cache record {path}: {exc!r}") from exc
@@ -185,7 +175,7 @@ class HttpChatTransport:
     choice's message content, the shape used by common completion APIs.
     Every failure raises :class:`TransportError` naming the endpoint: a
     request that fails, or outlasts :data:`TIMEOUT` seconds, and a reply
-    that is not such JSON ("malformed completion response").
+    that is not such JSON or holds a lone surrogate ("malformed completion response").
     """
 
     def __init__(self, endpoint_url: str, api_key: str | None = None):
@@ -204,6 +194,7 @@ class HttpChatTransport:
             content = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content {content!r} is not a string")
+            content.encode("utf-8")  # a lone surrogate, which no cache record can hold, raises
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(
                 f"malformed completion response: {exc} from {self.endpoint_url}"
@@ -211,7 +202,7 @@ class HttpChatTransport:
         return content
 
 
-_ENUMERATION_RE = re.compile(r"^\s*(?:\d+[.)]|[-*•])\s*")
+_ENUMERATION_RE = re.compile(r"^\s*(?:\d+[.)](?!\d)|[-*•])\s*")
 
 
 def _parse_query_lines(response: str, phi: int) -> list[str]:
@@ -303,7 +294,7 @@ class LLMGateway:
             },
         )
         response = self.complete(prompt)
-        return QuerySet(queries=tuple(_parse_query_lines(response, phi)), phi=phi)
+        return QuerySet(tuple(_parse_query_lines(response, phi)))
 
     def generate_rewrite(
         self,

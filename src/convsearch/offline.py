@@ -89,17 +89,9 @@ def _classification(prompt: str) -> str:
 
 
 class ScriptedTransport:
-    """A chat transport whose reply to each of the three prompt shapes is a pure function of it.
-
-    Counts calls so cache-behaviour tests can assert how often the
-    "network" was hit.
-    """
-
-    def __init__(self) -> None:
-        self.calls = 0
+    """A chat transport whose reply to each of the three prompt shapes is a pure function of it."""
 
     def __call__(self, model_id: str, prompt: str) -> str:
-        self.calls += 1
         if "# Generated queries:" in prompt:
             return _query_generation(prompt)
         if prompt.startswith("# Doc1:"):

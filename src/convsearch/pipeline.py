@@ -377,12 +377,12 @@ def load_resources(
     sparse = spec.config.retriever == "sparse"
     _require_paths(spec, ("corpus", "sparse_vectors", "topics") if sparse else ("corpus", "topics"))
     paths = spec.paths
+    topics = parse_topics(paths["topics"])  # first: a bad topic fails before any index is built
     passages = {p.doc_id: p for p in read_corpus(paths["corpus"])}
     if sparse:
         index = build_sparse_index(load_sparse_vectors(paths["sparse_vectors"]))
     else:
         index = build_index(passages.values())
-    topics = parse_topics(paths["topics"])
     return index, topics, passages
 
 

@@ -9,7 +9,13 @@ import urllib.request
 import pytest
 
 from convsearch.cli import build_parser, main
-from convsearch.evaluation import evaluate_run, format_report, parse_qrels, read_run_file
+from convsearch.evaluation import (
+    EvalCutoffs,
+    evaluate_run,
+    format_report,
+    parse_qrels,
+    read_run_file,
+)
 from convsearch.fusion import ensemble_fuse, interleave
 from convsearch.offline import ScriptedTransport
 
@@ -46,6 +52,19 @@ def test_cli_run_replay_and_evaluate(tmp_path, capsys):
     assert "nDCG@5" in printed and "depth 1" in printed and "topic 2" in printed
     report = json.loads(report_path.read_text())
     assert set(report["aggregate"]) == {"nDCG@5", "nDCG", "MRR", "Recall@100", "P@20", "mAP"}
+
+
+def test_cli_evaluate_defaults_are_the_eval_cutoffs_defaults(tmp_path):
+    # with no cut-off option, the CLI writes the library's report at EvalCutoffs()
+    config = CONFIG_DIR / "gpt4qr_bm25_qd1.json"
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    run, qrels = tmp_path / "gpt4qr-bm25-qd1.run", FIXTURE_DIR / "qrels.txt"
+    cli_report = tmp_path / "cli.json"
+    assert main(["evaluate", "--run", str(run), "--qrels", str(qrels),
+                 "--json", str(cli_report)]) == 0
+    library_report = tmp_path / "library.json"
+    evaluate_run(run, parse_qrels(qrels), EvalCutoffs()).write_json(library_report)
+    assert cli_report.read_bytes() == library_report.read_bytes()
 
 
 def test_cli_fuse(tmp_path):

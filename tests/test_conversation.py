@@ -260,6 +260,41 @@ def test_parse_topics_rejects_a_repeated_number(numbers):
         parse_topics(io.StringIO(json.dumps(payload)))
 
 
+@pytest.mark.parametrize(
+    "where, field",
+    [
+        ("number", "topic #1: field 'number'"),
+        ("title", "topic '1': field 'title'"),
+        ("ptkb", "topic '1': ptkb statement '2'"),
+        ("utterance", "topic '1': turn 2 field 'utterance'"),
+        ("response", "topic '1': turn 2 field 'response'"),
+        ("manual_rewrite", "topic '1': turn 2 field 'manual_rewrite'"),
+    ],
+    ids=["number", "title", "ptkb", "utterance", "response", "manual_rewrite"],
+)
+def test_parse_topics_rejects_a_lone_surrogate_in_any_string(where, field):
+    # a JSON "\ud800" escape reads as a string that UTF-8 cannot encode, which
+    # used to pass here and then fail the run's first cache key with a codec error
+    payload = _topic_payload()
+    value = "1\ud800" if where == "number" else "caf\u00e9 \ud800 bar"
+    if where in ("number", "title"):
+        payload[where] = value
+    elif where == "ptkb":
+        payload["ptkb"]["2"] = value
+    else:
+        payload["turns"][1][where] = value
+    message = f"{field} holds the lone surrogate '\\ud800'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_topics(io.StringIO(json.dumps([payload])))
+    # a surrogate pair is one character, which UTF-8 encodes
+    payload = _topic_payload()
+    payload["turns"][1]["utterance"] = "caf\u00e9 \U0001F600"
+    text = json.dumps([payload])
+    assert "\\ud83d\\ude00" in text
+    turn = parse_topics(io.StringIO(text))[0].turns[1]
+    assert turn.user_utterance == "caf\u00e9 \U0001F600"
+
+
 def test_parse_topics_reads_an_integer_number_as_its_digits():
     payload = [_topic_payload(7), _topic_payload("t-2_b")]
     assert [t.topic_id for t in parse_topics(io.StringIO(json.dumps(payload)))] == ["7", "t-2_b"]

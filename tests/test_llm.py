@@ -22,7 +22,6 @@ from convsearch.llm import (
     HttpChatTransport,
     LLMCache,
     LLMGateway,
-    QuerySet,
     TransportError,
     _match_ptkb_labels,
     _normalize_statement,
@@ -32,7 +31,7 @@ from convsearch.llm import (
 from convsearch.offline import ScriptedTransport
 from convsearch.prompts import TEMPLATES, render_prompt
 
-from conftest import REPO
+from conftest import REPO, CountingTransport
 
 # ---------------------------------------------------------------------------
 # prompt templates
@@ -121,7 +120,7 @@ def test_cache_key_stable_and_injective():
 
 
 def test_record_mode_caches_second_call(tmp_path):
-    transport = ScriptedTransport()
+    transport = CountingTransport()
     gateway = LLMGateway("m", tmp_path, mode="record", transport=transport)
     prompt = "# Doc1: alpha beta\n# User query: q"
     first = gateway.complete(prompt)
@@ -205,6 +204,8 @@ def test_corrupt_cache_record_names_its_path(tmp_path):
         cache_key("m", "two"): copied,  # a whole record, filed under another key
         # a null response would read as a miss of a key whose file exists
         cache_key("m", "null"): json.dumps({"model_id": "m", "prompt": "null", "response": None}),
+        # a JSON "\ud800" escape reads as a lone surrogate, which UTF-8 cannot encode
+        cache_key("m", "s"): json.dumps({"model_id": "m", "prompt": "s", "response": "\ud800"}),
     }
     assert cache.get(cache_key("m", "one")) == "answer one"
     for key, body in bodies.items():
@@ -252,6 +253,13 @@ def test_unknown_mode_rejected(tmp_path):
 def test_parse_query_lines_strips_enumeration():
     assert _parse_query_lines("1. a\n2. b\n\n3. c", 5) == ["a", "b", "c"]
     assert _parse_query_lines("- x\n* y", 5) == ["x", "y"]
+    # a marker is never the integer part of a decimal
+    assert _parse_query_lines("3.5 mm headphone jack adapters", 5) == [
+        "3.5 mm headphone jack adapters"
+    ]
+    assert _parse_query_lines("1. 3.5 mm jack\n2) x\n10.y\n- -20 c", 5) == [
+        "3.5 mm jack", "x", "y", "-20 c"
+    ]
 
 
 def test_parse_query_lines_truncates_to_phi():
@@ -262,17 +270,6 @@ def test_parse_query_lines_truncates_to_phi():
 def test_parse_query_lines_rejects_empty():
     with pytest.raises(ValueError, match="no queries parsed"):
         _parse_query_lines("\n  \n", 3)
-
-
-def test_query_set_bound():
-    with pytest.raises(ValueError):
-        QuerySet(("a", "b"), phi=1)
-    with pytest.raises(ValueError):
-        QuerySet((), phi=1)
-    with pytest.raises(ValueError):
-        QuerySet(("a", "  "), phi=2)
-    with pytest.raises(ValueError, match="phi must be >= 1"):
-        QuerySet(("a",), phi=0)
 
 
 def _scripted_gateway(tmp_path) -> LLMGateway:
@@ -353,7 +350,7 @@ def test_classify_ptkb_requires_statements(tmp_path):
 
 def test_classify_prompt_distinguishes_turns(tmp_path):
     # same persona, different questions -> different cache keys
-    transport = ScriptedTransport()
+    transport = CountingTransport()
     gateway = LLMGateway("m", tmp_path, mode="record", transport=transport)
     statements = [PTKBStatement(1, "I like tea.")]
     gateway.classify_ptkb("", statements, "question one about tea")
@@ -436,6 +433,8 @@ def test_http_transport_malformed_response(monkeypatch):
         # content that is not a string would be cached, then break the turn
         b'{"choices": [{"message": {"content": null}}]}',
         b'{"choices": [{"message": {"content": 5}}]}',
+        # a lone surrogate used to be returned, and then fail the cache write
+        b'{"choices": [{"message": {"content": "a \\ud800"}}]}',
     ]
     for body in bodies:
         _reply_with(monkeypatch, body)

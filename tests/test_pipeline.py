@@ -12,7 +12,7 @@ from convsearch import pipeline
 from convsearch.conversation import PTKBStatement, Topic, Turn, parse_topics
 from convsearch.evaluation import _default_query_id_parser
 from convsearch.index import Passage, RankedList, build_index, read_corpus
-from convsearch.llm import CacheMissError, LLMGateway, TransportError
+from convsearch.llm import CacheMissError, LLMGateway
 from convsearch.offline import ScriptedTransport
 from convsearch.pipeline import (
     MAX_RANKING,
@@ -28,7 +28,7 @@ from convsearch.pipeline import (
     write_trec_run,
 )
 
-from conftest import CONFIG_DIR, TESTS_FIXTURE_DIR
+from conftest import CONFIG_DIR, TESTS_FIXTURE_DIR, CountingTransport
 
 # ---------------------------------------------------------------------------
 # RunConfig validation
@@ -291,20 +291,18 @@ def test_execute_spec_rejects_fewer_than_one_worker_before_set_up(tmp_path, monk
     assert not (tmp_path / "out").exists()
 
 
-class _CountingTransport:
-    """Scripted responses, counted under a lock; call ``fail_on`` raises instead."""
-
-    def __init__(self, fail_on=None):
-        self.calls, self.fail_on = 0, fail_on
-        self._lock, self._scripted = threading.Lock(), ScriptedTransport()
-
-    def __call__(self, model_id, prompt):
-        with self._lock:
-            self.calls += 1
-            fails = self.calls == self.fail_on
-        if fails:
-            raise TransportError(f"injected failure on call {self.fail_on}")
-        return self._scripted(model_id, prompt)
+def test_load_resources_rejects_a_bad_topic_before_reading_the_corpus(tmp_path):
+    # a lone surrogate from a JSON "\ud800" escape used to pass set-up, after the
+    # index was built, and fail the run's first cache key with a codec error
+    spec = load_run_spec(CONFIG_DIR / "gpt4qr_deberta.json")
+    topics = json.loads(spec.paths["topics"].read_text(encoding="utf-8"))
+    topics[0]["turns"][0]["utterance"] += " \ud800"
+    spec.paths["topics"] = tmp_path / "topics.json"
+    spec.paths["topics"].write_text(json.dumps(topics), encoding="utf-8")
+    spec.paths["corpus"] = tmp_path / "absent.tsv"
+    message = f"topic '{topics[0]['number']}': turn 1 field 'utterance' holds the lone surrogate"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_resources(spec)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -315,11 +313,11 @@ def test_failed_record_run_resumes_when_re_run(tmp_path, workers):
     replayed = execute_spec(spec, tmp_path / "replay")
     spec.paths["cache_dir"] = tmp_path / "cache"
     spec = replace(spec, llm_mode="record")
-    failing = _CountingTransport(fail_on=9)
+    failing = CountingTransport(fail_on=9)
     with pytest.raises(TurnExecutionError):
         execute_spec(spec, tmp_path / "out", transport=failing, workers=workers)
     assert not (tmp_path / "out").exists()
-    working = _CountingTransport()
+    working = CountingTransport()
     resumed = execute_spec(spec, tmp_path / "out", transport=working, workers=workers)
     cached = len(list((tmp_path / "cache").glob("*.json")))
     assert failing.calls + working.calls == cached + 1
@@ -629,7 +627,7 @@ def test_golden_turn_matches_frozen_record():
 def test_fixture_cache_is_what_the_six_configs_record(tmp_path):
     # recorded from an empty cache, the configs write the shipped cache byte
     # for byte, and use every entry of it
-    transport = ScriptedTransport()
+    transport = CountingTransport()
     for path in sorted(CONFIG_DIR.glob("*.json")):
         spec = load_run_spec(path)
         shipped = spec.paths["cache_dir"]
