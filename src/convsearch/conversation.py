@@ -89,6 +89,13 @@ _JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an o
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # what a lone JSON "\ud800" escape reads as
 
 
+def _surrogate_problem(text: str) -> str | None:
+    """None if UTF-8 encodes ``text``, else which lone surrogate it holds."""
+    if text.isascii() or not (match := _SURROGATE_RE.search(text)):
+        return None
+    return f"holds the lone surrogate {match.group()!r}"
+
+
 def _typed(value: object, kind: type, topic: str, field: str):
     """``value`` if its JSON type is ``kind`` (a boolean is no int) and UTF-8 encodes it.
 
@@ -97,8 +104,8 @@ def _typed(value: object, kind: type, topic: str, field: str):
     if type(value) is not kind:
         got = repr(value) if kind in (str, int) else type(value).__name__
         raise ValueError(f"{topic}: {field} must be {_JSON_TYPES[kind]}, got {got}")
-    if kind is str and not value.isascii() and (match := _SURROGATE_RE.search(value)):
-        raise ValueError(f"{topic}: {field} holds the lone surrogate {match.group()!r}")
+    if kind is str and (problem := _surrogate_problem(value)):
+        raise ValueError(f"{topic}: {field} {problem}")
     return value
 
 

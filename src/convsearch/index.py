@@ -454,12 +454,8 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
     are all plain is split and converted whole: each line has a tab, a
     new doc_id and distinct terms, entries with one colon each, non-empty
     terms, and finite weights with no sign in front.  A block with any
-    other line is split and the parts retried: a line with other than
-    one colon per space is parsed entry by entry and the runs between
-    such lines are tried whole, and a block without one is halved, down
-    to single lines.  Every line that is not plain, every malformed one
-    included, is parsed entry by entry under the same grammar, so an
-    error names the first bad line.
+    other line is read line by line, each parsed entry by entry under the
+    same grammar, so an error names the first bad line.
 
     Raises:
         ValueError: naming the first bad line's number, for malformed
@@ -469,31 +465,11 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
     with _text(source) as handle:
         lineno = 1
         while block := list(islice(handle, _BLOCK_LINES)):
-            _load_lines(columns, block, lineno)
+            if not _append_plain(columns, block):
+                for offset, line in enumerate(block):
+                    _append_entries(columns, line, lineno + offset)
             lineno += len(block)
     return columns
-
-
-def _load_lines(columns: _Columns, lines: list[str], start: int) -> None:
-    """Append ``lines``, numbered from ``start``: whole if plain, else in parts."""
-    if _append_plain(columns, lines):
-        return
-    # a line with other than one colon per space is not plain (or holds a run of
-    # spaces): it is parsed entry by entry and the runs between such lines are
-    # tried whole; a block without one is halved, down to single lines
-    odd = [i for i, line in enumerate(lines) if line.count(":") != line.count(" ") + 1]
-    if odd:
-        for a, b in zip([-1, *odd], [*odd, len(lines)]):
-            if a + 1 < b:
-                _load_lines(columns, lines[a + 1 : b], start + a + 1)
-            if b < len(lines):
-                _append_entries(columns, lines[b], start + b)
-    elif len(lines) > 1:
-        half = len(lines) // 2
-        _load_lines(columns, lines[:half], start)
-        _load_lines(columns, lines[half:], start + half)
-    else:
-        _append_entries(columns, lines[0], start)
 
 
 def _append_entries(columns: _Columns, line: str, lineno: int) -> None:

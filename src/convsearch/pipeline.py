@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import IO, ClassVar, Mapping, Sequence, get_origin, get_type_hints
 
-from .conversation import Topic, parse_topics, ptkb_text, render_context
+from .conversation import Topic, _surrogate_problem, parse_topics, ptkb_text, render_context
 from .evaluation import write_run_file
 from .fusion import pool_candidates, rerank, resolve_scorer
 from .index import (
@@ -82,7 +82,9 @@ def _json_fields(cls: type, data: Mapping) -> dict:
     dataclass defaults.
 
     Raises:
-        ValueError: naming the field whose value has another JSON type.
+        ValueError: naming the field whose value has another JSON type, or
+            holds a string, a key included, with a lone surrogate (as a
+            JSON ``"\\ud800"`` escape gives).
     """
     hints = get_type_hints(cls)
     values = {}
@@ -102,6 +104,9 @@ def _json_fields(cls: type, data: Mapping) -> dict:
             wanted, ok = kind.__name__, type(value) is kind
         if not ok:
             raise ValueError(f"field '{name}' must be {wanted}, got {value!r}")
+        # the value as JSON text holds each of its strings, keys included, as they are
+        if problem := _surrogate_problem(json.dumps(value, ensure_ascii=False)):
+            raise ValueError(f"field '{name}' {problem}")
         values[name] = value
     return values
 
@@ -324,8 +329,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
             ``model_id`` and ``llm_mode``; a ``paths`` name other than
             ``corpus``, ``sparse_vectors``, ``topics``, ``qrels`` and
             ``cache_dir``; an absent field without a default; a value of the
-            wrong JSON type; an invalid config or ``llm_mode``; or a file
-            that is not a JSON object.
+            wrong JSON type or with a string holding a lone surrogate; an
+            invalid config or ``llm_mode``; or a file that is not a JSON object.
     """
     spec_path = Path(path)
     try:

@@ -341,6 +341,29 @@ def test_cli_run_rejects_a_repeated_topic_number(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("run_tag", "gpt4qr-bm25-qd1\ud800"), ("model_id", "gpt-4\ud800"),
+     ("scorer_ids", ["minilm", "\udfff"]), ("scorer_endpoints", {"minilm\ud800": "http://x"}),
+     ("paths", {"topics": "topics\udfff.json"})],
+    ids=["run_tag", "model_id", "scorer_ids", "scorer_endpoints", "paths"],
+)
+def test_cli_run_rejects_a_lone_surrogate_in_the_spec(tmp_path, capsys, key, value):
+    # a JSON "\ud800" escape used to pass set-up: a run_tag failed the writer with a
+    # bare codec error after every turn had run, a model_id the first cache key
+    spec = json.loads((CONFIG_DIR / "gpt4qr_bm25_qd1.json").read_text(encoding="utf-8"))
+    paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
+    spec["paths"] = dict(paths, cache_dir=str(tmp_path / "cache"))
+    spec[key] = dict(spec["paths"], **value) if key == "paths" else value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["run", "--config", str(spec_path), "--llm-mode", "record", "--scripted"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    message = f"error: run spec {spec_path}: field '{key}' holds the lone surrogate '\\ud"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     code = main(["evaluate", "--run", str(tmp_path / "missing.run"), "--qrels", "nope"])
     assert code == 1

@@ -3,15 +3,20 @@
 import io
 import math
 import re
+import sys
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURE_DIR, REPO
 from convsearch.index import (
     _BLOCK_LINES,
+    _append_plain,
+    _Columns,
     B,
     K1,
     AnalyzerConfig,
@@ -694,6 +699,23 @@ def test_load_sparse_vectors_names_a_bad_line_in_the_third_block():
     expected = oracle_sparse_vectors(text)
     assert ("a:b", 1.5) in expected[doc_id]
     assert _loaded(text) == expected
+
+
+def test_every_block_of_the_fixture_and_benchmark_vector_files_is_plain(tmp_path):
+    # the loader's line-by-line path is for messy files; the files the fixture and the
+    # benchmark read must stay on the whole-block path, or set-up silently slows down
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import gen
+
+    files = [FIXTURE_DIR / "sparse_vectors.tsv"]
+    for seed, docs in ((5, 3_000), (7, 20_000)):
+        files.append(gen.generate(seed, docs).write(tmp_path / str(docs))["sparse_vectors"])
+    for path in files:
+        columns, whole = _Columns(), []
+        with open(path, encoding="utf-8") as handle:
+            while block := list(islice(handle, _BLOCK_LINES)):
+                whole.append(_append_plain(columns, block))
+        assert whole and all(whole), (str(path), whole.count(False), len(whole))
 
 
 def test_sparse_vector_rejects_negative():
