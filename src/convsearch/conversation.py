@@ -2,11 +2,13 @@
 
 A topic file is a JSON array of objects with fields ``number`` (a topic id
 unique in the file: a JSON string without whitespace, or an integer),
-``title``, ``ptkb`` (object mapping "1", "2", ... to statements) and
-``turns`` (list of ``{turn_number, utterance, response}``, optionally with
-a ``manual_rewrite`` per turn).  The title, statements and turn texts are
-JSON strings; an optional one is omitted by leaving it out.  Topics are
-immutable after parsing and safe to share across parallel per-turn workers.
+``title``, ``ptkb`` (a non-empty object mapping "1", "2", ... to
+statements) and ``turns`` (list of ``{turn_number, utterance, response}``,
+optionally with a ``manual_rewrite`` per turn).  The title, statements and
+turn texts are JSON strings; an optional one is omitted by leaving it out.
+A parsed topic holds its PTKB as a tuple of statement texts, statement
+*i* at ``ptkb[i - 1]``.  Topics are immutable after parsing and safe to
+share across parallel per-turn workers.
 
 Conversation history is rendered as alternating ``USER:`` / ``SYSTEM:``
 lines of all turns strictly before the current one; the system side is
@@ -17,35 +19,19 @@ is known before any turn runs.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
-from .index import _ascii_int, _id_problem, _text
+from .index import _ascii_int, _id_problem, _surrogate_problem, _text
 
 __all__ = [
-    "PTKBStatement",
     "Turn",
     "Topic",
     "parse_topics",
     "render_context",
     "ptkb_text",
 ]
-
-
-@dataclass(frozen=True)
-class PTKBStatement:
-    """One persona statement, 1-indexed within its topic."""
-
-    index: int
-    text: str
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError("ptkb statement index must be >= 1")
-        if not self.text:
-            raise ValueError("ptkb statement text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -69,31 +55,20 @@ class Topic:
 
     topic_id: str
     title: str
-    ptkb: tuple[PTKBStatement, ...]
+    ptkb: tuple[str, ...]
     turns: tuple[Turn, ...]
 
     def __post_init__(self) -> None:
+        if not all(self.ptkb):
+            raise ValueError(f"topic '{self.topic_id}': ptkb statement text must be non-empty")
         if not self.turns:
             raise ValueError(f"topic '{self.topic_id}': turns must be non-empty")
-        for position, statement in enumerate(self.ptkb, start=1):
-            if statement.index != position:
-                raise ValueError(
-                    f"topic '{self.topic_id}': ptkb indices must be contiguous from 1"
-                )
         for position, turn in enumerate(self.turns, start=1):
             if turn.turn_number != position:
                 raise ValueError(f"topic '{self.topic_id}': non-contiguous turns")
 
 
 _JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # what a lone JSON "\ud800" escape reads as
-
-
-def _surrogate_problem(text: str) -> str | None:
-    """None if UTF-8 encodes ``text``, else which lone surrogate it holds."""
-    if text.isascii() or not (match := _SURROGATE_RE.search(text)):
-        return None
-    return f"holds the lone surrogate {match.group()!r}"
 
 
 def _typed(value: object, kind: type, topic: str, field: str):
@@ -127,17 +102,20 @@ def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
     seen.add(topic_id)
     topic = f"topic '{topic_id}'"
     title = _typed(entry["title"], str, topic, "field 'title'")
+    ptkb = _typed(entry["ptkb"], dict, topic, "field 'ptkb'")
+    if not ptkb:
+        raise ValueError(f"{topic}: field 'ptkb' must hold at least one statement")
     indexed = []
-    for key, text in _typed(entry["ptkb"], dict, topic, "field 'ptkb'").items():
+    for key, text in ptkb.items():
         index = _ascii_int(key)
         if index is None:
             raise ValueError(f"{topic}: ptkb key must be an integer, got {key!r}")
         indexed.append((index, _typed(text, str, topic, f"ptkb statement '{key}'")))
     indexed.sort(key=lambda pair: pair[0])
-    try:
-        statements = [PTKBStatement(i, text) for i, text in indexed]
-    except ValueError as exc:  # a key of 0 or an empty statement
-        raise ValueError(f"{topic}: {exc}") from None
+    if indexed[0][0] < 1:
+        raise ValueError(f"{topic}: ptkb statement index must be >= 1")
+    if [i for i, _ in indexed] != list(range(1, len(indexed) + 1)):
+        raise ValueError(f"{topic}: ptkb indices must be contiguous from 1")
     turns = []
     for n, turn_entry in enumerate(_typed(entry["turns"], list, topic, "field 'turns'"), 1):
         turn_entry = _typed(turn_entry, dict, topic, f"turn #{n}")
@@ -153,7 +131,8 @@ def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
         turns.append(
             Turn(number, text["utterance"], text.get("response", ""), text.get("manual_rewrite"))
         )
-    return Topic(topic_id=topic_id, title=title, ptkb=tuple(statements), turns=tuple(turns))
+    statements = tuple(text for _, text in indexed)
+    return Topic(topic_id=topic_id, title=title, ptkb=statements, turns=tuple(turns))
 
 
 def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
@@ -164,9 +143,9 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
             object, missing fields, a ``number`` that is not a JSON string
             or integer, is empty, holds whitespace or repeats an earlier one
             (these naming the topic ``#N`` by position), a ptkb that is not
-            an object, turns that are not an array of objects, a ptkb key
-            that is not ASCII digits, an empty statement, a turn number
-            that is not a JSON integer, numbering not contiguous from 1, or
+            a non-empty object, turns that are not an array of objects, a
+            ptkb key that is not ASCII digits, an empty statement, a turn
+            number that is not a JSON integer, numbering not contiguous from 1, or
             a title, statement, utterance, response or manual rewrite that
             is not a JSON string (naming the turn too), or any string, the
             number included, holding a lone surrogate (as a JSON ``"\\ud800"`` gives).
@@ -201,4 +180,4 @@ def render_context(topic: Topic, current_turn: int) -> str:
 
 def ptkb_text(topic: Topic) -> str:
     """Render persona statements as numbered lines ``i. statement``."""
-    return "\n".join(f"{s.index}. {s.text}" for s in topic.ptkb)
+    return "\n".join(f"{i}. {text}" for i, text in enumerate(topic.ptkb, start=1))

@@ -26,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .index import RankedList, _ascii_int, _id_problem, _text, _write_lines
+from .index import RankedList, _ascii_int, _id_problem, _surrogate_problem, _text, _write_lines
 
 __all__ = [
     "Qrels",
@@ -258,10 +258,12 @@ def write_run_file(
     Lines are ``<query_id> Q0 <doc_id> <rank> <score> <run_tag>`` with rank
     starting at 1 and scores rendered to 6 decimal places.  Returns the
     number of lines written; raises ValueError, writing nothing, for a
-    ``run_tag`` that is empty or holds whitespace.
+    ``run_tag`` that is empty, holds whitespace or holds a lone surrogate.
     """
     if problem := _id_problem("run_tag", [run_tag]):
         raise ValueError(problem)
+    if problem := _surrogate_problem(run_tag):
+        raise ValueError(f"run_tag {problem}")
     lines = [
         f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}"
         for query_id, ranking in rankings

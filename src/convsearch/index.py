@@ -252,6 +252,17 @@ def _id_problem(what: str, values: list[str]) -> str | None:
     return f"whitespace in {what} {bad!r}" if bad else f"empty {what}"
 
 
+# what a lone JSON "\ud800" escape reads as, or a non-UTF-8 byte in a command-line argument
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+
+
+def _surrogate_problem(text: str) -> str | None:
+    """None if UTF-8 encodes ``text``, else which lone surrogate it holds."""
+    if text.isascii() or not (match := _SURROGATE_RE.search(text)):
+        return None
+    return f"holds the lone surrogate {match.group()!r}"
+
+
 def _tab_rows(lines: Iterable[str], kind: str, rest: str, start: int = 1) -> Iterator[tuple]:
     """``(lineno, [doc_id, rest])`` per non-empty ``<doc_id><TAB><rest>`` line, from ``start``."""
     for lineno, raw in enumerate(lines, start=start):

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .conversation import PTKBStatement
 from .index import Passage
 from .prompts import TEMPLATES, render_prompt
 
@@ -308,19 +307,19 @@ class LLMGateway:
     def classify_ptkb(
         self,
         ctx: str,
-        statements: Sequence[PTKBStatement],
+        statements: Sequence[str],
         utterance: str,
     ) -> list[int]:
         """Label each persona statement relevant (1) or not (0) for this turn.
 
-        The classification prompt is rendered verbatim, then the
+        ``statements`` are the PTKB texts in order, numbered from 1 in the
+        prompt.  The classification prompt is rendered verbatim, then the
         conversation and final question are appended so the model (and the
         cache key) see the turn being classified.
         """
         if not statements:
             raise ValueError("classify_ptkb requires at least one statement")
-        texts = [s.text for s in statements]
-        numbered = "\n".join(f"{i}. {text}" for i, text in enumerate(texts, start=1))
+        numbered = "\n".join(f"{i}. {text}" for i, text in enumerate(statements, start=1))
         rendered = render_prompt(TEMPLATES["ptkb_classify"], {"ptkb": numbered})
         prompt = (
             f"{rendered}\n"
@@ -328,7 +327,7 @@ class LLMGateway:
             f"# User question: {utterance}"
         )
         response = self.complete(prompt)
-        return _match_ptkb_labels(texts, response)
+        return _match_ptkb_labels(statements, response)
 
     def generate_response(
         self,

@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import IO, ClassVar, Mapping, Sequence, get_origin, get_type_hints
 
-from .conversation import Topic, _surrogate_problem, parse_topics, ptkb_text, render_context
+from .conversation import Topic, parse_topics, ptkb_text, render_context
 from .evaluation import write_run_file
 from .fusion import pool_candidates, rerank, resolve_scorer
 from .index import (
@@ -38,6 +38,7 @@ from .index import (
     Passage,
     RankedList,
     _id_problem,
+    _surrogate_problem,
     _write_lines,
     bm25_retrieve,
     build_index,
@@ -318,6 +319,8 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.llm_mode not in LLM_MODES:
             raise ValueError(f"unknown llm_mode '{self.llm_mode}'")
+        if problem := _surrogate_problem(self.model_id):  # it goes into every cache key
+            raise ValueError(f"model_id {problem}")
 
 
 def load_run_spec(path: str | Path) -> RunSpec:

@@ -266,6 +266,20 @@ def test_cli_run_model_id_overrides_the_spec(tmp_path, capsys):
     assert ": cache miss for key " in capsys.readouterr().err
 
 
+def test_cli_run_rejects_a_model_id_with_a_lone_surrogate(tmp_path, capsys):
+    # a non-UTF-8 byte in --model-id used to pass set-up, build the index, make the
+    # cache directory and fail the first cache key with a bare codec error
+    cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
+    argv = [
+        "run", "--config", str(CONFIG_DIR / "gpt4qr_bm25_qd1.json"), "--llm-mode", "record",
+        "--scripted", "--model-id", "gpt\udcff", "--cache-dir", str(cache_dir),
+        "--out-dir", str(out_dir),
+    ]
+    assert main(argv) == 1
+    assert "error: model_id holds the lone surrogate '\\udcff'" in capsys.readouterr().err
+    assert not cache_dir.exists() and not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["cache", "record"], "invalid choice: 'cache'"),
@@ -290,13 +304,21 @@ def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_fuse_rejects_a_run_tag_with_whitespace(tmp_path, capsys):
-    # the tag used to be written as two fields, which read_run_file rejects
+@pytest.mark.parametrize(
+    "run_tag, message",
+    # with whitespace the tag used to be written as two fields, which read_run_file
+    # rejects; a non-UTF-8 byte (a lone surrogate) failed the writer with a bare
+    # codec error after it had made an empty --out file
+    [("a b", "whitespace in run_tag 'a b'"),
+     ("x\udcff", "run_tag holds the lone surrogate '\\udcff'")],
+    ids=["whitespace", "lone-surrogate"],
+)
+def test_cli_fuse_rejects_a_bad_run_tag(tmp_path, capsys, run_tag, message):
     run = tmp_path / "a.run"
     run.write_text("1_1 Q0 D001 1 1.000000 a\n", encoding="utf-8")
     out = tmp_path / "fused.run"
-    assert main(["fuse", str(run), "--run-tag", "a b", "--out", str(out)]) == 1
-    assert "error: whitespace in run_tag 'a b'" in capsys.readouterr().err
+    assert main(["fuse", str(run), "--run-tag", run_tag, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

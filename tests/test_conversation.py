@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convsearch.conversation import (
-    PTKBStatement,
     Topic,
     Turn,
     parse_topics,
@@ -93,9 +92,12 @@ def _with_turns(turns):
       "topic '1': field 'turns' must be an array, got dict"),
      (_with_turns(["turn_number utterance"]), "topic '1': turn #1 must be an object, got str"),
      (_with_turns([{"turn_number": 1, "utterance": "u"}, ["turn_number", "utterance"]]),
-      "topic '1': turn #2 must be an object, got list")],
+      "topic '1': turn #2 must be an object, got list"),
+     # an empty PTKB used to parse, then fail every turn's classify_ptkb after the index build
+     ([dict(_topic_payload(), ptkb={})],
+      "topic '1': field 'ptkb' must hold at least one statement")],
     ids=["not-an-array", "turn-without-utterance", "topic-array", "topic-string",
-         "turns-number", "turns-object", "turn-string", "turn-array"],
+         "turns-number", "turns-object", "turn-string", "turn-array", "ptkb-empty"],
 )
 def test_parse_topics_rejects_a_bad_shape(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -190,7 +192,7 @@ def test_parse_topics_takes_a_ptkb_key_iff_it_is_ascii_digits(key):
     elif int(key) != 1:
         message = "ptkb indices must be contiguous from 1"
     else:
-        assert parse_topics(io.StringIO(text))[0].ptkb == (PTKBStatement(1, "statement"),)
+        assert parse_topics(io.StringIO(text))[0].ptkb == ("statement",)
         return
     with pytest.raises(ValueError, match=re.escape(f"topic '1': {message}")):
         parse_topics(io.StringIO(text))
@@ -312,7 +314,7 @@ def _topic(n_turns=3):
     return Topic(
         topic_id="t",
         title="t",
-        ptkb=(PTKBStatement(1, "s1"), PTKBStatement(2, "s2")),
+        ptkb=("s1", "s2"),
         turns=tuple(
             Turn(i, f"u{i}", f"r{i}") for i in range(1, n_turns + 1)
         ),
@@ -353,7 +355,7 @@ def test_ptkb_text_numbered_lines():
     topic = Topic(
         topic_id="t",
         title="t",
-        ptkb=(PTKBStatement(1, "s1"), PTKBStatement(2, "s2")),
+        ptkb=("s1", "s2"),
         turns=(Turn(1, "u"),),
     )
     assert ptkb_text(topic) == "1. s1\n2. s2"
@@ -363,7 +365,7 @@ def test_ptkb_text_seventeen_statements():
     topic = Topic(
         topic_id="t",
         title="t",
-        ptkb=tuple(PTKBStatement(i, f"statement {i}") for i in range(1, 18)),
+        ptkb=tuple(f"statement {i}" for i in range(1, 18)),
         turns=(Turn(1, "u"),),
     )
     assert len(ptkb_text(topic).splitlines()) == 17
@@ -372,3 +374,9 @@ def test_ptkb_text_seventeen_statements():
 def test_topic_requires_turns():
     with pytest.raises(ValueError, match="non-empty"):
         Topic(topic_id="t", title="t", ptkb=(), turns=())
+
+
+def test_topic_rejects_an_empty_statement():
+    message = "topic 't': ptkb statement text must be non-empty"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Topic(topic_id="t", title="t", ptkb=("s1", ""), turns=(Turn(1, "u"),))

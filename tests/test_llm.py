@@ -13,7 +13,6 @@ import urllib.request
 
 import pytest
 
-from convsearch.conversation import PTKBStatement
 from convsearch.fusion import RemoteScorer
 from convsearch.index import Passage
 from convsearch.llm import (
@@ -335,8 +334,8 @@ def test_match_labels_case_insensitive():
 def test_classify_ptkb_end_to_end(tmp_path):
     gateway = _scripted_gateway(tmp_path)
     statements = [
-        PTKBStatement(1, "I ride gravel bikes on weekends."),
-        PTKBStatement(2, "I am allergic to peanuts."),
+        "I ride gravel bikes on weekends.",
+        "I am allergic to peanuts.",
     ]
     labels = gateway.classify_ptkb("", statements, "Which gravel bikes are good?")
     assert labels == [1, 0]
@@ -352,7 +351,7 @@ def test_classify_prompt_distinguishes_turns(tmp_path):
     # same persona, different questions -> different cache keys
     transport = CountingTransport()
     gateway = LLMGateway("m", tmp_path, mode="record", transport=transport)
-    statements = [PTKBStatement(1, "I like tea.")]
+    statements = ["I like tea."]
     gateway.classify_ptkb("", statements, "question one about tea")
     gateway.classify_ptkb("", statements, "question two about coffee")
     assert transport.calls == 2

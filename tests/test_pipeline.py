@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import pytest
 
 from convsearch import pipeline
-from convsearch.conversation import PTKBStatement, Topic, Turn, parse_topics
+from convsearch.conversation import Topic, Turn, parse_topics
 from convsearch.evaluation import _default_query_id_parser
 from convsearch.index import Passage, RankedList, build_index, read_corpus
 from convsearch.llm import CacheMissError, LLMGateway
@@ -107,7 +107,7 @@ def _mini_topic(n_turns=2, manual=True):
     return Topic(
         topic_id="t1",
         title="apples",
-        ptkb=(PTKBStatement(1, "I grow apples at home."), PTKBStatement(2, "I dislike pears.")),
+        ptkb=("I grow apples at home.", "I dislike pears."),
         turns=turns,
     )
 
@@ -195,7 +195,7 @@ def _two_topics():
     second = Topic(
         topic_id="t2",
         title="pears",
-        ptkb=(PTKBStatement(1, "I like pears."),),
+        ptkb=("I like pears.",),
         turns=tuple(Turn(i, f"pears question {i}", f"pears answer {i}") for i in (1, 2, 3)),
     )
     return [first, second]
@@ -250,7 +250,7 @@ def test_execute_run_benchmark_scale(tmp_path):
             Topic(
                 topic_id=f"topic{i}",
                 title=f"t{i}",
-                ptkb=(PTKBStatement(1, "I grow apples."),),
+                ptkb=("I grow apples.",),
                 turns=tuple(
                     Turn(t, f"apples question {i} {t}", f"answer {t}") for t in range(1, count + 1)
                 ),
@@ -291,16 +291,26 @@ def test_execute_spec_rejects_fewer_than_one_worker_before_set_up(tmp_path, monk
     assert not (tmp_path / "out").exists()
 
 
-def test_load_resources_rejects_a_bad_topic_before_reading_the_corpus(tmp_path):
-    # a lone surrogate from a JSON "\ud800" escape used to pass set-up, after the
-    # index was built, and fail the run's first cache key with a codec error
+@pytest.mark.parametrize(
+    "case, problem",
+    [("lone-surrogate", "turn 1 field 'utterance' holds the lone surrogate"),
+     ("empty-ptkb", "field 'ptkb' must hold at least one statement")],
+    ids=["lone-surrogate", "empty-ptkb"],
+)
+def test_load_resources_rejects_a_bad_topic_before_reading_the_corpus(tmp_path, case, problem):
+    # each used to pass set-up, after the index was built, and fail the run's first
+    # turn: a lone surrogate from a JSON "\ud800" escape with a codec error in the
+    # cache key, an empty PTKB in classify_ptkb
     spec = load_run_spec(CONFIG_DIR / "gpt4qr_deberta.json")
     topics = json.loads(spec.paths["topics"].read_text(encoding="utf-8"))
-    topics[0]["turns"][0]["utterance"] += " \ud800"
+    if case == "lone-surrogate":
+        topics[0]["turns"][0]["utterance"] += " \ud800"
+    else:
+        topics[0]["ptkb"] = {}
     spec.paths["topics"] = tmp_path / "topics.json"
     spec.paths["topics"].write_text(json.dumps(topics), encoding="utf-8")
     spec.paths["corpus"] = tmp_path / "absent.tsv"
-    message = f"topic '{topics[0]['number']}': turn 1 field 'utterance' holds the lone surrogate"
+    message = f"topic '{topics[0]['number']}': {problem}"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_resources(spec)
 
