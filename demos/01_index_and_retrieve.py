@@ -33,12 +33,11 @@ def main():
     passages = {p.doc_id: p for p in read_corpus(FIXTURE / "corpus.tsv")}
     print(f"corpus: {len(passages)} passages")
 
-    # --- BM25 mode: postings hold raw term frequencies, and the BM25 -----
-    # impact of each posting is computed once, when the index is built
+    # --- BM25 mode: postings hold BM25 impacts, computed once from -------
+    # each term frequency and document length when the index is built
     bm25_index = build_index(passages.values())
-    print(f"bm25 index: {bm25_index.doc_count} docs, "
-          f"{len(bm25_index.terms)} terms, avgdl {bm25_index.avg_doc_length:.2f}")
-    print(f"postings of 'espresso' (doc_id, tf): {bm25_index.posting('espresso')[:4]}")
+    print(f"bm25 index: {bm25_index.doc_count} docs, {len(bm25_index.terms)} terms")
+    print(f"documents holding 'espresso': {bm25_index.document_frequency('espresso')}")
 
     query = "trail running shoes for a marathon"
     show(f"BM25 top-5 for: {query!r}", bm25_retrieve(bm25_index, query, 10), passages)

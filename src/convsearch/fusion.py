@@ -83,11 +83,9 @@ class LexicalOverlapScorer:
         query_terms = set(self.analyzer.tokenize(query)) - _SCORER_STOPWORDS
         if not query_terms:
             return [0.0 for _ in passages]
-        scores = []
-        for passage in passages:
-            doc_terms = set(self.analyzer.tokenize(passage.text)) - _SCORER_STOPWORDS
-            scores.append(len(query_terms & doc_terms) / len(query_terms))
-        return scores
+        # query_terms holds no stopword, so the passage's need not be removed
+        tokenize, size = self.analyzer.tokenize, len(query_terms)
+        return [len(query_terms.intersection(tokenize(p.text))) / size for p in passages]
 
 
 class PseudoCrossEncoder:

@@ -1,25 +1,27 @@
 """Inverted index over a passage collection with BM25 and sparse-vector retrieval.
 
-Both scoring modes share one posting layout and one score-at-a-time kernel.
+Both scoring modes share one CSR layout and one score-at-a-time kernel.
 Postings are CSR arrays holding, per term, int32 doc indices in ascending
-doc_id order, the raw payload and the scoring weight:
+doc_id order and, for each, the scoring weight (its impact):
 
-* ``bm25`` mode: the payload is the term frequency and the weight is its
-  BM25 impact ``idf * (tf * (K1 + 1.0)) / (tf + K1 * norm)``, computed once
-  at build time, with ``norm = 1.0 - B + B * (dl / avgdl)`` (``avgdl`` is
-  1.0 if every document is empty), the non-negative
+* ``bm25`` mode: the weight is the BM25 impact
+  ``idf * (tf * (K1 + 1.0)) / (tf + K1 * norm)`` of the term frequency
+  ``tf``, computed once at build time, with ``norm = 1.0 - B + B * (dl /
+  avgdl)`` (``avgdl`` is 1.0 if every document is empty), the non-negative
   ``idf = ln(1.0 + (N - df + 0.5) / (df + 0.5))`` and the common
-  TREC-toolkit defaults ``K1 = 0.9``, ``B = 0.4``.
-* ``sparse`` mode: the payload is an externally computed term weight (e.g.
-  a learned sparse encoder's), and it is also the scoring weight.
+  TREC-toolkit defaults ``K1 = 0.9``, ``B = 0.4``.  Neither ``tf`` nor
+  ``dl`` is kept once the weights are made.
+* ``sparse`` mode: the weight is an externally computed term weight (e.g.
+  a learned sparse encoder's).
 
 A query is a sequence of ``(term, query_weight)`` clauses: one ``(token,
 1.0)`` per BM25 query token occurrence in query order (repeated terms
 boost), or a sparse query vector's entries in insertion order.  Clause by
-clause, each posting document's score becomes ``score + query_weight *
-weight``, from 0.0.  Positive scores rank descending, ties by ascending
-doc_id.  Indexes are immutable (read-only arrays) and safe for concurrent
-readers; retrieval is deterministic bit for bit.
+clause, the score of each document in the term's postings becomes
+``score + query_weight * weight``, from 0.0.  Positive scores rank
+descending, ties by ascending doc_id.  Indexes are immutable (read-only
+arrays) and safe for concurrent readers; retrieval is deterministic bit
+for bit.
 
 An index lives in memory only: :func:`build_index` makes one from a passage
 stream and :func:`build_sparse_index` from ingested document vectors, so a
@@ -27,9 +29,10 @@ run builds its index from its sources at load time.  Documents stream into
 flat columns (per entry a term id and a payload, per document its row end)
 that one packer turns into the CSR arrays with one sort of ``(term, doc)``
 keys.  A BM25 row holds one entry per token, repeats included, and no
-payloads: the packer counts the repeats into term frequencies.  A sparse
-row holds distinct terms with their weights; :func:`load_sparse_vectors`
-writes a vector file straight into such rows, a block of lines at a time.
+payloads: the packer counts the repeats into term frequencies and a row's
+entries into its document length.  A sparse row holds distinct terms with
+their weights; :func:`load_sparse_vectors` writes a vector file straight
+into such rows, a block of lines at a time.
 """
 
 from __future__ import annotations
@@ -170,23 +173,19 @@ class RankedList:
 
 @dataclass(frozen=True, eq=False)
 class InvertedIndex:
-    """CSR postings plus corpus statistics; raw payloads are read with :meth:`posting`.
+    """CSR postings: per term, its documents' indices and their scoring weights.
 
-    ``doc_ids`` lists the documents in ascending order (posting doc indices
-    point into it), ``doc_lengths`` in insertion order.  ``avg_doc_length``
-    is the mean length, 0.0 for an empty index.  Every index analyzes text
-    with the default :class:`AnalyzerConfig`, read as ``index.analyzer``.
+    ``doc_ids`` lists the documents in ascending order (the postings' doc
+    indices point into it).  Every index analyzes text with the default
+    :class:`AnalyzerConfig`, read as ``index.analyzer``.
     """
 
     analyzer: ClassVar[AnalyzerConfig] = AnalyzerConfig()
     mode: str
     doc_ids: tuple[str, ...]
-    doc_lengths: dict[str, int]
-    avg_doc_length: float
     _term_ids: dict[str, int] = field(repr=False)
     _offsets: np.ndarray = field(repr=False)
     _docs: np.ndarray = field(repr=False)
-    _payloads: np.ndarray = field(repr=False)
     _weights: np.ndarray = field(repr=False)
 
     @property
@@ -201,16 +200,6 @@ class InvertedIndex:
     def document_frequency(self, term: str) -> int:
         tid = self._term_ids.get(term)
         return 0 if tid is None else int(self._offsets[tid + 1] - self._offsets[tid])
-
-    def posting(self, term: str) -> tuple[tuple[str, float], ...]:
-        """``(doc_id, payload)`` pairs for ``term`` in ascending doc_id order."""
-        tid = self._term_ids.get(term)
-        if tid is None:
-            return ()
-        start, end = self._offsets[tid], self._offsets[tid + 1]
-        ids = self.doc_ids
-        docs = [ids[i] for i in self._docs[start:end].tolist()]
-        return tuple(zip(docs, self._payloads[start:end].tolist()))
 
 
 @contextmanager
@@ -305,7 +294,7 @@ class _Columns(Mapping[str, SparseVector]):
     """Documents as flat columns, the rows :func:`_build` packs into postings.
 
     Per entry a term id (terms numbered as first seen) and, in a sparse
-    row, a payload; per row its doc_id, length and end offset.  A BM25 row
+    row, a payload; per row its doc_id and end offset.  A BM25 row
     holds one entry per token, repeats included, and no payloads;
     :func:`_build` counts the repeats.  A sparse row holds distinct terms,
     and read as a mapping it is the :class:`SparseVector` of its entries,
@@ -314,35 +303,30 @@ class _Columns(Mapping[str, SparseVector]):
 
     def __init__(self) -> None:
         self.rows: dict[str, int] = {}
-        self.lengths = array("q")
         self.ends = array("q")
         self.term_ids = _TermIds()
         self.terms = array("i")
         self.payloads = array("d")
         self._names: list[str] = []  # term_ids' keys, listed again when it has grown
 
-    def append(
-        self, doc_id: str, length: int, terms: Iterable[str], payloads: Iterable[float] = ()
-    ) -> None:
+    def append(self, doc_id: str, terms: Iterable[str], payloads: Iterable[float] = ()) -> None:
         """Add a row; raises ValueError on a duplicate doc_id."""
         if doc_id in self.rows:
             raise ValueError(f"duplicate doc_id '{doc_id}'")
         self.rows[doc_id] = len(self.rows)
-        self.lengths.append(length)
         self.terms.fromlist(list(map(self.term_ids.__getitem__, terms)))
         self.payloads.extend(payloads)
         self.ends.append(len(self.terms))
 
     def extend(
-        self, doc_ids: Iterable[str], lengths: np.ndarray, terms: np.ndarray, payloads: np.ndarray
+        self, doc_ids: Iterable[str], counts: np.ndarray, terms: np.ndarray, payloads: np.ndarray
     ) -> None:
         """Add rows of new, distinct doc_ids.
 
-        Per row a length; per entry an int32 term id and a float64 payload.
+        Per row its entry count; per entry an int32 term id and a float64 payload.
         """
-        self.rows.update(zip(doc_ids, range(len(self.rows), len(self.rows) + len(lengths))))
-        self.lengths.frombytes(lengths.astype(np.int64).tobytes())
-        self.ends.frombytes((np.cumsum(lengths, dtype=np.int64) + len(self.terms)).tobytes())
+        self.rows.update(zip(doc_ids, range(len(self.rows), len(self.rows) + len(counts))))
+        self.ends.frombytes((np.cumsum(counts, dtype=np.int64) + len(self.terms)).tobytes())
         self.terms.frombytes(terms.tobytes())
         self.payloads.frombytes(payloads.tobytes())
 
@@ -369,41 +353,37 @@ def _build(mode: str, columns: _Columns) -> InvertedIndex:
     Documents are renumbered by doc_id rank and postings grouped by term,
     both with one sort of the entries' ``term * N + rank`` keys.  In
     ``bm25`` mode equal keys are one term's repeats in one document, and
-    their count is its term frequency.
+    their count is its term frequency; a row's entry count is its
+    document length.
     """
-    doc_lengths = dict(zip(columns.rows, columns.lengths))
     term_ids = dict(columns.term_ids)
-    doc_ids = tuple(sorted(doc_lengths))
+    doc_ids = tuple(sorted(columns.rows))
     n = len(doc_ids)
     rank_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    ranks = np.array([rank_of[d] for d in doc_lengths], dtype=np.int64)
+    ranks = np.array([rank_of[d] for d in columns.rows], dtype=np.int64)
     row_sizes = np.diff(np.array(columns.ends, dtype=np.int64), prepend=0)
     keys = np.array(columns.terms, dtype=np.int64) * n + np.repeat(ranks, row_sizes)
     if mode == "bm25":
         keys, tf = np.unique(keys, return_counts=True)
-        payloads = tf.astype(np.float64)
+        tf = tf.astype(np.float64)
     else:
         order = np.argsort(keys)  # a sparse row's terms are distinct, so keys are too
         keys = keys[order]
-        payloads = np.array(columns.payloads, dtype=np.float64)[order]
+        weights = np.array(columns.payloads, dtype=np.float64)[order]
     terms, docs = np.divmod(keys, n or 1)
     docs = docs.astype(np.int32)
     df = np.bincount(terms, minlength=len(term_ids))
     offsets = np.concatenate(([0], np.cumsum(df))).astype(np.int64)
-    avg = sum(doc_lengths.values()) / n if n else 0.0
     if mode == "bm25":
         idf = [math.log(1.0 + (n - f + 0.5) / (f + 0.5)) for f in df.tolist()]
-        lengths = np.array([doc_lengths[d] for d in doc_ids], dtype=np.float64)
+        lengths = np.empty(n)
+        lengths[ranks] = row_sizes
+        avg = len(columns.terms) / n if n else 0.0
         norm = 1.0 - B + B * (lengths[docs] / (avg or 1.0))
-        tf = payloads
         weights = np.repeat(idf, df) * (tf * (K1 + 1.0)) / (tf + K1 * norm)
-    else:
-        weights = payloads
-    for arr in (offsets, docs, payloads, weights):
+    for arr in (offsets, docs, weights):
         arr.flags.writeable = False
-    return InvertedIndex(
-        mode, doc_ids, doc_lengths, avg, term_ids, offsets, docs, payloads, weights
-    )
+    return InvertedIndex(mode, doc_ids, term_ids, offsets, docs, weights)
 
 
 def build_index(corpus: Iterable[Passage]) -> InvertedIndex:
@@ -420,7 +400,7 @@ def build_index(corpus: Iterable[Passage]) -> InvertedIndex:
         if not passage.text:
             raise ValueError(f"empty text for doc_id '{passage.doc_id}'")
         tokens = InvertedIndex.analyzer.tokenize(passage.text)
-        columns.append(passage.doc_id, len(tokens), tokens)
+        columns.append(passage.doc_id, tokens)
     return _build("bm25", columns)
 
 
@@ -429,15 +409,13 @@ def build_sparse_index(vectors: Mapping[str, SparseVector]) -> InvertedIndex:
 
     Vectors from :func:`load_sparse_vectors` are packed from the columns
     they already are; any other mapping is first copied into such columns,
-    row by row in its order.  Document length is the number of stored
-    (non-zero) terms; it is kept for corpus statistics only and plays no
-    role in dot-product scoring.
+    row by row in its order.
     """
     columns = vectors
     if not isinstance(columns, _Columns):
         columns = _Columns()
         for doc_id, vector in vectors.items():
-            columns.append(doc_id, len(vector), vector.entries, vector.entries.values())
+            columns.append(doc_id, vector.entries, vector.entries.values())
     return _build("sparse", columns)
 
 
@@ -504,7 +482,7 @@ def _append_entries(columns: _Columns, line: str, lineno: int) -> None:
                 raise ValueError(f"sparse-vector line {lineno}: non-finite weight in '{part}'")
             entries[match.group("term")] = weight
         entries = SparseVector(entries).entries
-        columns.append(doc_id, len(entries), entries, entries.values())
+        columns.append(doc_id, entries, entries.values())
 
 
 def _append_plain(columns: _Columns, lines: list[str]) -> bool:

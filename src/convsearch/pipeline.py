@@ -132,6 +132,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if problem := _id_problem("run_tag", [self.run_tag]):
             raise ValueError(problem)
+        if problem := _surrogate_problem(self.run_tag):  # it names the output files
+            raise ValueError(f"run_tag {problem}")
         if self.rewriter not in _REWRITERS:
             raise ValueError(f"unknown rewriter '{self.rewriter}'")
         if self.retriever not in _RETRIEVERS:
@@ -380,7 +382,9 @@ def load_resources(
     retriever, otherwise from the passages read from ``corpus``.
 
     Raises:
-        ValueError: naming the paths the run needs that the spec lacks.
+        ValueError: naming the paths the run needs that the spec lacks, or
+            naming the vectors file and its first doc_id, in file order,
+            that the corpus lacks.
     """
     sparse = spec.config.retriever == "sparse"
     _require_paths(spec, ("corpus", "sparse_vectors", "topics") if sparse else ("corpus", "topics"))
@@ -388,7 +392,13 @@ def load_resources(
     topics = parse_topics(paths["topics"])  # first: a bad topic fails before any index is built
     passages = {p.doc_id: p for p in read_corpus(paths["corpus"])}
     if sparse:
-        index = build_sparse_index(load_sparse_vectors(paths["sparse_vectors"]))
+        vectors = load_sparse_vectors(paths["sparse_vectors"])
+        # a doc_id no passage has would otherwise fail only the turn that retrieves it
+        if ghost := next((doc_id for doc_id in vectors if doc_id not in passages), None):
+            raise ValueError(
+                f"sparse vectors {paths['sparse_vectors']}: doc_id {ghost!r} is not in the corpus"
+            )
+        index = build_sparse_index(vectors)
     else:
         index = build_index(passages.values())
     return index, topics, passages

@@ -86,20 +86,31 @@ def oracle_top_k(scores: dict[str, float], k: int) -> list[tuple[str, float]]:
 # ---------------------------------------------------------------------------
 
 
+def _assert_postings_point_into_the_index(index: InvertedIndex) -> None:
+    """Every doc index names a document of the index, and the three arrays are read-only."""
+    assert ((index._docs >= 0) & (index._docs < index.doc_count)).all()
+    for arr in (index._offsets, index._docs, index._weights):
+        assert not arr.flags.writeable
+
+
 def test_build_index_empty_corpus():
     index = build_index([])
     assert index.doc_count == 0
     assert index.terms == ()
-    assert index.avg_doc_length == 0.0
+    _assert_postings_point_into_the_index(index)
 
 
 def test_build_index_hand_counts():
     index = build_index([Passage("d1", "apple banana"), Passage("d2", "banana")])
-    assert {d for d, _ in index.posting("apple")} == {"d1"}
-    assert {d for d, _ in index.posting("banana")} == {"d1", "d2"}
-    assert index.posting("cherry") == ()
-    assert index.avg_doc_length == 1.5
+    assert set(bm25_retrieve(index, "apple", 10).doc_ids()) == {"d1"}
+    assert set(bm25_retrieve(index, "banana", 10).doc_ids()) == {"d1", "d2"}
+    assert bm25_retrieve(index, "cherry", 10).items == ()
+    assert index.document_frequency("cherry") == 0
     assert index.doc_count == 2
+    # avgdl is (2 + 1) / 2 = 1.5: d1's "apple" has tf 1, dl 2 and idf ln(1 + 1.5 / 1.5)
+    norm = 1 - 0.4 + 0.4 * 2 / 1.5
+    apple = math.log(2.0) * (1 * (0.9 + 1)) / (1 + 0.9 * norm)
+    assert bm25_retrieve(index, "apple", 10).items == (("d1", pytest.approx(apple, rel=1e-12)),)
 
 
 def test_build_index_rejects_duplicate_doc_id():
@@ -122,27 +133,23 @@ def test_build_index_token_accounting_matches_direct_count():
     ]
     index = build_index(passages)
     analyzer = AnalyzerConfig()
-    total_tokens = sum(len(analyzer.tokenize(p.text)) for p in passages)
+    rows = []
+    for p in passages:
+        tokens = analyzer.tokenize(p.text)
+        rows.append((p.doc_id, len(tokens), dict(Counter(tokens))))
+    # the reference counts each tf and dl directly; both enter the bit-compared weights
+    _assert_same_index(index, reference_pack("bm25", rows))
     distinct_pairs = sum(len(set(analyzer.tokenize(p.text))) for p in passages)
-    assert sum(tf for term in index.terms for _, tf in index.posting(term)) == total_tokens
-    assert sum(len(index.posting(term)) for term in index.terms) == distinct_pairs
-    assert sum(index.doc_lengths.values()) == total_tokens
+    assert int(index._offsets[-1]) == distinct_pairs
 
 
 def test_index_invariants_hold():
     passages = [Passage(f"d{i}", "alpha beta gamma"[: 5 + i]) for i in range(5)]
     index = build_index(passages)
-    for term in index.terms:
-        for doc_id, _ in index.posting(term):
-            assert doc_id in index.doc_lengths
-    assert index.doc_count == len(index.doc_lengths)
-    assert index.avg_doc_length == pytest.approx(
-        sum(index.doc_lengths.values()) / index.doc_count
-    )
+    assert index.doc_ids == tuple(sorted(p.doc_id for p in passages))
     sparse = build_sparse_index({"d1": SparseVector({"a": 1.0})})
     for built in (index, sparse):
-        for arr in (built._offsets, built._docs, built._payloads, built._weights):
-            assert not arr.flags.writeable
+        _assert_postings_point_into_the_index(built)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +443,7 @@ def oracle_sparse_vectors(text: str) -> dict[str, list[tuple[str, float]]]:
 def _assert_same_index(got: InvertedIndex, want: InvertedIndex) -> None:
     """Same documents, terms in the same order, and equal read-only CSR arrays."""
     assert got.doc_ids == want.doc_ids and got.terms == want.terms
-    assert list(got.doc_lengths.items()) == list(want.doc_lengths.items())
-    assert got.avg_doc_length == want.avg_doc_length
-    for name in ("_offsets", "_docs", "_payloads", "_weights"):
+    for name in ("_offsets", "_docs", "_weights"):
         got_array, want_array = getattr(got, name), getattr(want, name)
         assert got_array.dtype == want_array.dtype and np.array_equal(got_array, want_array)
         assert not got_array.flags.writeable and not want_array.flags.writeable
@@ -773,8 +778,8 @@ def reference_pack(mode: str, rows: list[tuple[str, int, dict[str, float]]]) -> 
             entry_terms.append(term_ids.setdefault(term, len(term_ids)))
             entry_rows.append(row)
             entry_payloads.append(payload)
-    doc_lengths = {doc_id: length for doc_id, length, _ in rows}
-    doc_ids = tuple(sorted(doc_lengths))
+    length_of = {doc_id: length for doc_id, length, _ in rows}
+    doc_ids = tuple(sorted(length_of))
     n = len(doc_ids)
     rank_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
     terms = np.array(entry_terms, dtype=np.int32)
@@ -784,18 +789,16 @@ def reference_pack(mode: str, rows: list[tuple[str, int, dict[str, float]]]) -> 
     payloads = np.array(entry_payloads, dtype=np.float64)[order]
     df = np.bincount(terms, minlength=len(term_ids))
     offsets = np.concatenate(([0], np.cumsum(df))).astype(np.int64)
-    avg = sum(doc_lengths.values()) / n if n else 0.0
+    avg = sum(length_of.values()) / n if n else 0.0
     weights = payloads
     if mode == "bm25":
         idf = [math.log(1.0 + (n - f + 0.5) / (f + 0.5)) for f in df.tolist()]
-        lengths = np.array([doc_lengths[d] for d in doc_ids], dtype=np.float64)
+        lengths = np.array([length_of[d] for d in doc_ids], dtype=np.float64)
         norm = 1.0 - B + B * (lengths[docs] / (avg or 1.0))
         weights = np.repeat(idf, df) * (payloads * (K1 + 1.0)) / (payloads + K1 * norm)
-    for arr in (offsets, docs, payloads, weights):
+    for arr in (offsets, docs, weights):
         arr.flags.writeable = False
-    return InvertedIndex(
-        mode, doc_ids, doc_lengths, avg, term_ids, offsets, docs, payloads, weights
-    )
+    return InvertedIndex(mode, doc_ids, term_ids, offsets, docs, weights)
 
 
 _doc_ids = st.text("abc123", min_size=1, max_size=3)

@@ -291,6 +291,36 @@ def test_execute_spec_rejects_fewer_than_one_worker_before_set_up(tmp_path, monk
     assert not (tmp_path / "out").exists()
 
 
+def test_execute_spec_rejects_a_run_tag_with_a_lone_surrogate_before_the_run(tmp_path):
+    # such a run tag used to pass set-up, run every turn and then fail in
+    # write_run_file, leaving an empty output directory
+    spec = load_run_spec(CONFIG_DIR / "gpt4qr_bm25_qd1.json")
+    with pytest.raises(ValueError, match=re.escape("run_tag holds the lone surrogate '\\udcff'")):
+        execute_spec(replace(spec, config=replace(spec.config, run_tag="x\udcff")), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_resources_rejects_vectors_of_a_doc_the_corpus_lacks(tmp_path):
+    # such a file used to build the index and fail only the first turn that
+    # retrieved the document, after a record run had already called the model
+    def transport(model_id, prompt):
+        raise AssertionError("the model was called before set-up failed")
+
+    spec = load_run_spec(CONFIG_DIR / "gpt4qr_deberta.json")
+    text = spec.paths["sparse_vectors"].read_text(encoding="utf-8")
+    entries = next(line for line in text.splitlines() if line.startswith("D001\t"))[4:]
+    vectors = tmp_path / "sparse_vectors.tsv"
+    # the first such doc_id in file order is named, not the first in sorted order
+    vectors.write_text(f"{text}ghost-doc{entries}\nD999{entries}\n", encoding="utf-8")
+    spec.paths["sparse_vectors"] = vectors
+    spec.paths["cache_dir"] = tmp_path / "cache"
+    message = f"sparse vectors {vectors}: doc_id 'ghost-doc' is not in the corpus"
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        execute_spec(replace(spec, llm_mode="record"), tmp_path / "out", transport=transport)
+    assert raised.traceback[-1].name == "load_resources"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "case, problem",
     [("lone-surrogate", "turn 1 field 'utterance' holds the lone surrogate"),
