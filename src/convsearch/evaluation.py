@@ -224,10 +224,10 @@ def _default_query_id_parser(query_id: str) -> tuple[str, int]:
 def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
     """Read a TREC run file into per-query ranked lists.
 
-    Documents are reordered by (descending score, ascending doc_id), so a
-    run produced elsewhere with a different tie policy evaluates
-    consistently.  A score is an ASCII decimal without ``_`` that reads as
-    a finite number.
+    Each query's doc_id -> score mapping becomes a :class:`RankedList`,
+    which orders it by descending score then ascending doc_id, so a run
+    produced elsewhere with a different tie policy evaluates consistently.
+    A score is an ASCII decimal without ``_`` that reads as a finite number.
 
     Raises:
         ValueError: with the line number for malformed lines, scores that
@@ -247,7 +247,7 @@ def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
         if doc_id in bucket:
             raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")
         bucket[doc_id] = score
-    return {qid: RankedList.from_scores(qid, scores) for qid, scores in per_query.items()}
+    return {qid: RankedList(qid, scores) for qid, scores in per_query.items()}
 
 
 def write_run_file(

@@ -1,10 +1,11 @@
 """Rank fusion and reranking: min-max ensembling, interleaving, pooling.
 
 Fusion operates on :class:`~convsearch.index.RankedList` values sharing a
-query id.  Ensemble fusion (of one list: min-max normalization) and
-reranking rank through one kernel: a float row per input list or scorer
-(min-max normalized, except a lone scorer's; 0 where a list lacks a
-document), averaged into one ranked list.  Interleaving merges orderings
+query id, and builds each result from a doc_id -> score mapping that the
+list orders on construction.  Ensemble fusion (of one list: min-max
+normalization) and reranking rank through one kernel: a float row per
+input list or scorer (min-max normalized, except a lone scorer's; 0 where
+a list lacks a document), averaged into one ranked list.  Interleaving merges orderings
 round-robin with global deduplication and synthetic 1/rank scores;
 pooling takes the deduplicated union of per-list prefixes for a later
 reranking pass.
@@ -173,7 +174,7 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
 def _fuse(query_id: str, doc_ids: Sequence[str], rows: Sequence[np.ndarray]) -> RankedList:
     """Rank ``doc_ids`` by the mean of ``rows``, summed in order as ``rows[0] + rows[1] + ...``."""
     fused = sum(rows[1:], rows[0]) / len(rows)
-    return RankedList.from_scores(query_id, dict(zip(doc_ids, fused.tolist())))
+    return RankedList(query_id, dict(zip(doc_ids, fused.tolist())))
 
 
 def _require_shared_query_id(lists: Sequence[RankedList]) -> str:
@@ -214,26 +215,24 @@ def interleave(lists: Sequence[RankedList]) -> RankedList:
 
     On each list's turn it contributes its next document not yet emitted;
     a list that runs out drops out of the rounds.  Output scores are
-    synthetic 1/rank values, preserving the ranked-list invariant.
+    synthetic 1/rank values, which fall with each rank, so the ranked list
+    keeps the merge order.
 
     Raises:
         ValueError: when the lists do not share one query_id.
     """
     query_id = _require_shared_query_id(lists)
     iterators = [iter(ranked.doc_ids()) for ranked in lists]
-    seen: set[str] = set()
-    merged: list[str] = []
+    merged: dict[str, float] = {}
     while iterators:
         for iterator in tuple(iterators):
             for doc_id in iterator:
-                if doc_id not in seen:
-                    seen.add(doc_id)
-                    merged.append(doc_id)
+                if doc_id not in merged:
+                    merged[doc_id] = 1.0 / (len(merged) + 1)
                     break
             else:  # the list ran out
                 iterators.remove(iterator)
-    items = tuple((doc_id, 1.0 / rank) for rank, doc_id in enumerate(merged, start=1))
-    return RankedList(query_id, items)
+    return RankedList(query_id, merged)
 
 
 def pool_candidates(lists: Sequence[RankedList], per_list_depth: int) -> list[str]:
@@ -283,7 +282,7 @@ def rerank(
         except KeyError as exc:
             raise ValueError(f"unknown doc_id '{doc_id}'") from exc
     if not scored_ids:
-        return RankedList(query_id, ())
+        return RankedList(query_id, {})
     rows = []
     for scorer in scorers:
         row = np.array(scorer.score(query, passages), dtype=float)

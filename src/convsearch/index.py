@@ -18,10 +18,11 @@ A query is a sequence of ``(term, query_weight)`` clauses: one ``(token,
 1.0)`` per BM25 query token occurrence in query order (repeated terms
 boost), or a sparse query vector's entries in insertion order.  Clause by
 clause, the score of each document in the term's postings becomes
-``score + query_weight * weight``, from 0.0.  Positive scores rank
-descending, ties by ascending doc_id.  Indexes are immutable (read-only
-arrays) and safe for concurrent readers; retrieval is deterministic bit
-for bit.
+``score + query_weight * weight``, from 0.0.  The k best positive
+totals, by descending score then ascending doc_id, come back as the
+:class:`RankedList` of their doc_id -> score mapping, which it orders by
+the same key.  Indexes are immutable (read-only arrays) and safe for
+concurrent readers; retrieval is deterministic bit for bit.
 
 An index lives in memory only: :func:`build_index` makes one from a passage
 stream and :func:`build_sparse_index` from ingested document vectors, so a
@@ -42,7 +43,7 @@ import re
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import IO, ClassVar, Iterable, Iterator, Mapping
@@ -132,37 +133,23 @@ class SparseVector:
 
 @dataclass(frozen=True)
 class RankedList:
-    """Scored documents for one query, best first.
+    """Scored documents for one query, made from a doc_id -> score mapping.
 
-    Invariants enforced on construction: scores finite and non-increasing,
-    doc_ids distinct, and equal scores ordered by ascending doc_id.
+    ``items`` holds the mapping's pairs best first: by descending score,
+    equal scores by ascending doc_id.  A score that is not finite is
+    rejected, naming its doc_id.
     """
 
     query_id: str
-    items: tuple[tuple[str, float], ...] = ()
+    scores: InitVar[Mapping[str, float]]
+    items: tuple[tuple[str, float], ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple((d, float(s)) for d, s in self.items))
-        seen: set[str] = set()
-        prev: tuple[str, float] | None = None
-        for doc_id, score in self.items:
-            if doc_id in seen:
-                raise ValueError(f"duplicate doc_id '{doc_id}' in ranked list")
-            seen.add(doc_id)
-            if not math.isfinite(score):
-                raise ValueError(f"non-finite score {score} for doc_id '{doc_id}'")
-            if prev is not None:
-                if score > prev[1]:
-                    raise ValueError("ranked list scores must be non-increasing")
-                if score == prev[1] and doc_id < prev[0]:
-                    raise ValueError("tied scores must be ordered by ascending doc_id")
-            prev = (doc_id, score)
-
-    @classmethod
-    def from_scores(cls, query_id: str, scores: dict[str, float]) -> "RankedList":
-        """Build a ranked list from a doc_id -> score mapping."""
+    def __post_init__(self, scores: Mapping[str, float]) -> None:
+        if not all(map(math.isfinite, scores.values())):
+            doc_id, score = next((d, s) for d, s in scores.items() if not math.isfinite(s))
+            raise ValueError(f"non-finite score {score} for doc_id '{doc_id}'")
         ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        return cls(query_id, tuple(ordered))
+        object.__setattr__(self, "items", tuple(ordered))
 
     def doc_ids(self) -> list[str]:
         return [doc_id for doc_id, _ in self.items]
@@ -204,9 +191,13 @@ class InvertedIndex:
 
 @contextmanager
 def _text(source: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
-    """Open a path as UTF-8 text in ``mode`` and close it after; pass an open handle through."""
+    """Open a path as UTF-8 text in ``mode`` and close it after; pass an open handle through.
+
+    Reading skips a leading byte-order mark, so that it is not read as part
+    of the first identifier; writing adds none.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="utf-8") as handle:
+        with open(source, mode, encoding="utf-8-sig" if mode == "r" else "utf-8") as handle:
             yield handle
     else:
         yield source
@@ -554,10 +545,8 @@ def _score_at_a_time(
     hits = np.flatnonzero(acc > 0.0)
     scores = acc[hits]
     top = np.lexsort((hits, -scores))[:k]
-    ids = index.doc_ids
-    return RankedList(
-        query_id, tuple(zip([ids[i] for i in hits[top].tolist()], scores[top].tolist()))
-    )
+    ids = [index.doc_ids[i] for i in hits[top].tolist()]
+    return RankedList(query_id, dict(zip(ids, scores[top].tolist())))
 
 
 def bm25_retrieve(

@@ -108,10 +108,10 @@ def test_criterion_1_metric_oracles():
     started = time.monotonic()
 
     # hand-computed anchors
-    anchor_ranking = RankedList("q", (("C", 3.0), ("A", 2.0), ("B", 1.0)))
+    anchor_ranking = RankedList("q", {"C": 3.0, "A": 2.0, "B": 1.0})
     anchor_qrels = Qrels({("q", "A"): 2, ("q", "B"): 1})
     assert ndcg_at_k(anchor_ranking, anchor_qrels, 3) == pytest.approx(0.66968, abs=1e-5)
-    ap_ranking = RankedList("q", (("A", 3.0), ("X", 2.0), ("B", 1.0)))
+    ap_ranking = RankedList("q", {"A": 3.0, "X": 2.0, "B": 1.0})
     ap_qrels = Qrels({("q", "A"): 1, ("q", "B"): 1})
     assert average_precision(ap_ranking, ap_qrels) == pytest.approx(0.83333, abs=1e-5)
 
@@ -123,9 +123,7 @@ def test_criterion_1_metric_oracles():
         n_judged = int(rng.integers(0, 11))
         judged_ids = rng.choice(60, size=n_judged, replace=False)
         rels = {f"d{int(i):02d}": int(rng.integers(0, 4)) for i in judged_ids}
-        ranking = RankedList(
-            "q", tuple((d, float(n_docs - i)) for i, d in enumerate(doc_ids))
-        )
+        ranking = RankedList("q", {d: float(n_docs - i) for i, d in enumerate(doc_ids)})
         qrels = Qrels({("q", d): r for d, r in rels.items()})
         k = int(rng.integers(1, 15))
         assert abs(ndcg_at_k(ranking, qrels, k) - _brute_ndcg(doc_ids, rels, k)) <= 1e-9
@@ -228,7 +226,7 @@ def test_criterion_3_fusion_properties():
     # (a) min-max preserves ordering
     for _ in range(500):
         n = int(rng.integers(1, 40))
-        ranked = RankedList.from_scores(
+        ranked = RankedList(
             "q", {f"d{i:02d}": float(rng.normal()) for i in range(n)}
         )
         assert ensemble_fuse([ranked]).doc_ids() == ranked.doc_ids()
@@ -239,21 +237,21 @@ def test_criterion_3_fusion_properties():
         n_lists = int(rng.integers(2, 6))
         doc_ids = [f"d{i:02d}" for i in range(n_docs)]
         raw = [{d: float(rng.normal()) for d in doc_ids} for _ in range(n_lists)]
-        lists = [RankedList.from_scores("q", s) for s in raw]
+        lists = [RankedList("q", s) for s in raw]
         baseline = ensemble_fuse(lists).doc_ids()
         target = int(rng.integers(n_lists))
         a = float(rng.uniform(0.05, 20.0))
         b = float(rng.normal(0, 10.0))
         transformed = [dict(s) for s in raw]
         transformed[target] = {d: a * s + b for d, s in transformed[target].items()}
-        shifted = ensemble_fuse([RankedList.from_scores("q", s) for s in transformed])
+        shifted = ensemble_fuse([RankedList("q", s) for s in transformed])
         assert shifted.doc_ids() == baseline
 
     # (c) fusing k identical lists reproduces the list ordering
     for _ in range(500):
         n = int(rng.integers(1, 30))
         k = int(rng.integers(1, 6))
-        ranked = RankedList.from_scores(
+        ranked = RankedList(
             "q", {f"d{i:02d}": float(rng.normal()) for i in range(n)}
         )
         fused = ensemble_fuse([ranked] * k)
@@ -267,7 +265,7 @@ def test_criterion_3_fusion_properties():
             n = int(rng.integers(1, 12))
             chosen, universe = universe[:n], universe[n:]
             lists.append(
-                RankedList.from_scores(
+                RankedList(
                     "q", {f"d{int(c):02d}": float(n - j) for j, c in enumerate(chosen)}
                 )
             )
@@ -278,8 +276,8 @@ def test_criterion_3_fusion_properties():
             assert all(position[x] < position[y] for x, y in zip(ids, ids[1:]))
     worked = interleave(
         [
-            RankedList("q", (("A", 3.0), ("B", 2.0), ("C", 1.0))),
-            RankedList("q", (("B", 2.0), ("D", 1.0))),
+            RankedList("q", {"A": 3.0, "B": 2.0, "C": 1.0}),
+            RankedList("q", {"B": 2.0, "D": 1.0}),
         ]
     )
     assert worked.doc_ids() == ["A", "B", "C", "D"]

@@ -1,10 +1,12 @@
 """Command-line interface, exercised against the shipped fixture."""
 
+import codecs
 import hashlib
 import io
 import json
 import shlex
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -359,7 +361,7 @@ def test_cli_run_rejects_a_repeated_topic_number(tmp_path, capsys):
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
     argv = ["run", "--config", str(spec_path), "--llm-mode", "record", "--scripted"]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
-    assert "error: topic #2: duplicate number '1'" in capsys.readouterr().err
+    assert f"error: topics {topics_path}: topic #2: duplicate number '1'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -384,6 +386,48 @@ def test_cli_run_rejects_a_lone_surrogate_in_the_spec(tmp_path, capsys, key, val
     message = f"error: run spec {spec_path}: field '{key}' holds the lone surrogate '\\ud"
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [("gpt4qr_bm25_qd1.json", "corpus"), ("gpt4qr_bm25_qd1.json", "topics"),
+     ("gpt4qr_deberta.json", "sparse_vectors")],
+)
+def test_cli_run_reads_past_a_byte_order_mark(tmp_path, config, key):
+    # a BOM at the start of corpus.tsv used to become part of the first doc_id, '\ufeffD001';
+    # one at the start of topics.json or sparse_vectors.tsv failed the run
+    spec = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
+    paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
+    marked = tmp_path / Path(paths[key]).name
+    marked.write_bytes(codecs.BOM_UTF8 + Path(paths[key]).read_bytes())
+    spec["paths"] = dict(paths, **{key: str(marked)})
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    for spec_file, out in ((CONFIG_DIR / config, "clean"), (spec_path, "bom")):
+        assert main(["run", "--config", str(spec_file), "--out-dir", str(tmp_path / out)]) == 0
+    clean = sorted((tmp_path / "clean").iterdir())
+    assert [path.name for path in clean] == sorted(p.name for p in (tmp_path / "bom").iterdir())
+    for path in clean:
+        assert (tmp_path / "bom" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_cli_evaluate_reads_past_a_byte_order_mark(tmp_path, capsys):
+    # a BOM at the start of a run file used to drop query '\ufeff1_1' from every mean, and
+    # one at the start of qrels.txt filed the judgment '1_1 D001 2' under '\ufeff1_1'
+    config = CONFIG_DIR / "gpt4qr_bm25_qd1.json"
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    run, qrels = tmp_path / "gpt4qr-bm25-qd1.run", FIXTURE_DIR / "qrels.txt"
+    bom_run, bom_qrels = tmp_path / "bom.run", tmp_path / "bom-qrels.txt"
+    bom_run.write_bytes(codecs.BOM_UTF8 + run.read_bytes())
+    bom_qrels.write_bytes(codecs.BOM_UTF8 + qrels.read_bytes())
+    reports, report = [], tmp_path / "report.json"
+    for run_path, qrels_path in ((run, qrels), (bom_run, qrels), (run, bom_qrels)):
+        assert main(["evaluate", "--run", str(run_path), "--qrels", str(qrels_path),
+                     "--per-depth", "--per-topic", "--json", str(report)]) == 0
+        reports.append((capsys.readouterr(), report.read_bytes()))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

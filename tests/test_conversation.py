@@ -104,6 +104,21 @@ def test_parse_topics_rejects_a_bad_shape(data, message):
         parse_topics(io.StringIO(json.dumps(data)))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [(json.dumps([_topic_payload()])[:-2], "Expecting ',' delimiter: line 1"),
+     (json.dumps(_topic_payload()), "topics file must contain a JSON array of topics")],
+    ids=["truncated", "not-an-array"],
+)
+def test_parse_topics_names_the_file_it_reads(tmp_path, text, message):
+    # a truncated topics.json used to fail a run with only "Expecting ',' delimiter: ..."
+    path = tmp_path / "topics.json"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, str(path)):
+        with pytest.raises(ValueError, match=re.escape(f"topics {path}: {message}")):
+            parse_topics(source)
+
+
 def test_parse_topics_rejects_gapped_ptkb():
     payload = _topic_payload()
     payload["ptkb"] = {"1": "a", "3": "b"}

@@ -82,7 +82,7 @@ def _qrels(query_id, rels):
 
 def _ranking(query_id, doc_ids):
     scores = {d: float(len(doc_ids) - i) for i, d in enumerate(doc_ids)}
-    return RankedList.from_scores(query_id, scores)
+    return RankedList(query_id, scores)
 
 
 # ---------------------------------------------------------------------------

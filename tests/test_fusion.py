@@ -29,7 +29,7 @@ from convsearch.llm import TIMEOUT
 
 
 def _ranked(query_id: str, pairs) -> RankedList:
-    return RankedList.from_scores(query_id, dict(pairs))
+    return RankedList(query_id, dict(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -38,22 +38,22 @@ def _ranked(query_id: str, pairs) -> RankedList:
 
 
 def test_min_max_basic_formula():
-    ranked = RankedList("q", (("c", 6.0), ("b", 4.0), ("a", 2.0)))
+    ranked = RankedList("q", {"c": 6.0, "b": 4.0, "a": 2.0})
     normalized = ensemble_fuse([ranked])
     assert list(normalized.items) == [("c", 1.0), ("b", 0.5), ("a", 0.0)]
 
 
 def test_min_max_degenerate_range():
-    ranked = RankedList("q", (("a", 5.0), ("b", 5.0)))
+    ranked = RankedList("q", {"a": 5.0, "b": 5.0})
     assert [s for _, s in ensemble_fuse([ranked]).items] == [1.0, 1.0]
 
 
 def test_min_max_singleton():
-    assert list(ensemble_fuse([RankedList("q", (("x", 7.3),))]).items) == [("x", 1.0)]
+    assert list(ensemble_fuse([RankedList("q", {"x": 7.3})]).items) == [("x", 1.0)]
 
 
 def test_min_max_empty():
-    assert ensemble_fuse([RankedList("q", ())]).items == ()
+    assert ensemble_fuse([RankedList("q", {})]).items == ()
 
 
 def test_min_max_preserves_order_random():
@@ -61,7 +61,7 @@ def test_min_max_preserves_order_random():
     for _ in range(100):
         n = int(rng.integers(1, 30))
         scores = {f"d{i:02d}": float(rng.normal()) for i in range(n)}
-        ranked = RankedList.from_scores("q", scores)
+        ranked = RankedList("q", scores)
         normalized = ensemble_fuse([ranked])
         assert normalized.doc_ids() == ranked.doc_ids()
 
@@ -96,16 +96,16 @@ def test_ensemble_missing_doc_contributes_zero():
 
 def test_ensemble_orders_rounding_ties_by_doc_id():
     # dB and dA both normalize to 1.0, in descending doc_id order
-    first = RankedList("q_1", (("dB", 1.000001), ("dA", 1.0), ("dZ", -1e11)))
-    second = RankedList("q_1", (("dA", 2.0),))
+    first = RankedList("q_1", {"dB": 1.000001, "dA": 1.0, "dZ": -1e11})
+    second = RankedList("q_1", {"dA": 2.0})
     assert ensemble_fuse([first]).items == (("dA", 1.0), ("dB", 1.0), ("dZ", 0.0))
     fused = ensemble_fuse([first, second])
     assert fused.items == (("dA", 1.0), ("dB", 0.5), ("dZ", 0.0))
 
 
 def test_min_max_finite_range_past_the_float_maximum():
-    ranked = RankedList("q", (("a", 1e308), ("b", 0.0), ("c", -1e308)))
-    top = RankedList("q", (("a", sys.float_info.max), ("b", -sys.float_info.max)))
+    ranked = RankedList("q", {"a": 1e308, "b": 0.0, "c": -1e308})
+    top = RankedList("q", {"a": sys.float_info.max, "b": -sys.float_info.max})
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning on the way
         assert ensemble_fuse([ranked]).items == (("a", 1.0), ("b", 0.5), ("c", 0.0))
@@ -121,7 +121,7 @@ def test_min_max_finite_range_past_the_float_maximum():
 @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus-first", "minus-first"])
 def test_min_max_never_gives_negative_zero(zeros):
     # -0.0 minus a +0.0 minimum is -0.0; a normalized score is +0.0 instead
-    ranked = RankedList("q", (("c", 1.0), ("a", zeros[0]), ("b", zeros[1])))
+    ranked = RankedList("q", {"c": 1.0, "a": zeros[0], "b": zeros[1]})
     get_passage = _store("a", "b", "c")
     row = _Row([zeros[0], zeros[1], 1.0])
     for fused in (
@@ -165,19 +165,19 @@ def test_ensemble_affine_invariance_random():
 
 
 def test_interleave_round_robin():
-    first = RankedList("q", (("A", 2.0), ("B", 1.0)))
-    second = RankedList("q", (("C", 2.0), ("D", 1.0)))
+    first = RankedList("q", {"A": 2.0, "B": 1.0})
+    second = RankedList("q", {"C": 2.0, "D": 1.0})
     assert interleave([first, second]).doc_ids() == ["A", "C", "B", "D"]
 
 
 def test_interleave_skips_duplicates():
-    first = RankedList("q", (("A", 3.0), ("B", 2.0), ("C", 1.0)))
-    second = RankedList("q", (("B", 2.0), ("D", 1.0)))
+    first = RankedList("q", {"A": 3.0, "B": 2.0, "C": 1.0})
+    second = RankedList("q", {"B": 2.0, "D": 1.0})
     assert interleave([first, second]).doc_ids() == ["A", "B", "C", "D"]
 
 
 def test_interleave_single_list_rewrites_scores():
-    ranked = RankedList("q", (("A", 9.0), ("B", 5.0)))
+    ranked = RankedList("q", {"A": 9.0, "B": 5.0})
     result = interleave([ranked])
     assert result.doc_ids() == ["A", "B"]
     assert [s for _, s in result.items] == [1.0, 0.5]
@@ -191,7 +191,7 @@ def test_fusing_no_lists_is_an_error(fuse):
 
 def test_interleave_rejects_mismatched_query_ids():
     with pytest.raises(ValueError):
-        interleave([RankedList("q1", (("a", 1.0),)), RankedList("q2", (("a", 1.0),))])
+        interleave([RankedList("q1", {"a": 1.0}), RankedList("q2", {"a": 1.0})])
 
 
 def _random_disjoint_lists(rng, universe=60):
@@ -259,18 +259,18 @@ def test_interleave_overlapping_lists_match_oracle():
 
 
 def test_pool_union():
-    first = RankedList("q", (("A", 2.0), ("B", 1.0)))
-    second = RankedList("q", (("B", 2.0), ("C", 1.0)))
+    first = RankedList("q", {"A": 2.0, "B": 1.0})
+    second = RankedList("q", {"B": 2.0, "C": 1.0})
     assert pool_candidates([first, second], 2) == ["A", "B", "C"]
 
 
 def test_pool_empty_lists():
-    assert pool_candidates([RankedList("q", ()), RankedList("q", ())], 5) == []
+    assert pool_candidates([RankedList("q", {}), RankedList("q", {})], 5) == []
 
 
 def test_pool_rejects_a_depth_below_one():
     with pytest.raises(ValueError, match="per_list_depth must be >= 1"):
-        pool_candidates([RankedList("q", (("A", 1.0),))], 0)
+        pool_candidates([RankedList("q", {"A": 1.0})], 0)
 
 
 def test_pool_contains_each_list_prefix():
@@ -388,7 +388,7 @@ def reference_ensemble(query_id: str, lists) -> RankedList:
         for doc_id, score in ranked.items:
             normalized = 1.0 if high == low else (score - low) / (high - low)
             totals[doc_id] = totals.get(doc_id, 0.0) + normalized
-    return RankedList.from_scores(query_id, {d: total / len(lists) for d, total in totals.items()})
+    return RankedList(query_id, {d: total / len(lists) for d, total in totals.items()})
 
 
 def _random_row(rng, n: int) -> list[float]:
@@ -413,7 +413,7 @@ def test_rerank_equals_ensemble_fuse_of_the_per_scorer_rankings():
         chosen = [doc_ids[int(i)] for i in rng.choice(40, size=n, replace=False)]
         rows = [_random_row(rng, n) for _ in range(int(rng.integers(2, 6)))]
         result = rerank([_Row(row) for row in rows], "q", chosen, n, get_passage, "q")
-        per_scorer = [RankedList.from_scores("q", dict(zip(chosen, row))) for row in rows]
+        per_scorer = [RankedList("q", dict(zip(chosen, row))) for row in rows]
         want = _bits(reference_ensemble("q", per_scorer))
         assert _bits(result) == want
         assert _bits(ensemble_fuse(per_scorer)) == want
@@ -422,7 +422,7 @@ def test_rerank_equals_ensemble_fuse_of_the_per_scorer_rankings():
         for _ in range(int(rng.integers(1, 6))):
             size = int(rng.choice([0, 1, int(rng.integers(n + 1))]))
             subset = [chosen[int(i)] for i in rng.choice(n, size=size, replace=False)]
-            lists.append(RankedList.from_scores("q", dict(zip(subset, _random_row(rng, size)))))
+            lists.append(RankedList("q", dict(zip(subset, _random_row(rng, size)))))
         assert _bits(ensemble_fuse(lists)) == _bits(reference_ensemble("q", lists))
 
 

@@ -349,21 +349,43 @@ def test_retrieval_monotone_k_prefix():
         assert larger[: len(smaller)] == smaller
 
 
-def test_ranked_list_score_order_invariant():
-    with pytest.raises(ValueError):
-        RankedList("q", (("a", 1.0), ("b", 2.0)))
-    with pytest.raises(ValueError):
-        RankedList("q", (("b", 1.0), ("a", 1.0)))  # tie must be doc_id ascending
-    with pytest.raises(ValueError):
-        RankedList("q", (("a", 1.0), ("a", 0.5)))
+_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 1e308, -1e308]),  # ties, signed zeros and the extremes
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(min_size=1, max_size=3), _SCORES, max_size=30), st.data())
+def test_ranked_list_orders_any_mapping_best_first(scores, data):
+    # brute force: repeatedly take the pair no other remaining pair beats
+    rest, expected = list(scores.items()), []
+    while rest:
+        best = next(
+            p for p in rest
+            if all(p[1] > q[1] or (p[1] == q[1] and p[0] <= q[0]) for q in rest)
+        )
+        rest.remove(best)
+        expected.append(best)
+    shuffled = dict(data.draw(st.permutations(list(scores.items()))))
+    for mapping in (scores, shuffled):
+        ranked = RankedList("q", mapping)
+        assert [(d, repr(s)) for d, s in ranked.items] == [(d, repr(s)) for d, s in expected]
+        assert isinstance(ranked.items, tuple) and all(type(i) is tuple for i in ranked.items)
+
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    pairs = list(scores.items())
+    pairs.insert(data.draw(st.integers(0, len(pairs))), ("bad-doc", bad))  # no drawn id is as long
+    with pytest.raises(ValueError, match=re.escape(f"non-finite score {bad} for doc_id 'bad-doc'")):
+        RankedList("q", dict(pairs))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_ranked_list_rejects_non_finite_scores(bad):
     with pytest.raises(ValueError, match="'b'"):
-        RankedList.from_scores("q", {"a": 1.0, "b": bad, "c": 3.0})
+        RankedList("q", {"a": 1.0, "b": bad, "c": 3.0})
     with pytest.raises(ValueError, match="'b'"):
-        RankedList("q", (("b", bad),))
+        RankedList("q", {"b": bad})
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,10 @@ def test_readers_agree_on_path_and_handle(tmp_path, reader, name):
 
 
 def _results() -> list[TurnResult]:
-    ranking = RankedList("1_1", (("D001", 2.5), ("D002", 1.0)))
+    ranking = RankedList("1_1", {"D001": 2.5, "D002": 1.0})
     return [
         TurnResult("1_1", ranking, (1, 0), "café – naïve answer", ("D001", "D002")),
-        TurnResult("1_2", RankedList("1_2", ()), (0, 1), "", ()),
+        TurnResult("1_2", RankedList("1_2", {}), (0, 1), "", ()),
     ]
 
 
@@ -107,7 +107,7 @@ def test_an_identifier_is_taken_iff_a_run_line_reads_it_back(value):
         lambda: list(read_corpus(io.StringIO(f"{value}\ttext\n"))),
         lambda: load_sparse_vectors(io.StringIO(f"{value}\tw:1\n")),
         lambda: RunConfig(run_tag=value, rewriter="human_rewrite", retriever="bm25"),
-        lambda: write_run_file([("q_1", RankedList("q_1", (("d1", 1.0),)))], value, io.StringIO()),
+        lambda: write_run_file([("q_1", RankedList("q_1", {"d1": 1.0}))], value, io.StringIO()),
     ]
     for enter in entry_points:
         if reads_back:
