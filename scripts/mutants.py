@@ -11,12 +11,12 @@ It exits 1, after trying every entry, if a snippet no longer occurs exactly
 once (re-target the entry; do not drop it), if a named test fails on the
 unmutated tree, or if a mutant survives its tests.
 
-Run from anywhere:  python3 scripts/mutants.py [--root <repository>]
+Run from anywhere:  python3 scripts/mutants.py
+(it mutates a copy of the repository the script sits in)
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -96,20 +96,17 @@ def _pytest(tree: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
     return subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=REPO, help="repository to mutate a copy of")
-    args = parser.parse_args(argv)
+def main() -> int:
     started, failures = time.monotonic(), []
 
-    stale = [m for m in CATALOGUE if (args.root / m.path).read_text().count(m.snippet) != 1]
+    stale = [m for m in CATALOGUE if (REPO / m.path).read_text().count(m.snippet) != 1]
     for mutant in stale:
         failures.append(f"{mutant.name}: snippet not found exactly once in {mutant.path}")
     chosen = [m for m in CATALOGUE if m not in stale]
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         tree = Path(scratch) / "tree"
-        shutil.copytree(args.root, tree, ignore=_IGNORED)
+        shutil.copytree(REPO, tree, ignore=_IGNORED)
         named = tuple(dict.fromkeys(test for m in chosen for test in m.tests))
         if named and (baseline := _pytest(tree, named)).returncode != 0:
             print(baseline.stdout[-4000:] + baseline.stderr[-2000:])
