@@ -68,10 +68,36 @@ CATALOGUE = (
     Mutant(
         "text-reads-a-byte-order-mark",
         "src/convsearch/index.py",
-        'encoding="utf-8-sig" if mode == "r" else "utf-8"',
+        'encoding="utf-8-sig"',
         'encoding="utf-8"',
         ("tests/test_cli.py::test_cli_run_reads_past_a_byte_order_mark",
-         "tests/test_cli.py::test_cli_evaluate_reads_past_a_byte_order_mark"),
+         "tests/test_cli.py::test_cli_evaluate_reads_past_a_byte_order_mark",
+         "tests/test_pipeline.py::test_a_run_spec_with_a_byte_order_mark_loads_as_the_clean_spec",
+         "tests/test_llm.py::test_replay_hits_a_cache_record_with_a_byte_order_mark"),
+    ),
+    Mutant(
+        "writer-writes-in-place",
+        "src/convsearch/index.py",
+        'with open(tmp, "x", encoding="utf-8") as handle:\n'
+        "            handle.write(text)\n"
+        "        os.replace(tmp, sink)\n",
+        'with open(sink, "w", encoding="utf-8") as handle:\n'
+        "            handle.write(text)\n",
+        ("tests/test_text_io.py::test_a_failed_write_leaves_the_earlier_file_as_it_was",),
+    ),
+    Mutant(
+        "writer-leaves-its-temp-file",
+        "src/convsearch/index.py",
+        "tmp.unlink(missing_ok=True)",
+        "pass",
+        ("tests/test_text_io.py::test_a_failed_write_leaves_the_earlier_file_as_it_was",),
+    ),
+    Mutant(
+        "identifiers-take-unprintable-characters",
+        "src/convsearch/index.py",
+        "if joined.split() == values and joined.isprintable():",
+        "if joined.split() == values:",
+        ("tests/test_text_io.py::test_an_identifier_holds_no_unprintable_character",),
     ),
     Mutant(
         "topics-errors-name-no-file",

@@ -93,10 +93,11 @@ def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
             raise ValueError(f"topic #{position}: missing field '{required}'")
     number = entry["number"]
     topic_id = str(number)
-    if type(number) not in (str, int) or _id_problem("number", [topic_id]):
+    if type(number) not in (str, int) or topic_id.split() != [topic_id]:
         raise ValueError(f"topic #{position}: field 'number' must be a JSON integer or a "
                          f"non-empty string without whitespace, got {number!r}")
-    _typed(topic_id, str, f"topic #{position}", "field 'number'")
+    if problem := _id_problem("field 'number'", [topic_id]):
+        raise ValueError(f"topic #{position}: {problem}")
     if topic_id in seen:
         raise ValueError(f"topic #{position}: duplicate number '{topic_id}'")
     seen.add(topic_id)
@@ -141,9 +142,9 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
     Raises:
         ValueError: starting ``topics <path>: `` when ``source`` is a path,
             for a file that is not UTF-8 JSON or not an array, or naming the
-            topic and field for a topic that is not an
-            object, missing fields, a ``number`` that is not a JSON string
-            or integer, is empty, holds whitespace or repeats an earlier one
+            topic and field for a topic that is not an object, missing
+            fields, a ``number`` that is not a JSON string or integer, is not
+            an identifier (see ``_id_problem``) or repeats an earlier one
             (these naming the topic ``#N`` by position), a ptkb that is not
             a non-empty object, turns that are not an array of objects, a
             ptkb key that is not ASCII digits, an empty statement, a turn

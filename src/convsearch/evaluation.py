@@ -26,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .index import RankedList, _ascii_int, _id_problem, _surrogate_problem, _text, _write_lines
+from .index import RankedList, _ascii_int, _id_problem, _text, _write_text
 
 __all__ = [
     "Qrels",
@@ -209,7 +209,7 @@ class MetricReport:
         return asdict(self)  # json.dumps writes the int per_depth keys as strings
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+        _write_text(path, json.dumps(self.to_dict(), indent=2))
 
 
 def _default_query_id_parser(query_id: str) -> tuple[str, int]:
@@ -258,18 +258,17 @@ def write_run_file(
     Lines are ``<query_id> Q0 <doc_id> <rank> <score> <run_tag>`` with rank
     starting at 1 and scores rendered to 6 decimal places.  Returns the
     number of lines written; raises ValueError, writing nothing, for a
-    ``run_tag`` that is empty, holds whitespace or holds a lone surrogate.
+    ``run_tag`` that is empty, holds whitespace or an unprintable character.
     """
     if problem := _id_problem("run_tag", [run_tag]):
         raise ValueError(problem)
-    if problem := _surrogate_problem(run_tag):
-        raise ValueError(f"run_tag {problem}")
     lines = [
-        f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}"
+        f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n"
         for query_id, ranking in rankings
         for rank, (doc_id, score) in enumerate(ranking.items, start=1)
     ]
-    return _write_lines(sink, lines)
+    _write_text(sink, "".join(lines))
+    return len(lines)
 
 
 def _compute_metrics(ranking: RankedList, qrels: Qrels, cutoffs: EvalCutoffs) -> dict[str, float]:

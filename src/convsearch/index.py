@@ -39,10 +39,11 @@ into such rows, a block of lines at a time.
 from __future__ import annotations
 
 import math
+import os
 import re
 from array import array
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import InitVar, dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
@@ -93,13 +94,14 @@ class AnalyzerConfig:
 
 @dataclass(frozen=True)
 class Passage:
-    """One retrievable unit of the collection; ``doc_id`` is non-empty and without whitespace."""
+    """One retrievable unit of the collection; ``doc_id`` is an identifier (see _id_problem)."""
 
     doc_id: str
     text: str
 
     def __post_init__(self) -> None:
-        if self.doc_id.split() != [self.doc_id]:  # _id_problem's rule at one C call per passage
+        # _id_problem's rule, as fast as one split: only " " of the whitespace is printable
+        if " " in self.doc_id or not (self.doc_id and self.doc_id.isprintable()):
             raise ValueError(_id_problem("doc_id", [self.doc_id]))
 
 
@@ -189,25 +191,35 @@ class InvertedIndex:
         return 0 if tid is None else int(self._offsets[tid + 1] - self._offsets[tid])
 
 
-@contextmanager
-def _text(source: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
-    """Open a path as UTF-8 text in ``mode`` and close it after; pass an open handle through.
+def _text(source: str | Path | IO[str]) -> AbstractContextManager[IO[str]]:
+    """A path opened as UTF-8 text to read, closed after the ``with``; an open handle as is.
 
-    Reading skips a leading byte-order mark, so that it is not read as part
-    of the first identifier; writing adds none.
+    The one reader of a path.  It skips a leading byte-order mark (BOM), so
+    that a file with one reads as the same file without it.
     """
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="utf-8-sig" if mode == "r" else "utf-8") as handle:
-            yield handle
-    else:
-        yield source
+        return open(source, encoding="utf-8-sig")
+    return nullcontext(source)  # the caller's handle stays open
 
 
-def _write_lines(sink: str | Path | IO[str], lines: list[str]) -> int:
-    """Write each of ``lines`` and a newline to ``sink`` (see :func:`_text`); return the count."""
-    with _text(sink, "w") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
+def _write_text(sink: str | Path | IO[str], text: str) -> None:
+    """Write ``text`` to an open handle, or replace the file at a path with it whole.
+
+    The one writer of a path, in UTF-8 with no BOM: a sibling temp file of its own
+    (``"x"`` applies the umask, unlike mkstemp's 0600) is renamed over the path, so
+    a failed write leaves the path's earlier bytes and no temp file.
+    """
+    if not isinstance(sink, (str, Path)):
+        sink.write(text)
+        return
+    tmp = Path(f"{sink}.{os.urandom(16).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, sink)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _ascii_int(text: str) -> int | None:
@@ -223,13 +235,19 @@ def _ascii_int(text: str) -> int | None:
 def _id_problem(what: str, values: list[str]) -> str | None:
     """None if each of ``values`` is an identifier, else why the first that is not fails.
 
-    An identifier (doc_id, topic id, run tag) is non-empty and has no
-    whitespace, so the ``split()`` reading a run or qrels line keeps it whole.
+    An identifier (doc_id, topic number, run tag) is non-empty and printable
+    (``str.isprintable``: no control or invisible character, no lone surrogate)
+    with no whitespace, so the ``split()`` reading a run or qrels line keeps it whole.
     """
-    if " ".join(values).split() == values:
+    joined = " ".join(values)
+    if joined.split() == values and joined.isprintable():
         return None
-    bad = next(value for value in values if value.split() != [value])
-    return f"whitespace in {what} {bad!r}" if bad else f"empty {what}"
+    bad = next(value for value in values if value.split() != [value] or not value.isprintable())
+    if bad.split() != [bad]:
+        return f"whitespace in {what} {bad!r}" if bad else f"empty {what}"
+    if problem := _surrogate_problem(bad):
+        return f"{what} {problem}"
+    return f"{what} holds the unprintable character {next(c for c in bad if not c.isprintable())!r}"
 
 
 # what a lone JSON "\ud800" escape reads as, or a non-UTF-8 byte in a command-line argument
@@ -258,7 +276,7 @@ def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
     """Yield passages from a ``<doc_id><TAB><text>`` file (UTF-8, one per line).
 
     Raises ValueError with the line number for a line without a tab, or a
-    doc_id that is empty, holds whitespace or repeats.  Blank lines are skipped.
+    doc_id that is not an identifier or repeats.  Blank lines are skipped.
     """
     seen: set[str] = set()
     with _text(source) as handle:
@@ -424,8 +442,8 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
     Weights must be non-negative, finite ASCII decimals (``1e999``
     overflows and is rejected); zero weights are dropped per the
     sparse-vector invariant, and a term repeated within a line keeps its
-    first position and its last weight.  A doc_id is an identifier (not
-    empty, no whitespace) and may appear on one line only.
+    first position and its last weight.  A doc_id is an identifier (see
+    :func:`_id_problem`) and may appear on one line only.
 
     The file streams in blocks of lines into flat columns (term ids,
     weights, row ends) that :func:`build_sparse_index` packs without

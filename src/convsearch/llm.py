@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .index import Passage
+from .index import Passage, _text, _write_text
 from .prompts import TEMPLATES, render_prompt
 
 __all__ = [
@@ -112,9 +111,9 @@ def cache_key(model_id: str, prompt: str) -> str:
 class LLMCache:
     """Append-only directory of exchange records, one JSON file per key.
 
-    Writes are atomic (a temp file of its own per write, then a rename) and
-    last-writer-wins; identical keys hold identical values by construction,
-    so concurrent writers are safe.
+    A record is read past a BOM and written whole, by the package's one
+    reader and one writer of a path; the last writer wins, and identical keys
+    hold identical values by construction, so concurrent writers are safe.
     """
 
     def __init__(self, directory: str | Path):
@@ -136,7 +135,8 @@ class LLMCache:
         if not path.exists():
             return None
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
+            with _text(path) as handle:
+                record = json.load(handle)
             if cache_key(record["model_id"], record["prompt"]) != key:
                 raise ValueError("its model_id and prompt belong to another key")
             if not isinstance(record["response"], str):
@@ -155,16 +155,7 @@ class LLMCache:
         if key != cache_key(model_id, prompt):
             raise ValueError(f"cache key {key!r} is not the key of its model_id and prompt")
         record = {"model_id": model_id, "prompt": prompt, "response": response}
-        # unique per write, as threads and processes may put one key at once; unlike
-        # mkstemp's 0600, open(..., "x") applies the umask, so other users can replay
-        tmp = self.directory / f"{key}.{os.urandom(16).hex()}.tmp"
-        try:
-            with open(tmp, "x", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, indent=2, ensure_ascii=False))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        _write_text(self._path(key), json.dumps(record, indent=2, ensure_ascii=False))
 
 
 class HttpChatTransport:

@@ -39,7 +39,8 @@ from .index import (
     RankedList,
     _id_problem,
     _surrogate_problem,
-    _write_lines,
+    _text,
+    _write_text,
     bm25_retrieve,
     build_index,
     build_sparse_index,
@@ -130,10 +131,8 @@ class RunConfig:
     scorer_endpoints: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if problem := _id_problem("run_tag", [self.run_tag]):
+        if problem := _id_problem("run_tag", [self.run_tag]):  # it names the output files
             raise ValueError(problem)
-        if problem := _surrogate_problem(self.run_tag):  # it names the output files
-            raise ValueError(f"run_tag {problem}")
         if self.rewriter not in _REWRITERS:
             raise ValueError(f"unknown rewriter '{self.rewriter}'")
         if self.retriever not in _RETRIEVERS:
@@ -295,18 +294,12 @@ def write_trec_run(results: Sequence[TurnResult], run_tag: str, sink: str | Path
 def write_response_records(results: Sequence[TurnResult], sink: str | Path | IO[str]) -> int:
     """Write one JSON record per turn: turn_id, answer, provenance, labels."""
     lines = [
-        json.dumps(
-            {
-                "turn_id": result.turn_id,
-                "answer": result.answer,
-                "provenance": list(result.provenance),
-                "ptkb_labels": list(result.ptkb_labels),
-            },
-            ensure_ascii=False,
-        )
-        for result in results
+        json.dumps({"turn_id": r.turn_id, "answer": r.answer, "provenance": list(r.provenance),
+                    "ptkb_labels": list(r.ptkb_labels)}, ensure_ascii=False) + "\n"
+        for r in results
     ]
-    return _write_lines(sink, lines)
+    _write_text(sink, "".join(lines))
+    return len(lines)
 
 
 @dataclass(frozen=True)
@@ -339,7 +332,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
     """
     spec_path = Path(path)
     try:
-        data = json.loads(spec_path.read_text(encoding="utf-8"))
+        with _text(spec_path) as handle:
+            data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}

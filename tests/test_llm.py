@@ -1,5 +1,6 @@
 """Prompt rendering, exchange cache behaviour, and output parsing."""
 
+import codecs
 import http.client
 import io
 import json
@@ -140,6 +141,16 @@ def test_replay_serves_recorded_response(tmp_path):
     recorded = recorder.complete(prompt)
     replayer = LLMGateway("m", tmp_path, mode="replay")
     assert replayer.complete(prompt) == recorded
+
+
+def test_replay_hits_a_cache_record_with_a_byte_order_mark(tmp_path):
+    # LLMCache.get read plain UTF-8, so a record saved with a BOM was "corrupt"
+    recorder = LLMGateway("m", tmp_path, mode="record", transport=ScriptedTransport())
+    prompt = "# Doc1: alpha\n# User query: q"
+    recorded = recorder.complete(prompt)
+    path = tmp_path / f"{cache_key('m', prompt)}.json"
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert LLMGateway("m", tmp_path, mode="replay").complete(prompt) == recorded
 
 
 def test_record_without_transport_is_transport_error(tmp_path):

@@ -1,5 +1,6 @@
 """Run orchestration: config validation, turn execution, output formats."""
 
+import codecs
 import io
 import json
 import re
@@ -518,6 +519,15 @@ def test_run_spec_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: unknown keys ['scorer_id']")):
         load_run_spec(path)
+
+
+def test_a_run_spec_with_a_byte_order_mark_loads_as_the_clean_spec(tmp_path):
+    # load_run_spec read plain UTF-8, so such a spec failed with "Unexpected UTF-8 BOM"
+    # while a corpus, topics, qrels or run file with one read as the clean file
+    text = (CONFIG_DIR / "gpt4qr_deberta.json").read_bytes()
+    (tmp_path / "clean.json").write_bytes(text)
+    (tmp_path / "bom.json").write_bytes(codecs.BOM_UTF8 + text)
+    assert load_run_spec(tmp_path / "bom.json") == load_run_spec(tmp_path / "clean.json")
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,34 @@
-"""Readers and writers take a file path or an open text handle alike."""
+"""Reading and writing text files.
 
+Readers and writers take a file path or an open text handle alike, identifiers
+are checked where they enter, a path is written whole or not at all, and the
+package has one reader and one writer of a path.
+"""
+
+import ast
 import io
+import json
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convsearch import evaluation
 from convsearch.conversation import parse_topics
-from convsearch.evaluation import parse_qrels, read_run_file, write_run_file
+from convsearch.evaluation import (
+    Qrels,
+    evaluate_rankings,
+    parse_qrels,
+    read_run_file,
+    write_run_file,
+)
 from convsearch.index import Passage, RankedList, load_sparse_vectors, read_corpus
+from convsearch.llm import LLMCache, cache_key
 from convsearch.pipeline import RunConfig, TurnResult, write_response_records, write_trec_run
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, REPO
 
 
 def _fixture_run_text() -> str:
@@ -127,3 +143,98 @@ def test_a_bad_doc_id_names_its_line():
     message = "sparse-vector line 301: whitespace in doc_id 'd\\xa0300'"  # as repr() shows it
     with pytest.raises(ValueError, match=re.escape(message)):
         load_sparse_vectors(io.StringIO(lines))
+
+
+@pytest.mark.parametrize(
+    "char", ["\u200b", "\x00", "\x7f", "\xad", "\u202e", "\ufeff", "\ue000"],
+    ids=["zero-width-space", "nul", "delete", "soft-hyphen", "right-to-left-override",
+         "byte-order-mark", "private-use"],
+)
+def test_an_identifier_holds_no_unprintable_character(char):
+    # read_corpus took 'D\u200b1' and 'D\x001' as doc_ids, which print as 'D1'
+    value, holds = f"D{char}1", f"holds the unprintable character {char!r}"
+    with pytest.raises(ValueError, match=re.escape(f"corpus line 2: doc_id {holds}")):
+        list(read_corpus(io.StringIO(f"D0\ta\n{value}\tb\n")))
+    with pytest.raises(ValueError, match=re.escape(f"doc_id {holds}")):
+        Passage(value, "text")
+    # a block of plain lines, then the bad line parsed on its own
+    lines = "".join(f"d{i}\tw:1\n" for i in range(300)) + f"{value}\tw:1\n"
+    with pytest.raises(ValueError, match=re.escape(f"sparse-vector line 301: doc_id {holds}")):
+        load_sparse_vectors(io.StringIO(lines))
+    topics = json.loads((FIXTURE_DIR / "topics.json").read_text(encoding="utf-8"))
+    topics[1]["number"] = value
+    with pytest.raises(ValueError, match=re.escape(f"topic #2: field 'number' {holds}")):
+        parse_topics(io.StringIO(json.dumps(topics)))
+    entry_points = [
+        lambda: RunConfig(run_tag=value, rewriter="human_rewrite", retriever="bm25"),
+        lambda: write_run_file([("q_1", RankedList("q_1", {"d1": 1.0}))], value, io.StringIO()),
+    ]
+    for enter in entry_points:
+        with pytest.raises(ValueError, match=re.escape(f"run_tag {holds}")):
+            enter()
+
+
+def _run_file(directory, text, monkeypatch):
+    path = directory / "a.run"
+    write_run_file([("1_1", RankedList("1_1", {text: 1.0}))], "tag", path)
+    return path
+
+
+def _responses(directory, text, monkeypatch):
+    path = directory / "a.responses.jsonl"
+    write_response_records([TurnResult("1_1", RankedList("1_1", {}), (), text, ())], path)
+    return path
+
+
+def _report(directory, text, monkeypatch):
+    # a report's JSON escapes every non-ASCII character, so its text is made to hold one
+    path = directory / "report.json"
+    monkeypatch.setattr(evaluation, "json", SimpleNamespace(dumps=lambda *args, **kw: text))
+    evaluate_rankings({"1_1": RankedList("1_1", {"D1": 1.0})}, Qrels({})).write_json(path)
+    return path
+
+
+def _cache_record(directory, text, monkeypatch):
+    LLMCache(directory).put(cache_key("m", "p"), "m", "p", text)
+    return directory / f"{cache_key('m', 'p')}.json"
+
+
+@pytest.mark.parametrize(
+    "write", [_run_file, _responses, _report, _cache_record],
+    ids=["run-file", "responses", "json-report", "cache-record"],
+)
+def test_a_failed_write_leaves_the_earlier_file_as_it_was(tmp_path, monkeypatch, write):
+    # each output was opened, and so emptied, before its text was written: a write
+    # failing part way (here on a lone surrogate, which UTF-8 cannot encode) left it empty
+    path = write(tmp_path, "earlier", monkeypatch)
+    earlier = path.read_bytes()
+    assert b"earlier" in earlier
+    with pytest.raises(UnicodeEncodeError):
+        write(tmp_path, "new\ud800", monkeypatch)
+    assert path.read_bytes() == earlier
+    assert list(tmp_path.iterdir()) == [path]  # and no temp file left beside it
+
+
+_OPENERS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _openers(node: ast.AST, where: str):
+    """``(function, call)`` for each call in ``node`` that opens a path, by the name it calls."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            if name in _OPENERS:
+                yield inner, name
+        yield from _openers(child, inner)
+
+
+def test_the_package_opens_paths_in_one_reader_and_one_writer():
+    # a run spec, a cache record and a report each had a reader or writer of their own,
+    # with another BOM rule or writing in place
+    calls = []
+    for module in sorted((REPO / "src" / "convsearch").glob("*.py")):
+        calls += _openers(ast.parse(module.read_text(encoding="utf-8")), module.stem)
+    assert sorted(calls) == [("index._text", "open"), ("index._write_text", "open")]
