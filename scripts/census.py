@@ -16,7 +16,8 @@ Prints one JSON line:
 * ``cli_options``      - option flags (``--help`` aside) across every
   subcommand of :func:`convsearch.cli.build_parser`, nested ones included.
 
-Run from anywhere:  python3 scripts/census.py [--root <repository>]
+Run from anywhere:  python3 scripts/census.py
+(it counts the repository the script sits in)
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def _cli_options(parser: argparse.ArgumentParser) -> int:
     return count
 
 
-def census(root: Path) -> dict:
-    src = root / "src"
+def census() -> dict:
+    src = REPO / "src"
     sys.path.insert(0, str(src))
     package = importlib.import_module("convsearch")
     seen: set[int] = set()
@@ -99,10 +100,7 @@ def census(root: Path) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=REPO, help="repository to count")
-    args = parser.parse_args()
-    print(json.dumps(census(args.root.resolve())))
+    print(json.dumps(census()))
 
 
 if __name__ == "__main__":

@@ -100,6 +100,29 @@ CATALOGUE = (
         ("tests/test_text_io.py::test_an_identifier_holds_no_unprintable_character",),
     ),
     Mutant(
+        "sparse-fast-path-takes-non-finite-weights",
+        "src/convsearch/index.py",
+        "    if not np.isfinite(weights).all():\n        return False\n",
+        "",
+        ("tests/test_index.py::test_load_sparse_vectors_names_the_bad_entry",),
+    ),
+    Mutant(
+        "run-and-qrels-take-unprintable-identifiers",
+        "src/convsearch/evaluation.py",
+        "if not (parts[0] + parts[2]).isprintable():",
+        "if False:",
+        ("tests/test_text_io.py::test_an_identifier_holds_no_unprintable_character",
+         "tests/test_cli.py::test_cli_evaluate_rejects_an_unprintable_identifier"),
+    ),
+    Mutant(
+        "cutoffs-take-threshold-zero",
+        "src/convsearch/evaluation.py",
+        "if threshold < 1:",
+        "if threshold < 0:",
+        ("tests/test_evaluation.py::test_thresholds_below_one_are_rejected",
+         "tests/test_cli.py::test_cli_evaluate_rejects_a_threshold_below_one"),
+    ),
+    Mutant(
         "topics-errors-name-no-file",
         "src/convsearch/conversation.py",
         'raise ValueError(f"topics {source}: {exc}") from exc',

@@ -4,9 +4,11 @@ Metrics follow the trec_eval conventions used by the conversational
 benchmark this package targets: nDCG with linear gain, each rank adding
 ``rel / log2(rank + 1)``, and a binary relevance threshold (``rel >= t``
 for a ``t`` of at least 1, default 1) for MRR, precision, recall, and
-average precision.  Each metric reads one stream of grades in rank order
-(0 when unjudged), cut at its ``k`` before any grade is looked up.  Qrels
-and run files are read by one loop over whitespace-separated records.
+average precision.  Each metric takes a query's ranking and judgments
+(doc_id -> grade, as :meth:`Qrels.for_query` returns) and reads one stream of
+grades in rank order (0 when unjudged), cut at its ``k`` before any grade is
+looked up.  Qrels and run files are read by one loop over whitespace-separated
+records, whose query id and doc_id are identifiers.
 
 Queries present in the run but absent from the qrels are excluded from
 aggregation and listed; queries judged but with no relevant document score
@@ -24,9 +26,11 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .index import RankedList, _ascii_int, _id_problem, _text, _write_text
+
+_Judged = Mapping[str, int]  # one query's judgments: doc_id -> grade
 
 __all__ = [
     "Qrels",
@@ -75,6 +79,9 @@ def _records(source: str | Path | IO[str], kind: str, width: int) -> Iterator[tu
                 continue
             if len(parts) != width:
                 raise ValueError(f"{kind} line {lineno}: expected {width} fields, got {len(parts)}")
+            if not (parts[0] + parts[2]).isprintable():  # a record's query id and doc_id
+                problem = _id_problem("query_id", parts[:1]) or _id_problem("doc_id", parts[2:3])
+                raise ValueError(f"{kind} line {lineno}: {problem}")
             yield lineno, parts
 
 
@@ -84,8 +91,8 @@ def parse_qrels(source: str | Path | IO[str]) -> Qrels:
     A grade is ASCII digits with an optional leading ``-``.
 
     Raises:
-        ValueError: with the line number for malformed lines or grades,
-            negative grades, or duplicate (query_id, doc_id) pairs.
+        ValueError: with the line number for malformed lines, identifiers or
+            grades, negative grades, or duplicate (query_id, doc_id) pairs.
     """
     judgments: dict[tuple[str, str], int] = {}
     for lineno, (query_id, _, doc_id, rel_text) in _records(source, "qrels", 4):
@@ -110,12 +117,11 @@ def _check_cutoffs(k: int | None, threshold: int) -> None:
 
 
 def _gains(
-    ranking: RankedList, qrels: Qrels, k: int | None = None, threshold: int = 1
-) -> tuple[dict[str, int], Iterator[int]]:
-    """The query's judgments, and the lazy grades (0 if unjudged) of its top ``k`` or all ranks."""
+    ranking: RankedList, judged: _Judged, k: int | None = None, threshold: int = 1
+) -> Iterator[int]:
+    """The lazy grades (0 if unjudged) of the ranking's top ``k`` or all ranks."""
     _check_cutoffs(k, threshold)
-    judged = qrels.for_query(ranking.query_id)
-    return judged, map(judged.get, map(itemgetter(0), ranking.items[:k]), repeat(0))
+    return map(judged.get, map(itemgetter(0), ranking.items[:k]), repeat(0))
 
 
 def _dcg(grades: Iterable[int]) -> float:
@@ -126,44 +132,44 @@ def _relevant(grades: Iterable[int], threshold: int) -> int:
     return sum(rel >= threshold for rel in grades)
 
 
-def ndcg_at_k(ranking: RankedList, qrels: Qrels, k: int | None = None) -> float:
+def ndcg_at_k(ranking: RankedList, judged: _Judged, k: int | None = None) -> float:
     """Normalized discounted cumulative gain at cutoff ``k`` (None = full, else >= 1).
 
-    DCG sums ``rel_i / log2(i + 1)`` over ranks ``i <= k``; the ideal
-    DCG comes from the relevance-sorted judged documents.  A query with no
+    DCG sums ``rel_i / log2(i + 1)`` over ranks ``i <= k``; the ideal DCG comes
+    from the relevance-sorted documents in ``judged``.  A query with no
     positively judged document scores 0 (callers flag it).
     """
-    judged, grades = _gains(ranking, qrels, k)
+    grades = _gains(ranking, judged, k)
     idcg = _dcg(sorted((rel for rel in judged.values() if rel > 0), reverse=True)[:k])
     return _dcg(grades) / idcg if idcg else 0.0
 
 
-def reciprocal_rank(ranking: RankedList, qrels: Qrels, threshold: int = 1) -> float:
-    """1/rank of the first document with ``rel >= threshold``, else 0."""
-    _, grades = _gains(ranking, qrels, None, threshold)
+def reciprocal_rank(ranking: RankedList, judged: _Judged, threshold: int = 1) -> float:
+    """1/rank of the first document whose grade in ``judged`` is ``>= threshold``, else 0."""
+    grades = _gains(ranking, judged, None, threshold)
     hits = (1.0 / position for position, rel in enumerate(grades, start=1) if rel >= threshold)
     return next(hits, 0.0)
 
 
-def precision_at_k(ranking: RankedList, qrels: Qrels, k: int, threshold: int = 1) -> float:
-    """Relevant documents in the top k divided by k (fixed denominator)."""
-    _, grades = _gains(ranking, qrels, k, threshold)
+def precision_at_k(ranking: RankedList, judged: _Judged, k: int, threshold: int = 1) -> float:
+    """Documents in the top k graded ``>= threshold`` in ``judged``, divided by k (fixed)."""
+    grades = _gains(ranking, judged, k, threshold)
     return _relevant(grades, threshold) / k
 
 
-def recall_at_k(ranking: RankedList, qrels: Qrels, k: int, threshold: int = 1) -> float:
-    """Relevant documents in the top k divided by all relevant in the qrels.
+def recall_at_k(ranking: RankedList, judged: _Judged, k: int, threshold: int = 1) -> float:
+    """Relevant documents in the top k divided by all relevant in ``judged``.
 
-    Zero relevant documents in the qrels yields 0 (callers flag it).
+    Zero relevant documents in ``judged`` yields 0 (callers flag it).
     """
-    judged, grades = _gains(ranking, qrels, k, threshold)
+    grades = _gains(ranking, judged, k, threshold)
     total_relevant = _relevant(judged.values(), threshold)
     return _relevant(grades, threshold) / total_relevant if total_relevant else 0.0
 
 
-def average_precision(ranking: RankedList, qrels: Qrels, threshold: int = 1) -> float:
-    """Mean of P@i over relevant ranks i, divided by total relevant count."""
-    judged, grades = _gains(ranking, qrels, None, threshold)
+def average_precision(ranking: RankedList, judged: _Judged, threshold: int = 1) -> float:
+    """Sum of P@i over relevant ranks i, divided by the relevant count in ``judged``."""
+    grades = _gains(ranking, judged, None, threshold)
     total_relevant = _relevant(judged.values(), threshold)
     if total_relevant == 0:
         return 0.0
@@ -230,8 +236,8 @@ def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
     A score is an ASCII decimal without ``_`` that reads as a finite number.
 
     Raises:
-        ValueError: with the line number for malformed lines, scores that
-            are not numbers or not finite, or a doc listed twice for a query.
+        ValueError: with the line number for malformed lines or identifiers, scores
+            that are not numbers or not finite, or a doc listed twice for a query.
     """
     per_query: dict[str, dict[str, float]] = {}
     for lineno, (query_id, _, doc_id, _, score_text, _) in _records(source, "run", 6):
@@ -247,7 +253,7 @@ def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
         if doc_id in bucket:
             raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")
         bucket[doc_id] = score
-    return {qid: RankedList(qid, scores) for qid, scores in per_query.items()}
+    return {qid: RankedList(scores) for qid, scores in per_query.items()}
 
 
 def write_run_file(
@@ -271,15 +277,17 @@ def write_run_file(
     return len(lines)
 
 
-def _compute_metrics(ranking: RankedList, qrels: Qrels, cutoffs: EvalCutoffs) -> dict[str, float]:
+def _compute_metrics(
+    ranking: RankedList, judged: _Judged, cutoffs: EvalCutoffs
+) -> dict[str, float]:
     threshold = cutoffs.threshold
     values = (
-        ndcg_at_k(ranking, qrels, cutoffs.ndcg_cutoff),
-        ndcg_at_k(ranking, qrels),
-        reciprocal_rank(ranking, qrels, threshold),
-        recall_at_k(ranking, qrels, cutoffs.recall_cutoff, threshold),
-        precision_at_k(ranking, qrels, cutoffs.precision_cutoff, threshold),
-        average_precision(ranking, qrels, threshold),
+        ndcg_at_k(ranking, judged, cutoffs.ndcg_cutoff),
+        ndcg_at_k(ranking, judged),
+        reciprocal_rank(ranking, judged, threshold),
+        recall_at_k(ranking, judged, cutoffs.recall_cutoff, threshold),
+        precision_at_k(ranking, judged, cutoffs.precision_cutoff, threshold),
+        average_precision(ranking, judged, threshold),
     )
     return dict(zip(cutoffs.metric_columns(), values))
 
@@ -304,11 +312,12 @@ def evaluate_rankings(
     qrels: Qrels,
     cutoffs: EvalCutoffs = EvalCutoffs(),
 ) -> MetricReport:
-    """Evaluate per-query rankings and assemble the sliced report.
+    """Evaluate rankings keyed by query id and assemble the sliced report.
 
-    Run queries absent from the qrels are excluded from every mean and
-    listed in ``excluded``; judged queries with no relevant document score
-    0 and are listed in ``zero_relevant``.
+    Each ranking is scored against the judgments of its key, read once.  Run
+    queries absent from the qrels are excluded from every mean and listed in
+    ``excluded``; judged queries with no relevant document score 0 and are
+    listed in ``zero_relevant``.
 
     Raises:
         ValueError: when a query_id cannot be parsed into (topic, turn).
@@ -317,13 +326,9 @@ def evaluate_rankings(
     parsed = {query_id: _default_query_id_parser(query_id) for query_id in rankings}
     judged_queries = qrels.query_ids()
     excluded = sorted(qid for qid in rankings if qid not in judged_queries)
-    per_query = {
-        qid: _compute_metrics(rankings[qid], qrels, cutoffs)
-        for qid in sorted(judged_queries.intersection(rankings))
-    }
-    zero_relevant = [
-        qid for qid in per_query if not any(rel > 0 for rel in qrels.for_query(qid).values())
-    ]
+    judged = {qid: qrels.for_query(qid) for qid in sorted(judged_queries.intersection(rankings))}
+    per_query = {qid: _compute_metrics(rankings[qid], judged[qid], cutoffs) for qid in judged}
+    zero_relevant = [qid for qid, grades in judged.items() if max(grades.values()) <= 0]
     # the aggregate is the mean over one group of every query; zeros when none is judged
     everything = _mean_by_group(per_query, metrics, lambda qid: "all")
     aggregate = everything.get("all", dict.fromkeys(metrics, 0.0))

@@ -1,14 +1,14 @@
 """Rank fusion and reranking: min-max ensembling, interleaving, pooling.
 
-Fusion operates on :class:`~convsearch.index.RankedList` values sharing a
-query id, and builds each result from a doc_id -> score mapping that the
-list orders on construction.  Ensemble fusion (of one list: min-max
-normalization) and reranking rank through one kernel: a float row per
-input list or scorer (min-max normalized, except a lone scorer's; 0 where
-a list lacks a document), averaged into one ranked list.  Interleaving merges orderings
-round-robin with global deduplication and synthetic 1/rank scores;
-pooling takes the deduplicated union of per-list prefixes for a later
-reranking pass.
+Fusion operates on :class:`~convsearch.index.RankedList` values of one
+query, which the caller keys by its id, and builds each result from a
+doc_id -> score mapping that the list orders on construction.  Ensemble
+fusion (of one list: min-max normalization) and reranking rank through one
+kernel: a float row per input list or scorer (min-max normalized, except a
+lone scorer's; 0 where a list lacks a document), averaged into one ranked
+list.  Interleaving merges orderings round-robin with global deduplication
+and synthetic 1/rank scores; pooling takes the deduplicated union of
+per-list prefixes for a later reranking pass.
 
 Rerankers are pluggable scorers: anything with
 ``score(query, passages) -> list[float]`` aligned with its input.  Scorers
@@ -171,22 +171,10 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
     return (scores - low) / (high - low) + 0.0  # -0.0 minus a +0.0 minimum leaves -0.0
 
 
-def _fuse(query_id: str, doc_ids: Sequence[str], rows: Sequence[np.ndarray]) -> RankedList:
+def _fuse(doc_ids: Sequence[str], rows: Sequence[np.ndarray]) -> RankedList:
     """Rank ``doc_ids`` by the mean of ``rows``, summed in order as ``rows[0] + rows[1] + ...``."""
     fused = sum(rows[1:], rows[0]) / len(rows)
-    return RankedList(query_id, dict(zip(doc_ids, fused.tolist())))
-
-
-def _require_shared_query_id(lists: Sequence[RankedList]) -> str:
-    if not lists:
-        raise ValueError("at least one ranked list required")
-    query_id = lists[0].query_id
-    for ranked in lists[1:]:
-        if ranked.query_id != query_id:
-            raise ValueError(
-                f"mismatched query_ids: '{query_id}' vs '{ranked.query_id}'"
-            )
-    return query_id
+    return RankedList(dict(zip(doc_ids, fused.tolist())))
 
 
 def ensemble_fuse(lists: Sequence[RankedList]) -> RankedList:
@@ -197,9 +185,10 @@ def ensemble_fuse(lists: Sequence[RankedList]) -> RankedList:
     Output is sorted by descending fused score, ties by ascending doc_id.
 
     Raises:
-        ValueError: when the lists do not share one query_id.
+        ValueError: for no lists.
     """
-    query_id = _require_shared_query_id(lists)
+    if not lists:
+        raise ValueError("at least one ranked list required")
     doc_ids = list(dict.fromkeys(doc_id for ranked in lists for doc_id, _ in ranked.items))
     column = {doc_id: i for i, doc_id in enumerate(doc_ids)}
     rows = np.zeros((len(lists), len(doc_ids)))
@@ -207,7 +196,7 @@ def ensemble_fuse(lists: Sequence[RankedList]) -> RankedList:
         if ranked.items:
             ids, scores = zip(*ranked.items)
             row[[column[doc_id] for doc_id in ids]] = _min_max(np.array(scores))
-    return _fuse(query_id, doc_ids, rows)
+    return _fuse(doc_ids, rows)
 
 
 def interleave(lists: Sequence[RankedList]) -> RankedList:
@@ -219,9 +208,10 @@ def interleave(lists: Sequence[RankedList]) -> RankedList:
     keeps the merge order.
 
     Raises:
-        ValueError: when the lists do not share one query_id.
+        ValueError: for no lists.
     """
-    query_id = _require_shared_query_id(lists)
+    if not lists:
+        raise ValueError("at least one ranked list required")
     iterators = [iter(ranked.doc_ids()) for ranked in lists]
     merged: dict[str, float] = {}
     while iterators:
@@ -232,7 +222,7 @@ def interleave(lists: Sequence[RankedList]) -> RankedList:
                     break
             else:  # the list ran out
                 iterators.remove(iterator)
-    return RankedList(query_id, merged)
+    return RankedList(merged)
 
 
 def pool_candidates(lists: Sequence[RankedList], per_list_depth: int) -> list[str]:
@@ -253,7 +243,6 @@ def rerank(
     candidates: Sequence[str],
     depth: int,
     get_passage: Callable[[str], Passage],
-    query_id: str = "",
 ) -> RankedList:
     """Score the first ``min(depth, len(candidates))`` candidates.
 
@@ -282,7 +271,7 @@ def rerank(
         except KeyError as exc:
             raise ValueError(f"unknown doc_id '{doc_id}'") from exc
     if not scored_ids:
-        return RankedList(query_id, {})
+        return RankedList({})
     rows = []
     for scorer in scorers:
         row = np.array(scorer.score(query, passages), dtype=float)
@@ -293,4 +282,4 @@ def rerank(
             bad = int(finite.argmin())
             raise ValueError(f"non-finite score {row[bad]} for doc_id '{scored_ids[bad]}'")
         rows.append(row)
-    return _fuse(query_id, scored_ids, rows if len(rows) == 1 else [_min_max(r) for r in rows])
+    return _fuse(scored_ids, rows if len(rows) == 1 else [_min_max(r) for r in rows])

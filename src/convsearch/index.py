@@ -135,14 +135,14 @@ class SparseVector:
 
 @dataclass(frozen=True)
 class RankedList:
-    """Scored documents for one query, made from a doc_id -> score mapping.
+    """One query's scored documents, made from a doc_id -> score mapping.
 
-    ``items`` holds the mapping's pairs best first: by descending score,
-    equal scores by ascending doc_id.  A score that is not finite is
-    rejected, naming its doc_id.
+    A ranking is stored under its query id (a turn result's ``turn_id``, a
+    run file's query id) and does not hold it.  ``items`` holds the mapping's
+    pairs best first: by descending score, equal scores by ascending doc_id.
+    A score that is not finite is rejected, naming its doc_id.
     """
 
-    query_id: str
     scores: InitVar[Mapping[str, float]]
     items: tuple[tuple[str, float], ...] = field(init=False)
 
@@ -545,7 +545,7 @@ def _append_plain(columns: _Columns, lines: list[str]) -> bool:
 
 
 def _score_at_a_time(
-    mode: str, index: InvertedIndex, clauses: Iterable[tuple[str, float]], k: int, query_id: str
+    mode: str, index: InvertedIndex, clauses: Iterable[tuple[str, float]], k: int
 ) -> RankedList:
     """Top-k positive accumulator totals over ``(term, query_weight)`` clauses."""
     if index.mode != mode:
@@ -564,12 +564,10 @@ def _score_at_a_time(
     scores = acc[hits]
     top = np.lexsort((hits, -scores))[:k]
     ids = [index.doc_ids[i] for i in hits[top].tolist()]
-    return RankedList(query_id, dict(zip(ids, scores[top].tolist())))
+    return RankedList(dict(zip(ids, scores[top].tolist())))
 
 
-def bm25_retrieve(
-    index: InvertedIndex, query_text: str, k: int, query_id: str = ""
-) -> RankedList:
+def bm25_retrieve(index: InvertedIndex, query_text: str, k: int) -> RankedList:
     """Top-k documents for a text query under BM25.
 
     Only documents with a positive score are returned, ordered by
@@ -580,12 +578,10 @@ def bm25_retrieve(
         ValueError: if ``k`` < 1 or the index is not in bm25 mode.
     """
     clauses = [(token, 1.0) for token in index.analyzer.tokenize(query_text)]
-    return _score_at_a_time("bm25", index, clauses, k, query_id)
+    return _score_at_a_time("bm25", index, clauses, k)
 
 
-def sparse_retrieve(
-    index: InvertedIndex, query: SparseVector, k: int, query_id: str = ""
-) -> RankedList:
+def sparse_retrieve(index: InvertedIndex, query: SparseVector, k: int) -> RankedList:
     """Top-k documents by dot product between query and stored weights.
 
     Zero-score documents are excluded; an empty query vector yields an
@@ -594,7 +590,7 @@ def sparse_retrieve(
     Raises:
         ValueError: if ``k`` < 1 or the index is not in sparse mode.
     """
-    return _score_at_a_time("sparse", index, query.entries.items(), k, query_id)
+    return _score_at_a_time("sparse", index, query.entries.items(), k)
 
 
 def text_to_query_vector(text: str, analyzer: AnalyzerConfig | None = None) -> SparseVector:

@@ -175,13 +175,11 @@ class TurnExecutionError(RuntimeError):
     """A turn failed; the message carries the turn id, the cause is chained."""
 
 
-def _retrieve(
-    config: RunConfig, index: InvertedIndex, query: str, query_id: str
-) -> RankedList:
+def _retrieve(config: RunConfig, index: InvertedIndex, query: str) -> RankedList:
     if config.retriever == "bm25":
-        return bm25_retrieve(index, query, MAX_RANKING, query_id=query_id)
+        return bm25_retrieve(index, query, MAX_RANKING)
     vector = text_to_query_vector(query, index.analyzer)
-    return sparse_retrieve(index, vector, MAX_RANKING, query_id=query_id)
+    return sparse_retrieve(index, vector, MAX_RANKING)
 
 
 def execute_turn(
@@ -218,16 +216,16 @@ def execute_turn(
 
         get_passage = passages.__getitem__
         scorers = [resolve_scorer(s, config.scorer_endpoints) for s in config.scorer_ids]
-        retrieved = [_retrieve(config, index, q, turn_id) for q in queries]
+        retrieved = [_retrieve(config, index, q) for q in queries]
 
         # a run that does not pool has exactly one query (phi > 1 requires pooling)
         if config.fusion == "pool_then_rerank":
             pooled = pool_candidates(retrieved, MAX_RANKING)
             rerank_query = llm.generate_rewrite(ctx, ptkb_string, turn.user_utterance)
-            ranking = rerank(scorers, rerank_query, pooled, MAX_RANKING, get_passage, turn_id)
+            ranking = rerank(scorers, rerank_query, pooled, MAX_RANKING, get_passage)
         elif scorers:
             candidates = retrieved[0].doc_ids()
-            ranking = rerank(scorers, queries[0], candidates, MAX_RANKING, get_passage, turn_id)
+            ranking = rerank(scorers, queries[0], candidates, MAX_RANKING, get_passage)
         else:
             ranking = retrieved[0]
 

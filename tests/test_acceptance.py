@@ -108,12 +108,12 @@ def test_criterion_1_metric_oracles():
     started = time.monotonic()
 
     # hand-computed anchors
-    anchor_ranking = RankedList("q", {"C": 3.0, "A": 2.0, "B": 1.0})
-    anchor_qrels = Qrels({("q", "A"): 2, ("q", "B"): 1})
-    assert ndcg_at_k(anchor_ranking, anchor_qrels, 3) == pytest.approx(0.66968, abs=1e-5)
-    ap_ranking = RankedList("q", {"A": 3.0, "X": 2.0, "B": 1.0})
-    ap_qrels = Qrels({("q", "A"): 1, ("q", "B"): 1})
-    assert average_precision(ap_ranking, ap_qrels) == pytest.approx(0.83333, abs=1e-5)
+    anchor_ranking = RankedList({"C": 3.0, "A": 2.0, "B": 1.0})
+    anchor_judged = Qrels({("q", "A"): 2, ("q", "B"): 1}).for_query("q")
+    assert ndcg_at_k(anchor_ranking, anchor_judged, 3) == pytest.approx(0.66968, abs=1e-5)
+    ap_ranking = RankedList({"A": 3.0, "X": 2.0, "B": 1.0})
+    ap_judged = Qrels({("q", "A"): 1, ("q", "B"): 1}).for_query("q")
+    assert average_precision(ap_ranking, ap_judged) == pytest.approx(0.83333, abs=1e-5)
 
     rng = np.random.default_rng(101)
     for _ in range(1000):
@@ -123,14 +123,14 @@ def test_criterion_1_metric_oracles():
         n_judged = int(rng.integers(0, 11))
         judged_ids = rng.choice(60, size=n_judged, replace=False)
         rels = {f"d{int(i):02d}": int(rng.integers(0, 4)) for i in judged_ids}
-        ranking = RankedList("q", {d: float(n_docs - i) for i, d in enumerate(doc_ids)})
-        qrels = Qrels({("q", d): r for d, r in rels.items()})
+        ranking = RankedList({d: float(n_docs - i) for i, d in enumerate(doc_ids)})
+        judged = Qrels({("q", d): r for d, r in rels.items()}).for_query("q")
         k = int(rng.integers(1, 15))
-        assert abs(ndcg_at_k(ranking, qrels, k) - _brute_ndcg(doc_ids, rels, k)) <= 1e-9
-        assert abs(reciprocal_rank(ranking, qrels) - _brute_rr(doc_ids, rels)) <= 1e-9
-        assert abs(precision_at_k(ranking, qrels, k) - _brute_p(doc_ids, rels, k)) <= 1e-9
-        assert abs(recall_at_k(ranking, qrels, k) - _brute_r(doc_ids, rels, k)) <= 1e-9
-        assert abs(average_precision(ranking, qrels) - _brute_ap(doc_ids, rels)) <= 1e-9
+        assert abs(ndcg_at_k(ranking, judged, k) - _brute_ndcg(doc_ids, rels, k)) <= 1e-9
+        assert abs(reciprocal_rank(ranking, judged) - _brute_rr(doc_ids, rels)) <= 1e-9
+        assert abs(precision_at_k(ranking, judged, k) - _brute_p(doc_ids, rels, k)) <= 1e-9
+        assert abs(recall_at_k(ranking, judged, k) - _brute_r(doc_ids, rels, k)) <= 1e-9
+        assert abs(average_precision(ranking, judged) - _brute_ap(doc_ids, rels)) <= 1e-9
 
     assert time.monotonic() - started < 10.0
 
@@ -226,9 +226,7 @@ def test_criterion_3_fusion_properties():
     # (a) min-max preserves ordering
     for _ in range(500):
         n = int(rng.integers(1, 40))
-        ranked = RankedList(
-            "q", {f"d{i:02d}": float(rng.normal()) for i in range(n)}
-        )
+        ranked = RankedList({f"d{i:02d}": float(rng.normal()) for i in range(n)})
         assert ensemble_fuse([ranked]).doc_ids() == ranked.doc_ids()
 
     # (b) ensemble ranking invariant under positive affine transform of one scorer
@@ -237,23 +235,21 @@ def test_criterion_3_fusion_properties():
         n_lists = int(rng.integers(2, 6))
         doc_ids = [f"d{i:02d}" for i in range(n_docs)]
         raw = [{d: float(rng.normal()) for d in doc_ids} for _ in range(n_lists)]
-        lists = [RankedList("q", s) for s in raw]
+        lists = [RankedList(s) for s in raw]
         baseline = ensemble_fuse(lists).doc_ids()
         target = int(rng.integers(n_lists))
         a = float(rng.uniform(0.05, 20.0))
         b = float(rng.normal(0, 10.0))
         transformed = [dict(s) for s in raw]
         transformed[target] = {d: a * s + b for d, s in transformed[target].items()}
-        shifted = ensemble_fuse([RankedList("q", s) for s in transformed])
+        shifted = ensemble_fuse([RankedList(s) for s in transformed])
         assert shifted.doc_ids() == baseline
 
     # (c) fusing k identical lists reproduces the list ordering
     for _ in range(500):
         n = int(rng.integers(1, 30))
         k = int(rng.integers(1, 6))
-        ranked = RankedList(
-            "q", {f"d{i:02d}": float(rng.normal()) for i in range(n)}
-        )
+        ranked = RankedList({f"d{i:02d}": float(rng.normal()) for i in range(n)})
         fused = ensemble_fuse([ranked] * k)
         assert fused.doc_ids() == ranked.doc_ids()
 
@@ -265,9 +261,7 @@ def test_criterion_3_fusion_properties():
             n = int(rng.integers(1, 12))
             chosen, universe = universe[:n], universe[n:]
             lists.append(
-                RankedList(
-                    "q", {f"d{int(c):02d}": float(n - j) for j, c in enumerate(chosen)}
-                )
+                RankedList({f"d{int(c):02d}": float(n - j) for j, c in enumerate(chosen)})
             )
         merged = interleave(lists).doc_ids()
         position = {d: i for i, d in enumerate(merged)}
@@ -276,8 +270,8 @@ def test_criterion_3_fusion_properties():
             assert all(position[x] < position[y] for x, y in zip(ids, ids[1:]))
     worked = interleave(
         [
-            RankedList("q", {"A": 3.0, "B": 2.0, "C": 1.0}),
-            RankedList("q", {"B": 2.0, "D": 1.0}),
+            RankedList({"A": 3.0, "B": 2.0, "C": 1.0}),
+            RankedList({"B": 2.0, "D": 1.0}),
         ]
     )
     assert worked.doc_ids() == ["A", "B", "C", "D"]
@@ -311,7 +305,7 @@ def test_criterion_4_recall_dominance():
         ]
         queries = [rewrite] + extra  # the query set includes the single rewrite
         depth = int(rng.integers(1, 30))
-        lists = [bm25_retrieve(index, q, depth, query_id="q") for q in queries]
+        lists = [bm25_retrieve(index, q, depth) for q in queries]
         pooled = set(pool_candidates(lists, depth))
         single_top = set(lists[0].doc_ids())
         relevant = {

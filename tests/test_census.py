@@ -39,7 +39,7 @@ def test_readme_imports_from_the_package_resolve():
 
 def test_census_prints_one_json_line_of_counts(tmp_path):
     done = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "census.py"), "--root", str(REPO)],
+        [sys.executable, str(REPO / "scripts" / "census.py")],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

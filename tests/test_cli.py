@@ -347,6 +347,20 @@ def test_cli_evaluate_rejects_a_cutoff_below_one(tmp_path, capsys):
     assert "nDCG@0" not in captured.out
 
 
+
+@pytest.mark.parametrize("bad", ["run", "qrels"])
+def test_cli_evaluate_rejects_an_unprintable_identifier(tmp_path, capsys, bad):
+    # a doc_id 'D\u200b1' matched no judgment and no passage, and the report said nothing
+    lines = {"run": "1_1 Q0 D{} 1 1.0 a\n", "qrels": "1_1 0 D{} 1\n"}
+    paths = {}
+    for kind, line in lines.items():
+        paths[kind] = tmp_path / kind
+        paths[kind].write_text(line.format("\u200b1" if kind == bad else "1"), encoding="utf-8")
+    assert main(["evaluate", "--run", str(paths["run"]), "--qrels", str(paths["qrels"])]) == 1
+    message = f"error: {bad} line 1: doc_id holds the unprintable character '\\u200b'"
+    assert message in capsys.readouterr().err
+
+
 def test_cli_run_rejects_a_repeated_topic_number(tmp_path, capsys):
     # both fixture topics numbered "1": the run used to list doc 'D023' twice for '1_1'
     topics = json.loads((FIXTURE_DIR / "topics.json").read_text(encoding="utf-8"))

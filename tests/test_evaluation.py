@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsearch.evaluation import (
@@ -76,13 +76,14 @@ def brute_ap(doc_ids, rels, threshold=1):
     return acc / total
 
 
-def _qrels(query_id, rels):
-    return Qrels({(query_id, d): r for d, r in rels.items()})
+def _judged(rels):
+    """One query's judgments as a metric takes them: what ``Qrels.for_query`` returns."""
+    return Qrels({("q", d): r for d, r in rels.items()}).for_query("q")
 
 
-def _ranking(query_id, doc_ids):
+def _ranking(doc_ids):
     scores = {d: float(len(doc_ids) - i) for i, d in enumerate(doc_ids)}
-    return RankedList(query_id, scores)
+    return RankedList(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +93,9 @@ def _ranking(query_id, doc_ids):
 
 def test_ndcg_hand_anchor():
     # qrels {A:2, B:1}, ranking [C, A, B], k=3 -> 0.66968
-    ranking = _ranking("q", ["C", "A", "B"])
-    qrels = _qrels("q", {"A": 2, "B": 1})
-    value = ndcg_at_k(ranking, qrels, 3)
+    ranking = _ranking(["C", "A", "B"])
+    judged = _judged({"A": 2, "B": 1})
+    value = ndcg_at_k(ranking, judged, 3)
     assert value == pytest.approx(0.66968, abs=1e-5)
     dcg = 2 / math.log2(3) + 1 / 2
     idcg = 2 + 1 / math.log2(3)
@@ -102,64 +103,64 @@ def test_ndcg_hand_anchor():
 
 
 def test_ndcg_ideal_ranking_is_one():
-    ranking = _ranking("q", ["A", "B", "C"])
-    qrels = _qrels("q", {"A": 3, "B": 2, "C": 1})
-    assert ndcg_at_k(ranking, qrels, None) == pytest.approx(1.0)
+    ranking = _ranking(["A", "B", "C"])
+    judged = _judged({"A": 3, "B": 2, "C": 1})
+    assert ndcg_at_k(ranking, judged, None) == pytest.approx(1.0)
 
 
 def test_ndcg_no_relevant_retrieved():
-    ranking = _ranking("q", ["X", "Y"])
-    qrels = _qrels("q", {"A": 2})
-    assert ndcg_at_k(ranking, qrels, None) == 0.0
+    ranking = _ranking(["X", "Y"])
+    judged = _judged({"A": 2})
+    assert ndcg_at_k(ranking, judged, None) == 0.0
 
 
 def test_ndcg_no_relevant_in_qrels_scores_zero():
-    ranking = _ranking("q", ["A"])
-    assert ndcg_at_k(ranking, _qrels("q", {"A": 0}), None) == 0.0
+    ranking = _ranking(["A"])
+    assert ndcg_at_k(ranking, _judged({"A": 0}), None) == 0.0
 
 
 def test_ap_hand_anchor():
     # relevant at ranks 1 and 3 of 2 total relevant -> (1 + 2/3) / 2
-    ranking = _ranking("q", ["A", "X", "B"])
-    qrels = _qrels("q", {"A": 1, "B": 1})
-    assert average_precision(ranking, qrels) == pytest.approx(0.83333, abs=1e-5)
+    ranking = _ranking(["A", "X", "B"])
+    judged = _judged({"A": 1, "B": 1})
+    assert average_precision(ranking, judged) == pytest.approx(0.83333, abs=1e-5)
 
 
 def test_ap_perfect_and_empty():
-    qrels = _qrels("q", {"A": 1, "B": 1})
-    assert average_precision(_ranking("q", ["A", "B", "X"]), qrels) == pytest.approx(1.0)
-    assert average_precision(_ranking("q", ["X", "Y"]), qrels) == 0.0
+    judged = _judged({"A": 1, "B": 1})
+    assert average_precision(_ranking(["A", "B", "X"]), judged) == pytest.approx(1.0)
+    assert average_precision(_ranking(["X", "Y"]), judged) == 0.0
 
 
 def test_reciprocal_rank_values():
-    qrels = _qrels("q", {"A": 1})
-    assert reciprocal_rank(_ranking("q", ["A", "B"]), qrels) == 1.0
-    assert reciprocal_rank(_ranking("q", ["X", "Y", "Z", "A"]), qrels) == 0.25
-    assert reciprocal_rank(_ranking("q", ["X", "Y"]), qrels) == 0.0
+    judged = _judged({"A": 1})
+    assert reciprocal_rank(_ranking(["A", "B"]), judged) == 1.0
+    assert reciprocal_rank(_ranking(["X", "Y", "Z", "A"]), judged) == 0.25
+    assert reciprocal_rank(_ranking(["X", "Y"]), judged) == 0.0
 
 
 def test_reciprocal_rank_threshold():
-    qrels = _qrels("q", {"A": 1, "B": 2})
-    ranking = _ranking("q", ["A", "B"])
-    assert reciprocal_rank(ranking, qrels, threshold=2) == 0.5
+    judged = _judged({"A": 1, "B": 2})
+    ranking = _ranking(["A", "B"])
+    assert reciprocal_rank(ranking, judged, threshold=2) == 0.5
 
 
 def test_precision_recall_values():
     rels = {f"R{i}": 1 for i in range(10)}
-    qrels = _qrels("q", rels)
+    judged = _judged(rels)
     top = [f"R{i}" for i in range(5)] + [f"X{i}" for i in range(15)]
-    ranking = _ranking("q", top)
-    assert precision_at_k(ranking, qrels, 20) == pytest.approx(0.25)
-    assert recall_at_k(ranking, qrels, 100) == pytest.approx(0.5)
+    ranking = _ranking(top)
+    assert precision_at_k(ranking, judged, 20) == pytest.approx(0.25)
+    assert recall_at_k(ranking, judged, 100) == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_cutoffs_below_one_are_rejected(k):
     # nDCG@-1 used to score all but the last rank, and nDCG@0 read 0
-    ranking, qrels = _ranking("q", ["A", "B"]), _qrels("q", {"A": 1, "B": 1})
+    ranking, judged = _ranking(["A", "B"]), _judged({"A": 1, "B": 1})
     for metric in (ndcg_at_k, precision_at_k, recall_at_k):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            metric(ranking, qrels, k)
+            metric(ranking, judged, k)
     # EvalCutoffs left them to the metrics, so a run with no judged query printed nDCG@0
     for field in ("ndcg_cutoff", "precision_cutoff", "recall_cutoff"):
         with pytest.raises(ValueError, match="k must be >= 1"):
@@ -169,24 +170,24 @@ def test_cutoffs_below_one_are_rejected(k):
 @pytest.mark.parametrize("threshold", [0, -1])
 def test_thresholds_below_one_are_rejected(threshold):
     # below 1 every unjudged document counted as relevant, so Recall and mAP passed 1
-    ranking, qrels = _ranking("q", ["A", "B", "C", "D"]), _qrels("q", {"A": 1})
+    ranking, judged = _ranking(["A", "B", "C", "D"]), _judged({"A": 1})
     with pytest.raises(ValueError, match="threshold must be >= 1"):
         EvalCutoffs(threshold=threshold)
     for metric, k in ((reciprocal_rank, ()), (precision_at_k, (4,)), (recall_at_k, (4,)),
                       (average_precision, ())):
         with pytest.raises(ValueError, match="threshold must be >= 1"):
-            metric(ranking, qrels, *k, threshold=threshold)
+            metric(ranking, judged, *k, threshold=threshold)
 
 
 def test_precision_fixed_denominator():
-    qrels = _qrels("q", {"A": 1, "B": 1})
-    ranking = _ranking("q", ["A", "B", "X"])  # only 3 retrieved
-    assert precision_at_k(ranking, qrels, 20) == pytest.approx(2 / 20)
+    judged = _judged({"A": 1, "B": 1})
+    ranking = _ranking(["A", "B", "X"])  # only 3 retrieved
+    assert precision_at_k(ranking, judged, 20) == pytest.approx(2 / 20)
 
 
 def test_recall_zero_relevant_flagged_as_zero():
-    ranking = _ranking("q", ["A"])
-    assert recall_at_k(ranking, _qrels("q", {"A": 0}), 10) == 0.0
+    ranking = _ranking(["A"])
+    assert recall_at_k(ranking, _judged({"A": 0}), 10) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +205,21 @@ def test_metrics_match_brute_force_on_random_instances():
             f"d{int(i):02d}": int(rng.integers(0, 4))
             for i in rng.choice(max(n_docs, n_judged), size=n_judged, replace=False)
         }
-        ranking = _ranking("q", doc_ids)
-        qrels = _qrels("q", judged)
+        ranking = _ranking(doc_ids)
         k = int(rng.integers(1, 12))
-        assert ndcg_at_k(ranking, qrels, k) == pytest.approx(
+        assert ndcg_at_k(ranking, judged, k) == pytest.approx(
             brute_ndcg(doc_ids, judged, k), abs=1e-9
         )
-        assert reciprocal_rank(ranking, qrels) == pytest.approx(
+        assert reciprocal_rank(ranking, judged) == pytest.approx(
             brute_rr(doc_ids, judged), abs=1e-9
         )
-        assert precision_at_k(ranking, qrels, k) == pytest.approx(
+        assert precision_at_k(ranking, judged, k) == pytest.approx(
             brute_p_at_k(doc_ids, judged, k), abs=1e-9
         )
-        assert recall_at_k(ranking, qrels, k) == pytest.approx(
+        assert recall_at_k(ranking, judged, k) == pytest.approx(
             brute_r_at_k(doc_ids, judged, k), abs=1e-9
         )
-        assert average_precision(ranking, qrels) == pytest.approx(
+        assert average_precision(ranking, judged) == pytest.approx(
             brute_ap(doc_ids, judged), abs=1e-9
         )
 
@@ -228,8 +228,7 @@ def test_metrics_match_brute_force_on_random_instances():
 # its own, kept verbatim as a bit-exact reference for the shared grade stream
 
 
-def reference_ndcg(ranking, qrels, k=None):
-    judged = qrels.for_query(ranking.query_id)
+def reference_ndcg(ranking, judged, k=None):
     ideal_gains = sorted((rel for rel in judged.values() if rel > 0), reverse=True)
     if k is not None:
         ideal_gains = ideal_gains[:k]
@@ -248,22 +247,19 @@ def reference_ndcg(ranking, qrels, k=None):
     return dcg / idcg
 
 
-def reference_rr(ranking, qrels, threshold=1):
-    judged = qrels.for_query(ranking.query_id)
+def reference_rr(ranking, judged, threshold=1):
     for position, doc_id in enumerate(ranking.doc_ids(), start=1):
         if judged.get(doc_id, 0) >= threshold:
             return 1.0 / position
     return 0.0
 
 
-def reference_p(ranking, qrels, k, threshold=1):
-    judged = qrels.for_query(ranking.query_id)
+def reference_p(ranking, judged, k, threshold=1):
     hits = sum(1 for doc_id in ranking.doc_ids()[:k] if judged.get(doc_id, 0) >= threshold)
     return hits / k
 
 
-def reference_r(ranking, qrels, k, threshold=1):
-    judged = qrels.for_query(ranking.query_id)
+def reference_r(ranking, judged, k, threshold=1):
     total_relevant = sum(1 for rel in judged.values() if rel >= threshold)
     if total_relevant == 0:
         return 0.0
@@ -271,8 +267,7 @@ def reference_r(ranking, qrels, k, threshold=1):
     return hits / total_relevant
 
 
-def reference_ap(ranking, qrels, threshold=1):
-    judged = qrels.for_query(ranking.query_id)
+def reference_ap(ranking, judged, threshold=1):
     total_relevant = sum(1 for rel in judged.values() if rel >= threshold)
     if total_relevant == 0:
         return 0.0
@@ -307,10 +302,10 @@ def test_metrics_are_bit_identical_to_the_reference_bodies():
             for i in rng.choice(universe, size=n_judged, replace=False)
         }
         judgments[("other", "d000")] = 3
-        ranking = _ranking("q", doc_ids)
-        qrels = Qrels(judgments)
+        ranking = _ranking(doc_ids)
+        judged = Qrels(judgments).for_query("q")
         for metric, reference, args in cases:
-            got, want = metric(ranking, qrels, *args), reference(ranking, qrels, *args)
+            got, want = metric(ranking, judged, *args), reference(ranking, judged, *args)
             assert got.hex() == want.hex(), (metric.__name__, args, doc_ids, judgments)
 
 
@@ -326,8 +321,8 @@ def test_ndcg_adjacent_swap_never_decreases():
             continue  # upper already at least as relevant
         swapped = list(doc_ids)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        before = ndcg_at_k(_ranking("q", doc_ids), _qrels("q", judged), None)
-        after = ndcg_at_k(_ranking("q", swapped), _qrels("q", judged), None)
+        before = ndcg_at_k(_ranking(doc_ids), _judged(judged), None)
+        after = ndcg_at_k(_ranking(swapped), _judged(judged), None)
         assert after >= before - 1e-12
 
 
@@ -335,9 +330,8 @@ def test_recall_monotone_in_k():
     rng = np.random.default_rng(67)
     doc_ids = [f"d{i:02d}" for i in range(30)]
     judged = {d: int(rng.integers(0, 2)) for d in doc_ids}
-    ranking = _ranking("q", doc_ids)
-    qrels = _qrels("q", judged)
-    values = [recall_at_k(ranking, qrels, k) for k in range(1, 31)]
+    ranking = _ranking(doc_ids)
+    values = [recall_at_k(ranking, judged, k) for k in range(1, 31)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -567,6 +561,45 @@ def test_report_json_roundtrip(tmp_path):
     assert data["per_depth"]["1"]["MRR"] == 1.0
 
 
+_QUERY_IDS = st.sampled_from(["1_1", "1_2", "2_1", "3_4"])
+_DOC_IDS = st.sampled_from(["A", "B", "C", "D", "E", "F"])
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(
+    judgments=st.dictionaries(st.tuples(_QUERY_IDS, _DOC_IDS), st.integers(0, 3)),
+    runs=st.dictionaries(
+        _QUERY_IDS, st.dictionaries(_DOC_IDS, st.floats(-4, 4).map(lambda x: round(x, 1)))
+    ),
+    threshold=st.integers(1, 3),
+)
+# when a ranking carried a query id of its own, one keyed 1_1 but made for 2_1 scored 1.0
+@example(judgments={("1_1", "A"): 1, ("2_1", "B"): 1}, runs={"1_1": {"B": 1.0}}, threshold=1)
+def test_each_ranking_is_scored_against_the_judgments_of_its_key(judgments, runs, threshold):
+    qrels = Qrels(judgments)
+    rankings = {qid: RankedList(scores) for qid, scores in runs.items()}
+    cutoffs = EvalCutoffs(ndcg_cutoff=2, precision_cutoff=3, recall_cutoff=4, threshold=threshold)
+    report = evaluate_rankings(rankings, qrels, cutoffs)
+    judged_queries = sorted(qrels.query_ids() & set(rankings))
+    assert list(report.per_query) == judged_queries
+    assert report.excluded == sorted(set(rankings) - qrels.query_ids())
+    for qid in judged_queries:
+        ranking, judged = rankings[qid], qrels.for_query(qid)
+        want = (
+            ndcg_at_k(ranking, judged, 2),
+            ndcg_at_k(ranking, judged),
+            reciprocal_rank(ranking, judged, threshold),
+            recall_at_k(ranking, judged, 4, threshold),
+            precision_at_k(ranking, judged, 3, threshold),
+            average_precision(ranking, judged, threshold),
+        )
+        assert report.per_query[qid] == dict(zip(cutoffs.metric_columns(), want))
+    no_grade_above_zero = [
+        qid for qid in judged_queries if all(rel <= 0 for rel in qrels.for_query(qid).values())
+    ]
+    assert report.zero_relevant == no_grade_above_zero
+
+
 def test_values_always_in_unit_interval():
     rng = np.random.default_rng(71)
     rankings = {}
@@ -574,7 +607,7 @@ def test_values_always_in_unit_interval():
     for t in range(1, 6):
         qid = f"1_{t}"
         doc_ids = [f"d{i}" for i in rng.permutation(20)]
-        rankings[qid] = _ranking(qid, list(doc_ids))
+        rankings[qid] = _ranking(list(doc_ids))
         for d in doc_ids[:6]:
             judgments[(qid, d)] = int(rng.integers(0, 3))
     report = evaluate_rankings(rankings, Qrels(judgments))

@@ -28,8 +28,8 @@ from convsearch.index import Passage, RankedList
 from convsearch.llm import TIMEOUT
 
 
-def _ranked(query_id: str, pairs) -> RankedList:
-    return RankedList(query_id, dict(pairs))
+def _ranked(pairs) -> RankedList:
+    return RankedList(dict(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -38,22 +38,22 @@ def _ranked(query_id: str, pairs) -> RankedList:
 
 
 def test_min_max_basic_formula():
-    ranked = RankedList("q", {"c": 6.0, "b": 4.0, "a": 2.0})
+    ranked = RankedList({"c": 6.0, "b": 4.0, "a": 2.0})
     normalized = ensemble_fuse([ranked])
     assert list(normalized.items) == [("c", 1.0), ("b", 0.5), ("a", 0.0)]
 
 
 def test_min_max_degenerate_range():
-    ranked = RankedList("q", {"a": 5.0, "b": 5.0})
+    ranked = RankedList({"a": 5.0, "b": 5.0})
     assert [s for _, s in ensemble_fuse([ranked]).items] == [1.0, 1.0]
 
 
 def test_min_max_singleton():
-    assert list(ensemble_fuse([RankedList("q", {"x": 7.3})]).items) == [("x", 1.0)]
+    assert list(ensemble_fuse([RankedList({"x": 7.3})]).items) == [("x", 1.0)]
 
 
 def test_min_max_empty():
-    assert ensemble_fuse([RankedList("q", {})]).items == ()
+    assert ensemble_fuse([RankedList({})]).items == ()
 
 
 def test_min_max_preserves_order_random():
@@ -61,7 +61,7 @@ def test_min_max_preserves_order_random():
     for _ in range(100):
         n = int(rng.integers(1, 30))
         scores = {f"d{i:02d}": float(rng.normal()) for i in range(n)}
-        ranked = RankedList("q", scores)
+        ranked = RankedList(scores)
         normalized = ensemble_fuse([ranked])
         assert normalized.doc_ids() == ranked.doc_ids()
 
@@ -72,22 +72,22 @@ def test_min_max_preserves_order_random():
 
 
 def test_ensemble_two_identical_lists_keeps_order():
-    ranked = _ranked("q", [("a", 3.0), ("b", 2.0), ("c", 1.0)])
+    ranked = _ranked([("a", 3.0), ("b", 2.0), ("c", 1.0)])
     fused = ensemble_fuse([ranked, ranked])
     assert fused.doc_ids() == ranked.doc_ids()
 
 
 def test_ensemble_hand_worked_example():
-    first = _ranked("q", [("A", 2.0), ("B", 4.0), ("C", 6.0)])
-    second = _ranked("q", [("A", 10.0), ("B", 0.0), ("C", 5.0)])
+    first = _ranked([("A", 2.0), ("B", 4.0), ("C", 6.0)])
+    second = _ranked([("A", 10.0), ("B", 0.0), ("C", 5.0)])
     fused = ensemble_fuse([first, second])
     assert dict(fused.items) == pytest.approx({"A": 0.5, "B": 0.25, "C": 0.75})
     assert fused.doc_ids() == ["C", "A", "B"]
 
 
 def test_ensemble_missing_doc_contributes_zero():
-    first = _ranked("q", [("a", 2.0), ("b", 1.0)])
-    second = _ranked("q", [("a", 9.0)])
+    first = _ranked([("a", 2.0), ("b", 1.0)])
+    second = _ranked([("a", 9.0)])
     fused = dict(ensemble_fuse([first, second]).items)
     # b appears only in the first list: (0.0 + 0) / 2
     assert fused["b"] == 0.0
@@ -96,16 +96,16 @@ def test_ensemble_missing_doc_contributes_zero():
 
 def test_ensemble_orders_rounding_ties_by_doc_id():
     # dB and dA both normalize to 1.0, in descending doc_id order
-    first = RankedList("q_1", {"dB": 1.000001, "dA": 1.0, "dZ": -1e11})
-    second = RankedList("q_1", {"dA": 2.0})
+    first = RankedList({"dB": 1.000001, "dA": 1.0, "dZ": -1e11})
+    second = RankedList({"dA": 2.0})
     assert ensemble_fuse([first]).items == (("dA", 1.0), ("dB", 1.0), ("dZ", 0.0))
     fused = ensemble_fuse([first, second])
     assert fused.items == (("dA", 1.0), ("dB", 0.5), ("dZ", 0.0))
 
 
 def test_min_max_finite_range_past_the_float_maximum():
-    ranked = RankedList("q", {"a": 1e308, "b": 0.0, "c": -1e308})
-    top = RankedList("q", {"a": sys.float_info.max, "b": -sys.float_info.max})
+    ranked = RankedList({"a": 1e308, "b": 0.0, "c": -1e308})
+    top = RankedList({"a": sys.float_info.max, "b": -sys.float_info.max})
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning on the way
         assert ensemble_fuse([ranked]).items == (("a", 1.0), ("b", 0.5), ("c", 0.0))
@@ -121,7 +121,7 @@ def test_min_max_finite_range_past_the_float_maximum():
 @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus-first", "minus-first"])
 def test_min_max_never_gives_negative_zero(zeros):
     # -0.0 minus a +0.0 minimum is -0.0; a normalized score is +0.0 instead
-    ranked = RankedList("q", {"c": 1.0, "a": zeros[0], "b": zeros[1]})
+    ranked = RankedList({"c": 1.0, "a": zeros[0], "b": zeros[1]})
     get_passage = _store("a", "b", "c")
     row = _Row([zeros[0], zeros[1], 1.0])
     for fused in (
@@ -135,11 +135,6 @@ def test_min_max_never_gives_negative_zero(zeros):
     assert _bits(alone) == [("c", (1.0).hex()), ("a", zeros[0].hex()), ("b", zeros[1].hex())]
 
 
-def test_ensemble_rejects_mismatched_query_ids():
-    with pytest.raises(ValueError, match="mismatched"):
-        ensemble_fuse([_ranked("q1", [("a", 1.0)]), _ranked("q2", [("a", 1.0)])])
-
-
 def test_ensemble_affine_invariance_random():
     rng = np.random.default_rng(37)
     for _ in range(100):
@@ -149,13 +144,13 @@ def test_ensemble_affine_invariance_random():
         raw = [
             {doc_id: float(rng.normal()) for doc_id in doc_ids} for _ in range(n_lists)
         ]
-        baseline = ensemble_fuse([_ranked("q", s.items()) for s in raw]).doc_ids()
+        baseline = ensemble_fuse([_ranked(s.items()) for s in raw]).doc_ids()
         target = int(rng.integers(n_lists))
         a = float(rng.uniform(0.1, 10.0))
         b = float(rng.normal(0, 5.0))
         transformed = [dict(s) for s in raw]
         transformed[target] = {d: a * s + b for d, s in transformed[target].items()}
-        shifted = ensemble_fuse([_ranked("q", s.items()) for s in transformed]).doc_ids()
+        shifted = ensemble_fuse([_ranked(s.items()) for s in transformed]).doc_ids()
         assert shifted == baseline
 
 
@@ -165,19 +160,19 @@ def test_ensemble_affine_invariance_random():
 
 
 def test_interleave_round_robin():
-    first = RankedList("q", {"A": 2.0, "B": 1.0})
-    second = RankedList("q", {"C": 2.0, "D": 1.0})
+    first = RankedList({"A": 2.0, "B": 1.0})
+    second = RankedList({"C": 2.0, "D": 1.0})
     assert interleave([first, second]).doc_ids() == ["A", "C", "B", "D"]
 
 
 def test_interleave_skips_duplicates():
-    first = RankedList("q", {"A": 3.0, "B": 2.0, "C": 1.0})
-    second = RankedList("q", {"B": 2.0, "D": 1.0})
+    first = RankedList({"A": 3.0, "B": 2.0, "C": 1.0})
+    second = RankedList({"B": 2.0, "D": 1.0})
     assert interleave([first, second]).doc_ids() == ["A", "B", "C", "D"]
 
 
 def test_interleave_single_list_rewrites_scores():
-    ranked = RankedList("q", {"A": 9.0, "B": 5.0})
+    ranked = RankedList({"A": 9.0, "B": 5.0})
     result = interleave([ranked])
     assert result.doc_ids() == ["A", "B"]
     assert [s for _, s in result.items] == [1.0, 0.5]
@@ -189,11 +184,6 @@ def test_fusing_no_lists_is_an_error(fuse):
         fuse([])
 
 
-def test_interleave_rejects_mismatched_query_ids():
-    with pytest.raises(ValueError):
-        interleave([RankedList("q1", {"a": 1.0}), RankedList("q2", {"a": 1.0})])
-
-
 def _random_disjoint_lists(rng, universe=60):
     """Lists with no shared doc_ids, the regime where no dedup skips occur."""
     n_lists = int(rng.integers(1, 5))
@@ -203,7 +193,7 @@ def _random_disjoint_lists(rng, universe=60):
         n = int(rng.integers(1, 12))
         chosen, pool = pool[:n], pool[n:]
         scores = {f"d{int(d):02d}": float(n - j) for j, d in enumerate(chosen)}
-        lists.append(_ranked("q", scores.items()))
+        lists.append(_ranked(scores.items()))
     return lists
 
 
@@ -248,7 +238,7 @@ def test_interleave_overlapping_lists_match_oracle():
             n = int(rng.integers(1, 15))
             chosen = rng.choice(25, size=n, replace=False)  # heavy overlap across lists
             scores = {f"d{int(d):02d}": float(n - j) for j, d in enumerate(chosen)}
-            lists.append(_ranked("q", scores.items()))
+            lists.append(_ranked(scores.items()))
         merged = interleave(lists).doc_ids()
         assert merged == oracle_round_robin([r.doc_ids() for r in lists])
 
@@ -259,18 +249,18 @@ def test_interleave_overlapping_lists_match_oracle():
 
 
 def test_pool_union():
-    first = RankedList("q", {"A": 2.0, "B": 1.0})
-    second = RankedList("q", {"B": 2.0, "C": 1.0})
+    first = RankedList({"A": 2.0, "B": 1.0})
+    second = RankedList({"B": 2.0, "C": 1.0})
     assert pool_candidates([first, second], 2) == ["A", "B", "C"]
 
 
 def test_pool_empty_lists():
-    assert pool_candidates([RankedList("q", {}), RankedList("q", {})], 5) == []
+    assert pool_candidates([RankedList({}), RankedList({})], 5) == []
 
 
 def test_pool_rejects_a_depth_below_one():
     with pytest.raises(ValueError, match="per_list_depth must be >= 1"):
-        pool_candidates([RankedList("q", {"A": 1.0})], 0)
+        pool_candidates([RankedList({"A": 1.0})], 0)
 
 
 def test_pool_contains_each_list_prefix():
@@ -280,7 +270,7 @@ def test_pool_contains_each_list_prefix():
         for _ in range(int(rng.integers(1, 6))):
             chosen = rng.choice(60, size=int(rng.integers(1, 20)), replace=False)
             scores = {f"d{int(d):02d}": float(len(chosen) - j) for j, d in enumerate(chosen)}
-            lists.append(_ranked("q", scores.items()))
+            lists.append(_ranked(scores.items()))
         depth = int(rng.integers(1, 10))
         pooled = set(pool_candidates(lists, depth))
         for ranked in lists:
@@ -305,9 +295,8 @@ def _store(*doc_ids):
 
 def test_rerank_stub_scorer_orders_by_suffix():
     get_passage = _store("d2", "d9", "d5")
-    result = rerank([NumericSuffixScorer()], "q", ["d2", "d9", "d5"], 3, get_passage, "qid")
+    result = rerank([NumericSuffixScorer()], "q", ["d2", "d9", "d5"], 3, get_passage)
     assert result.doc_ids() == ["d9", "d5", "d2"]
-    assert result.query_id == "qid"
 
 
 def test_rerank_depth_cutoff():
@@ -379,7 +368,7 @@ def _bits(ranked: RankedList):
     return [(doc_id, score.hex()) for doc_id, score in ranked.items]
 
 
-def reference_ensemble(query_id: str, lists) -> RankedList:
+def reference_ensemble(lists) -> RankedList:
     """The min-max mean in plain floats, each document's total summed in list order."""
     totals: dict[str, float] = {}
     for ranked in lists:
@@ -388,7 +377,7 @@ def reference_ensemble(query_id: str, lists) -> RankedList:
         for doc_id, score in ranked.items:
             normalized = 1.0 if high == low else (score - low) / (high - low)
             totals[doc_id] = totals.get(doc_id, 0.0) + normalized
-    return RankedList(query_id, {d: total / len(lists) for d, total in totals.items()})
+    return RankedList({d: total / len(lists) for d, total in totals.items()})
 
 
 def _random_row(rng, n: int) -> list[float]:
@@ -412,9 +401,9 @@ def test_rerank_equals_ensemble_fuse_of_the_per_scorer_rankings():
         n = int(rng.integers(1, 41))
         chosen = [doc_ids[int(i)] for i in rng.choice(40, size=n, replace=False)]
         rows = [_random_row(rng, n) for _ in range(int(rng.integers(2, 6)))]
-        result = rerank([_Row(row) for row in rows], "q", chosen, n, get_passage, "q")
-        per_scorer = [RankedList("q", dict(zip(chosen, row))) for row in rows]
-        want = _bits(reference_ensemble("q", per_scorer))
+        result = rerank([_Row(row) for row in rows], "q", chosen, n, get_passage)
+        per_scorer = [RankedList(dict(zip(chosen, row))) for row in rows]
+        want = _bits(reference_ensemble(per_scorer))
         assert _bits(result) == want
         assert _bits(ensemble_fuse(per_scorer)) == want
         # one to five lists that share only some documents, empty lists and singletons
@@ -422,8 +411,8 @@ def test_rerank_equals_ensemble_fuse_of_the_per_scorer_rankings():
         for _ in range(int(rng.integers(1, 6))):
             size = int(rng.choice([0, 1, int(rng.integers(n + 1))]))
             subset = [chosen[int(i)] for i in rng.choice(n, size=size, replace=False)]
-            lists.append(RankedList("q", dict(zip(subset, _random_row(rng, size)))))
-        assert _bits(ensemble_fuse(lists)) == _bits(reference_ensemble("q", lists))
+            lists.append(RankedList(dict(zip(subset, _random_row(rng, size)))))
+        assert _bits(ensemble_fuse(lists)) == _bits(reference_ensemble(lists))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -440,7 +429,7 @@ def test_rerank_rejects_a_non_finite_score(bad):
 
 
 def test_rerank_empty_candidates():
-    result = rerank([NumericSuffixScorer()], "q", [], 5, _store(), "qid")
+    result = rerank([NumericSuffixScorer()], "q", [], 5, _store())
     assert result.items == ()
 
 

@@ -369,7 +369,7 @@ def test_ranked_list_orders_any_mapping_best_first(scores, data):
         expected.append(best)
     shuffled = dict(data.draw(st.permutations(list(scores.items()))))
     for mapping in (scores, shuffled):
-        ranked = RankedList("q", mapping)
+        ranked = RankedList(mapping)
         assert [(d, repr(s)) for d, s in ranked.items] == [(d, repr(s)) for d, s in expected]
         assert isinstance(ranked.items, tuple) and all(type(i) is tuple for i in ranked.items)
 
@@ -377,15 +377,15 @@ def test_ranked_list_orders_any_mapping_best_first(scores, data):
     pairs = list(scores.items())
     pairs.insert(data.draw(st.integers(0, len(pairs))), ("bad-doc", bad))  # no drawn id is as long
     with pytest.raises(ValueError, match=re.escape(f"non-finite score {bad} for doc_id 'bad-doc'")):
-        RankedList("q", dict(pairs))
+        RankedList(dict(pairs))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_ranked_list_rejects_non_finite_scores(bad):
     with pytest.raises(ValueError, match="'b'"):
-        RankedList("q", {"a": 1.0, "b": bad, "c": 3.0})
+        RankedList({"a": 1.0, "b": bad, "c": 3.0})
     with pytest.raises(ValueError, match="'b'"):
-        RankedList("q", {"b": bad})
+        RankedList({"b": bad})
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,10 @@ def test_execute_turn_replay_miss_carries_turn_id(tmp_path):
 
 
 def test_turn_result_invariants():
-    ranking = RankedList("t_1", {"a": 2.0, "b": 1.0})
+    ranking = RankedList({"a": 2.0, "b": 1.0})
     with pytest.raises(ValueError, match="provenance"):
         TurnResult("t_1", ranking, (0,), "ans", ("zzz",))
-    too_long = RankedList("t_1", {f"d{i:04d}": float(i) for i in range(MAX_RANKING + 1)})
+    too_long = RankedList({f"d{i:04d}": float(i) for i in range(MAX_RANKING + 1)})
     with pytest.raises(ValueError, match="exceeds"):
         TurnResult("t_1", too_long, (0,), "ans", ())
 
@@ -378,7 +378,7 @@ def test_run_config_default_depths_are_1000():
 
 
 def _result(turn_id, pairs, labels=(1, 0), answer="ans"):
-    ranking = RankedList(turn_id, dict(pairs))
+    ranking = RankedList(dict(pairs))
     return TurnResult(turn_id, ranking, tuple(labels), answer, tuple(d for d, _ in pairs[:5]))
 
 
@@ -390,7 +390,7 @@ def test_write_trec_run_line_format():
 
 def test_write_trec_run_empty_ranking_writes_nothing():
     sink = io.StringIO()
-    result = TurnResult("t1_1", RankedList("t1_1", {}), (0,), "ans", ())
+    result = TurnResult("t1_1", RankedList({}), (0,), "ans", ())
     assert write_trec_run([result], "runX", sink) == 0
     assert sink.getvalue() == ""
 

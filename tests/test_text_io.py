@@ -61,10 +61,10 @@ def test_readers_agree_on_path_and_handle(tmp_path, reader, name):
 
 
 def _results() -> list[TurnResult]:
-    ranking = RankedList("1_1", {"D001": 2.5, "D002": 1.0})
+    ranking = RankedList({"D001": 2.5, "D002": 1.0})
     return [
         TurnResult("1_1", ranking, (1, 0), "café – naïve answer", ("D001", "D002")),
-        TurnResult("1_2", RankedList("1_2", {}), (0, 1), "", ()),
+        TurnResult("1_2", RankedList({}), (0, 1), "", ()),
     ]
 
 
@@ -123,7 +123,7 @@ def test_an_identifier_is_taken_iff_a_run_line_reads_it_back(value):
         lambda: list(read_corpus(io.StringIO(f"{value}\ttext\n"))),
         lambda: load_sparse_vectors(io.StringIO(f"{value}\tw:1\n")),
         lambda: RunConfig(run_tag=value, rewriter="human_rewrite", retriever="bm25"),
-        lambda: write_run_file([("q_1", RankedList("q_1", {"d1": 1.0}))], value, io.StringIO()),
+        lambda: write_run_file([("q_1", RankedList({"d1": 1.0}))], value, io.StringIO()),
     ]
     for enter in entry_points:
         if reads_back:
@@ -161,28 +161,38 @@ def test_an_identifier_holds_no_unprintable_character(char):
     lines = "".join(f"d{i}\tw:1\n" for i in range(300)) + f"{value}\tw:1\n"
     with pytest.raises(ValueError, match=re.escape(f"sparse-vector line 301: doc_id {holds}")):
         load_sparse_vectors(io.StringIO(lines))
+    # read_run_file and parse_qrels took it as a query id or doc_id, which matched nothing
+    for field, query_id, doc_id in (("query_id", value, "D1"), ("doc_id", "q_1", value)):
+        run = f"q_1 Q0 D0 1 2.0 t\n{query_id} Q0 {doc_id} 2 1.0 t\n"
+        with pytest.raises(ValueError, match=re.escape(f"run line 2: {field} {holds}")):
+            read_run_file(io.StringIO(run))
+        qrels = f"q_1 0 D0 1\n{query_id} 0 {doc_id} 1\n"
+        with pytest.raises(ValueError, match=re.escape(f"qrels line 2: {field} {holds}")):
+            parse_qrels(io.StringIO(qrels))
     topics = json.loads((FIXTURE_DIR / "topics.json").read_text(encoding="utf-8"))
     topics[1]["number"] = value
     with pytest.raises(ValueError, match=re.escape(f"topic #2: field 'number' {holds}")):
         parse_topics(io.StringIO(json.dumps(topics)))
     entry_points = [
         lambda: RunConfig(run_tag=value, rewriter="human_rewrite", retriever="bm25"),
-        lambda: write_run_file([("q_1", RankedList("q_1", {"d1": 1.0}))], value, io.StringIO()),
+        lambda: write_run_file([("q_1", RankedList({"d1": 1.0}))], value, io.StringIO()),
     ]
     for enter in entry_points:
         with pytest.raises(ValueError, match=re.escape(f"run_tag {holds}")):
             enter()
 
 
+
+
 def _run_file(directory, text, monkeypatch):
     path = directory / "a.run"
-    write_run_file([("1_1", RankedList("1_1", {text: 1.0}))], "tag", path)
+    write_run_file([("1_1", RankedList({text: 1.0}))], "tag", path)
     return path
 
 
 def _responses(directory, text, monkeypatch):
     path = directory / "a.responses.jsonl"
-    write_response_records([TurnResult("1_1", RankedList("1_1", {}), (), text, ())], path)
+    write_response_records([TurnResult("1_1", RankedList({}), (), text, ())], path)
     return path
 
 
@@ -190,7 +200,7 @@ def _report(directory, text, monkeypatch):
     # a report's JSON escapes every non-ASCII character, so its text is made to hold one
     path = directory / "report.json"
     monkeypatch.setattr(evaluation, "json", SimpleNamespace(dumps=lambda *args, **kw: text))
-    evaluate_rankings({"1_1": RankedList("1_1", {"D1": 1.0})}, Qrels({})).write_json(path)
+    evaluate_rankings({"1_1": RankedList({"D1": 1.0})}, Qrels({})).write_json(path)
     return path
 
 
