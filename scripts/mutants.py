@@ -109,10 +109,31 @@ CATALOGUE = (
     Mutant(
         "run-and-qrels-take-unprintable-identifiers",
         "src/convsearch/evaluation.py",
-        "if not (parts[0] + parts[2]).isprintable():",
+        "if not (parts[0] + parts[2] + parts[-1]).isprintable():",
         "if False:",
         ("tests/test_text_io.py::test_an_identifier_holds_no_unprintable_character",
-         "tests/test_cli.py::test_cli_evaluate_rejects_an_unprintable_identifier"),
+         "tests/test_cli.py::test_cli_evaluate_rejects_an_unprintable_identifier",
+         "tests/test_cli.py::test_cli_fuse_rejects_an_unprintable_run_tag"),
+    ),
+    Mutant(
+        "run-tag-takes-unprintable-characters",
+        "src/convsearch/evaluation.py",
+        "(parts[0] + parts[2] + parts[-1]).isprintable()",
+        "(parts[0] + parts[2]).isprintable()",
+        ("tests/test_text_io.py::test_an_identifier_holds_no_unprintable_character",
+         "tests/test_cli.py::test_cli_fuse_rejects_an_unprintable_run_tag"),
+    ),
+    Mutant(
+        "run-file-scored-outside-the-reader",
+        "src/convsearch/evaluation.py",
+        "    with _text(source) as handle:\n"
+        '        for lineno, (query_id, _, doc_id, _, score_text, _) in _records(handle, "run", 6):\n',
+        "    with _text(source) as handle:\n"
+        '        records = list(_records(handle, "run", 6))\n'
+        "    if True:\n"
+        "        for lineno, (query_id, _, doc_id, _, score_text, _) in records:\n",
+        ("tests/test_text_io.py::test_each_reader_names_the_file_it_reads",
+         "tests/test_cli.py::test_cli_fuse_names_the_bad_run_file"),
     ),
     Mutant(
         "cutoffs-take-threshold-zero",
@@ -123,12 +144,32 @@ CATALOGUE = (
          "tests/test_cli.py::test_cli_evaluate_rejects_a_threshold_below_one"),
     ),
     Mutant(
-        "topics-errors-name-no-file",
-        "src/convsearch/conversation.py",
-        'raise ValueError(f"topics {source}: {exc}") from exc',
+        "reader-errors-name-no-file",
+        "src/convsearch/index.py",
+        'raise ValueError(f"{kind} {source}: {exc}" if kind else f"{source}: {exc}") from exc',
         "raise",
         ("tests/test_conversation.py::test_parse_topics_names_the_file_it_reads",
-         "tests/test_cli.py::test_cli_run_rejects_a_repeated_topic_number"),
+         "tests/test_cli.py::test_cli_run_rejects_a_repeated_topic_number",
+         "tests/test_text_io.py::test_each_reader_names_the_file_it_reads",
+         "tests/test_cli.py::test_cli_evaluate_names_the_file_it_cannot_read",
+         "tests/test_cli.py::test_cli_fuse_names_the_bad_run_file",
+         "tests/test_cli.py::test_cli_run_names_a_broken_corpus_or_vector_file"),
+    ),
+    Mutant(
+        "threshold-counts-strictly-above",
+        "src/convsearch/evaluation.py",
+        "return sum(rel >= threshold for rel in grades)",
+        "return sum(rel > threshold for rel in grades)",
+        ("tests/test_evaluation.py::test_metrics_are_bit_identical_to_the_reference_bodies",
+         "tests/test_acceptance.py::test_criterion_1_metric_oracles"),
+    ),
+    Mutant(
+        "rerank-normalizes-a-lone-scorer",
+        "src/convsearch/fusion.py",
+        "rows if len(rows) == 1 else [_min_max(r) for r in rows]",
+        "[_min_max(r) for r in rows]",
+        ("tests/test_acceptance.py::test_criterion_5_replay_determinism",
+         "tests/test_pipeline.py::test_golden_turn_matches_frozen_record"),
     ),
 )
 

@@ -140,7 +140,7 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
     """Parse a topics file, preserving order and validating all invariants.
 
     Raises:
-        ValueError: starting ``topics <path>: `` when ``source`` is a path,
+        ValueError: starting ``topics <path>: `` for a path (see ``_text``),
             for a file that is not UTF-8 JSON or not an array, or naming the
             topic and field for a topic that is not an object, missing
             fields, a ``number`` that is not a JSON string or integer, is not
@@ -153,17 +153,12 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
             is not a JSON string (naming the turn too), or any string, the
             number included, holding a lone surrogate (as a JSON ``"\\ud800"`` gives).
     """
-    try:
-        with _text(source) as handle:
-            data = json.load(handle)
+    with _text(source, "topics") as handle:
+        data = json.load(handle)
         if not isinstance(data, list):
             raise ValueError("topics file must contain a JSON array of topics")
         seen: set[str] = set()
         return [_parse_topic(entry, position, seen) for position, entry in enumerate(data, start=1)]
-    except ValueError as exc:
-        if isinstance(source, (str, Path)):
-            raise ValueError(f"topics {source}: {exc}") from exc
-        raise
 
 
 def render_context(topic: Topic, current_turn: int) -> str:

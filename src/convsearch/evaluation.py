@@ -70,19 +70,19 @@ class Qrels:
         return set(self._by_query)
 
 
-def _records(source: str | Path | IO[str], kind: str, width: int) -> Iterator[tuple[int, list]]:
+def _records(handle: IO[str], kind: str, width: int) -> Iterator[tuple[int, list]]:
     """``(lineno, fields)`` of each non-blank line, split on whitespace into ``width`` fields."""
-    with _text(source) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != width:
-                raise ValueError(f"{kind} line {lineno}: expected {width} fields, got {len(parts)}")
-            if not (parts[0] + parts[2]).isprintable():  # a record's query id and doc_id
-                problem = _id_problem("query_id", parts[:1]) or _id_problem("doc_id", parts[2:3])
+    for lineno, line in enumerate(handle, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != width:
+            raise ValueError(f"{kind} line {lineno}: expected {width} fields, got {len(parts)}")
+        if not (parts[0] + parts[2] + parts[-1]).isprintable():  # query id, doc_id, a run's tag
+            problem = _id_problem("query_id", parts[:1]) or _id_problem("doc_id", parts[2:3])
+            if problem := problem or _id_problem("run_tag", parts[5:]):  # else a qrels grade
                 raise ValueError(f"{kind} line {lineno}: {problem}")
-            yield lineno, parts
+        yield lineno, parts
 
 
 def parse_qrels(source: str | Path | IO[str]) -> Qrels:
@@ -91,20 +91,21 @@ def parse_qrels(source: str | Path | IO[str]) -> Qrels:
     A grade is ASCII digits with an optional leading ``-``.
 
     Raises:
-        ValueError: with the line number for malformed lines, identifiers or
-            grades, negative grades, or duplicate (query_id, doc_id) pairs.
+        ValueError: with the line number, after the path for a path, for malformed
+            lines, identifiers or grades, negative grades, or duplicate (query_id, doc_id) pairs.
     """
     judgments: dict[tuple[str, str], int] = {}
-    for lineno, (query_id, _, doc_id, rel_text) in _records(source, "qrels", 4):
-        rel = _ascii_int(rel_text.removeprefix("-"))
-        if rel is None:
-            raise ValueError(f"qrels line {lineno}: non-integer relevance '{rel_text}'")
-        if rel and rel_text.startswith("-"):
-            raise ValueError(f"qrels line {lineno}: negative relevance -{rel}")
-        pair = (query_id, doc_id)
-        if pair in judgments:
-            raise ValueError(f"qrels line {lineno}: duplicate pair {pair}")
-        judgments[pair] = rel
+    with _text(source) as handle:
+        for lineno, (query_id, _, doc_id, rel_text) in _records(handle, "qrels", 4):
+            rel = _ascii_int(rel_text.removeprefix("-"))
+            if rel is None:
+                raise ValueError(f"qrels line {lineno}: non-integer relevance '{rel_text}'")
+            if rel and rel_text.startswith("-"):
+                raise ValueError(f"qrels line {lineno}: negative relevance -{rel}")
+            pair = (query_id, doc_id)
+            if pair in judgments:
+                raise ValueError(f"qrels line {lineno}: duplicate pair {pair}")
+            judgments[pair] = rel
     return Qrels(judgments)
 
 
@@ -236,23 +237,25 @@ def read_run_file(source: str | Path | IO[str]) -> dict[str, RankedList]:
     A score is an ASCII decimal without ``_`` that reads as a finite number.
 
     Raises:
-        ValueError: with the line number for malformed lines or identifiers, scores
-            that are not numbers or not finite, or a doc listed twice for a query.
+        ValueError: with the line number, after the path for a path, for malformed
+            lines or identifiers (the run tag's too), scores that are not numbers or
+            not finite, or a doc listed twice for a query.
     """
     per_query: dict[str, dict[str, float]] = {}
-    for lineno, (query_id, _, doc_id, _, score_text, _) in _records(source, "run", 6):
-        try:
-            if not score_text.isascii() or "_" in score_text:
-                raise ValueError
-            score = float(score_text)
-        except ValueError:
-            raise ValueError(f"run line {lineno}: non-numeric score '{score_text}'")
-        if not math.isfinite(score):
-            raise ValueError(f"run line {lineno}: non-finite score '{score_text}'")
-        bucket = per_query.setdefault(query_id, {})
-        if doc_id in bucket:
-            raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")
-        bucket[doc_id] = score
+    with _text(source) as handle:
+        for lineno, (query_id, _, doc_id, _, score_text, _) in _records(handle, "run", 6):
+            try:
+                if not score_text.isascii() or "_" in score_text:
+                    raise ValueError
+                score = float(score_text)
+            except ValueError:
+                raise ValueError(f"run line {lineno}: non-numeric score '{score_text}'")
+            if not math.isfinite(score):
+                raise ValueError(f"run line {lineno}: non-finite score '{score_text}'")
+            bucket = per_query.setdefault(query_id, {})
+            if doc_id in bucket:
+                raise ValueError(f"run line {lineno}: duplicate doc '{doc_id}' for '{query_id}'")
+            bucket[doc_id] = score
     return {qid: RankedList(scores) for qid, scores in per_query.items()}
 
 

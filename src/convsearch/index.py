@@ -43,7 +43,7 @@ import os
 import re
 from array import array
 from collections import Counter
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
@@ -191,15 +191,23 @@ class InvertedIndex:
         return 0 if tid is None else int(self._offsets[tid + 1] - self._offsets[tid])
 
 
-def _text(source: str | Path | IO[str]) -> AbstractContextManager[IO[str]]:
+@contextmanager
+def _text(source: str | Path | IO[str], kind: str = "") -> Iterator[IO[str]]:
     """A path opened as UTF-8 text to read, closed after the ``with``; an open handle as is.
 
     The one reader of a path.  It skips a leading byte-order mark (BOM), so
-    that a file with one reads as the same file without it.
+    that a file with one reads as the same file without it.  A ValueError in the
+    ``with``, a non-UTF-8 byte's too, is raised again as ``<kind> <path>: <message>``
+    (``<path>: <message>`` with no ``kind``); from an open handle it passes as it is.
     """
-    if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8-sig")
-    return nullcontext(source)  # the caller's handle stays open
+    if not isinstance(source, (str, Path)):
+        yield source  # the caller's handle stays open
+        return
+    with open(source, encoding="utf-8-sig") as handle:
+        try:
+            yield handle
+        except ValueError as exc:
+            raise ValueError(f"{kind} {source}: {exc}" if kind else f"{source}: {exc}") from exc
 
 
 def _write_text(sink: str | Path | IO[str], text: str) -> None:
@@ -275,8 +283,8 @@ def _tab_rows(lines: Iterable[str], kind: str, rest: str, start: int = 1) -> Ite
 def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
     """Yield passages from a ``<doc_id><TAB><text>`` file (UTF-8, one per line).
 
-    Raises ValueError with the line number for a line without a tab, or a
-    doc_id that is not an identifier or repeats.  Blank lines are skipped.
+    Raises ValueError with the line number, after the path for a path, for a line
+    without a tab or a doc_id that is not an identifier or repeats; skips blank lines.
     """
     seen: set[str] = set()
     with _text(source) as handle:
@@ -456,8 +464,8 @@ def load_sparse_vectors(source: str | Path | IO[str]) -> Mapping[str, SparseVect
     same grammar, so an error names the first bad line.
 
     Raises:
-        ValueError: naming the first bad line's number, for malformed
-            lines, negative or non-finite weights, or bad or duplicate doc_ids.
+        ValueError: naming the first bad line's number, after the path for a path, for
+            malformed lines, negative or non-finite weights, or bad or duplicate doc_ids.
     """
     columns = _Columns()
     with _text(source) as handle:

@@ -127,24 +127,22 @@ class LLMCache:
         """The cached response for ``key``, or None.
 
         Raises:
-            ValueError: naming the file, for a record that does not parse, lacks
-                a field, has a response that is not a string or holds a lone
+            ValueError: starting ``corrupt cache record <path>: ``, for a record that does
+                not parse, is not a JSON object, lacks a string field or holds a lone
                 surrogate, or whose ``model_id`` and ``prompt`` hash to another key.
         """
         path = self._path(key)
         if not path.exists():
             return None
-        try:
-            with _text(path) as handle:
-                record = json.load(handle)
+        with _text(path, "corrupt cache record") as handle:
+            record = json.load(handle)
+            for name in ("model_id", "prompt", "response"):
+                if not (isinstance(record, dict) and isinstance(record.get(name), str)):
+                    raise ValueError(f"not a JSON object with a string field '{name}'")
             if cache_key(record["model_id"], record["prompt"]) != key:
                 raise ValueError("its model_id and prompt belong to another key")
-            if not isinstance(record["response"], str):
-                raise TypeError(f"its response is {type(record['response']).__name__}, not str")
             record["response"].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
             return record["response"]
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"corrupt cache record {path}: {exc!r}") from exc
 
     def put(self, key: str, model_id: str, prompt: str, response: str) -> None:
         """Store ``response`` under ``key``, which must be ``cache_key(model_id, prompt)``.

@@ -320,7 +320,7 @@ def load_run_spec(path: str | Path) -> RunSpec:
     """Load a JSON run spec; relative paths resolve against the file's directory.
 
     Raises:
-        ValueError: naming the file and then the key, for a key that is
+        ValueError: starting ``run spec <path>: ``, then naming the key, for a key that is
             neither a :class:`RunConfig` field nor one of ``paths``,
             ``model_id`` and ``llm_mode``; a ``paths`` name other than
             ``corpus``, ``sparse_vectors``, ``topics``, ``qrels`` and
@@ -329,9 +329,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
             invalid config or ``llm_mode``; or a file that is not a JSON object.
     """
     spec_path = Path(path)
-    try:
-        with _text(spec_path) as handle:
-            data = json.load(handle)
+    with _text(spec_path, "run spec") as handle:
+        data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}
@@ -355,8 +354,6 @@ def load_run_spec(path: str | Path) -> RunSpec:
         if missing:
             raise ValueError(f"missing fields {missing}")
         return RunSpec(config=RunConfig(**_json_fields(RunConfig, data)), **settings)
-    except ValueError as exc:
-        raise ValueError(f"run spec {spec_path}: {exc}") from exc
 
 
 def _require_paths(spec: RunSpec, names: Sequence[str]) -> None:

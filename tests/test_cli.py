@@ -357,8 +357,61 @@ def test_cli_evaluate_rejects_an_unprintable_identifier(tmp_path, capsys, bad):
         paths[kind] = tmp_path / kind
         paths[kind].write_text(line.format("\u200b1" if kind == bad else "1"), encoding="utf-8")
     assert main(["evaluate", "--run", str(paths["run"]), "--qrels", str(paths["qrels"])]) == 1
-    message = f"error: {bad} line 1: doc_id holds the unprintable character '\\u200b'"
+    message = f"error: {paths[bad]}: {bad} line 1: doc_id holds the unprintable character '\\u200b'"
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["run", "qrels"])
+def test_cli_evaluate_names_the_file_it_cannot_read(tmp_path, capsys, bad):
+    # a 0xff byte in --run answered "'utf-8' codec can't decode byte 0xff ...", naming no file
+    paths = {"run": tmp_path / "a.run", "qrels": tmp_path / "a.qrels"}
+    paths["run"].write_text("1_1 Q0 D1 1 1.0 a\n", encoding="utf-8")
+    paths["qrels"].write_text("1_1 0 D1 1\n", encoding="utf-8")
+    paths[bad].write_bytes(paths[bad].read_bytes().replace(b"D1", b"D\xff"))
+    assert main(["evaluate", "--run", str(paths["run"]), "--qrels", str(paths["qrels"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[bad]}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count(str(tmp_path)) == 1
+
+
+def test_cli_fuse_names_the_bad_run_file(tmp_path, capsys):
+    # `fuse good.run bad.run good.run` answered "run line 1: non-numeric score 'abc'"
+    good, bad = tmp_path / "good.run", tmp_path / "bad.run"
+    good.write_text("1_1 Q0 D1 1 1.0 a\n", encoding="utf-8")
+    bad.write_text("1_1 Q0 D1 1 abc a\n", encoding="utf-8")
+    argv = ["fuse", str(good), str(bad), str(good), "--out", str(tmp_path / "fused.run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: run line 1: non-numeric score 'abc'\n"
+    assert not (tmp_path / "fused.run").exists()
+
+
+def test_cli_fuse_rejects_an_unprintable_run_tag(tmp_path, capsys):
+    # a run tag 't\u200b' read back without a word, though write_run_file refuses to write it
+    run = tmp_path / "a.run"
+    run.write_text("1_1 Q0 D1 1 1.0 t\u200b\n", encoding="utf-8")
+    assert main(["fuse", str(run), "--out", str(tmp_path / "fused.run")]) == 1
+    message = f"error: {run}: run line 1: run_tag holds the unprintable character '\\u200b'"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["corpus", "sparse_vectors"])
+def test_cli_run_names_a_broken_corpus_or_vector_file(tmp_path, capsys, key):
+    # a bad line in either file failed the run with "<kind> line N: ..." alone, naming no file
+    spec = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
+    lines = Path(paths[key]).read_text(encoding="utf-8").splitlines(keepends=True)
+    broken = tmp_path / Path(paths[key]).name
+    broken.write_text("".join(lines) + "no tab\n", encoding="utf-8")
+    spec["paths"] = dict(paths, **{key: str(broken)}, cache_dir=str(tmp_path / "cache"))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["run", "--config", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    kind = {"corpus": "corpus", "sparse_vectors": "sparse-vector"}[key]
+    assert err.startswith(f"error: {broken}: {kind} line {len(lines) + 1}: expected '<doc_id>")
+    assert err.count(str(tmp_path)) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_a_repeated_topic_number(tmp_path, capsys):

@@ -211,6 +211,7 @@ def test_corrupt_cache_record_names_its_path(tmp_path):
     bodies = {
         "truncated": '{"response": "a',
         "noresponse": '{"prompt": "p"}',
+        "notanobject": "[]",
         cache_key("m", "two"): copied,  # a whole record, filed under another key
         # a null response would read as a miss of a key whose file exists
         cache_key("m", "null"): json.dumps({"model_id": "m", "prompt": "null", "response": None}),
@@ -221,8 +222,9 @@ def test_corrupt_cache_record_names_its_path(tmp_path):
     for key, body in bodies.items():
         path = tmp_path / f"{key}.json"
         path.write_text(body, encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"corrupt cache record {path}")):
+        with pytest.raises(ValueError, match=re.escape(f"corrupt cache record {path}: ")) as raised:
             cache.get(key)
+        assert str(raised.value).count(str(path)) == 1
 
 
 def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import ast
 import io
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +27,13 @@ from convsearch.evaluation import (
 )
 from convsearch.index import Passage, RankedList, load_sparse_vectors, read_corpus
 from convsearch.llm import LLMCache, cache_key
-from convsearch.pipeline import RunConfig, TurnResult, write_response_records, write_trec_run
+from convsearch.pipeline import (
+    RunConfig,
+    TurnResult,
+    load_run_spec,
+    write_response_records,
+    write_trec_run,
+)
 
 from conftest import FIXTURE_DIR, REPO
 
@@ -169,6 +176,13 @@ def test_an_identifier_holds_no_unprintable_character(char):
         qrels = f"q_1 0 D0 1\n{query_id} 0 {doc_id} 1\n"
         with pytest.raises(ValueError, match=re.escape(f"qrels line 2: {field} {holds}")):
             parse_qrels(io.StringIO(qrels))
+    # read_run_file took it as a run tag, which write_run_file refuses to write
+    with pytest.raises(ValueError, match=re.escape(f"run line 2: run_tag {holds}")):
+        read_run_file(io.StringIO(f"q_1 Q0 D0 1 2.0 t\nq_1 Q0 D1 2 1.0 {value}\n"))
+    # a qrels line's last field is its grade, not a run tag
+    grade = re.escape(f"qrels line 1: non-integer relevance '1{char}'")
+    with pytest.raises(ValueError, match=grade):
+        parse_qrels(io.StringIO(f"q_1 0 D0 1{char}\n"))
     topics = json.loads((FIXTURE_DIR / "topics.json").read_text(encoding="utf-8"))
     topics[1]["number"] = value
     with pytest.raises(ValueError, match=re.escape(f"topic #2: field 'number' {holds}")):
@@ -182,6 +196,51 @@ def test_an_identifier_holds_no_unprintable_character(char):
             enter()
 
 
+
+
+def _cache_record(path):
+    return LLMCache(Path(path).parent).get(Path(path).stem)
+
+
+# a reader, the kind its errors name a path with, a text it rejects and the message
+# it gives for that text; the first five also read an open handle, naming no file
+READERS = {
+    "corpus": (lambda source: list(read_corpus(source)), "", "d1\ta\nd1\tb\n",
+               "corpus line 2: duplicate doc_id 'd1'"),
+    "sparse-vectors": (load_sparse_vectors, "", "d1\tw:1\nd2\tw:-1\n",
+                       "sparse-vector line 2: negative weight in 'w:-1'"),
+    "topics": (parse_topics, "topics ", "[1]", "topic #1: must be an object, got int"),
+    "qrels": (parse_qrels, "", "q_1 0 D1 1\nq_1 0 D1 2\n",
+              "qrels line 2: duplicate pair ('q_1', 'D1')"),
+    "run": (read_run_file, "", "q_1 Q0 D1 1 2.0 t\nq_1 Q0 D2 2 abc t\n",
+            "run line 2: non-numeric score 'abc'"),
+    "run-spec": (load_run_spec, "run spec ", "[]", "expected a JSON object, got list"),
+    "cache-record": (_cache_record, "corrupt cache record ", "[]",
+                     "not a JSON object with a string field 'model_id'"),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_each_reader_names_the_file_it_reads(tmp_path, name):
+    # `fuse a.run bad.run a.run` answered "run line 1: non-numeric score 'abc'", naming no file
+    read, kind, text, message = READERS[name]
+    if name not in ("run-spec", "cache-record"):
+        with pytest.raises(ValueError) as from_handle:
+            read(io.StringIO(text))
+        assert str(from_handle.value) == message
+    path = tmp_path / "input.json"
+    for source in (path, str(path)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as from_path:
+            read(source)
+        assert str(from_path.value) == f"{kind}{path}: {message}"
+        # a non-UTF-8 byte named no file at all
+        path.write_bytes(b"\xff" + text.encode("utf-8"))
+        with pytest.raises(ValueError) as from_path:
+            read(source)
+        named = str(from_path.value)
+        assert named.startswith(f"{kind}{path}: 'utf-8' codec can't decode byte 0xff")
+        assert named.count(str(path)) == 1
 
 
 def _run_file(directory, text, monkeypatch):
