@@ -171,6 +171,42 @@ CATALOGUE = (
         ("tests/test_acceptance.py::test_criterion_5_replay_determinism",
          "tests/test_pipeline.py::test_golden_turn_matches_frozen_record"),
     ),
+    Mutant(
+        "json-value-takes-a-boolean-for-an-integer",
+        "src/convsearch/index.py",
+        "if type(value) is not kind:",
+        "if not isinstance(value, kind):",
+        ("tests/test_conversation.py::test_parse_topics_names_the_topic_and_field_of_a_bad_number",
+         "tests/test_pipeline.py::test_config_values_must_have_their_json_type"),
+    ),
+    Mutant(
+        "json-value-takes-a-lone-surrogate",
+        "src/convsearch/index.py",
+        "    if kind is str and (problem := _surrogate_problem(value)):\n"
+        '        raise ValueError(f"{what} {problem}")\n',
+        "",
+        ("tests/test_text_io.py::test_one_wording_for_a_json_value",
+         "tests/test_conversation.py::test_parse_topics_rejects_a_lone_surrogate_in_any_string",
+         "tests/test_cli.py::test_cli_run_rejects_a_lone_surrogate_in_the_spec"),
+    ),
+    Mutant(
+        "run-spec-array-items-unchecked",
+        "src/convsearch/pipeline.py",
+        'tuple(_json_value(v, str, f"{what} item #{n}") for n, v in items)',
+        "tuple(v for n, v in items)",
+        ("tests/test_pipeline.py::test_config_values_must_have_their_json_type",
+         "tests/test_cli.py::test_cli_run_rejects_a_lone_surrogate_in_the_spec"),
+    ),
+    Mutant(
+        "record-mode-stores-a-reply-before-its-task-parses-it",
+        "src/convsearch/llm.py",
+        "        parsed = parse(response)\n"
+        "        self.cache.put(key, self.model_id, prompt, response)\n",
+        "        self.cache.put(key, self.model_id, prompt, response)\n"
+        "        parsed = parse(response)\n",
+        ("tests/test_pipeline.py::test_record_mode_resumes_after_any_failed_call",
+         "tests/test_llm.py::test_a_reply_its_task_cannot_parse_is_not_stored"),
+    ),
 )
 
 # left out of the copy: version control, caches and what runs leave behind

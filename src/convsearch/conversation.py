@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
-from .index import _ascii_int, _id_problem, _surrogate_problem, _text
+from .index import _ascii_int, _id_problem, _json_value, _text
 
 __all__ = [
     "Turn",
@@ -68,26 +68,9 @@ class Topic:
                 raise ValueError(f"topic '{self.topic_id}': non-contiguous turns")
 
 
-_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
-
-
-def _typed(value: object, kind: type, topic: str, field: str):
-    """``value`` if its JSON type is ``kind`` (a boolean is no int) and UTF-8 encodes it.
-
-    The message shows the value given for a string or an integer, else only its type.
-    """
-    if type(value) is not kind:
-        got = repr(value) if kind in (str, int) else type(value).__name__
-        raise ValueError(f"{topic}: {field} must be {_JSON_TYPES[kind]}, got {got}")
-    if kind is str and (problem := _surrogate_problem(value)):
-        raise ValueError(f"{topic}: {field} {problem}")
-    return value
-
-
 def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
     """The topic of ``entry``; its number, new to ``seen`` (the earlier ones), is added to it."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"topic #{position}: must be an object, got {type(entry).__name__}")
+    _json_value(entry, dict, f"topic #{position}")
     for required in ("number", "title", "ptkb", "turns"):
         if required not in entry:
             raise ValueError(f"topic #{position}: missing field '{required}'")
@@ -102,8 +85,8 @@ def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
         raise ValueError(f"topic #{position}: duplicate number '{topic_id}'")
     seen.add(topic_id)
     topic = f"topic '{topic_id}'"
-    title = _typed(entry["title"], str, topic, "field 'title'")
-    ptkb = _typed(entry["ptkb"], dict, topic, "field 'ptkb'")
+    title = _json_value(entry["title"], str, f"{topic}: field 'title'")
+    ptkb = _json_value(entry["ptkb"], dict, f"{topic}: field 'ptkb'")
     if not ptkb:
         raise ValueError(f"{topic}: field 'ptkb' must hold at least one statement")
     indexed = []
@@ -111,21 +94,21 @@ def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
         index = _ascii_int(key)
         if index is None:
             raise ValueError(f"{topic}: ptkb key must be an integer, got {key!r}")
-        indexed.append((index, _typed(text, str, topic, f"ptkb statement '{key}'")))
+        indexed.append((index, _json_value(text, str, f"{topic}: ptkb statement '{key}'")))
     indexed.sort(key=lambda pair: pair[0])
     if indexed[0][0] < 1:
         raise ValueError(f"{topic}: ptkb statement index must be >= 1")
     if [i for i, _ in indexed] != list(range(1, len(indexed) + 1)):
         raise ValueError(f"{topic}: ptkb indices must be contiguous from 1")
     turns = []
-    for n, turn_entry in enumerate(_typed(entry["turns"], list, topic, "field 'turns'"), 1):
-        turn_entry = _typed(turn_entry, dict, topic, f"turn #{n}")
+    for n, turn_entry in enumerate(_json_value(entry["turns"], list, f"{topic}: field 'turns'"), 1):
+        turn_entry = _json_value(turn_entry, dict, f"{topic}: turn #{n}")
         for required in ("turn_number", "utterance"):
             if required not in turn_entry:
                 raise ValueError(f"{topic}: turn missing field '{required}'")
-        number = _typed(turn_entry["turn_number"], int, topic, "field 'turn_number'")
+        number = _json_value(turn_entry["turn_number"], int, f"{topic}: field 'turn_number'")
         text = {
-            name: _typed(turn_entry[name], str, topic, f"turn {number} field '{name}'")
+            name: _json_value(turn_entry[name], str, f"{topic}: turn {number} field '{name}'")
             for name in ("utterance", "response", "manual_rewrite")
             if name in turn_entry
         }
@@ -140,23 +123,18 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
     """Parse a topics file, preserving order and validating all invariants.
 
     Raises:
-        ValueError: starting ``topics <path>: `` for a path (see ``_text``),
-            for a file that is not UTF-8 JSON or not an array, or naming the
-            topic and field for a topic that is not an object, missing
-            fields, a ``number`` that is not a JSON string or integer, is not
-            an identifier (see ``_id_problem``) or repeats an earlier one
-            (these naming the topic ``#N`` by position), a ptkb that is not
-            a non-empty object, turns that are not an array of objects, a
-            ptkb key that is not ASCII digits, an empty statement, a turn
-            number that is not a JSON integer, numbering not contiguous from 1, or
-            a title, statement, utterance, response or manual rewrite that
-            is not a JSON string (naming the turn too), or any string, the
-            number included, holding a lone surrogate (as a JSON ``"\\ud800"`` gives).
+        ValueError: starting ``topics <path>: `` for a path (see ``_text``), for a file
+            that is not UTF-8 JSON, or naming the topic (``#N`` by position until its
+            number is read) and field: in ``_json_value``'s wording for a value of
+            another JSON type or a string with a lone surrogate (the file an array,
+            a topic or turn an object, ``ptkb`` an object, ``turns`` an array, a turn
+            number an integer, every text a string); for missing fields, a ``number``
+            that is not a JSON string or integer, is not an identifier (see
+            ``_id_problem``) or repeats, an empty ptkb, a ptkb key that is not ASCII
+            digits, an empty statement, or numbering not contiguous from 1.
     """
     with _text(source, "topics") as handle:
-        data = json.load(handle)
-        if not isinstance(data, list):
-            raise ValueError("topics file must contain a JSON array of topics")
+        data = _json_value(json.load(handle), list, "top-level value")
         seen: set[str] = set()
         return [_parse_topic(entry, position, seen) for position, entry in enumerate(data, start=1)]
 

@@ -269,6 +269,24 @@ def _surrogate_problem(text: str) -> str | None:
     return f"holds the lone surrogate {match.group()!r}"
 
 
+_JSON_KINDS = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+
+
+def _json_value(value: object, kind: type, what: str):
+    """``value`` if its JSON type is ``kind`` (str, int, list or dict; a bool is no int).
+
+    The one check of a JSON value; a string must also hold no lone surrogate.  It raises
+    ValueError ``<what> must be a string, got 5`` (the value for str and int, else its
+    type name: ``got dict``) or ``<what> holds the lone surrogate '\\ud800'``.
+    """
+    if type(value) is not kind:
+        got = repr(value) if kind in (str, int) else type(value).__name__
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {got}")
+    if kind is str and (problem := _surrogate_problem(value)):
+        raise ValueError(f"{what} {problem}")
+    return value
+
+
 def _tab_rows(lines: Iterable[str], kind: str, rest: str, start: int = 1) -> Iterator[tuple]:
     """``(lineno, [doc_id, rest])`` per non-empty ``<doc_id><TAB><rest>`` line, from ``start``."""
     for lineno, raw in enumerate(lines, start=start):
@@ -284,7 +302,8 @@ def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
     """Yield passages from a ``<doc_id><TAB><text>`` file (UTF-8, one per line).
 
     Raises ValueError with the line number, after the path for a path, for a line
-    without a tab or a doc_id that is not an identifier or repeats; skips blank lines.
+    without a tab, a doc_id that is not an identifier or repeats, or a text that is
+    empty or only whitespace (``empty text for doc_id '<doc_id>'``); skips blank lines.
     """
     seen: set[str] = set()
     with _text(source) as handle:
@@ -296,6 +315,8 @@ def read_corpus(source: str | Path | IO[str]) -> Iterator[Passage]:
                 passage = Passage(doc_id, text)  # positional: keywords cost as much as a check
             except ValueError as exc:
                 raise ValueError(f"corpus line {lineno}: {exc}") from None
+            if not text or text.isspace():
+                raise ValueError(f"corpus line {lineno}: empty text for doc_id '{doc_id}'")
             yield passage
 
 
@@ -409,13 +430,10 @@ def build_index(corpus: Iterable[Passage]) -> InvertedIndex:
     Deterministic given identical corpus order.
 
     Raises:
-        ValueError: on a duplicate doc_id or an empty passage text, naming
-            the doc_id.
+        ValueError: on a duplicate doc_id, naming it.
     """
     columns = _Columns()
     for passage in corpus:
-        if not passage.text:
-            raise ValueError(f"empty text for doc_id '{passage.doc_id}'")
         tokens = InvertedIndex.analyzer.tokenize(passage.text)
         columns.append(passage.doc_id, tokens)
     return _build("bm25", columns)

@@ -5,8 +5,9 @@ an append-only directory of human-readable JSON records, one file per key.
 Two modes, :data:`LLM_MODES`:
 
 * ``record``  - serve from cache when present, otherwise call the transport
-  and store the result; pointed at an empty cache directory, every
-  exchange goes to the transport.  Re-running a failed run resumes it.
+  and store a reply once its task has parsed it; pointed at an empty cache
+  directory, every exchange goes to the transport.  Re-running a failed run
+  resumes it, one failed by a reply with no queries in it too.
 * ``replay``  - cache only; a missing key raises :class:`CacheMissError`
   and no network traffic occurs.
 
@@ -34,9 +35,9 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .index import Passage, _text, _write_text
+from .index import Passage, _json_value, _text, _write_text
 from .prompts import TEMPLATES, render_prompt
 
 __all__ = [
@@ -128,20 +129,21 @@ class LLMCache:
 
         Raises:
             ValueError: starting ``corrupt cache record <path>: ``, for a record that does
-                not parse, is not a JSON object, lacks a string field or holds a lone
-                surrogate, or whose ``model_id`` and ``prompt`` hash to another key.
+                not parse or is not an object, lacks a field (``missing field 'prompt'``),
+                whose ``model_id``, ``prompt`` or ``response`` fails ``_json_value``'s string
+                rule, or whose ``model_id`` and ``prompt`` hash to another key.
         """
         path = self._path(key)
         if not path.exists():
             return None
         with _text(path, "corrupt cache record") as handle:
-            record = json.load(handle)
+            record = _json_value(json.load(handle), dict, "top-level value")
             for name in ("model_id", "prompt", "response"):
-                if not (isinstance(record, dict) and isinstance(record.get(name), str)):
-                    raise ValueError(f"not a JSON object with a string field '{name}'")
+                if name not in record:
+                    raise ValueError(f"missing field '{name}'")
+                _json_value(record[name], str, f"field '{name}'")
             if cache_key(record["model_id"], record["prompt"]) != key:
                 raise ValueError("its model_id and prompt belong to another key")
-            record["response"].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
             return record["response"]
 
     def put(self, key: str, model_id: str, prompt: str, response: str) -> None:
@@ -179,15 +181,12 @@ class HttpChatTransport:
         }
         body = _post_json(self.endpoint_url, payload, headers)
         try:
-            content = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
-            if not isinstance(content, str):
-                raise TypeError(f"content {content!r} is not a string")
-            content.encode("utf-8")  # a lone surrogate, which no cache record can hold, raises
+            reply = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
+            return _json_value(reply, str, "content")  # as a cache record must hold it
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(
                 f"malformed completion response: {exc} from {self.endpoint_url}"
             ) from exc
-        return content
 
 
 _ENUMERATION_RE = re.compile(r"^\s*(?:\d+[.)](?!\d)|[-*•])\s*")
@@ -248,19 +247,27 @@ class LLMGateway:
         self.mode = mode
         self.transport = transport
 
-    def complete(self, prompt: str) -> str:
-        """Return the model response for ``prompt`` per the gateway mode."""
+    def complete(self, prompt: str, parse: Callable[[str], Any] = str) -> Any:
+        """``parse(response)`` (the response by default) for ``prompt``, per the gateway mode.
+
+        A transport's response is stored once ``parse`` accepts it; a cached one that
+        ``parse`` rejects raises ValueError starting ``corrupt cache record <path>: ``.
+        """
         key = cache_key(self.model_id, prompt)
         cached = self.cache.get(key)
         if cached is not None:
-            return cached
+            try:
+                return parse(cached)
+            except ValueError as exc:
+                raise ValueError(f"corrupt cache record {self.cache._path(key)}: {exc}") from exc
         if self.mode == "replay":
             raise CacheMissError(key)
         if self.transport is None:
             raise TransportError("no transport configured (replay-only gateway)")
         response = self.transport(self.model_id, prompt)
+        parsed = parse(response)
         self.cache.put(key, self.model_id, prompt, response)
-        return response
+        return parsed
 
     def generate_queries(
         self,
@@ -281,8 +288,7 @@ class LLMGateway:
                 "user utterance": utterance,
             },
         )
-        response = self.complete(prompt)
-        return QuerySet(tuple(_parse_query_lines(response, phi)))
+        return QuerySet(tuple(self.complete(prompt, lambda reply: _parse_query_lines(reply, phi))))
 
     def generate_rewrite(
         self,

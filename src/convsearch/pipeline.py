@@ -38,7 +38,7 @@ from .index import (
     Passage,
     RankedList,
     _id_problem,
-    _surrogate_problem,
+    _json_value,
     _text,
     _write_text,
     bm25_retrieve,
@@ -76,40 +76,27 @@ _PATH_NAMES = ("corpus", "sparse_vectors", "topics", "qrels", "cache_dir")
 
 
 def _json_fields(cls: type, data: Mapping) -> dict:
-    """The entries of ``data`` that name fields of dataclass ``cls``, type-checked.
+    """The entries of ``data`` that name fields of dataclass ``cls``, checked by ``_json_value``.
 
-    A ``str`` or ``int`` field takes exactly that JSON type (an ``int`` no
-    boolean); a tuple field takes a list of strings, returned as a tuple,
-    and a mapping field an object of strings.  Absent fields are left to the
-    dataclass defaults.
-
-    Raises:
-        ValueError: naming the field whose value has another JSON type, or
-            holds a string, a key included, with a lone surrogate (as a
-            JSON ``"\\ud800"`` escape gives).
+    A ``str`` or ``int`` field takes that JSON type; a tuple field an array of
+    strings, returned as a tuple, and a mapping field an object of strings.
+    A bad item or value is named too: ``field 'scorer_ids' item #2 must be a
+    string, got 3``, ``field 'paths' value of 'corpus' …``, ``field 'paths' key …``.
     """
     hints = get_type_hints(cls)
     values = {}
     for name in (f.name for f in fields(cls) if f.name in data):
-        value, kind = data[name], get_origin(hints[name]) or hints[name]
+        value, kind, what = data[name], get_origin(hints[name]) or hints[name], f"field '{name}'"
         if kind is tuple:
-            wanted = "a list of strings"
-            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-            value = tuple(value) if ok else value
+            items = enumerate(_json_value(value, list, what), 1)
+            values[name] = tuple(_json_value(v, str, f"{what} item #{n}") for n, v in items)
         elif issubclass(kind, Mapping):
-            wanted = "an object of strings"
-            ok = isinstance(value, dict) and all(
-                isinstance(v, str) for item in value.items() for v in item
-            )
-            value = dict(value) if ok else value
+            values[name] = {
+                _json_value(k, str, f"{what} key"): _json_value(v, str, f"{what} value of {k!r}")
+                for k, v in _json_value(value, dict, what).items()
+            }
         else:
-            wanted, ok = kind.__name__, type(value) is kind
-        if not ok:
-            raise ValueError(f"field '{name}' must be {wanted}, got {value!r}")
-        # the value as JSON text holds each of its strings, keys included, as they are
-        if problem := _surrogate_problem(json.dumps(value, ensure_ascii=False)):
-            raise ValueError(f"field '{name}' {problem}")
-        values[name] = value
+            values[name] = _json_value(value, kind, what)
     return values
 
 
@@ -312,8 +299,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.llm_mode not in LLM_MODES:
             raise ValueError(f"unknown llm_mode '{self.llm_mode}'")
-        if problem := _surrogate_problem(self.model_id):  # it goes into every cache key
-            raise ValueError(f"model_id {problem}")
+        _json_value(self.model_id, str, "model_id")  # it goes into every cache key
 
 
 def load_run_spec(path: str | Path) -> RunSpec:
@@ -324,15 +310,13 @@ def load_run_spec(path: str | Path) -> RunSpec:
             neither a :class:`RunConfig` field nor one of ``paths``,
             ``model_id`` and ``llm_mode``; a ``paths`` name other than
             ``corpus``, ``sparse_vectors``, ``topics``, ``qrels`` and
-            ``cache_dir``; an absent field without a default; a value of the
-            wrong JSON type or with a string holding a lone surrogate; an
-            invalid config or ``llm_mode``; or a file that is not a JSON object.
+            ``cache_dir``; an absent field without a default; a value that fails
+            ``_json_value`` (see ``_json_fields``); an invalid config or
+            ``llm_mode``; or a file whose top-level value is not an object.
     """
     spec_path = Path(path)
     with _text(spec_path, "run spec") as handle:
-        data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        data = _json_value(json.load(handle), dict, "top-level value")
         known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -402,7 +386,8 @@ def execute_spec(
     """Execute a run spec and write ``<run_tag>.run`` and ``<run_tag>.responses.jsonl``.
 
     The LLM gateway runs in the spec's ``llm_mode``.  Returns the two
-    output paths.
+    output paths, replaced as a pair: both earlier files go once every turn has
+    succeeded, so a failed write leaves no earlier run's file beside a new one.
 
     Raises:
         ValueError: naming the paths the run needs that the spec lacks,
@@ -426,6 +411,8 @@ def execute_spec(
     out.mkdir(parents=True, exist_ok=True)
     run_path = out / f"{spec.config.run_tag}.run"
     responses_path = out / f"{spec.config.run_tag}.responses.jsonl"
+    for earlier in (run_path, responses_path):
+        earlier.unlink(missing_ok=True)
     write_trec_run(results, spec.config.run_tag, run_path)
     write_response_records(results, responses_path)
     return run_path, responses_path

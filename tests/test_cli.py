@@ -433,13 +433,15 @@ def test_cli_run_rejects_a_repeated_topic_number(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("run_tag", "gpt4qr-bm25-qd1\ud800"), ("model_id", "gpt-4\ud800"),
-     ("scorer_ids", ["minilm", "\udfff"]), ("scorer_endpoints", {"minilm\ud800": "http://x"}),
-     ("paths", {"topics": "topics\udfff.json"})],
+    "key, value, what",
+    [("run_tag", "gpt4qr-bm25-qd1\ud800", "field 'run_tag'"),
+     ("model_id", "gpt-4\ud800", "field 'model_id'"),
+     ("scorer_ids", ["minilm", "\udfff"], "field 'scorer_ids' item #2"),
+     ("scorer_endpoints", {"minilm\ud800": "http://x"}, "field 'scorer_endpoints' key"),
+     ("paths", {"topics": "topics\udfff.json"}, "field 'paths' value of 'topics'")],
     ids=["run_tag", "model_id", "scorer_ids", "scorer_endpoints", "paths"],
 )
-def test_cli_run_rejects_a_lone_surrogate_in_the_spec(tmp_path, capsys, key, value):
+def test_cli_run_rejects_a_lone_surrogate_in_the_spec(tmp_path, capsys, key, value, what):
     # a JSON "\ud800" escape used to pass set-up: a run_tag failed the writer with a
     # bare codec error after every turn had run, a model_id the first cache key
     spec = json.loads((CONFIG_DIR / "gpt4qr_bm25_qd1.json").read_text(encoding="utf-8"))
@@ -450,7 +452,7 @@ def test_cli_run_rejects_a_lone_surrogate_in_the_spec(tmp_path, capsys, key, val
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
     argv = ["run", "--config", str(spec_path), "--llm-mode", "record", "--scripted"]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
-    message = f"error: run spec {spec_path}: field '{key}' holds the lone surrogate '\\ud"
+    message = f"error: run spec {spec_path}: {what} holds the lone surrogate '\\ud"
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

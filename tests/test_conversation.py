@@ -82,11 +82,11 @@ def _with_turns(turns):
 
 @pytest.mark.parametrize(
     "data, message",
-    [({"1": _topic_payload()}, "topics file must contain a JSON array of topics"),
+    [({"1": _topic_payload()}, "top-level value must be an array, got dict"),
      (_without_utterance(), "topic '1': turn missing field 'utterance'"),
      ([_topic_payload(), ["number", "title", "ptkb", "turns"]],
-      "topic #2: must be an object, got list"),
-     (["number title ptkb turns"], "topic #1: must be an object, got str"),
+      "topic #2 must be an object, got list"),
+     (["number title ptkb turns"], "topic #1 must be an object, got str"),
      (_with_turns(3), "topic '1': field 'turns' must be an array, got int"),
      (_with_turns({"1": {"turn_number": 1, "utterance": "u"}}),
       "topic '1': field 'turns' must be an array, got dict"),
@@ -107,7 +107,7 @@ def test_parse_topics_rejects_a_bad_shape(data, message):
 @pytest.mark.parametrize(
     "text, message",
     [(json.dumps([_topic_payload()])[:-2], "Expecting ',' delimiter: line 1"),
-     (json.dumps(_topic_payload()), "topics file must contain a JSON array of topics")],
+     (json.dumps(_topic_payload()), "top-level value must be an array, got dict")],
     ids=["truncated", "not-an-array"],
 )
 def test_parse_topics_names_the_file_it_reads(tmp_path, text, message):

@@ -118,9 +118,19 @@ def test_build_index_rejects_duplicate_doc_id():
         build_index([Passage("d1", "a"), Passage("d1", "b")])
 
 
-def test_build_index_empty_text_policy():
-    with pytest.raises(ValueError, match="empty text for doc_id 'd1'"):
-        build_index([Passage("d0", "a"), Passage("d1", "")])
+def test_read_corpus_empty_text_policy(tmp_path):
+    # "d2<TAB>" passed the reader and failed the build naming no file or line, while
+    # "d2<TAB>   " passed both: the reader now holds the one rule, for both texts
+    path = tmp_path / "corpus.tsv"
+    for text in ("", "   "):
+        path.write_text(f"d1\ta\nd2\t{text}\nd3\tb\n", encoding="utf-8")
+        message = f"{path}: corpus line 2: empty text for doc_id 'd2'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(read_corpus(path))
+        with pytest.raises(ValueError, match="^corpus line 2: empty text for doc_id 'd2'$"):
+            list(read_corpus(io.StringIO(path.read_text(encoding="utf-8"))))
+    # a passage given directly is indexed whatever its tokens, as a text of spaces was
+    assert build_index([Passage("d0", "a"), Passage("d1", "")]).doc_ids == ("d0", "d1")
 
 
 def test_build_index_token_accounting_matches_direct_count():

@@ -302,6 +302,31 @@ def test_generate_queries_rejects_phi_zero_before_asking_the_model(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_a_reply_its_task_cannot_parse_is_not_stored(tmp_path):
+    # a blank reply was cached before it was parsed, so every re-run failed on it again
+    blank = LLMGateway("m", tmp_path, mode="record", transport=lambda model_id, prompt: "   \n")
+    with pytest.raises(ValueError, match="^no queries parsed$"):
+        blank.generate_queries("", "1. I like cycling", "best bike routes", 1)
+    assert not list(tmp_path.iterdir())
+    result = _scripted_gateway(tmp_path).generate_queries("", "1. I like cycling", "bike", 1)
+    assert result.queries == ("bike",)
+    # a stored reply the task cannot parse, as an older run could leave, names its record
+    [path] = tmp_path.iterdir()
+    record = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(record, response="   \n")), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"corrupt cache record {path}: no queries")):
+        _scripted_gateway(tmp_path).generate_queries("", "1. I like cycling", "bike", 1)
+
+
+def test_a_cache_record_names_the_field_it_lacks(tmp_path):
+    for record, name in (({}, "model_id"), ({"model_id": "m", "response": "r"}, "prompt")):
+        path = tmp_path / f"{cache_key('m', 'p')}.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        message = f"corrupt cache record {path}: missing field '{name}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LLMCache(tmp_path).get(cache_key("m", "p"))
+
+
 def test_generate_rewrite_returns_first_line(tmp_path):
     gateway = _scripted_gateway(tmp_path)
     rewrite = gateway.generate_rewrite("", "1. I like cycling", "best bike routes")

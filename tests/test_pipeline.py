@@ -1,19 +1,24 @@
 """Run orchestration: config validation, turn execution, output formats."""
 
 import codecs
+import functools
 import io
 import json
 import re
+import tempfile
 import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convsearch import pipeline
 from convsearch.conversation import Topic, Turn, parse_topics
 from convsearch.evaluation import _default_query_id_parser
 from convsearch.index import Passage, RankedList, build_index, read_corpus
-from convsearch.llm import CacheMissError, LLMGateway
+from convsearch.llm import CacheMissError, LLMGateway, TransportError
 from convsearch.offline import ScriptedTransport
 from convsearch.pipeline import (
     MAX_RANKING,
@@ -367,6 +372,89 @@ def test_failed_record_run_resumes_when_re_run(tmp_path, workers):
         assert ours.read_bytes() == reference.read_bytes()
 
 
+class _FaultyTransport:
+    """Scripted replies, but the ``fail_on``-th call it may fail raises or answers blank.
+
+    Only a query-generation reply is parsed, so only such calls count for a blank one.
+    """
+
+    def __init__(self, kind, fail_on):
+        self.kind, self.fail_on, self.counted = kind, fail_on, 0
+        self._lock, self._scripted = threading.Lock(), ScriptedTransport()
+
+    def __call__(self, model_id, prompt):
+        with self._lock:
+            self.counted += self.kind == "error" or "# Generated queries:" in prompt
+            fails = self.counted == self.fail_on
+            self.counted += fails  # fail once
+        if fails and self.kind == "error":
+            raise TransportError(f"injected failure on call {self.fail_on}")
+        return "   \n" if fails else self._scripted(model_id, prompt)
+
+
+_RESUMED = CONFIG_DIR / "mq4cs_qr_deberta.json"
+
+
+@functools.cache
+def _clean_record_run():
+    """A clean record run's cache records, the replayed outputs, and its calls of each kind."""
+    spec = load_run_spec(_RESUMED)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        replayed = [path.read_bytes() for path in execute_spec(spec, root / "replay")]
+        spec = replace(spec, llm_mode="record", paths=dict(spec.paths, cache_dir=root / "cache"))
+        execute_spec(spec, root / "out", transport=ScriptedTransport())
+        records = {path.name: path.read_bytes() for path in (root / "cache").iterdir()}
+    queries = sum(b"# Generated queries:" in record for record in records.values())
+    return records, replayed, {"error": len(records), "blank": queries}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["error", "blank"]), st.integers(1, 64), st.sampled_from([1, 2]))
+@example("blank", 1, 1)  # a blank first query-generation reply was cached, failing every re-run
+def test_record_mode_resumes_after_any_failed_call(kind, fail_on, workers):
+    records, replayed, calls = _clean_record_run()
+    fail_on = (fail_on - 1) % calls[kind] + 1
+    spec = load_run_spec(_RESUMED)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        spec = replace(spec, llm_mode="record", paths=dict(spec.paths, cache_dir=root / "cache"))
+        failing = _FaultyTransport(kind, fail_on)
+        with pytest.raises(TurnExecutionError):
+            execute_spec(spec, root / "out", transport=failing, workers=workers)
+        assert not (root / "out").exists()
+        resumed = execute_spec(spec, root / "out", transport=ScriptedTransport(), workers=workers)
+        assert [path.read_bytes() for path in resumed] == replayed
+        assert {path.name: path.read_bytes() for path in (root / "cache").iterdir()} == records
+
+
+def test_a_run_replaces_its_two_outputs_as_a_pair(tmp_path, monkeypatch):
+    spec = load_run_spec(CONFIG_DIR / "gpt4qr_bm25_qd1.json")
+    replayed = [path.read_bytes() for path in execute_spec(spec, tmp_path / "replay")]
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = {out / f"{spec.config.run_tag}.run": b"earlier run\n",
+               out / f"{spec.config.run_tag}.responses.jsonl": b"earlier responses\n"}
+    for path, data in earlier.items():
+        path.write_bytes(data)
+    # a failed turn (here a cache miss) leaves the earlier pair as it was
+    empty = replace(spec, paths=dict(spec.paths, cache_dir=tmp_path / "empty"))
+    with pytest.raises(TurnExecutionError, match="cache miss"):
+        execute_spec(empty, out)
+    assert {path: path.read_bytes() for path in earlier} == earlier
+    # a failure between the two writes left a new run beside an earlier run's responses
+
+    def fail(results, sink):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline, "write_response_records", fail)
+    with pytest.raises(OSError, match="disk full"):
+        execute_spec(spec, out)
+    run_path, responses_path = earlier
+    assert run_path.read_bytes() == replayed[0]
+    assert not responses_path.exists()
+
+
 def test_run_config_default_depths_are_1000():
     # every stage ranks to the TREC submission depth
     assert MAX_RANKING == 1000
@@ -486,23 +574,25 @@ def test_from_dict_reads_every_field_and_defaults_the_rest(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, what",
     [
-        ("scorer_ids", "deberta-v3"),
-        ("scorer_ids", ["deberta-v3", 3]),
-        ("run_tag", 5),
-        ("rewriter", None),
-        ("phi", "5"),
-        ("phi", 5.0),
-        ("phi", True),
-        ("retriever", ["bm25"]),
-        ("fusion", False),
-        ("scorer_endpoints", {"a": 1}),
+        ("scorer_ids", "deberta-v3", "field 'scorer_ids'"),
+        ("scorer_ids", ["deberta-v3", 3], "field 'scorer_ids' item #2"),
+        ("run_tag", 5, "field 'run_tag'"),
+        ("rewriter", None, "field 'rewriter'"),
+        ("phi", "5", "field 'phi'"),
+        ("phi", 5.0, "field 'phi'"),
+        ("phi", True, "field 'phi'"),
+        ("retriever", ["bm25"], "field 'retriever'"),
+        ("fusion", False, "field 'fusion'"),
+        ("scorer_endpoints", {"a": 1}, "field 'scorer_endpoints' value of 'a'"),
     ],
+    ids=["scorer_ids-deberta-v3", "scorer_ids-value1", "run_tag-5", "rewriter-None", "phi-5",
+         "phi-5.0", "phi-True", "retriever-value7", "fusion-False", "scorer_endpoints-value9"],
 )
-def test_config_values_must_have_their_json_type(tmp_path, key, value):
+def test_config_values_must_have_their_json_type(tmp_path, key, value, what):
     data = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25", key: value}
-    with pytest.raises(ValueError, match=f"field '{key}' must be"):
+    with pytest.raises(ValueError, match=f"{what} must be"):
         load_run_spec(_write_spec(tmp_path, data))
 
 
@@ -596,8 +686,8 @@ def test_run_spec_names_a_missing_field_and_its_file(tmp_path):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("{", "Expecting property name"), ("5", "expected a JSON object, got int"),
-     ("[]", "expected a JSON object, got list"), ("null", "got NoneType")],
+    [("{", "Expecting property name"), ("5", "top-level value must be an object, got int"),
+     ("[]", "top-level value must be an object, got list"), ("null", "got NoneType")],
     ids=["invalid", "number", "array", "null"],
 )
 def test_run_spec_that_is_not_a_json_object_names_its_file(tmp_path, text, message):
@@ -657,7 +747,7 @@ def test_run_spec_keys_are_config_fields_and_spec_settings(tmp_path):
         assert load_run_spec(copy) == spec
     data["model_id"] = 4
     copy.write_text(json.dumps(data), encoding="utf-8")
-    with pytest.raises(ValueError, match="field 'model_id' must be str"):
+    with pytest.raises(ValueError, match="field 'model_id' must be a string, got 4"):
         load_run_spec(copy)
 
 

@@ -11,6 +11,7 @@ import json
 import re
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,7 @@ from convsearch.evaluation import (
     write_run_file,
 )
 from convsearch.index import Passage, RankedList, load_sparse_vectors, read_corpus
-from convsearch.llm import LLMCache, cache_key
+from convsearch.llm import HttpChatTransport, LLMCache, TransportError, cache_key
 from convsearch.pipeline import (
     RunConfig,
     TurnResult,
@@ -209,14 +210,14 @@ READERS = {
                "corpus line 2: duplicate doc_id 'd1'"),
     "sparse-vectors": (load_sparse_vectors, "", "d1\tw:1\nd2\tw:-1\n",
                        "sparse-vector line 2: negative weight in 'w:-1'"),
-    "topics": (parse_topics, "topics ", "[1]", "topic #1: must be an object, got int"),
+    "topics": (parse_topics, "topics ", "[1]", "topic #1 must be an object, got int"),
     "qrels": (parse_qrels, "", "q_1 0 D1 1\nq_1 0 D1 2\n",
               "qrels line 2: duplicate pair ('q_1', 'D1')"),
     "run": (read_run_file, "", "q_1 Q0 D1 1 2.0 t\nq_1 Q0 D2 2 abc t\n",
             "run line 2: non-numeric score 'abc'"),
-    "run-spec": (load_run_spec, "run spec ", "[]", "expected a JSON object, got list"),
+    "run-spec": (load_run_spec, "run spec ", "[]", "top-level value must be an object, got list"),
     "cache-record": (_cache_record, "corrupt cache record ", "[]",
-                     "not a JSON object with a string field 'model_id'"),
+                     "top-level value must be an object, got list"),
 }
 
 
@@ -241,6 +242,52 @@ def test_each_reader_names_the_file_it_reads(tmp_path, name):
         named = str(from_path.value)
         assert named.startswith(f"{kind}{path}: 'utf-8' codec can't decode byte 0xff")
         assert named.count(str(path)) == 1
+
+
+def _topic_title(tmp_path, value):
+    topics = json.loads((FIXTURE_DIR / "topics.json").read_text(encoding="utf-8"))
+    topics[0]["title"] = value
+    (tmp_path / "topics.json").write_text(json.dumps(topics), encoding="utf-8")
+    parse_topics(tmp_path / "topics.json")
+
+
+def _run_tag(tmp_path, value):
+    spec = json.loads((REPO / "configs" / "gpt4qr_bm25_qd1.json").read_text(encoding="utf-8"))
+    (tmp_path / "spec.json").write_text(json.dumps(dict(spec, run_tag=value)), encoding="utf-8")
+    load_run_spec(tmp_path / "spec.json")
+
+
+def _cached_response(tmp_path, value):
+    record = {"model_id": "m", "prompt": "p", "response": value}
+    (tmp_path / f"{cache_key('m', 'p')}.json").write_text(json.dumps(record), encoding="utf-8")
+    LLMCache(tmp_path).get(cache_key("m", "p"))
+
+
+def _chat_reply(tmp_path, value):
+    body = json.dumps({"choices": [{"message": {"content": value}}]}).encode("utf-8")
+    with mock.patch("urllib.request.urlopen", lambda request, timeout: io.BytesIO(body)):
+        HttpChatTransport("http://chat.invalid/v1")("m", "p")
+
+
+@pytest.mark.parametrize(
+    "value, ending",
+    [(5, "must be a string, got 5"), ("a\ud800", "holds the lone surrogate '\\ud800'")],
+    ids=["integer", "lone-surrogate"],
+)
+@pytest.mark.parametrize(
+    "read", [_topic_title, _run_tag, _cached_response, _chat_reply],
+    ids=["topic-title", "run-tag", "cache-record", "chat-reply"],
+)
+def test_one_wording_for_a_json_value(tmp_path, read, value, ending):
+    # one rule was worded three ways: "must be a string, got 5", "must be str, got 5",
+    # "not a JSON object with a string field", and a chat reply's "content 5 is not a string"
+    with pytest.raises((ValueError, TransportError)) as raised:
+        read(tmp_path, value)
+    assert ending in str(raised.value)
+    cause = raised.value
+    while cause.__cause__ is not None:  # the reader's own error, before a path is put in front
+        cause = cause.__cause__
+    assert str(cause).endswith(ending)
 
 
 def _run_file(directory, text, monkeypatch):
