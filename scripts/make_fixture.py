@@ -18,7 +18,6 @@ wiring:  python3 scripts/make_fixture.py
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import shutil
@@ -67,8 +66,8 @@ def record_cache() -> None:
     transport = ScriptedTransport()
     out_dir = REPO / "out" / "fixture_record"
     for config_path in CONFIGS:
-        spec = dataclasses.replace(load_run_spec(config_path), llm_mode="record")
-        execute_spec(spec, out_dir=out_dir, transport=transport)
+        # given a transport, the run records
+        execute_spec(load_run_spec(config_path), out_dir=out_dir, transport=transport)
         print(f"recorded {config_path.name}")
     print(f"cache entries: {sum(1 for _ in cache_dir.glob('*.json'))}")
 

@@ -207,6 +207,23 @@ CATALOGUE = (
         ("tests/test_pipeline.py::test_record_mode_resumes_after_any_failed_call",
          "tests/test_llm.py::test_a_reply_its_task_cannot_parse_is_not_stored"),
     ),
+    Mutant(
+        "run-given-a-transport-replays",
+        "src/convsearch/pipeline.py",
+        'mode = "replay" if transport is None else "record"',
+        'mode = "replay"',
+        ("tests/test_pipeline.py::test_a_run_given_a_transport_records_and_one_given_none_replays",
+         "tests/test_cli.py::test_cli_run_record_then_replay"),
+    ),
+    Mutant(
+        "run-spec-takes-an-empty-path",
+        "src/convsearch/pipeline.py",
+        "        if empty := next((name for name, value in paths.items() if not value), None):\n"
+        "            raise ValueError(f\"field 'paths' value of {empty!r} is empty\")"
+        "  # '' reads as base\n",
+        "",
+        ("tests/test_cli.py::test_cli_run_rejects_an_empty_value_before_any_index_is_built",),
+    ),
 )
 
 # left out of the copy: version control, caches and what runs leave behind

@@ -1,8 +1,8 @@
 """Command-line entry points: run, evaluate, fuse.
 
 A run builds its index from the corpus or sparse-vector file its spec
-names, so there is no separate indexing step; ``run --llm-mode`` records
-or replays its LLM exchanges.
+names, so there is no separate indexing step; ``run`` records its LLM
+exchanges through ``--endpoint`` or ``--scripted``, and replays them without.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from .evaluation import EvalCutoffs, evaluate_run, format_report, parse_qrels
 from .evaluation import read_run_file, write_run_file
 from .fusion import ensemble_fuse, interleave
-from .llm import LLM_MODES, HttpChatTransport, Transport
+from .llm import HttpChatTransport, Transport
 from .pipeline import execute_spec, load_run_spec
 
 
@@ -31,12 +31,10 @@ def _build_transport(args: argparse.Namespace) -> Transport | None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_run_spec(args.config)
-    if args.cache_dir:
+    if args.cache_dir is not None:
         spec.paths["cache_dir"] = Path(args.cache_dir).resolve()
-    if args.model_id:
+    if args.model_id is not None:
         spec = dataclasses.replace(spec, model_id=args.model_id)
-    if args.llm_mode:
-        spec = dataclasses.replace(spec, llm_mode=args.llm_mode)
     run_path, responses_path = execute_spec(
         spec,
         out_dir=args.out_dir,
@@ -79,22 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a run config end to end")
     p_run.add_argument("--config", required=True, help="run spec JSON file")
     p_run.add_argument("--out-dir", default="out", help="directory for run outputs")
-    p_run.add_argument(
-        "--llm-mode", choices=LLM_MODES, default=None, help="override the spec's LLM mode"
-    )
     p_run.add_argument("--model-id", default=None, help="override the spec's model id")
     p_run.add_argument("--cache-dir", default=None, help="override the spec's cache directory")
     transport = p_run.add_mutually_exclusive_group()
-    transport.add_argument("--endpoint", default=None, help="chat-completion endpoint URL")
+    transport.add_argument("--endpoint", default=None, help="chat-completion URL to record through")
     transport.add_argument(
         "--scripted", action="store_true",
-        help="use the deterministic offline model as transport",
+        help="record through the offline scripted model; without it or --endpoint, it replays",
     )
     p_run.add_argument("--api-key", default=None, help="bearer token for the endpoint")
     p_run.add_argument(
         "--workers", type=int, default=1,
         help="parallel turn workers; pays off only when turns wait on an LLM "
-        "transport (record mode) or a remote scorer",
+        "transport or a remote scorer",
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -121,9 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "api_key", None) is not None and not args.endpoint:
+    if getattr(args, "api_key", None) is not None and args.endpoint is None:
         parser.error("argument --api-key: not allowed without argument --endpoint")
     try:
+        # an empty path would read as the working directory, and an empty value be dropped
+        if empty := next((name for name, value in vars(args).items() if value == ""), None):
+            raise ValueError(f"argument --{empty.replace('_', '-')}: is empty")
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

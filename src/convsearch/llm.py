@@ -2,7 +2,8 @@
 
 Every exchange is cached under a content hash of ``(model_id, prompt)`` in
 an append-only directory of human-readable JSON records, one file per key.
-Two modes, :data:`LLM_MODES`:
+Two modes, :data:`LLM_MODES`; a run records iff it is given a transport
+(:func:`~convsearch.pipeline.execute_spec`), and replays otherwise:
 
 * ``record``  - serve from cache when present, otherwise call the transport
   and store a reply once its task has parsed it; pointed at an empty cache

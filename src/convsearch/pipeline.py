@@ -14,7 +14,8 @@ shapes:
 * ``none``             - one query drives retrieval and reranking.
 
 Interleaving per-query lists is not a run shape; it stays a way to fuse
-finished run files (``convsearch fuse --method interleave``).
+finished run files (``convsearch fuse --method interleave``).  A run given a
+chat transport records its LLM exchanges; one given none replays them.
 
 Each turn also produces PTKB relevance labels and a grounded answer from
 the top five ranked passages.  Turns use gold-response history, so they
@@ -49,7 +50,7 @@ from .index import (
     sparse_retrieve,
     text_to_query_vector,
 )
-from .llm import LLM_MODES, LLMGateway, Transport
+from .llm import LLMGateway, Transport
 
 __all__ = [
     "MAX_RANKING",
@@ -289,17 +290,15 @@ def write_response_records(results: Sequence[TurnResult], sink: str | Path | IO[
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A run config plus the file paths and LLM settings needed to execute it."""
+    """A run config plus the file paths and the model id needed to execute it."""
 
     config: RunConfig
     paths: dict[str, Path]
     model_id: str = "gpt-4"
-    llm_mode: str = "replay"
 
     def __post_init__(self) -> None:
-        if self.llm_mode not in LLM_MODES:
-            raise ValueError(f"unknown llm_mode '{self.llm_mode}'")
-        _json_value(self.model_id, str, "model_id")  # it goes into every cache key
+        if not _json_value(self.model_id, str, "model_id"):  # it goes into every cache key
+            raise ValueError("model_id is empty")
 
 
 def load_run_spec(path: str | Path) -> RunSpec:
@@ -307,12 +306,12 @@ def load_run_spec(path: str | Path) -> RunSpec:
 
     Raises:
         ValueError: starting ``run spec <path>: ``, then naming the key, for a key that is
-            neither a :class:`RunConfig` field nor one of ``paths``,
-            ``model_id`` and ``llm_mode``; a ``paths`` name other than
-            ``corpus``, ``sparse_vectors``, ``topics``, ``qrels`` and
-            ``cache_dir``; an absent field without a default; a value that fails
-            ``_json_value`` (see ``_json_fields``); an invalid config or
-            ``llm_mode``; or a file whose top-level value is not an object.
+            neither a :class:`RunConfig` field nor ``paths`` or ``model_id`` (a retired key
+            too); a ``paths`` name other than ``corpus``, ``sparse_vectors``,
+            ``topics``, ``qrels`` and ``cache_dir``, or an empty path (``field 'paths'
+            value of 'cache_dir' is empty``); an absent field without a default; a value
+            that fails ``_json_value`` (see ``_json_fields``); an invalid config or an
+            empty ``model_id``; or a file whose top-level value is not an object.
     """
     spec_path = Path(path)
     with _text(spec_path, "run spec") as handle:
@@ -326,6 +325,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
         unknown = sorted(set(paths) - set(_PATH_NAMES))
         if unknown:
             raise ValueError(f"unknown paths {unknown}")
+        if empty := next((name for name, value in paths.items() if not value), None):
+            raise ValueError(f"field 'paths' value of {empty!r} is empty")  # '' reads as base
         base = spec_path.parent
         settings["paths"] = {
             name: (base / value).resolve() if not Path(value).is_absolute() else Path(value)
@@ -385,9 +386,10 @@ def execute_spec(
 ) -> tuple[Path, Path]:
     """Execute a run spec and write ``<run_tag>.run`` and ``<run_tag>.responses.jsonl``.
 
-    The LLM gateway runs in the spec's ``llm_mode``.  Returns the two
-    output paths, replaced as a pair: both earlier files go once every turn has
-    succeeded, so a failed write leaves no earlier run's file beside a new one.
+    A run given a ``transport`` records (a cache miss goes to the transport); one given
+    none replays ``cache_dir``.  Returns the two output paths, replaced as a pair: both
+    earlier files go once every turn has succeeded, so a failed write leaves no earlier
+    run's file beside a new one.
 
     Raises:
         ValueError: naming the paths the run needs that the spec lacks,
@@ -398,12 +400,8 @@ def execute_spec(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     index, topics, passages = load_resources(spec)
-    llm = LLMGateway(
-        model_id=spec.model_id,
-        cache_dir=spec.paths["cache_dir"],
-        mode=spec.llm_mode,
-        transport=transport,
-    )
+    mode = "replay" if transport is None else "record"
+    llm = LLMGateway(spec.model_id, spec.paths["cache_dir"], mode, transport)
     results = execute_run(
         spec.config, topics, index, llm, passages=passages, workers=workers
     )

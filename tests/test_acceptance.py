@@ -335,15 +335,16 @@ def test_criterion_5_replay_determinism(tmp_path):
     golden = json.loads((TESTS_FIXTURE_DIR / "golden_outputs.json").read_text())
     digests = {}
     for config_path in config_paths:
+        # replay: the shipped config names no mode, and the run is given no transport
+        assert "llm_mode" not in json.loads(config_path.read_text(encoding="utf-8"))
         spec = load_run_spec(config_path)
-        assert spec.llm_mode == "replay"
         outputs = []
         for attempt in range(3):
             started = time.monotonic()
             run_path, responses_path = execute_spec(
                 spec,
                 out_dir=tmp_path / f"{config_path.stem}_{attempt}",
-                transport=None,  # replay mode: any network attempt would fail loudly
+                transport=None,  # so a cache miss fails loudly, with no network attempt
             )
             assert time.monotonic() - started < 60.0
             outputs.append((run_path.read_bytes(), responses_path.read_bytes()))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from convsearch import pipeline
 from convsearch.cli import build_parser, main
 from convsearch.evaluation import (
     EvalCutoffs,
@@ -201,7 +202,7 @@ def test_cli_run_record_then_replay(tmp_path):
     out_dir = tmp_path / "out"
     code = main(
         [
-            "run", "--llm-mode", "record",
+            "run",
             "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"),
             "--cache-dir", str(cache_dir),
             "--scripted",
@@ -212,7 +213,7 @@ def test_cli_run_record_then_replay(tmp_path):
     assert list(cache_dir.glob("*.json"))
     code = main(
         [
-            "run", "--llm-mode", "replay",
+            "run",
             "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"),
             "--cache-dir", str(cache_dir),
             "--out-dir", str(out_dir / "b"),
@@ -238,7 +239,7 @@ def test_cli_run_records_through_the_endpoint_with_the_api_key(tmp_path, monkeyp
     cache_dir = tmp_path / "cache"
     argv = [
         "run", "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"), "--endpoint", url,
-        "--api-key", "K", "--llm-mode", "record", "--cache-dir", str(cache_dir),
+        "--api-key", "K", "--cache-dir", str(cache_dir),
         "--out-dir", str(tmp_path / "out"),
     ]
     assert main(argv) == 0
@@ -259,12 +260,12 @@ def test_cli_run_model_id_overrides_the_spec(tmp_path, capsys):
         "run", "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"),
         "--cache-dir", str(cache_dir), "--out-dir", str(tmp_path / "out"),
     ]
-    assert main([*argv, "--llm-mode", "record", "--scripted", "--model-id", "m2"]) == 0
+    assert main([*argv, "--scripted", "--model-id", "m2"]) == 0
     records = [json.loads(path.read_text()) for path in cache_dir.glob("*.json")]
     assert records and {record["model_id"] for record in records} == {"m2"}
     capsys.readouterr()
     # the spec's own model id finds none of those records
-    assert main([*argv, "--llm-mode", "replay"]) == 1
+    assert main(argv) == 1
     assert ": cache miss for key " in capsys.readouterr().err
 
 
@@ -273,7 +274,7 @@ def test_cli_run_rejects_a_model_id_with_a_lone_surrogate(tmp_path, capsys):
     # cache directory and fail the first cache key with a bare codec error
     cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
     argv = [
-        "run", "--config", str(CONFIG_DIR / "gpt4qr_bm25_qd1.json"), "--llm-mode", "record",
+        "run", "--config", str(CONFIG_DIR / "gpt4qr_bm25_qd1.json"),
         "--scripted", "--model-id", "gpt\udcff", "--cache-dir", str(cache_dir),
         "--out-dir", str(out_dir),
     ]
@@ -283,9 +284,66 @@ def test_cli_run_rejects_a_model_id_with_a_lone_surrogate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "change, options, message",
+    [({"paths": {"cache_dir": ""}}, ["--scripted"],
+      "run spec {spec}: field 'paths' value of 'cache_dir' is empty"),
+     ({"paths": {"corpus": ""}}, ["--scripted"],
+      "run spec {spec}: field 'paths' value of 'corpus' is empty"),
+     ({"model_id": ""}, ["--scripted"], "run spec {spec}: model_id is empty"),
+     *(({}, ["--scripted", f"--{option}", ""], f"argument --{option}: is empty")
+       for option in ("config", "out-dir", "model-id", "cache-dir")),
+     ({}, ["--endpoint", ""], "argument --endpoint: is empty"),
+     ({}, ["--endpoint", "http://chat.invalid", "--api-key", ""], "argument --api-key: is empty")],
+    ids=["spec-cache_dir", "spec-corpus", "spec-model_id", "config", "out-dir", "model-id",
+         "cache-dir", "endpoint", "api-key"],
+)
+def test_cli_run_rejects_an_empty_value_before_any_index_is_built(
+    tmp_path, capsys, monkeypatch, change, options, message
+):
+    # an empty path read as the spec's own directory: a record run wrote its cache
+    # records there, and an empty corpus failed after set-up with "Is a directory",
+    # naming neither key nor spec; an empty --out-dir wrote into the working directory,
+    # and an empty --model-id, --cache-dir or --api-key was dropped: each run exited 0
+    def load_resources(spec):
+        raise AssertionError("an index was built")
+
+    monkeypatch.setattr(pipeline, "load_resources", load_resources)
+    spec = json.loads((CONFIG_DIR / "gpt4qr_bm25_qd1.json").read_text(encoding="utf-8"))
+    paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
+    paths = dict(paths, cache_dir=str(tmp_path / "cache")) | change.get("paths", {})
+    spec.update(change, paths=paths)
+    spec_path = tmp_path / "spec" / "spec.json"
+    spec_path.parent.mkdir()
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["run", "--config", str(spec_path), "--out-dir", str(tmp_path / "out"), *options]
+    assert main(argv) == 1
+    assert f"error: {message.format(spec=spec_path)}\n" == capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [spec_path.parent, spec_path]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--json", ""], "--json"),
+     (["fuse", "a.run", "--out", ""], "--out"),
+     (["fuse", "a.run", "--run-tag", "", "--out", "fused.run"], "--run-tag")],
+    ids=["evaluate-json", "fuse-out", "fuse-run-tag"],
+)
+def test_cli_rejects_an_empty_option_value(tmp_path, capsys, monkeypatch, argv, option):
+    # an empty --json was dropped and evaluate exited 0; an empty --out was written
+    # to a temp file renamed to '', failing with a message naming neither option nor path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.run").write_text("1_1 Q0 D001 1 1.000000 a\n", encoding="utf-8")
+    (tmp_path / "qrels.txt").write_text("1_1 0 D001 1\n", encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: argument {option}: is empty\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.run", "qrels.txt"]
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [(["cache", "record"], "invalid choice: 'cache'"),
-     (["run", "--llm-mode", "live"], "invalid choice: 'live'"),
+     # a run records iff it is given a transport
+     (["run", "--llm-mode", "live"], "unrecognized arguments: --llm-mode"),
      # --endpoint used to win silently, so the run posted to the endpoint
      (["run", "--endpoint", "http://service.invalid", "--scripted"],
       "argument --scripted: not allowed with argument --endpoint"),
@@ -426,7 +484,7 @@ def test_cli_run_rejects_a_repeated_topic_number(tmp_path, capsys):
     spec["paths"] = dict(paths, topics=str(topics_path), cache_dir=str(tmp_path / "cache"))
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
-    argv = ["run", "--config", str(spec_path), "--llm-mode", "record", "--scripted"]
+    argv = ["run", "--config", str(spec_path), "--scripted"]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
     assert f"error: topics {topics_path}: topic #2: duplicate number '1'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -450,7 +508,7 @@ def test_cli_run_rejects_a_lone_surrogate_in_the_spec(tmp_path, capsys, key, val
     spec[key] = dict(spec["paths"], **value) if key == "paths" else value
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
-    argv = ["run", "--config", str(spec_path), "--llm-mode", "record", "--scripted"]
+    argv = ["run", "--config", str(spec_path), "--scripted"]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
     message = f"error: run spec {spec_path}: {what} holds the lone surrogate '\\ud"
     assert message in capsys.readouterr().err
@@ -511,8 +569,13 @@ def test_readme_cli_quickstart_commands_parse():
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("convsearch ")]
     assert {argv[0] for argv in commands} == {"run", "evaluate", "fuse"}
-    modes = {argv[argv.index("--llm-mode") + 1] for argv in commands if "--llm-mode" in argv}
-    assert modes == {"record", "replay"}
+    # one run records through a transport into a --cache-dir, and one replays that cache
+    runs = [argv for argv in commands if argv[0] == "run"]
+    recording = [argv for argv in runs if "--scripted" in argv or "--endpoint" in argv]
+    replaying = [argv for argv in runs if "--cache-dir" in argv and argv not in recording]
+    assert len(recording) == len(replaying) == 1
+    cache_dirs = {argv[argv.index("--cache-dir") + 1] for argv in recording + replaying}
+    assert len(cache_dirs) == 1
     parser = build_parser()
     for argv in commands:
         assert callable(parser.parse_args(argv).func)

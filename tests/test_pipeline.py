@@ -2,6 +2,7 @@
 
 import codecs
 import functools
+import hashlib
 import io
 import json
 import re
@@ -322,7 +323,7 @@ def test_load_resources_rejects_vectors_of_a_doc_the_corpus_lacks(tmp_path):
     spec.paths["cache_dir"] = tmp_path / "cache"
     message = f"sparse vectors {vectors}: doc_id 'ghost-doc' is not in the corpus"
     with pytest.raises(ValueError, match=re.escape(message)) as raised:
-        execute_spec(replace(spec, llm_mode="record"), tmp_path / "out", transport=transport)
+        execute_spec(spec, tmp_path / "out", transport=transport)
     assert raised.traceback[-1].name == "load_resources"
     assert not (tmp_path / "out").exists()
 
@@ -358,7 +359,6 @@ def test_failed_record_run_resumes_when_re_run(tmp_path, workers):
     spec = load_run_spec(CONFIG_DIR / "mq4cs_qr_ensemble.json")
     replayed = execute_spec(spec, tmp_path / "replay")
     spec.paths["cache_dir"] = tmp_path / "cache"
-    spec = replace(spec, llm_mode="record")
     failing = CountingTransport(fail_on=9)
     with pytest.raises(TurnExecutionError):
         execute_spec(spec, tmp_path / "out", transport=failing, workers=workers)
@@ -402,7 +402,7 @@ def _clean_record_run():
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         replayed = [path.read_bytes() for path in execute_spec(spec, root / "replay")]
-        spec = replace(spec, llm_mode="record", paths=dict(spec.paths, cache_dir=root / "cache"))
+        spec = replace(spec, paths=dict(spec.paths, cache_dir=root / "cache"))
         execute_spec(spec, root / "out", transport=ScriptedTransport())
         records = {path.name: path.read_bytes() for path in (root / "cache").iterdir()}
     queries = sum(b"# Generated queries:" in record for record in records.values())
@@ -418,7 +418,7 @@ def test_record_mode_resumes_after_any_failed_call(kind, fail_on, workers):
     spec = load_run_spec(_RESUMED)
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        spec = replace(spec, llm_mode="record", paths=dict(spec.paths, cache_dir=root / "cache"))
+        spec = replace(spec, paths=dict(spec.paths, cache_dir=root / "cache"))
         failing = _FaultyTransport(kind, fail_on)
         with pytest.raises(TurnExecutionError):
             execute_spec(spec, root / "out", transport=failing, workers=workers)
@@ -623,10 +623,11 @@ def test_a_run_spec_with_a_byte_order_mark_loads_as_the_clean_spec(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("rerank_depth", 1000), ("retrieval_depth", 1000), ("filtered_ptkb", False),
-     ("reranker", "single")],
+     ("reranker", "single"), ("llm_mode", "replay")],
 )
 def test_run_spec_rejects_the_retired_keys(tmp_path, key, value):
-    # every stage ranks to MAX_RANKING and every prompt gets the whole PTKB
+    # every stage ranks to MAX_RANKING, every prompt gets the whole PTKB, and a run
+    # records iff it is given a transport; load_run_spec builds no index
     data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
     path = tmp_path / "old.json"
     path.write_text(json.dumps(dict(data, **{key: value})), encoding="utf-8")
@@ -655,19 +656,6 @@ def test_run_spec_rejects_the_single_rewrite_rewriter(tmp_path):
         message = f"run spec {path}: unknown {key} '{value}'"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_run_spec(path)
-
-
-def test_run_spec_rejects_an_unknown_llm_mode_before_any_index_is_built(tmp_path):
-    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
-    for mode in ("live", "bogus"):
-        path = tmp_path / f"{mode}.json"
-        path.write_text(json.dumps(dict(data, llm_mode=mode)), encoding="utf-8")
-        message = f"run spec {path}: unknown llm_mode '{mode}'"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            load_run_spec(path)
-    spec = load_run_spec(CONFIG_DIR / "gpt4qr_deberta.json")
-    with pytest.raises(ValueError, match="unknown llm_mode 'live'"):
-        replace(spec, llm_mode="live")
 
 
 def test_run_spec_names_a_missing_field_and_its_file(tmp_path):
@@ -772,10 +760,30 @@ def test_fixture_cache_is_what_the_six_configs_record(tmp_path):
         spec = load_run_spec(path)
         shipped = spec.paths["cache_dir"]
         spec.paths["cache_dir"] = tmp_path / "cache"
-        execute_spec(replace(spec, llm_mode="record"), tmp_path / "out", transport=transport)
+        execute_spec(spec, tmp_path / "out", transport=transport)
     recorded = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
     assert recorded == {p.name: p.read_bytes() for p in shipped.iterdir()}
     assert len(recorded) == transport.calls == 47
+
+
+def test_a_run_given_a_transport_records_and_one_given_none_replays(tmp_path):
+    # the spec used to say replay, so a transport given to execute_spec went unused
+    # and the first exchange failed as a cache miss
+    spec = load_run_spec(CONFIG_DIR / "mq4cs_qr_deberta.json")
+    shipped, spec.paths["cache_dir"] = spec.paths["cache_dir"], tmp_path / "cache"
+    transport = CountingTransport()
+    recorded = execute_spec(spec, tmp_path / "a", transport=transport)
+    recorded = [path.read_bytes() for path in recorded]
+    # one record per call, each the shipped record of its name, and all that a replay reads
+    records = {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()}
+    assert records == {name: (shipped / name).read_bytes() for name in records}
+    assert len(records) == transport.calls == 24
+    replayed = execute_spec(spec, tmp_path / "b")
+    assert [path.read_bytes() for path in replayed] == recorded
+    golden = json.loads((TESTS_FIXTURE_DIR / "golden_outputs.json").read_text())
+    assert [hashlib.sha256(data).hexdigest() for data in recorded] == [
+        golden[path.name] for path in replayed
+    ]
 
 
 def test_fixture_topics_parse():
