@@ -1,8 +1,9 @@
 """Walkthrough: score every shipped run configuration and slice the report.
 
 All six configurations execute against the fixture (replay cache), each run
-file is evaluated against the fixture qrels, and the aggregate table plus
-the per-depth and per-topic slices are printed for one run.
+file is evaluated against the fixture qrels, and one run's report is printed:
+``format_report`` gives the aggregate table with its per-depth and per-topic
+slices.
 
 Run from the repository root:  python3 demos/04_evaluation_report.py
 """
@@ -32,7 +33,7 @@ def main():
         print(f"{run_tag:<20}{cells}")
 
     print("\ndetail for mq4cs-qr-deberta, sliced per depth and per topic:")
-    print(format_report(reports["mq4cs-qr-deberta"], per_depth=True, per_topic=True))
+    print(format_report(reports["mq4cs-qr-deberta"]))
 
 
 if __name__ == "__main__":

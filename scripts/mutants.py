@@ -224,6 +224,25 @@ CATALOGUE = (
         "",
         ("tests/test_cli.py::test_cli_run_rejects_an_empty_value_before_any_index_is_built",),
     ),
+    Mutant(
+        "run-spec-takes-a-model-id-that-is-no-identifier",
+        "src/convsearch/pipeline.py",
+        '        if problem := _id_problem("model_id", [self.model_id]):'
+        "  # and is sent as `model`\n"
+        "            raise ValueError(problem)\n",
+        "",
+        ("tests/test_cli.py::test_cli_run_rejects_a_model_id_that_is_no_identifier",),
+    ),
+    Mutant(
+        "replay-makes-a-missing-cache-directory",
+        "src/convsearch/pipeline.py",
+        '    if transport is None and not Path(spec.paths["cache_dir"]).is_dir():'
+        "  # a miss would name no dir\n"
+        "        raise ValueError("
+        "f\"replay cache {spec.paths['cache_dir']} is not a directory\")\n",
+        "",
+        ("tests/test_cli.py::test_cli_run_replay_names_a_missing_cache_directory",),
+    ),
 )
 
 # left out of the copy: version control, caches and what runs leave behind

@@ -1,8 +1,8 @@
 """Command-line entry points: run, evaluate, fuse.
 
-A run builds its index from the corpus or sparse-vector file its spec
-names, so there is no separate indexing step; ``run`` records its LLM
-exchanges through ``--endpoint`` or ``--scripted``, and replays them without.
+A run builds its index from the corpus or sparse-vector file its spec names, so there
+is no separate indexing step; ``run`` records its LLM exchanges through ``--endpoint``
+or ``--scripted``, and replays them without; ``evaluate`` prints every report sliced.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     qrels = parse_qrels(args.qrels)
     cutoffs = EvalCutoffs(*(getattr(args, f.name) for f in dataclasses.fields(EvalCutoffs)))
     report = evaluate_run(args.run, qrels, cutoffs)
-    print(format_report(report, per_depth=args.per_depth, per_topic=args.per_topic))
+    print(format_report(report))
     if args.json:
         report.write_json(args.json)
         print(f"wrote {args.json}")
@@ -98,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--qrels", required=True, help="qrels file")
     for cutoff in dataclasses.fields(EvalCutoffs):
         p_eval.add_argument(f"--{cutoff.name.replace('_', '-')}", type=int, default=cutoff.default)
-    p_eval.add_argument("--per-depth", action="store_true", help="slice by turn number")
-    p_eval.add_argument("--per-topic", action="store_true", help="slice by topic")
     p_eval.add_argument("--json", default=None, help="also write a JSON report")
     p_eval.set_defaults(func=_cmd_evaluate)
 

@@ -12,10 +12,10 @@ records, whose query id and doc_id are identifiers.
 
 Queries present in the run but absent from the qrels are excluded from
 aggregation and listed; queries judged but with no relevant document score
-0 and are flagged, so aggregates stay stable across runs.  Report slices
-group per-query means by turn depth (turn number) and by topic, with
+0 and are flagged, so aggregates stay stable across runs.  Every report is
+sliced: per-query means grouped by turn depth (turn number) and by topic, with
 query ids parsed as ``<topic>_<turn>``, the form the pipeline writes turn
-ids in.
+ids in; :func:`format_report` prints each non-empty slice under the aggregate.
 """
 
 from __future__ import annotations
@@ -356,21 +356,17 @@ def _format_row(label: str, values: dict[str, float], metrics: Sequence[str], wi
     return f"{label:<{width}}{cells}"
 
 
-def format_report(
-    report: MetricReport,
-    per_depth: bool = False,
-    per_topic: bool = False,
-) -> str:
-    """Render the report as an aligned text table."""
+def format_report(report: MetricReport) -> str:
+    """Render the report as an aligned text table, then each non-empty slice."""
     width = 16
     header = f"{'':<{width}}" + "".join(f"{m:>12}" for m in report.metrics)
     lines = [header, _format_row("all", report.aggregate, report.metrics, width)]
     slices = (
-        (per_depth, "per depth (turn number):", "depth", report.per_depth),
-        (per_topic, "per topic:", "topic", report.per_topic),
+        ("per depth (turn number):", "depth", report.per_depth),
+        ("per topic:", "topic", report.per_topic),
     )
-    for wanted, title, label, groups in slices:
-        if wanted and groups:
+    for title, label, groups in slices:
+        if groups:
             lines += ["", title]
             lines += (_format_row(f"  {label} {key}", values, report.metrics, width)
                       for key, values in groups.items())

@@ -290,7 +290,7 @@ def write_response_records(results: Sequence[TurnResult], sink: str | Path | IO[
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A run config plus the file paths and the model id needed to execute it."""
+    """A run config plus the file paths and the model id (an identifier) to execute it."""
 
     config: RunConfig
     paths: dict[str, Path]
@@ -299,6 +299,8 @@ class RunSpec:
     def __post_init__(self) -> None:
         if not _json_value(self.model_id, str, "model_id"):  # it goes into every cache key
             raise ValueError("model_id is empty")
+        if problem := _id_problem("model_id", [self.model_id]):  # and is sent as `model`
+            raise ValueError(problem)
 
 
 def load_run_spec(path: str | Path) -> RunSpec:
@@ -310,8 +312,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
             too); a ``paths`` name other than ``corpus``, ``sparse_vectors``,
             ``topics``, ``qrels`` and ``cache_dir``, or an empty path (``field 'paths'
             value of 'cache_dir' is empty``); an absent field without a default; a value
-            that fails ``_json_value`` (see ``_json_fields``); an invalid config or an
-            empty ``model_id``; or a file whose top-level value is not an object.
+            that fails ``_json_value`` (see ``_json_fields``); an invalid config or
+            ``model_id``; or a file whose top-level value is not an object.
     """
     spec_path = Path(path)
     with _text(spec_path, "run spec") as handle:
@@ -392,13 +394,15 @@ def execute_spec(
     run's file beside a new one.
 
     Raises:
-        ValueError: naming the paths the run needs that the spec lacks,
-            ``cache_dir`` among them, or if ``workers`` is below 1; both
-            before any index is built.
+        ValueError: naming the paths the run needs that the spec lacks (``cache_dir``
+            among them), if ``workers`` is below 1, or if a replay's ``cache_dir`` is not
+            a directory (it is not made); all before any index is built.
     """
     _require_paths(spec, ("cache_dir",))
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if transport is None and not Path(spec.paths["cache_dir"]).is_dir():  # a miss would name no dir
+        raise ValueError(f"replay cache {spec.paths['cache_dir']} is not a directory")
     index, topics, passages = load_resources(spec)
     mode = "replay" if transport is None else "record"
     llm = LLMGateway(spec.model_id, spec.paths["cache_dir"], mode, transport)

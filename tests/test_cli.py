@@ -46,7 +46,6 @@ def test_cli_run_replay_and_evaluate(tmp_path, capsys):
             "evaluate",
             "--run", str(run_path),
             "--qrels", str(FIXTURE_DIR / "qrels.txt"),
-            "--per-depth", "--per-topic",
             "--json", str(report_path),
         ]
     )
@@ -165,7 +164,7 @@ def test_evaluation_report_digests(tmp_path):
     digests = {}
     for run in runs:
         report = evaluate_run(run, qrels)
-        table = format_report(report, per_depth=True, per_topic=True)
+        table = format_report(report)
         texts = (json.dumps(report.to_dict()), table)
         digests[run.name] = [hashlib.sha256(text.encode()).hexdigest() for text in texts]
     assert digests == REPORT_DIGESTS
@@ -284,6 +283,48 @@ def test_cli_run_rejects_a_model_id_with_a_lone_surrogate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "model_id, problem",
+    [("gpt-4\u200b", "model_id holds the unprintable character '\\u200b'"),
+     ("gpt 4", "whitespace in model_id 'gpt 4'")],
+    ids=["invisible", "whitespace"],
+)
+@pytest.mark.parametrize("source", ["spec", "option"])
+def test_cli_run_rejects_a_model_id_that_is_no_identifier(
+    tmp_path, capsys, source, model_id, problem
+):
+    # 'gpt-4\u200b' prints as 'gpt-4': a record run stored every exchange under it and
+    # sent it to the endpoint, and a run with the plain id then missed every record
+    spec = json.loads((CONFIG_DIR / "gpt4qr_bm25_qd1.json").read_text(encoding="utf-8"))
+    paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
+    spec["paths"] = dict(paths, cache_dir=str(tmp_path / "cache"))
+    options = ["--model-id", model_id] if source == "option" else []
+    if source == "spec":
+        spec["model_id"] = model_id
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["run", "--config", str(spec_path), "--scripted", "--out-dir", str(tmp_path / "out")]
+    assert main([*argv, *options]) == 1
+    prefix = f"run spec {spec_path}: " if source == "spec" else ""
+    assert capsys.readouterr().err == f"error: {prefix}{problem}\n"
+    assert list(tmp_path.iterdir()) == [spec_path]
+
+
+def test_cli_run_replay_names_a_missing_cache_directory(tmp_path, capsys, monkeypatch):
+    # a mistyped --cache-dir used to be made, the index built, and the replay fail on
+    # 'turn 1_1: cache miss for key <hex>', naming no directory
+    def load_resources(spec):
+        raise AssertionError("an index was built")
+
+    monkeypatch.setattr(pipeline, "load_resources", load_resources)
+    cache_dir, out_dir = tmp_path / "cahce", tmp_path / "out"
+    argv = ["run", "--config", str(CONFIG_DIR / "gpt4qr_bm25_qd1.json"),
+            "--cache-dir", str(cache_dir), "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: replay cache {cache_dir} is not a directory\n"
+    assert not cache_dir.exists() and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "change, options, message",
     [({"paths": {"cache_dir": ""}}, ["--scripted"],
       "run spec {spec}: field 'paths' value of 'cache_dir' is empty"),
@@ -344,6 +385,11 @@ def test_cli_rejects_an_empty_option_value(tmp_path, capsys, monkeypatch, argv, 
     [(["cache", "record"], "invalid choice: 'cache'"),
      # a run records iff it is given a transport
      (["run", "--llm-mode", "live"], "unrecognized arguments: --llm-mode"),
+     # a report always prints its per-depth and per-topic slices
+     (["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--per-depth"],
+      "unrecognized arguments: --per-depth"),
+     (["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--per-topic"],
+      "unrecognized arguments: --per-topic"),
      # --endpoint used to win silently, so the run posted to the endpoint
      (["run", "--endpoint", "http://service.invalid", "--scripted"],
       "argument --scripted: not allowed with argument --endpoint"),
@@ -352,7 +398,7 @@ def test_cli_rejects_an_empty_option_value(tmp_path, capsys, monkeypatch, argv, 
       "argument --api-key: not allowed without argument --endpoint"),
      (["run", "--scripted", "--api-key", "secret"],
       "argument --api-key: not allowed without argument --endpoint")],
-    ids=["cache-subcommand", "live-mode", "endpoint-and-scripted",
+    ids=["cache-subcommand", "live-mode", "per-depth", "per-topic", "endpoint-and-scripted",
          "api-key-alone", "api-key-with-scripted"],
 )
 def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
@@ -462,6 +508,7 @@ def test_cli_run_names_a_broken_corpus_or_vector_file(tmp_path, capsys, key):
     broken = tmp_path / Path(paths[key]).name
     broken.write_text("".join(lines) + "no tab\n", encoding="utf-8")
     spec["paths"] = dict(paths, **{key: str(broken)}, cache_dir=str(tmp_path / "cache"))
+    (tmp_path / "cache").mkdir()
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["run", "--config", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 1
@@ -551,7 +598,7 @@ def test_cli_evaluate_reads_past_a_byte_order_mark(tmp_path, capsys):
     reports, report = [], tmp_path / "report.json"
     for run_path, qrels_path in ((run, qrels), (bom_run, qrels), (run, bom_qrels)):
         assert main(["evaluate", "--run", str(run_path), "--qrels", str(qrels_path),
-                     "--per-depth", "--per-topic", "--json", str(report)]) == 0
+                     "--json", str(report)]) == 0
         reports.append((capsys.readouterr(), report.read_bytes()))
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]

@@ -534,7 +534,7 @@ def test_format_report_renders_slices():
     report = evaluate_run(
         _run_file([("1_1", "A", 1, 1.0), ("1_2", "A", 1, 1.0)]), qrels
     )
-    text = format_report(report, per_depth=True, per_topic=True)
+    text = format_report(report)
     assert "nDCG@5" in text and "depth 1" in text and "topic 1" in text
 
 

@@ -171,7 +171,7 @@ def test_mutated_qrels_fail_naming_them_or_evaluate_on_fixture_identifiers(mutat
         run.write_text(run_text, encoding="utf-8")
         clean = (FIXTURE_DIR / "qrels.txt").read_text(encoding="utf-8")
         qrels.write_bytes(_mutate(data, mutation, clean, _QRELS_IDS))
-        argv = ["evaluate", "--run", run, "--qrels", qrels, "--per-topic", "--json", report]
+        argv = ["evaluate", "--run", run, "--qrels", qrels, "--json", report]
         _check(argv, qrels, report)
 
 

@@ -438,6 +438,7 @@ def test_a_run_replaces_its_two_outputs_as_a_pair(tmp_path, monkeypatch):
     for path, data in earlier.items():
         path.write_bytes(data)
     # a failed turn (here a cache miss) leaves the earlier pair as it was
+    (tmp_path / "empty").mkdir()
     empty = replace(spec, paths=dict(spec.paths, cache_dir=tmp_path / "empty"))
     with pytest.raises(TurnExecutionError, match="cache miss"):
         execute_spec(empty, out)
