@@ -243,6 +243,21 @@ CATALOGUE = (
         "",
         ("tests/test_cli.py::test_cli_run_replay_names_a_missing_cache_directory",),
     ),
+    Mutant(
+        "ptkb-keys-may-start-at-0",
+        "src/convsearch/conversation.py",
+        "range(1, len(ptkb) + 1)",
+        "range(len(ptkb))",
+        ("tests/test_conversation.py::test_parse_topics_takes_a_ptkb_key_iff_it_is_ascii_digits",
+         "tests/test_conversation.py::test_parse_topics_fixture_shape"),
+    ),
+    Mutant(
+        "replay-miss-names-no-directory",
+        "src/convsearch/llm.py",
+        " in {self.cache.directory}",
+        "",
+        ("tests/test_cli.py::test_cli_run_replay_miss_names_the_cache_and_model",),
+    ),
 )
 
 # left out of the copy: version control, caches and what runs leave behind

@@ -1,14 +1,15 @@
 """Conversational topics: ordered turns plus a persona statement list (PTKB).
 
 A topic file is a JSON array of objects with fields ``number`` (a topic id
-unique in the file: a JSON string without whitespace, or an integer),
-``title``, ``ptkb`` (a non-empty object mapping "1", "2", ... to
-statements) and ``turns`` (list of ``{turn_number, utterance, response}``,
-optionally with a ``manual_rewrite`` per turn).  The title, statements and
-turn texts are JSON strings; an optional one is omitted by leaving it out.
-A parsed topic holds its PTKB as a tuple of statement texts, statement
-*i* at ``ptkb[i - 1]``.  Topics are immutable after parsing and safe to
-share across parallel per-turn workers.
+unique in the file: a JSON string or integer that reads as an identifier),
+``title``, ``ptkb`` (a non-empty object whose keys read, as ASCII digits,
+as exactly 1 to n, mapped to statements) and ``turns`` (list of
+``{turn_number, utterance, response}``, optionally with a
+``manual_rewrite`` per turn).  The title, statements and turn texts are
+JSON strings; an optional one is omitted by leaving it out.  The title is
+checked but not kept.  A parsed topic holds its PTKB as a tuple of
+statement texts, statement *i* at ``ptkb[i - 1]``.  Topics are immutable
+after parsing and safe to share across parallel per-turn workers.
 
 Conversation history is rendered as alternating ``USER:`` / ``SYSTEM:``
 lines of all turns strictly before the current one; the system side is
@@ -51,10 +52,9 @@ class Turn:
 
 @dataclass(frozen=True)
 class Topic:
-    """A conversation topic: id, title, persona statements, ordered turns."""
+    """A conversation topic: id, persona statements, ordered turns."""
 
     topic_id: str
-    title: str
     ptkb: tuple[str, ...]
     turns: tuple[Turn, ...]
 
@@ -75,31 +75,28 @@ def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
         if required not in entry:
             raise ValueError(f"topic #{position}: missing field '{required}'")
     number = entry["number"]
+    if type(number) not in (str, int):
+        raise ValueError(f"topic #{position}: field 'number' must be a string or an integer, "
+                         f"got {number!r}")
     topic_id = str(number)
-    if type(number) not in (str, int) or topic_id.split() != [topic_id]:
-        raise ValueError(f"topic #{position}: field 'number' must be a JSON integer or a "
-                         f"non-empty string without whitespace, got {number!r}")
     if problem := _id_problem("field 'number'", [topic_id]):
         raise ValueError(f"topic #{position}: {problem}")
     if topic_id in seen:
         raise ValueError(f"topic #{position}: duplicate number '{topic_id}'")
     seen.add(topic_id)
     topic = f"topic '{topic_id}'"
-    title = _json_value(entry["title"], str, f"{topic}: field 'title'")
+    _json_value(entry["title"], str, f"{topic}: field 'title'")
     ptkb = _json_value(entry["ptkb"], dict, f"{topic}: field 'ptkb'")
     if not ptkb:
         raise ValueError(f"{topic}: field 'ptkb' must hold at least one statement")
-    indexed = []
-    for key, text in ptkb.items():
-        index = _ascii_int(key)
-        if index is None:
-            raise ValueError(f"{topic}: ptkb key must be an integer, got {key!r}")
-        indexed.append((index, _json_value(text, str, f"{topic}: ptkb statement '{key}'")))
-    indexed.sort(key=lambda pair: pair[0])
-    if indexed[0][0] < 1:
-        raise ValueError(f"{topic}: ptkb statement index must be >= 1")
-    if [i for i, _ in indexed] != list(range(1, len(indexed) + 1)):
-        raise ValueError(f"{topic}: ptkb indices must be contiguous from 1")
+    by_index = {_ascii_int(key): key for key in ptkb}  # "1" and "01" collide, so fail
+    if by_index.keys() != set(range(1, len(ptkb) + 1)):
+        raise ValueError(f"{topic}: ptkb keys must be the numbers 1 to {len(ptkb)} "
+                         f"in ASCII digits, got {list(ptkb)}")
+    statements = tuple(
+        _json_value(ptkb[key], str, f"{topic}: ptkb statement '{key}'")
+        for _, key in sorted(by_index.items())
+    )
     turns = []
     for n, turn_entry in enumerate(_json_value(entry["turns"], list, f"{topic}: field 'turns'"), 1):
         turn_entry = _json_value(turn_entry, dict, f"{topic}: turn #{n}")
@@ -115,8 +112,7 @@ def _parse_topic(entry: object, position: int, seen: set[str]) -> Topic:
         turns.append(
             Turn(number, text["utterance"], text.get("response", ""), text.get("manual_rewrite"))
         )
-    statements = tuple(text for _, text in indexed)
-    return Topic(topic_id=topic_id, title=title, ptkb=statements, turns=tuple(turns))
+    return Topic(topic_id=topic_id, ptkb=statements, turns=tuple(turns))
 
 
 def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
@@ -127,11 +123,12 @@ def parse_topics(source: str | Path | IO[str]) -> list[Topic]:
             that is not UTF-8 JSON, or naming the topic (``#N`` by position until its
             number is read) and field: in ``_json_value``'s wording for a value of
             another JSON type or a string with a lone surrogate (the file an array,
-            a topic or turn an object, ``ptkb`` an object, ``turns`` an array, a turn
-            number an integer, every text a string); for missing fields, a ``number``
-            that is not a JSON string or integer, is not an identifier (see
-            ``_id_problem``) or repeats, an empty ptkb, a ptkb key that is not ASCII
-            digits, an empty statement, or numbering not contiguous from 1.
+            a topic or turn an object, ``number`` a string or an integer, ``ptkb`` an
+            object, ``turns`` an array, a turn number an integer, every text a
+            string); for missing fields, a ``number`` that is not an identifier (in
+            ``_id_problem``'s wording) or repeats, an empty ptkb, ptkb keys that do
+            not read as exactly 1 to n in ASCII digits (one message for every case),
+            an empty statement, or turn numbering not contiguous from 1.
     """
     with _text(source, "topics") as handle:
         data = _json_value(json.load(handle), list, "top-level value")

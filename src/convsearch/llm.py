@@ -9,8 +9,9 @@ Two modes, :data:`LLM_MODES`; a run records iff it is given a transport
   and store a reply once its task has parsed it; pointed at an empty cache
   directory, every exchange goes to the transport.  Re-running a failed run
   resumes it, one failed by a reply with no queries in it too.
-* ``replay``  - cache only; a missing key raises :class:`CacheMissError`
-  and no network traffic occurs.
+* ``replay``  - cache only; a missing key raises :class:`CacheMissError`,
+  naming the key, the cache directory and the model id, and no network
+  traffic occurs.
 
 A transport is any callable ``(model_id, prompt) -> response text``.
 Decoding is fixed: :class:`HttpChatTransport` always asks for temperature
@@ -62,10 +63,6 @@ TIMEOUT = 60.0  # seconds one HTTP request may take
 
 class CacheMissError(Exception):
     """Raised in replay mode when the requested cache key is absent."""
-
-    def __init__(self, key: str):
-        super().__init__(f"cache miss for key {key}")
-        self.key = key
 
 
 class TransportError(RuntimeError):
@@ -262,7 +259,9 @@ class LLMGateway:
             except ValueError as exc:
                 raise ValueError(f"corrupt cache record {self.cache._path(key)}: {exc}") from exc
         if self.mode == "replay":
-            raise CacheMissError(key)
+            raise CacheMissError(
+                f"cache miss for key {key} in {self.cache.directory} (model_id {self.model_id!r})"
+            )
         if self.transport is None:
             raise TransportError("no transport configured (replay-only gateway)")
         response = self.transport(self.model_id, prompt)

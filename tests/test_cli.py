@@ -324,6 +324,19 @@ def test_cli_run_replay_names_a_missing_cache_directory(tmp_path, capsys, monkey
     assert not cache_dir.exists() and not out_dir.exists()
 
 
+def test_cli_run_replay_miss_names_the_cache_and_model(tmp_path, capsys):
+    # a replay from an existing directory holding no record for the run used to fail
+    # on 'turn 1_1: cache miss for key <hex>' alone, naming neither the cache nor the id
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    argv = ["run", "--config", str(CONFIG_DIR / "gpt4qr_bm25_qd1.json"),
+            "--cache-dir", str(cache_dir), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: turn 1_1: cache miss for key ")
+    assert err.endswith(f" in {cache_dir} (model_id 'gpt-4')\n")
+
+
 @pytest.mark.parametrize(
     "change, options, message",
     [({"paths": {"cache_dir": ""}}, ["--scripted"],

@@ -119,18 +119,23 @@ def test_parse_topics_names_the_file_it_reads(tmp_path, text, message):
             parse_topics(source)
 
 
+def _bad_keys(*keys):
+    """The one message for ptkb keys that do not read as exactly 1 to n."""
+    return f"ptkb keys must be the numbers 1 to {len(keys)} in ASCII digits, got {list(keys)}"
+
+
 def test_parse_topics_rejects_gapped_ptkb():
     payload = _topic_payload()
     payload["ptkb"] = {"1": "a", "3": "b"}
-    with pytest.raises(ValueError, match="contiguous"):
+    with pytest.raises(ValueError, match=re.escape(f"topic '1': {_bad_keys('1', '3')}")):
         parse_topics(io.StringIO(json.dumps([payload])))
 
 
 @pytest.mark.parametrize(
     "topic_fields, turn_fields, message",
     [
-        ({"ptkb": {"1": "s", "a": "t"}}, {}, "ptkb key must be an integer, got 'a'"),
-        ({"ptkb": {"0": "s"}}, {}, "ptkb statement index must be >= 1"),
+        ({"ptkb": {"1": "s", "a": "t"}}, {}, _bad_keys("1", "a")),
+        ({"ptkb": {"0": "s"}}, {}, _bad_keys("0")),
         ({"ptkb": ["s", "t"]}, {}, "field 'ptkb' must be an object, got list"),
         ({}, {"turn_number": "one"}, "field 'turn_number' must be an integer, got 'one'"),
         ({}, {"turn_number": None}, "field 'turn_number' must be an integer, got None"),
@@ -139,14 +144,11 @@ def test_parse_topics_rejects_gapped_ptkb():
         ({}, {"turn_number": 1.0}, "field 'turn_number' must be an integer, got 1.0"),
         ({}, {"turn_number": True}, "field 'turn_number' must be an integer, got True"),
         ({}, {"turn_number": "1"}, "field 'turn_number' must be an integer, got '1'"),
-        ({"ptkb": {"1": "s", " 2 ": "t"}}, {}, "ptkb key must be an integer, got ' 2 '"),
-        ({"ptkb": {"1": "s", "+2": "t"}}, {}, "ptkb key must be an integer, got '+2'"),
-        ({"ptkb": {"1": "s", "2_0": "t"}}, {}, "ptkb key must be an integer, got '2_0'"),
-        ({"ptkb": {"1": "s", "\uff12": "t"}}, {}, "ptkb key must be an integer, got '\uff12'"),
-        (
-            {"ptkb": {"1": "s", "2" * 5000: "t"}}, {},
-            "ptkb key must be an integer, got '" + "2" * 5000 + "'",
-        ),
+        ({"ptkb": {"1": "s", " 2 ": "t"}}, {}, _bad_keys("1", " 2 ")),
+        ({"ptkb": {"1": "s", "+2": "t"}}, {}, _bad_keys("1", "+2")),
+        ({"ptkb": {"1": "s", "2_0": "t"}}, {}, _bad_keys("1", "2_0")),
+        ({"ptkb": {"1": "s", "\uff12": "t"}}, {}, _bad_keys("1", "\uff12")),
+        ({"ptkb": {"1": "s", "2" * 5000: "t"}}, {}, _bad_keys("1", "2" * 5000)),
     ],
     ids=[
         "ptkb-key", "ptkb-key-zero", "ptkb-list", "turn-number", "turn-number-null",
@@ -189,27 +191,36 @@ def test_parse_topics_takes_a_turn_number_iff_it_is_a_json_integer(token):
         parse_topics(io.StringIO(text))
 
 
-@settings(max_examples=400, derandomize=True, database=None)
-@given(
-    st.one_of(
-        st.text("0123456789 +-_.\u0661\uff11\u00b2", min_size=1, max_size=6),
-        st.integers(-2, 12).map(str),
-        st.integers().map("{:_}".format),  # int() reads "1_000"
-        st.text(max_size=6),
-    )
+# a ptkb key: ASCII digits (with leading zeros, so "1" may sit beside "01"), or not
+_PTKB_KEYS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.integers(0, 7).map("0{}".format),
+    st.text("0123456789 +-_.\u0661\uff11\u00b2", min_size=1, max_size=4),
+    st.integers().map("{:_}".format),  # int() reads "1_000"
+    st.text(max_size=4),
 )
-def test_parse_topics_takes_a_ptkb_key_iff_it_is_ascii_digits(key):
-    text = json.dumps([dict(_topic_payload(), ptkb={key: "statement"})])
-    if re.fullmatch("[0-9]+", key) is None:
-        message = f"ptkb key must be an integer, got {key!r}"
-    elif int(key) == 0:
-        message = "ptkb statement index must be >= 1"
-    elif int(key) != 1:
-        message = "ptkb indices must be contiguous from 1"
-    else:
-        assert parse_topics(io.StringIO(text))[0].ptkb == ("statement",)
+_ONE_TO_N = st.integers(1, 7).flatmap(lambda n: st.permutations([str(i) for i in range(1, n + 1)]))
+# key sets: 1 to n in any order, with one key swapped or added, or any keys
+_PTKB_KEY_SETS = st.one_of(
+    _ONE_TO_N,
+    st.builds(lambda keys, key: [*keys[:-1], key], _ONE_TO_N, _PTKB_KEYS),
+    st.builds(lambda keys, key: [*keys, key], _ONE_TO_N, _PTKB_KEYS),
+    st.lists(_PTKB_KEYS, min_size=1, max_size=6),
+).map(lambda keys: list(dict.fromkeys(keys)))
+
+
+@settings(max_examples=600, derandomize=True, database=None)
+@given(_PTKB_KEY_SETS)
+def test_parse_topics_takes_a_ptkb_key_iff_it_is_ascii_digits(keys):
+    # a ptkb parses iff its keys read as exactly 1 to n, its statements in key order
+    ptkb = {key: f"statement {key}" for key in keys}
+    text = json.dumps([dict(_topic_payload(), ptkb=ptkb)])
+    digits = all(re.fullmatch("[0-9]+", key) for key in keys)
+    if digits and sorted(map(int, keys)) == list(range(1, len(keys) + 1)):
+        statements = tuple(ptkb[key] for key in sorted(keys, key=int))
+        assert parse_topics(io.StringIO(text))[0].ptkb == statements
         return
-    with pytest.raises(ValueError, match=re.escape(f"topic '1': {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"topic '1': {_bad_keys(*keys)}")):
         parse_topics(io.StringIO(text))
 
 
@@ -251,19 +262,23 @@ def test_parse_topics_takes_text_fields_only_as_json_strings(where, field, value
 
 
 @pytest.mark.parametrize(
-    "number",
-    [None, True, False, 1.5, [1], {}, "", "2 b", " 2", "2\t", "2\xa0"],
+    "number, problem",
+    [(None, "type"), (True, "type"), (False, "type"), (1.5, "type"), ([1], "type"),
+     ({}, "type"), ("", "empty field 'number'"), ("2 b", "whitespace"), (" 2", "whitespace"),
+     ("2\t", "whitespace"), ("2\xa0", "whitespace")],
     ids=["null", "true", "false", "float", "list", "object", "empty", "inner-space",
          "leading-space", "tab", "no-break-space"],
 )
-def test_parse_topics_takes_a_number_only_as_an_identifier_string_or_a_json_integer(number):
+def test_parse_topics_takes_a_number_only_as_an_identifier_string_or_a_json_integer(
+    number, problem
+):
     # null and true used to read as the topics "None" and "True", "2 b" as a two-field id
     payload = [_topic_payload("1"), dict(_topic_payload(), number=number)]
-    message = (
-        "topic #2: field 'number' must be a JSON integer or a non-empty string "
-        f"without whitespace, got {number!r}"
-    )
-    with pytest.raises(ValueError, match=re.escape(message)):
+    message = {
+        "type": f"field 'number' must be a string or an integer, got {number!r}",
+        "whitespace": f"whitespace in field 'number' {number!r}",
+    }.get(problem, problem)
+    with pytest.raises(ValueError, match=re.escape(f"topic #2: {message}")):
         parse_topics(io.StringIO(json.dumps(payload)))
 
 
@@ -328,7 +343,6 @@ def test_parse_topics_keeps_manual_rewrite():
 def _topic(n_turns=3):
     return Topic(
         topic_id="t",
-        title="t",
         ptkb=("s1", "s2"),
         turns=tuple(
             Turn(i, f"u{i}", f"r{i}") for i in range(1, n_turns + 1)
@@ -362,14 +376,13 @@ def test_render_context_monotone_prefix():
 
 
 def test_ptkb_text_empty():
-    topic = Topic(topic_id="t", title="t", ptkb=(), turns=(Turn(1, "u"),))
+    topic = Topic(topic_id="t", ptkb=(), turns=(Turn(1, "u"),))
     assert ptkb_text(topic) == ""
 
 
 def test_ptkb_text_numbered_lines():
     topic = Topic(
         topic_id="t",
-        title="t",
         ptkb=("s1", "s2"),
         turns=(Turn(1, "u"),),
     )
@@ -379,7 +392,6 @@ def test_ptkb_text_numbered_lines():
 def test_ptkb_text_seventeen_statements():
     topic = Topic(
         topic_id="t",
-        title="t",
         ptkb=tuple(f"statement {i}" for i in range(1, 18)),
         turns=(Turn(1, "u"),),
     )
@@ -388,10 +400,10 @@ def test_ptkb_text_seventeen_statements():
 
 def test_topic_requires_turns():
     with pytest.raises(ValueError, match="non-empty"):
-        Topic(topic_id="t", title="t", ptkb=(), turns=())
+        Topic(topic_id="t", ptkb=(), turns=())
 
 
 def test_topic_rejects_an_empty_statement():
     message = "topic 't': ptkb statement text must be non-empty"
     with pytest.raises(ValueError, match=re.escape(message)):
-        Topic(topic_id="t", title="t", ptkb=("s1", ""), turns=(Turn(1, "u"),))
+        Topic(topic_id="t", ptkb=("s1", ""), turns=(Turn(1, "u"),))

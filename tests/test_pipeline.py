@@ -113,7 +113,6 @@ def _mini_topic(n_turns=2, manual=True):
     )
     return Topic(
         topic_id="t1",
-        title="apples",
         ptkb=("I grow apples at home.", "I dislike pears."),
         turns=turns,
     )
@@ -201,7 +200,6 @@ def _two_topics():
     first = _mini_topic(3)
     second = Topic(
         topic_id="t2",
-        title="pears",
         ptkb=("I like pears.",),
         turns=tuple(Turn(i, f"pears question {i}", f"pears answer {i}") for i in (1, 2, 3)),
     )
@@ -256,7 +254,6 @@ def test_execute_run_benchmark_scale(tmp_path):
         topics.append(
             Topic(
                 topic_id=f"topic{i}",
-                title=f"t{i}",
                 ptkb=("I grow apples.",),
                 turns=tuple(
                     Turn(t, f"apples question {i} {t}", f"answer {t}") for t in range(1, count + 1)
