@@ -140,8 +140,7 @@ CATALOGUE = (
         "src/convsearch/evaluation.py",
         "if threshold < 1:",
         "if threshold < 0:",
-        ("tests/test_evaluation.py::test_thresholds_below_one_are_rejected",
-         "tests/test_cli.py::test_cli_evaluate_rejects_a_threshold_below_one"),
+        ("tests/test_evaluation.py::test_thresholds_below_one_are_rejected",),
     ),
     Mutant(
         "reader-errors-name-no-file",
@@ -257,6 +256,28 @@ CATALOGUE = (
         " in {self.cache.directory}",
         "",
         ("tests/test_cli.py::test_cli_run_replay_miss_names_the_cache_and_model",),
+    ),
+    Mutant(
+        "report-recall-at-1000",
+        "src/convsearch/evaluation.py",
+        "recall_at_k(ranking, judged, 100)",
+        "recall_at_k(ranking, judged, 1000)",
+        ("tests/test_evaluation.py::test_a_report_scores_the_suite_at_its_cut_offs",),
+    ),
+    Mutant(
+        "scorer-ids-may-repeat",
+        "src/convsearch/pipeline.py",
+        "if s in self.scorer_ids[:n]]",
+        "if s in self.scorer_ids[:0]]",
+        ("tests/test_pipeline.py::test_run_spec_rejects_a_bad_or_repeated_scorer_id",
+         "tests/test_cli.py::test_cli_run_rejects_a_bad_or_repeated_scorer_id"),
+    ),
+    Mutant(
+        "failed-write-names-the-temp-file",
+        "src/convsearch/index.py",
+        "raise OSError(exc.errno, exc.strerror, str(sink)) from exc",
+        "raise",
+        ("tests/test_cli.py::test_cli_a_failed_write_names_the_path_it_was_asked_to_write",),
     ),
 )
 

@@ -2,7 +2,8 @@
 
 A run builds its index from the corpus or sparse-vector file its spec names, so there
 is no separate indexing step; ``run`` records its LLM exchanges through ``--endpoint``
-or ``--scripted``, and replays them without; ``evaluate`` prints every report sliced.
+or ``--scripted``, and replays them without; ``evaluate`` scores a run on the one
+metric suite (nDCG@5, nDCG, MRR, Recall@100, P@20, mAP) and prints it sliced.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .evaluation import EvalCutoffs, evaluate_run, format_report, parse_qrels
+from .evaluation import evaluate_run, format_report, parse_qrels
 from .evaluation import read_run_file, write_run_file
 from .fusion import ensemble_fuse, interleave
 from .llm import HttpChatTransport, Transport
@@ -47,9 +48,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    qrels = parse_qrels(args.qrels)
-    cutoffs = EvalCutoffs(*(getattr(args, f.name) for f in dataclasses.fields(EvalCutoffs)))
-    report = evaluate_run(args.run, qrels, cutoffs)
+    report = evaluate_run(args.run, parse_qrels(args.qrels))
     print(format_report(report))
     if args.json:
         report.write_json(args.json)
@@ -96,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a TREC run file against qrels")
     p_eval.add_argument("--run", required=True, help="TREC run file")
     p_eval.add_argument("--qrels", required=True, help="qrels file")
-    for cutoff in dataclasses.fields(EvalCutoffs):
-        p_eval.add_argument(f"--{cutoff.name.replace('_', '-')}", type=int, default=cutoff.default)
     p_eval.add_argument("--json", default=None, help="also write a JSON report")
     p_eval.set_defaults(func=_cmd_evaluate)
 

@@ -10,12 +10,15 @@ grades in rank order (0 when unjudged), cut at its ``k`` before any grade is
 looked up.  Qrels and run files are read by one loop over whitespace-separated
 records, whose query id and doc_id are identifiers.
 
-Queries present in the run but absent from the qrels are excluded from
-aggregation and listed; queries judged but with no relevant document score
-0 and are flagged, so aggregates stay stable across runs.  Every report is
-sliced: per-query means grouped by turn depth (turn number) and by topic, with
-query ids parsed as ``<topic>_<turn>``, the form the pipeline writes turn
-ids in; :func:`format_report` prints each non-empty slice under the aggregate.
+A report scores one suite, ``_METRICS``: nDCG@5, nDCG, MRR, Recall@100, P@20
+and mAP, at the default threshold of 1; a caller who needs another cut-off or
+threshold calls the metric functions directly.  Queries present in the run but
+absent from the qrels are excluded from aggregation and listed; queries judged
+but with no relevant document score 0 and are flagged, so aggregates stay
+stable across runs.  Every report is sliced: per-query means grouped by turn
+depth (turn number) and by topic, with query ids parsed as ``<topic>_<turn>``,
+the form the pipeline writes turn ids in; :func:`format_report` prints each
+non-empty slice under the aggregate.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ _Judged = Mapping[str, int]  # one query's judgments: doc_id -> grade
 
 __all__ = [
     "Qrels",
-    "EvalCutoffs",
     "MetricReport",
     "parse_qrels",
     "ndcg_at_k",
@@ -109,19 +111,17 @@ def parse_qrels(source: str | Path | IO[str]) -> Qrels:
     return Qrels(judgments)
 
 
-def _check_cutoffs(k: int | None, threshold: int) -> None:
-    """A cut-off ``k`` (None: all ranks) and a relevance threshold are each >= 1."""
+def _gains(
+    ranking: RankedList, judged: _Judged, k: int | None = None, threshold: int = 1
+) -> Iterator[int]:
+    """The lazy grades (0 if unjudged) of the ranking's top ``k`` or all ranks.
+
+    A cut-off ``k`` (None: all ranks) and a relevance threshold are each >= 1.
+    """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     if threshold < 1:  # below 1, every unjudged document would count as relevant
         raise ValueError("threshold must be >= 1")
-
-
-def _gains(
-    ranking: RankedList, judged: _Judged, k: int | None = None, threshold: int = 1
-) -> Iterator[int]:
-    """The lazy grades (0 if unjudged) of the ranking's top ``k`` or all ranks."""
-    _check_cutoffs(k, threshold)
     return map(judged.get, map(itemgetter(0), ranking.items[:k]), repeat(0))
 
 
@@ -180,24 +180,6 @@ def average_precision(ranking: RankedList, judged: _Judged, threshold: int = 1) 
             hits += 1
             precision_sum += hits / position
     return precision_sum / total_relevant
-
-
-@dataclass(frozen=True)
-class EvalCutoffs:
-    """Metric cutoffs and binary threshold (>= 1); defaults mirror the report suite."""
-
-    ndcg_cutoff: int = 5
-    precision_cutoff: int = 20
-    recall_cutoff: int = 100
-    threshold: int = 1
-
-    def __post_init__(self) -> None:
-        for k in (self.ndcg_cutoff, self.precision_cutoff, self.recall_cutoff):
-            _check_cutoffs(k, self.threshold)
-
-    def metric_columns(self) -> list[str]:
-        ndcg, recall, precision = self.ndcg_cutoff, self.recall_cutoff, self.precision_cutoff
-        return [f"nDCG@{ndcg}", "nDCG", "MRR", f"Recall@{recall}", f"P@{precision}", "mAP"]
 
 
 @dataclass
@@ -280,19 +262,19 @@ def write_run_file(
     return len(lines)
 
 
-def _compute_metrics(
-    ranking: RankedList, judged: _Judged, cutoffs: EvalCutoffs
-) -> dict[str, float]:
-    threshold = cutoffs.threshold
+_METRICS = ("nDCG@5", "nDCG", "MRR", "Recall@100", "P@20", "mAP")
+
+
+def _compute_metrics(ranking: RankedList, judged: _Judged) -> dict[str, float]:
     values = (
-        ndcg_at_k(ranking, judged, cutoffs.ndcg_cutoff),
+        ndcg_at_k(ranking, judged, 5),
         ndcg_at_k(ranking, judged),
-        reciprocal_rank(ranking, judged, threshold),
-        recall_at_k(ranking, judged, cutoffs.recall_cutoff, threshold),
-        precision_at_k(ranking, judged, cutoffs.precision_cutoff, threshold),
-        average_precision(ranking, judged, threshold),
+        reciprocal_rank(ranking, judged),
+        recall_at_k(ranking, judged, 100),
+        precision_at_k(ranking, judged, 20),
+        average_precision(ranking, judged),
     )
-    return dict(zip(cutoffs.metric_columns(), values))
+    return dict(zip(_METRICS, values))
 
 
 def _mean_by_group(
@@ -310,12 +292,8 @@ def _mean_by_group(
     }
 
 
-def evaluate_rankings(
-    rankings: dict[str, RankedList],
-    qrels: Qrels,
-    cutoffs: EvalCutoffs = EvalCutoffs(),
-) -> MetricReport:
-    """Evaluate rankings keyed by query id and assemble the sliced report.
+def evaluate_rankings(rankings: dict[str, RankedList], qrels: Qrels) -> MetricReport:
+    """Score rankings keyed by query id on the report suite and assemble the sliced report.
 
     Each ranking is scored against the judgments of its key, read once.  Run
     queries absent from the qrels are excluded from every mean and listed in
@@ -325,12 +303,12 @@ def evaluate_rankings(
     Raises:
         ValueError: when a query_id cannot be parsed into (topic, turn).
     """
-    metrics = cutoffs.metric_columns()
+    metrics = list(_METRICS)
     parsed = {query_id: _default_query_id_parser(query_id) for query_id in rankings}
     judged_queries = qrels.query_ids()
     excluded = sorted(qid for qid in rankings if qid not in judged_queries)
     judged = {qid: qrels.for_query(qid) for qid in sorted(judged_queries.intersection(rankings))}
-    per_query = {qid: _compute_metrics(rankings[qid], judged[qid], cutoffs) for qid in judged}
+    per_query = {qid: _compute_metrics(rankings[qid], judged[qid]) for qid in judged}
     zero_relevant = [qid for qid, grades in judged.items() if max(grades.values()) <= 0]
     # the aggregate is the mean over one group of every query; zeros when none is judged
     everything = _mean_by_group(per_query, metrics, lambda qid: "all")
@@ -342,13 +320,9 @@ def evaluate_rankings(
     )
 
 
-def evaluate_run(
-    run_source: str | Path | IO[str],
-    qrels: Qrels,
-    cutoffs: EvalCutoffs = EvalCutoffs(),
-) -> MetricReport:
+def evaluate_run(run_source: str | Path | IO[str], qrels: Qrels) -> MetricReport:
     """Evaluate a TREC run file against qrels."""
-    return evaluate_rankings(read_run_file(run_source), qrels, cutoffs)
+    return evaluate_rankings(read_run_file(run_source), qrels)
 
 
 def _format_row(label: str, values: dict[str, float], metrics: Sequence[str], width: int) -> str:

@@ -215,7 +215,8 @@ def _write_text(sink: str | Path | IO[str], text: str) -> None:
 
     The one writer of a path, in UTF-8 with no BOM: a sibling temp file of its own
     (``"x"`` applies the umask, unlike mkstemp's 0600) is renamed over the path, so
-    a failed write leaves the path's earlier bytes and no temp file.
+    a failed write leaves the path's earlier bytes and no temp file.  An ``OSError``
+    names the path, not its temp file.
     """
     if not isinstance(sink, (str, Path)):
         sink.write(text)
@@ -225,8 +226,10 @@ def _write_text(sink: str | Path | IO[str], text: str) -> None:
         with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, sink)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # it names the temp file
+            raise OSError(exc.errno, exc.strerror, str(sink)) from exc
         raise
 
 

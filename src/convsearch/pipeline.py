@@ -129,6 +129,11 @@ class RunConfig:
             raise ValueError(f"unknown fusion '{self.fusion}'")
         if self.phi < 1:
             raise ValueError("phi must be >= 1")
+        if problem := _id_problem("scorer_id", list(self.scorer_ids)):  # it seeds a scorer
+            raise ValueError(problem)
+        twice = [s for n, s in enumerate(self.scorer_ids) if s in self.scorer_ids[:n]]
+        if twice:
+            raise ValueError(f"scorer_id {twice[0]!r} is listed twice")
         unknown = sorted(set(self.scorer_endpoints) - set(self.scorer_ids))
         if unknown:
             raise ValueError(f"scorer_endpoints keys not in scorer_ids {unknown}")

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from convsearch.evaluation import (
-    EvalCutoffs,
     Qrels,
     average_precision,
     evaluate_run,
@@ -418,7 +417,7 @@ def test_criterion_7_report_shape(tmp_path):
     spec = load_run_spec(CONFIG_DIR / "mq4cs_qr_deberta.json")
     run_path, _ = execute_spec(spec, out_dir=tmp_path)
     qrels = parse_qrels(FIXTURE_DIR / "qrels.txt")
-    report = evaluate_run(run_path, qrels, EvalCutoffs())
+    report = evaluate_run(run_path, qrels)
     assert report.metrics == ["nDCG@5", "nDCG", "MRR", "Recall@100", "P@20", "mAP"]
     assert set(report.aggregate) == set(report.metrics)
     # one slice row per turn number and per topic in the fixture

@@ -13,7 +13,6 @@ import pytest
 from convsearch import pipeline
 from convsearch.cli import build_parser, main
 from convsearch.evaluation import (
-    EvalCutoffs,
     evaluate_run,
     format_report,
     parse_qrels,
@@ -56,8 +55,8 @@ def test_cli_run_replay_and_evaluate(tmp_path, capsys):
     assert set(report["aggregate"]) == {"nDCG@5", "nDCG", "MRR", "Recall@100", "P@20", "mAP"}
 
 
-def test_cli_evaluate_defaults_are_the_eval_cutoffs_defaults(tmp_path):
-    # with no cut-off option, the CLI writes the library's report at EvalCutoffs()
+def test_cli_evaluate_writes_the_library_report(tmp_path):
+    # the CLI and evaluate_run score one suite, so their JSON reports are the same bytes
     config = CONFIG_DIR / "gpt4qr_bm25_qd1.json"
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
     run, qrels = tmp_path / "gpt4qr-bm25-qd1.run", FIXTURE_DIR / "qrels.txt"
@@ -65,7 +64,7 @@ def test_cli_evaluate_defaults_are_the_eval_cutoffs_defaults(tmp_path):
     assert main(["evaluate", "--run", str(run), "--qrels", str(qrels),
                  "--json", str(cli_report)]) == 0
     library_report = tmp_path / "library.json"
-    evaluate_run(run, parse_qrels(qrels), EvalCutoffs()).write_json(library_report)
+    evaluate_run(run, parse_qrels(qrels)).write_json(library_report)
     assert cli_report.read_bytes() == library_report.read_bytes()
 
 
@@ -113,7 +112,7 @@ def test_cli_fuse_output_digests(tmp_path):
 
 
 # sha256 of each report's `json.dumps(report.to_dict())` and of its sliced text table,
-# for the six configs' runs and their two fusions, at the default cut-offs
+# for the six configs' runs and their two fusions, on the one metric suite
 REPORT_DIGESTS = {
     "gpt4qr-bm25-qd1.run": [
         "4f948c766e2329b8f82a403bff0041d68acf09c288d042b44ee02e45ab718fdc",
@@ -403,6 +402,15 @@ def test_cli_rejects_an_empty_option_value(tmp_path, capsys, monkeypatch, argv, 
       "unrecognized arguments: --per-depth"),
      (["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--per-topic"],
       "unrecognized arguments: --per-topic"),
+     # a report scores one suite: nDCG@5, nDCG, MRR, Recall@100, P@20, mAP at grade >= 1
+     (["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--ndcg-cutoff", "3"],
+      "unrecognized arguments: --ndcg-cutoff 3"),
+     (["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--precision-cutoff", "10"],
+      "unrecognized arguments: --precision-cutoff 10"),
+     (["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--recall-cutoff", "1000"],
+      "unrecognized arguments: --recall-cutoff 1000"),
+     (["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--threshold", "2"],
+      "unrecognized arguments: --threshold 2"),
      # --endpoint used to win silently, so the run posted to the endpoint
      (["run", "--endpoint", "http://service.invalid", "--scripted"],
       "argument --scripted: not allowed with argument --endpoint"),
@@ -411,7 +419,8 @@ def test_cli_rejects_an_empty_option_value(tmp_path, capsys, monkeypatch, argv, 
       "argument --api-key: not allowed without argument --endpoint"),
      (["run", "--scripted", "--api-key", "secret"],
       "argument --api-key: not allowed without argument --endpoint")],
-    ids=["cache-subcommand", "live-mode", "per-depth", "per-topic", "endpoint-and-scripted",
+    ids=["cache-subcommand", "live-mode", "per-depth", "per-topic", "ndcg-cutoff",
+         "precision-cutoff", "recall-cutoff", "threshold", "endpoint-and-scripted",
          "api-key-alone", "api-key-with-scripted"],
 )
 def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
@@ -421,6 +430,50 @@ def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, sink",
+    [(["evaluate", "--run", "a.run", "--qrels", "qrels.txt", "--json", "nodir/r.json"],
+      "nodir/r.json"),
+     (["fuse", "a.run", "--out", "nodir/f.run"], "nodir/f.run"),
+     (["fuse", "a.run", "--out", "adir"], "adir")],
+    ids=["evaluate-json", "fuse-out", "fuse-out-a-directory"],
+)
+def test_cli_a_failed_write_names_the_path_it_was_asked_to_write(
+    tmp_path, capsys, monkeypatch, argv, sink
+):
+    # the error named the writer's temp file, 'nodir/r.json.<32 hex>.tmp', or both it
+    # and the path, which the user never gave
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "a.run").write_text("1_1 Q0 D001 1 1.000000 a\n", encoding="utf-8")
+    (tmp_path / "qrels.txt").write_text("1_1 0 D001 1\n", encoding="utf-8")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{sink}'\n")
+    assert ".tmp" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.run", "adir", "qrels.txt"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "scorer_ids, message",
+    [(["deberta-v3", "deberta-v3"], "scorer_id 'deberta-v3' is listed twice"),
+     (["deberta-v3\u200b"], "scorer_id holds the unprintable character '\\u200b'")],
+    ids=["twice", "zero-width"],
+)
+def test_cli_run_rejects_a_bad_or_repeated_scorer_id(tmp_path, capsys, scorer_ids, message):
+    # a repeated id was fused twice, so the run's first score read 1.000000 where the
+    # single id's reads 0.843904; 'deberta-v3\u200b' seeded a stand-in scorer of its own
+    spec = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
+    spec.update(paths=paths, scorer_ids=scorer_ids)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["run", "--config", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: run spec {spec_path}: {message}\n"
+    assert list(tmp_path.iterdir()) == [spec_path]
 
 
 @pytest.mark.parametrize(
@@ -439,30 +492,6 @@ def test_cli_fuse_rejects_a_bad_run_tag(tmp_path, capsys, run_tag, message):
     assert main(["fuse", str(run), "--run-tag", run_tag, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("threshold", ["0", "-1"])
-def test_cli_evaluate_rejects_a_threshold_below_one(tmp_path, capsys, threshold):
-    # at 0 every unjudged document counted as relevant: Recall@4 and mAP read 4.0
-    run, qrels = tmp_path / "a.run", tmp_path / "qrels.txt"
-    run.write_text("".join(f"1_1 Q0 D{i} {i} {5 - i}.0 a\n" for i in range(1, 5)), encoding="utf-8")
-    qrels.write_text("1_1 0 D1 1\n", encoding="utf-8")
-    argv = ["evaluate", "--run", str(run), "--qrels", str(qrels), "--threshold", threshold]
-    assert main([*argv, "--recall-cutoff", "4", "--precision-cutoff", "4"]) == 1
-    assert "error: threshold must be >= 1" in capsys.readouterr().err
-
-
-def test_cli_evaluate_rejects_a_cutoff_below_one(tmp_path, capsys):
-    # with no judged query no metric checked its cut-off: the report had nDCG@0 and P@-3 columns
-    run, qrels = tmp_path / "a.run", tmp_path / "qrels.txt"
-    run.write_text("9_1 Q0 D1 1 1.0 a\n", encoding="utf-8")
-    qrels.write_text("1_1 0 D1 1\n", encoding="utf-8")
-    argv = ["evaluate", "--run", str(run), "--qrels", str(qrels)]
-    assert main([*argv, "--ndcg-cutoff", "0", "--precision-cutoff", "-3"]) == 1
-    captured = capsys.readouterr()
-    assert "error: k must be >= 1" in captured.err
-    assert "nDCG@0" not in captured.out
-
 
 
 @pytest.mark.parametrize("bad", ["run", "qrels"])

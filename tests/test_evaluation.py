@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsearch.evaluation import (
-    EvalCutoffs,
     Qrels,
     average_precision,
     evaluate_rankings,
@@ -161,18 +160,12 @@ def test_cutoffs_below_one_are_rejected(k):
     for metric in (ndcg_at_k, precision_at_k, recall_at_k):
         with pytest.raises(ValueError, match="k must be >= 1"):
             metric(ranking, judged, k)
-    # EvalCutoffs left them to the metrics, so a run with no judged query printed nDCG@0
-    for field in ("ndcg_cutoff", "precision_cutoff", "recall_cutoff"):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            EvalCutoffs(**{field: k})
 
 
 @pytest.mark.parametrize("threshold", [0, -1])
 def test_thresholds_below_one_are_rejected(threshold):
     # below 1 every unjudged document counted as relevant, so Recall and mAP passed 1
     ranking, judged = _ranking(["A", "B", "C", "D"]), _judged({"A": 1})
-    with pytest.raises(ValueError, match="threshold must be >= 1"):
-        EvalCutoffs(threshold=threshold)
     for metric, k in ((reciprocal_rank, ()), (precision_at_k, (4,)), (recall_at_k, (4,)),
                       (average_precision, ())):
         with pytest.raises(ValueError, match="threshold must be >= 1"):
@@ -482,6 +475,24 @@ def test_evaluate_run_metric_columns_match_suite():
     assert report.metrics == ["nDCG@5", "nDCG", "MRR", "Recall@100", "P@20", "mAP"]
 
 
+def test_a_report_scores_the_suite_at_its_cut_offs():
+    # relevant documents at ranks 1, 6, 21 and 101 each fall just past one cut-off;
+    # the fixture's rankings hold at most 50 documents, so Recall@100 needs this one
+    doc_ids = [f"D{rank:03d}" for rank in range(1, 121)]
+    relevant = ("D001", "D006", "D021", "D101")
+    qrels = Qrels({**{("1_1", d): 1 for d in relevant}, ("1_1", "D002"): 0})
+    report = evaluate_rankings({"1_1": _ranking(doc_ids)}, qrels)
+    ideal = sum(1 / math.log2(rank + 1) for rank in (1, 2, 3, 4))
+    assert report.per_query["1_1"] == pytest.approx({
+        "nDCG@5": 1 / ideal,
+        "nDCG": sum(1 / math.log2(rank + 1) for rank in (1, 6, 21, 101)) / ideal,
+        "MRR": 1.0,
+        "Recall@100": 3 / 4,
+        "P@20": 2 / 20,
+        "mAP": (1 / 1 + 2 / 6 + 3 / 21 + 4 / 101) / 4,
+    }, rel=1e-12)
+
+
 def test_evaluate_run_slices_by_depth_and_topic():
     rows = [
         ("1_1", "A", 1, 1.0),
@@ -519,14 +530,6 @@ def test_evaluate_run_rejects_bad_query_id():
         message = f"query_id '{query_id}' is not of the form <topic>_<turn>"
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate_run(_run_file(rows), qrels)
-
-
-def test_evaluate_custom_cutoffs_change_columns():
-    qrels = parse_qrels(io.StringIO("1_1 0 A 1\n"))
-    report = evaluate_run(
-        _run_file([("1_1", "A", 1, 1.0)]), qrels, EvalCutoffs(ndcg_cutoff=3, recall_cutoff=10)
-    )
-    assert "nDCG@3" in report.metrics and "Recall@10" in report.metrics
 
 
 def test_format_report_renders_slices():
@@ -571,29 +574,26 @@ _DOC_IDS = st.sampled_from(["A", "B", "C", "D", "E", "F"])
     runs=st.dictionaries(
         _QUERY_IDS, st.dictionaries(_DOC_IDS, st.floats(-4, 4).map(lambda x: round(x, 1)))
     ),
-    threshold=st.integers(1, 3),
 )
 # when a ranking carried a query id of its own, one keyed 1_1 but made for 2_1 scored 1.0
-@example(judgments={("1_1", "A"): 1, ("2_1", "B"): 1}, runs={"1_1": {"B": 1.0}}, threshold=1)
-def test_each_ranking_is_scored_against_the_judgments_of_its_key(judgments, runs, threshold):
+@example(judgments={("1_1", "A"): 1, ("2_1", "B"): 1}, runs={"1_1": {"B": 1.0}})
+def test_each_ranking_is_scored_against_the_judgments_of_its_key(judgments, runs):
     qrels = Qrels(judgments)
     rankings = {qid: RankedList(scores) for qid, scores in runs.items()}
-    cutoffs = EvalCutoffs(ndcg_cutoff=2, precision_cutoff=3, recall_cutoff=4, threshold=threshold)
-    report = evaluate_rankings(rankings, qrels, cutoffs)
+    report = evaluate_rankings(rankings, qrels)
     judged_queries = sorted(qrels.query_ids() & set(rankings))
     assert list(report.per_query) == judged_queries
     assert report.excluded == sorted(set(rankings) - qrels.query_ids())
     for qid in judged_queries:
         ranking, judged = rankings[qid], qrels.for_query(qid)
-        want = (
-            ndcg_at_k(ranking, judged, 2),
-            ndcg_at_k(ranking, judged),
-            reciprocal_rank(ranking, judged, threshold),
-            recall_at_k(ranking, judged, 4, threshold),
-            precision_at_k(ranking, judged, 3, threshold),
-            average_precision(ranking, judged, threshold),
-        )
-        assert report.per_query[qid] == dict(zip(cutoffs.metric_columns(), want))
+        assert report.per_query[qid] == {
+            "nDCG@5": ndcg_at_k(ranking, judged, 5),
+            "nDCG": ndcg_at_k(ranking, judged),
+            "MRR": reciprocal_rank(ranking, judged),
+            "Recall@100": recall_at_k(ranking, judged, 100),
+            "P@20": precision_at_k(ranking, judged, 20),
+            "mAP": average_precision(ranking, judged),
+        }
     no_grade_above_zero = [
         qid for qid in judged_queries if all(rel <= 0 for rel in qrels.for_query(qid).values())
     ]

@@ -656,6 +656,25 @@ def test_run_spec_rejects_the_single_rewrite_rewriter(tmp_path):
             load_run_spec(path)
 
 
+@pytest.mark.parametrize(
+    "scorer_ids, message",
+    [(["deberta-v3", "deberta-v3"], "scorer_id 'deberta-v3' is listed twice"),
+     (["deberta-v3", "minilm", "deberta-v3"], "scorer_id 'deberta-v3' is listed twice"),
+     (["deberta-v3", ""], "empty scorer_id"),
+     (["deberta-v3\u200b"], "scorer_id holds the unprintable character '\\u200b'"),
+     (["deberta v3"], "whitespace in scorer_id 'deberta v3'")],
+    ids=["twice", "twice-apart", "empty", "zero-width", "whitespace"],
+)
+def test_run_spec_rejects_a_bad_or_repeated_scorer_id(tmp_path, scorer_ids, message):
+    # each id seeds a stand-in scorer of its own: a repeated id was fused twice, and an
+    # empty or zero-width-suffixed one ran a scorer that no listed name stands for
+    data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(data, scorer_ids=scorer_ids)), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"run spec {path}: {message}")):
+        load_run_spec(path)
+
+
 def test_run_spec_names_a_missing_field_and_its_file(tmp_path):
     data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
     for name in ("run_tag", "rewriter", "retriever"):
