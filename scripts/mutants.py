@@ -212,7 +212,8 @@ CATALOGUE = (
         'mode = "replay" if transport is None else "record"',
         'mode = "replay"',
         ("tests/test_pipeline.py::test_a_run_given_a_transport_records_and_one_given_none_replays",
-         "tests/test_cli.py::test_cli_run_record_then_replay"),
+         "tests/test_cli.py::test_cli_run_record_then_replay",
+         "tests/test_cli.py::test_readme_cli_quickstart_runs"),
     ),
     Mutant(
         "run-spec-takes-an-empty-path",
@@ -278,6 +279,47 @@ CATALOGUE = (
         "raise OSError(exc.errno, exc.strerror, str(sink)) from exc",
         "raise",
         ("tests/test_cli.py::test_cli_a_failed_write_names_the_path_it_was_asked_to_write",),
+    ),
+    Mutant(
+        "report-prints-no-slices",
+        "src/convsearch/evaluation.py",
+        "        if groups:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_cli_run_replay_and_evaluate",
+         "tests/test_cli.py::test_readme_cli_quickstart_runs"),
+    ),
+    Mutant(
+        "fuse-ignores-method",
+        "src/convsearch/cli.py",
+        'fuse = ensemble_fuse if args.method == "ensemble" else interleave',
+        "fuse = ensemble_fuse",
+        ("tests/test_cli.py::test_cli_fuse_output_digests",
+         "tests/test_cli.py::test_cli_fuse"),
+    ),
+    Mutant(
+        "endpoint-takes-any-string",
+        "src/convsearch/llm.py",
+        'return None if host else f"{what} is not an http(s) URL naming a host: {url!r}"',
+        "return None",
+        ("tests/test_pipeline.py::test_run_config_rejects_a_bad_value",
+         "tests/test_llm.py::test_http_transport_rejects_an_endpoint_that_is_no_http_url",
+         "tests/test_cli.py::test_cli_run_rejects_an_endpoint_that_is_no_http_url_before_set_up",
+         "tests/test_cli.py::test_cli_run_rejects_an_empty_value_before_any_index_is_built"),
+    ),
+    Mutant(
+        "out-dir-checked-after-the-run",
+        "src/convsearch/pipeline.py",
+        "    if not (ancestor := next(p for p in (out, *out.parents) if p.exists())).is_dir():\n"
+        '        raise ValueError(f"out_dir {out} cannot be made: {ancestor} is not a directory")\n',
+        "",
+        ("tests/test_pipeline.py::test_execute_spec_rejects_an_out_dir_it_cannot_make_before_set_up",),
+    ),
+    Mutant(
+        "manual-rewrite-checked-per-turn",
+        "src/convsearch/pipeline.py",
+        'if spec.config.rewriter == "human_rewrite":',
+        "if False:",
+        ("tests/test_pipeline.py::test_a_human_rewrite_run_needs_every_manual_rewrite_before_set_up",),
     ),
 )
 

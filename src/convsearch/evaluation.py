@@ -19,6 +19,12 @@ stable across runs.  Every report is sliced: per-query means grouped by turn
 depth (turn number) and by topic, with query ids parsed as ``<topic>_<turn>``,
 the form the pipeline writes turn ids in; :func:`format_report` prints each
 non-empty slice under the aggregate.
+
+Ties: equal scores rank by ascending doc_id.  A run file prints each score to 6
+decimals, so two scores less than 1e-6 apart can print equal, and
+:func:`read_run_file`, which ``convsearch evaluate`` and ``convsearch fuse`` read
+through, then orders them by doc_id, not by the rank column.  trec_eval breaks
+ties by descending docno instead (Lin & Yang, SIGIR 2019).
 """
 
 from __future__ import annotations

@@ -91,6 +91,17 @@ def _post_json(url: str, payload: object, headers: Mapping[str, str] = {}) -> by
         raise TransportError(f"request to {url} failed: {exc}") from exc
 
 
+def _url_problem(what: str, url: str) -> str | None:
+    """None if ``url`` starts with ``http://`` or ``https://`` and names a host, else why not."""
+    from urllib.parse import urlsplit  # imported here, as the HTTP stack is
+
+    try:
+        host = urlsplit(url).hostname if url.startswith(("http://", "https://")) else None
+    except ValueError:  # an unclosed IPv6 bracket
+        host = None
+    return None if host else f"{what} is not an http(s) URL naming a host: {url!r}"
+
+
 @dataclass(frozen=True)
 class QuerySet:
     """Generated queries for one turn: non-blank, at most the ``phi`` asked for."""
@@ -163,10 +174,14 @@ class HttpChatTransport:
     choice's message content, the shape used by common completion APIs.
     Every failure raises :class:`TransportError` naming the endpoint: a
     request that fails, or outlasts :data:`TIMEOUT` seconds, and a reply
-    that is not such JSON or holds a lone surrogate ("malformed completion response").
+    that is not such JSON or holds a lone surrogate ("malformed completion response"),
+    and, when the transport is made, an ``endpoint_url`` that is not an http(s) URL
+    naming a host.
     """
 
     def __init__(self, endpoint_url: str, api_key: str | None = None):
+        if problem := _url_problem("endpoint", endpoint_url):
+            raise TransportError(problem)
         self.endpoint_url = endpoint_url
         self.api_key = api_key
 

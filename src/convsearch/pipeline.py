@@ -50,7 +50,7 @@ from .index import (
     sparse_retrieve,
     text_to_query_vector,
 )
-from .llm import LLMGateway, Transport
+from .llm import LLMGateway, Transport, _url_problem
 
 __all__ = [
     "MAX_RANKING",
@@ -106,7 +106,8 @@ class RunConfig:
     """The seams one run varies; turn ids are ``<topic>_<turn>``.
 
     ``fusion`` names one of the two run shapes: ``pool_then_rerank`` or ``none``.
-    ``scorer_endpoints`` maps some of ``scorer_ids`` to cross-encoder services.
+    ``scorer_endpoints`` maps some of ``scorer_ids`` to cross-encoder services, each
+    an http(s) URL naming a host.
     """
 
     turn_id_template: ClassVar[str] = "{topic}_{turn}"
@@ -137,6 +138,9 @@ class RunConfig:
         unknown = sorted(set(self.scorer_endpoints) - set(self.scorer_ids))
         if unknown:
             raise ValueError(f"scorer_endpoints keys not in scorer_ids {unknown}")
+        for scorer_id, url in self.scorer_endpoints.items():
+            if problem := _url_problem(f"scorer_endpoints value of {scorer_id!r}", url):
+                raise ValueError(problem)
         if self.fusion == "pool_then_rerank" and self.rewriter != "multi_query":
             raise ValueError("fusion 'pool_then_rerank' requires the multi_query rewriter")
         if self.fusion == "pool_then_rerank" and not self.scorer_ids:
@@ -363,14 +367,21 @@ def load_resources(
     retriever, otherwise from the passages read from ``corpus``.
 
     Raises:
-        ValueError: naming the paths the run needs that the spec lacks, or
-            naming the vectors file and its first doc_id, in file order,
-            that the corpus lacks.
+        ValueError: naming the paths the run needs that the spec lacks; for a
+            ``human_rewrite`` run, naming the topics file and the first topic and turn
+            with no ``manual_rewrite``; or naming the vectors file and its first doc_id,
+            in file order, that the corpus lacks.
     """
     sparse = spec.config.retriever == "sparse"
     _require_paths(spec, ("corpus", "sparse_vectors", "topics") if sparse else ("corpus", "topics"))
     paths = spec.paths
     topics = parse_topics(paths["topics"])  # first: a bad topic fails before any index is built
+    if spec.config.rewriter == "human_rewrite":  # else a turn with none fails after set-up
+        for topic in topics:
+            for turn in topic.turns:
+                if turn.manual_rewrite is None:
+                    raise ValueError(f"topics {paths['topics']}: no manual_rewrite for topic "
+                                     f"{topic.topic_id} turn {turn.turn_number}")
     passages = {p.doc_id: p for p in read_corpus(paths["corpus"])}
     if sparse:
         vectors = load_sparse_vectors(paths["sparse_vectors"])
@@ -400,21 +411,25 @@ def execute_spec(
 
     Raises:
         ValueError: naming the paths the run needs that the spec lacks (``cache_dir``
-            among them), if ``workers`` is below 1, or if a replay's ``cache_dir`` is not
-            a directory (it is not made); all before any index is built.
+            among them), if ``workers`` is below 1, if a replay's ``cache_dir`` is not
+            a directory (it is not made), or if ``out_dir`` cannot be made because its
+            nearest existing ancestor is not a directory; all before any index is built.
     """
     _require_paths(spec, ("cache_dir",))
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if transport is None and not Path(spec.paths["cache_dir"]).is_dir():  # a miss would name no dir
         raise ValueError(f"replay cache {spec.paths['cache_dir']} is not a directory")
+    out = Path(out_dir)
+    # the nearest existing ancestor: out_dir is made only once every turn has succeeded
+    if not (ancestor := next(p for p in (out, *out.parents) if p.exists())).is_dir():
+        raise ValueError(f"out_dir {out} cannot be made: {ancestor} is not a directory")
     index, topics, passages = load_resources(spec)
     mode = "replay" if transport is None else "record"
     llm = LLMGateway(spec.model_id, spec.paths["cache_dir"], mode, transport)
     results = execute_run(
         spec.config, topics, index, llm, passages=passages, workers=workers
     )
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_path = out / f"{spec.config.run_tag}.run"
     responses_path = out / f"{spec.config.run_tag}.responses.jsonl"

@@ -12,6 +12,9 @@ REPO = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO / "data" / "fixture"
 CONFIG_DIR = REPO / "configs"
 TESTS_FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
+# endpoint values that are no http(s) URL naming a host: each failed only at its first request
+NOT_HTTP_URLS = ("", "notaurl", "localhost:8080/score", "ftp://h/score", "HTTP://h/score",
+                 "http://", "https:///score", "http://:8080/score", "http://[::1/score")
 
 
 class CountingTransport:

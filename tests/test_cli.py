@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from convsearch import pipeline
-from convsearch.cli import build_parser, main
+from convsearch.cli import main
 from convsearch.evaluation import (
     evaluate_run,
     format_report,
@@ -323,6 +323,22 @@ def test_cli_run_replay_names_a_missing_cache_directory(tmp_path, capsys, monkey
     assert not cache_dir.exists() and not out_dir.exists()
 
 
+def test_cli_run_rejects_an_endpoint_that_is_no_http_url_before_set_up(
+    tmp_path, capsys, monkeypatch
+):
+    # '--endpoint notaurl' failed at turn 1_1, after the index was built, with a bare ValueError
+    def read_corpus(path):
+        raise AssertionError("an index was built")
+
+    monkeypatch.setattr(pipeline, "read_corpus", read_corpus)
+    argv = ["run", "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"), "--endpoint", "notaurl",
+            "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    message = "error: endpoint is not an http(s) URL naming a host: 'notaurl'\n"
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_run_replay_miss_names_the_cache_and_model(tmp_path, capsys):
     # a replay from an existing directory holding no record for the run used to fail
     # on 'turn 1_1: cache miss for key <hex>' alone, naming neither the cache nor the id
@@ -345,10 +361,13 @@ def test_cli_run_replay_miss_names_the_cache_and_model(tmp_path, capsys):
      ({"model_id": ""}, ["--scripted"], "run spec {spec}: model_id is empty"),
      *(({}, ["--scripted", f"--{option}", ""], f"argument --{option}: is empty")
        for option in ("config", "out-dir", "model-id", "cache-dir")),
+     # an empty scorer endpoint failed the first rerank on "unknown url type: ''"
+     ({"scorer_endpoints": {"minilm": ""}}, ["--scripted"],
+      "run spec {spec}: scorer_endpoints value of 'minilm' is not an http(s) URL naming a host: ''"),
      ({}, ["--endpoint", ""], "argument --endpoint: is empty"),
      ({}, ["--endpoint", "http://chat.invalid", "--api-key", ""], "argument --api-key: is empty")],
     ids=["spec-cache_dir", "spec-corpus", "spec-model_id", "config", "out-dir", "model-id",
-         "cache-dir", "endpoint", "api-key"],
+         "cache-dir", "spec-scorer_endpoints", "endpoint", "api-key"],
 )
 def test_cli_run_rejects_an_empty_value_before_any_index_is_built(
     tmp_path, capsys, monkeypatch, change, options, message
@@ -652,7 +671,7 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_readme_cli_quickstart_commands_parse():
+def test_readme_cli_quickstart_runs(tmp_path, capsys, monkeypatch):
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Quickstart (CLI)", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
@@ -665,6 +684,22 @@ def test_readme_cli_quickstart_commands_parse():
     assert len(recording) == len(replaying) == 1
     cache_dirs = {argv[argv.index("--cache-dir") + 1] for argv in recording + replaying}
     assert len(cache_dirs) == 1
-    parser = build_parser()
+    # the block runs as written from a directory that sees the repository's inputs,
+    # so with no absolute path in it, every output lands under tmp_path
+    assert not [arg for argv in commands for arg in argv if Path(arg).is_absolute()]
+    for name in ("configs", "data"):
+        (tmp_path / name).symlink_to(REPO / name, target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        assert callable(parser.parse_args(argv).func)
+        code = main(argv)
+        printed, err = capsys.readouterr()
+        assert code == 0, f"{shlex.join(argv)}: {err}"
+        if argv[0] == "evaluate":
+            assert "per depth (turn number):" in printed and "per topic:" in printed
+    for written in ("out/report.json", "out/fused.run"):
+        assert (tmp_path / written).stat().st_size > 0
+    recorded, replayed = (Path(argv[argv.index("--out-dir") + 1]) for argv in recording + replaying)
+    runs = sorted(path.name for path in recorded.glob("*.run"))
+    assert runs and runs == sorted(path.name for path in replayed.glob("*.run"))
+    for name in runs:
+        assert (replayed / name).read_bytes() == (recorded / name).read_bytes()

@@ -31,7 +31,7 @@ from convsearch.llm import (
 from convsearch.offline import ScriptedTransport
 from convsearch.prompts import TEMPLATES, render_prompt
 
-from conftest import REPO, CountingTransport
+from conftest import NOT_HTTP_URLS, REPO, CountingTransport
 
 # ---------------------------------------------------------------------------
 # prompt templates
@@ -511,6 +511,16 @@ def test_http_transport_failure_is_transport_error(monkeypatch, failure):
     url = "http://example.invalid/v1/chat"
     with pytest.raises(TransportError, match=re.escape(f"request to {url} failed: ")):
         HttpChatTransport(url)("gpt-4", "hello")
+
+
+@pytest.mark.parametrize("url", NOT_HTTP_URLS)
+def test_http_transport_rejects_an_endpoint_that_is_no_http_url(monkeypatch, url):
+    # 'notaurl' used to fail only at the first request, with a bare ValueError
+    requests = _reply_with(monkeypatch, b'{"choices": [{"message": {"content": "hi"}}]}')
+    message = f"endpoint is not an http(s) URL naming a host: {url!r}"
+    with pytest.raises(TransportError, match=re.escape(message)):
+        HttpChatTransport(url)
+    assert requests == []
 
 
 _SERVICE = "http://service.invalid"

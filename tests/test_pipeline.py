@@ -35,7 +35,7 @@ from convsearch.pipeline import (
     write_trec_run,
 )
 
-from conftest import CONFIG_DIR, TESTS_FIXTURE_DIR, CountingTransport
+from conftest import CONFIG_DIR, NOT_HTTP_URLS, TESTS_FIXTURE_DIR, CountingTransport
 
 # ---------------------------------------------------------------------------
 # RunConfig validation
@@ -56,6 +56,9 @@ def test_run_config_accepts_submitted_run_shapes():
         fusion="none",
         scorer_ids=("deberta-v2", "deberta-v3", "roberta", "albert", "electra"),
     )
+    for url in ("http://h", "https://h:8443/score", "http://127.0.0.1:9000/s", "http://[::1]/s"):
+        RunConfig(run_tag="r2", rewriter="multi_query", retriever="sparse", phi=1,
+                  scorer_ids=("deberta-v3",), scorer_endpoints={"deberta-v3": url})
 
 
 def test_run_config_pool_requires_multi_query():
@@ -79,8 +82,14 @@ def test_run_config_pool_requires_reranker():
     [({"retriever": "dense"}, "unknown retriever 'dense'"), ({"phi": 0}, "phi must be >= 1"),
      # a mis-keyed endpoint used to run the offline stand-in, never the service
      ({"scorer_ids": ("deberta-v3",), "scorer_endpoints": {"deberta_v3": "http://h/d"}},
-      "scorer_endpoints keys not in scorer_ids ['deberta_v3']")],
-    ids=["unknown-retriever", "phi-zero", "mis-keyed-endpoint"],
+      "scorer_endpoints keys not in scorer_ids ['deberta_v3']"),
+     # "" built the index and failed the first rerank on "turn 1_1: unknown url type: ''"
+     *(({"scorer_ids": ("deberta-v3", "minilm"),
+         "scorer_endpoints": {"minilm": "http://h/m", "deberta-v3": url}},
+        f"scorer_endpoints value of 'deberta-v3' is not an http(s) URL naming a host: {url!r}")
+       for url in NOT_HTTP_URLS)],
+    ids=["unknown-retriever", "phi-zero", "mis-keyed-endpoint",
+         *(f"endpoint-{url}" for url in NOT_HTTP_URLS)],
 )
 def test_run_config_rejects_a_bad_value(fields, message):
     base = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
@@ -302,6 +311,49 @@ def test_execute_spec_rejects_a_run_tag_with_a_lone_surrogate_before_the_run(tmp
     with pytest.raises(ValueError, match=re.escape("run_tag holds the lone surrogate '\\udcff'")):
         execute_spec(replace(spec, config=replace(spec.config, run_tag="x\udcff")), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def _no_set_up(path):
+    raise AssertionError("set-up read the corpus")
+
+
+@pytest.mark.parametrize("below", ["", "out", "out/deeper"])
+def test_execute_spec_rejects_an_out_dir_it_cannot_make_before_set_up(tmp_path, monkeypatch, below):
+    # an out_dir under a regular file ran every turn, 18 transport calls, and only then
+    # failed on NotADirectoryError (FileExistsError for the file itself)
+    monkeypatch.setattr(pipeline, "read_corpus", _no_set_up)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / below  # below "" it is the file itself
+    spec = load_run_spec(CONFIG_DIR / "gpt4qr_deberta.json")
+    spec = replace(spec, paths=dict(spec.paths, cache_dir=tmp_path / "cache"))
+    transport = CountingTransport()
+    message = f"out_dir {out} cannot be made: {blocker} is not a directory"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        execute_spec(spec, out, transport=transport)
+    assert transport.calls == 0
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_a_human_rewrite_run_needs_every_manual_rewrite_before_set_up(tmp_path, monkeypatch):
+    # a topic file lacking one failed the run at turn 2_3, after set-up and 11 transport calls
+    monkeypatch.setattr(pipeline, "read_corpus", _no_set_up)
+    spec = load_run_spec(CONFIG_DIR / "humanqr_deberta.json")
+    topics = json.loads(spec.paths["topics"].read_text(encoding="utf-8"))
+    del topics[1]["turns"][2]["manual_rewrite"]
+    topics_path = tmp_path / "topics.json"
+    topics_path.write_text(json.dumps(topics), encoding="utf-8")
+    spec.paths.update(topics=topics_path, cache_dir=tmp_path / "cache")
+    transport = CountingTransport()
+    message = f"topics {topics_path}: no manual_rewrite for topic 2 turn 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        execute_spec(spec, tmp_path / "out", transport=transport)
+    assert transport.calls == 0
+    assert list(tmp_path.iterdir()) == [topics_path]
+    # a multi_query run reads no manual_rewrite, so the same topics set up
+    multi_query = replace(spec, config=replace(spec.config, rewriter="multi_query", phi=1))
+    with pytest.raises(AssertionError, match="set-up read the corpus"):
+        execute_spec(multi_query, tmp_path / "out", transport=transport)
 
 
 def test_load_resources_rejects_vectors_of_a_doc_the_corpus_lacks(tmp_path):
