@@ -227,19 +227,16 @@ CATALOGUE = (
     Mutant(
         "run-spec-takes-a-model-id-that-is-no-identifier",
         "src/convsearch/pipeline.py",
-        '        if problem := _id_problem("model_id", [self.model_id]):'
-        "  # and is sent as `model`\n"
-        "            raise ValueError(problem)\n",
-        "",
-        ("tests/test_cli.py::test_cli_run_rejects_a_model_id_that_is_no_identifier",),
+        '_id_problem("model_id", [_json_value(self.model_id, str, "model_id")])',
+        "None",
+        ("tests/test_cli.py::test_cli_run_rejects_a_model_id_that_is_no_identifier",
+         "tests/test_cli.py::test_cli_run_rejects_an_empty_value_before_any_index_is_built"),
     ),
     Mutant(
         "replay-makes-a-missing-cache-directory",
         "src/convsearch/pipeline.py",
-        '    if transport is None and not Path(spec.paths["cache_dir"]).is_dir():'
-        "  # a miss would name no dir\n"
-        "        raise ValueError("
-        "f\"replay cache {spec.paths['cache_dir']} is not a directory\")\n",
+        "    if transport is None and not cache.is_dir():  # a miss would name no dir\n"
+        '        raise ValueError(f"replay cache {cache} is not a directory")\n',
         "",
         ("tests/test_cli.py::test_cli_run_replay_names_a_missing_cache_directory",),
     ),
@@ -309,10 +306,16 @@ CATALOGUE = (
     Mutant(
         "out-dir-checked-after-the-run",
         "src/convsearch/pipeline.py",
-        "    if not (ancestor := next(p for p in (out, *out.parents) if p.exists())).is_dir():\n"
-        '        raise ValueError(f"out_dir {out} cannot be made: {ancestor} is not a directory")\n',
-        "",
-        ("tests/test_pipeline.py::test_execute_spec_rejects_an_out_dir_it_cannot_make_before_set_up",),
+        '(("cache_dir", cache), ("out_dir", out))',
+        '(("cache_dir", cache),)',
+        ("tests/test_pipeline.py::test_execute_spec_rejects_a_directory_it_cannot_make_before_set_up",),
+    ),
+    Mutant(
+        "cache-dir-checked-after-set-up",
+        "src/convsearch/pipeline.py",
+        '(("cache_dir", cache), ("out_dir", out))',
+        '(("out_dir", out),)',
+        ("tests/test_pipeline.py::test_execute_spec_rejects_a_directory_it_cannot_make_before_set_up",),
     ),
     Mutant(
         "manual-rewrite-checked-per-turn",
@@ -320,6 +323,13 @@ CATALOGUE = (
         'if spec.config.rewriter == "human_rewrite":',
         "if False:",
         ("tests/test_pipeline.py::test_a_human_rewrite_run_needs_every_manual_rewrite_before_set_up",),
+    ),
+    Mutant(
+        "readme-reranks-passages-it-never-defines",
+        "README.md",
+        'passages = {p.doc_id: p for p in read_corpus("data/fixture/corpus.tsv")}\n',
+        "",
+        ("tests/test_census.py::test_readme_python_blocks_run_in_order",),
     ),
 )
 

@@ -1,15 +1,15 @@
 """Command-line entry points: run, evaluate, fuse.
 
-A run builds its index from the corpus or sparse-vector file its spec names, so there
-is no separate indexing step; ``run`` records its LLM exchanges through ``--endpoint``
-or ``--scripted``, and replays them without; ``evaluate`` scores a run on the one
-metric suite (nDCG@5, nDCG, MRR, Recall@100, P@20, mAP) and prints it sliced.
+A run's spec says what the run is, its model included; ``run``'s options say where and
+how it runs.  A run builds its index from the corpus or sparse-vector file its spec
+names, so there is no indexing step; ``run`` records its LLM exchanges through
+``--endpoint`` or ``--scripted``, and replays them without; ``evaluate`` scores a run
+on the one metric suite (nDCG@5, nDCG, MRR, Recall@100, P@20, mAP), printed sliced.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,8 +34,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_run_spec(args.config)
     if args.cache_dir is not None:
         spec.paths["cache_dir"] = Path(args.cache_dir).resolve()
-    if args.model_id is not None:
-        spec = dataclasses.replace(spec, model_id=args.model_id)
     run_path, responses_path = execute_spec(
         spec,
         out_dir=args.out_dir,
@@ -76,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a run config end to end")
     p_run.add_argument("--config", required=True, help="run spec JSON file")
     p_run.add_argument("--out-dir", default="out", help="directory for run outputs")
-    p_run.add_argument("--model-id", default=None, help="override the spec's model id")
     p_run.add_argument("--cache-dir", default=None, help="override the spec's cache directory")
     transport = p_run.add_mutually_exclusive_group()
     transport.add_argument("--endpoint", default=None, help="chat-completion URL to record through")

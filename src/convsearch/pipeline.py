@@ -299,16 +299,15 @@ def write_response_records(results: Sequence[TurnResult], sink: str | Path | IO[
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A run config plus the file paths and the model id (an identifier) to execute it."""
+    """What a run is: a run config, its file paths and the model id (an identifier) it
+    asks; a run against another model is another spec, with its own ``run_tag``."""
 
     config: RunConfig
     paths: dict[str, Path]
     model_id: str = "gpt-4"
 
     def __post_init__(self) -> None:
-        if not _json_value(self.model_id, str, "model_id"):  # it goes into every cache key
-            raise ValueError("model_id is empty")
-        if problem := _id_problem("model_id", [self.model_id]):  # and is sent as `model`
+        if problem := _id_problem("model_id", [_json_value(self.model_id, str, "model_id")]):
             raise ValueError(problem)
 
 
@@ -404,29 +403,32 @@ def execute_spec(
 ) -> tuple[Path, Path]:
     """Execute a run spec and write ``<run_tag>.run`` and ``<run_tag>.responses.jsonl``.
 
-    A run given a ``transport`` records (a cache miss goes to the transport); one given
-    none replays ``cache_dir``.  Returns the two output paths, replaced as a pair: both
-    earlier files go once every turn has succeeded, so a failed write leaves no earlier
-    run's file beside a new one.
+    The spec says what the run is, its model included; the arguments say where and how
+    it runs.  A run given a ``transport`` records (a cache miss goes to the transport);
+    one given none replays ``cache_dir``.  Returns the two output paths, replaced as a
+    pair: both earlier files go once every turn has succeeded, so a failed write leaves
+    no earlier run's file beside a new one.
 
     Raises:
         ValueError: naming the paths the run needs that the spec lacks (``cache_dir``
             among them), if ``workers`` is below 1, if a replay's ``cache_dir`` is not
-            a directory (it is not made), or if ``out_dir`` cannot be made because its
-            nearest existing ancestor is not a directory; all before any index is built.
+            a directory (it is not made), or if ``cache_dir`` or ``out_dir`` cannot be
+            made because its nearest existing ancestor is not a directory; all before
+            any index is built or any directory is made.
     """
     _require_paths(spec, ("cache_dir",))
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if transport is None and not Path(spec.paths["cache_dir"]).is_dir():  # a miss would name no dir
-        raise ValueError(f"replay cache {spec.paths['cache_dir']} is not a directory")
-    out = Path(out_dir)
-    # the nearest existing ancestor: out_dir is made only once every turn has succeeded
-    if not (ancestor := next(p for p in (out, *out.parents) if p.exists())).is_dir():
-        raise ValueError(f"out_dir {out} cannot be made: {ancestor} is not a directory")
+    cache, out = Path(spec.paths["cache_dir"]), Path(out_dir)
+    if transport is None and not cache.is_dir():  # a miss would name no dir
+        raise ValueError(f"replay cache {cache} is not a directory")
+    # cache_dir is made after set-up, out_dir once every turn has succeeded: so check now
+    for name, path in (("cache_dir", cache), ("out_dir", out)):
+        if not (ancestor := next(p for p in (path, *path.parents) if p.exists())).is_dir():
+            raise ValueError(f"{name} {path} cannot be made: {ancestor} is not a directory")
     index, topics, passages = load_resources(spec)
     mode = "replay" if transport is None else "record"
-    llm = LLMGateway(spec.model_id, spec.paths["cache_dir"], mode, transport)
+    llm = LLMGateway(spec.model_id, cache, mode, transport)
     results = execute_run(
         spec.config, topics, index, llm, passages=passages, workers=workers
     )

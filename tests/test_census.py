@@ -37,6 +37,24 @@ def test_readme_imports_from_the_package_resolve():
     assert [name for name in names if not hasattr(convsearch, name)] == []
 
 
+def _files(root):
+    return {path: path.stat().st_mtime_ns for path in root.rglob("*") if ".git" not in path.parts}
+
+
+def test_readme_python_blocks_run_in_order(capsys, monkeypatch):
+    # the second block reranked with `passages`, which no block defined: a NameError
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    before = _files(REPO)
+    monkeypatch.chdir(REPO)  # the blocks read the fixture by relative path
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out
+    assert _files(REPO) == before
+
+
 def test_census_prints_one_json_line_of_counts(tmp_path):
     done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "census.py")],

@@ -252,59 +252,23 @@ def test_cli_run_records_through_the_endpoint_with_the_api_key(tmp_path, monkeyp
     assert {(r["model_id"], r["prompt"], r["response"]) for r in records} == exchanges
 
 
-def test_cli_run_model_id_overrides_the_spec(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    argv = [
-        "run", "--config", str(CONFIG_DIR / "gpt4qr_deberta.json"),
-        "--cache-dir", str(cache_dir), "--out-dir", str(tmp_path / "out"),
-    ]
-    assert main([*argv, "--scripted", "--model-id", "m2"]) == 0
-    records = [json.loads(path.read_text()) for path in cache_dir.glob("*.json")]
-    assert records and {record["model_id"] for record in records} == {"m2"}
-    capsys.readouterr()
-    # the spec's own model id finds none of those records
-    assert main(argv) == 1
-    assert ": cache miss for key " in capsys.readouterr().err
-
-
-def test_cli_run_rejects_a_model_id_with_a_lone_surrogate(tmp_path, capsys):
-    # a non-UTF-8 byte in --model-id used to pass set-up, build the index, make the
-    # cache directory and fail the first cache key with a bare codec error
-    cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
-    argv = [
-        "run", "--config", str(CONFIG_DIR / "gpt4qr_bm25_qd1.json"),
-        "--scripted", "--model-id", "gpt\udcff", "--cache-dir", str(cache_dir),
-        "--out-dir", str(out_dir),
-    ]
-    assert main(argv) == 1
-    assert "error: model_id holds the lone surrogate '\\udcff'" in capsys.readouterr().err
-    assert not cache_dir.exists() and not out_dir.exists()
-
-
 @pytest.mark.parametrize(
     "model_id, problem",
     [("gpt-4\u200b", "model_id holds the unprintable character '\\u200b'"),
      ("gpt 4", "whitespace in model_id 'gpt 4'")],
     ids=["invisible", "whitespace"],
 )
-@pytest.mark.parametrize("source", ["spec", "option"])
-def test_cli_run_rejects_a_model_id_that_is_no_identifier(
-    tmp_path, capsys, source, model_id, problem
-):
+def test_cli_run_rejects_a_model_id_that_is_no_identifier(tmp_path, capsys, model_id, problem):
     # 'gpt-4\u200b' prints as 'gpt-4': a record run stored every exchange under it and
     # sent it to the endpoint, and a run with the plain id then missed every record
     spec = json.loads((CONFIG_DIR / "gpt4qr_bm25_qd1.json").read_text(encoding="utf-8"))
     paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
-    spec["paths"] = dict(paths, cache_dir=str(tmp_path / "cache"))
-    options = ["--model-id", model_id] if source == "option" else []
-    if source == "spec":
-        spec["model_id"] = model_id
+    spec.update(paths=dict(paths, cache_dir=str(tmp_path / "cache")), model_id=model_id)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
     argv = ["run", "--config", str(spec_path), "--scripted", "--out-dir", str(tmp_path / "out")]
-    assert main([*argv, *options]) == 1
-    prefix = f"run spec {spec_path}: " if source == "spec" else ""
-    assert capsys.readouterr().err == f"error: {prefix}{problem}\n"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: run spec {spec_path}: {problem}\n"
     assert list(tmp_path.iterdir()) == [spec_path]
 
 
@@ -358,16 +322,16 @@ def test_cli_run_replay_miss_names_the_cache_and_model(tmp_path, capsys):
       "run spec {spec}: field 'paths' value of 'cache_dir' is empty"),
      ({"paths": {"corpus": ""}}, ["--scripted"],
       "run spec {spec}: field 'paths' value of 'corpus' is empty"),
-     ({"model_id": ""}, ["--scripted"], "run spec {spec}: model_id is empty"),
+     ({"model_id": ""}, ["--scripted"], "run spec {spec}: empty model_id"),
      *(({}, ["--scripted", f"--{option}", ""], f"argument --{option}: is empty")
-       for option in ("config", "out-dir", "model-id", "cache-dir")),
+       for option in ("config", "out-dir", "cache-dir")),
      # an empty scorer endpoint failed the first rerank on "unknown url type: ''"
      ({"scorer_endpoints": {"minilm": ""}}, ["--scripted"],
       "run spec {spec}: scorer_endpoints value of 'minilm' is not an http(s) URL naming a host: ''"),
      ({}, ["--endpoint", ""], "argument --endpoint: is empty"),
      ({}, ["--endpoint", "http://chat.invalid", "--api-key", ""], "argument --api-key: is empty")],
-    ids=["spec-cache_dir", "spec-corpus", "spec-model_id", "config", "out-dir", "model-id",
-         "cache-dir", "spec-scorer_endpoints", "endpoint", "api-key"],
+    ids=["spec-cache_dir", "spec-corpus", "spec-model_id", "config", "out-dir", "cache-dir",
+         "spec-scorer_endpoints", "endpoint", "api-key"],
 )
 def test_cli_run_rejects_an_empty_value_before_any_index_is_built(
     tmp_path, capsys, monkeypatch, change, options, message
@@ -375,7 +339,7 @@ def test_cli_run_rejects_an_empty_value_before_any_index_is_built(
     # an empty path read as the spec's own directory: a record run wrote its cache
     # records there, and an empty corpus failed after set-up with "Is a directory",
     # naming neither key nor spec; an empty --out-dir wrote into the working directory,
-    # and an empty --model-id, --cache-dir or --api-key was dropped: each run exited 0
+    # and an empty --cache-dir or --api-key was dropped: each run exited 0
     def load_resources(spec):
         raise AssertionError("an index was built")
 
@@ -437,10 +401,14 @@ def test_cli_rejects_an_empty_option_value(tmp_path, capsys, monkeypatch, argv, 
      (["run", "--api-key", "secret"],
       "argument --api-key: not allowed without argument --endpoint"),
      (["run", "--scripted", "--api-key", "secret"],
-      "argument --api-key: not allowed without argument --endpoint")],
+      "argument --api-key: not allowed without argument --endpoint"),
+     # the spec names a run's model: --model-id kept the spec's run_tag, so two models'
+     # runs replaced one file under one tag
+     (["run", "--model-id", "m2"], "unrecognized arguments: --model-id m2"),
+     (["run", "--model", "m2"], "unrecognized arguments: --model m2")],
     ids=["cache-subcommand", "live-mode", "per-depth", "per-topic", "ndcg-cutoff",
          "precision-cutoff", "recall-cutoff", "threshold", "endpoint-and-scripted",
-         "api-key-alone", "api-key-with-scripted"],
+         "api-key-alone", "api-key-with-scripted", "model-id", "model"],
 )
 def test_cli_rejects_the_retired_spellings(tmp_path, capsys, argv, message):
     config = str(CONFIG_DIR / "gpt4qr_deberta.json")

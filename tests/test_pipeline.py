@@ -317,20 +317,28 @@ def _no_set_up(path):
     raise AssertionError("set-up read the corpus")
 
 
-@pytest.mark.parametrize("below", ["", "out", "out/deeper"])
-def test_execute_spec_rejects_an_out_dir_it_cannot_make_before_set_up(tmp_path, monkeypatch, below):
+@pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])
+@pytest.mark.parametrize("key", ["out_dir", "cache_dir"])
+def test_execute_spec_rejects_a_directory_it_cannot_make_before_set_up(
+    tmp_path, monkeypatch, key, below
+):
     # an out_dir under a regular file ran every turn, 18 transport calls, and only then
-    # failed on NotADirectoryError (FileExistsError for the file itself)
-    monkeypatch.setattr(pipeline, "read_corpus", _no_set_up)
+    # failed on NotADirectoryError (FileExistsError for the file itself); a recording
+    # run's cache_dir there failed the same way after set-up, naming no key
+    def load_resources(spec):
+        raise AssertionError("set-up started")
+
+    monkeypatch.setattr(pipeline, "load_resources", load_resources)
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
-    out = blocker / below  # below "" it is the file itself
+    blocked = blocker / below  # below "" it is the file itself
+    dirs = {"out_dir": tmp_path / "out", "cache_dir": tmp_path / "cache", key: blocked}
     spec = load_run_spec(CONFIG_DIR / "gpt4qr_deberta.json")
-    spec = replace(spec, paths=dict(spec.paths, cache_dir=tmp_path / "cache"))
+    spec = replace(spec, paths=dict(spec.paths, cache_dir=dirs["cache_dir"]))
     transport = CountingTransport()
-    message = f"out_dir {out} cannot be made: {blocker} is not a directory"
+    message = f"{key} {blocked} cannot be made: {blocker} is not a directory"
     with pytest.raises(ValueError, match=re.escape(message)):
-        execute_spec(spec, out, transport=transport)
+        execute_spec(spec, dirs["out_dir"], transport=transport)
     assert transport.calls == 0
     assert list(tmp_path.iterdir()) == [blocker]
 
