@@ -24,7 +24,7 @@ def main():
     print(f"run tag    : {config.run_tag}")
     print(f"rewriter   : {config.rewriter} (phi={config.phi})")
     print(f"retriever  : {config.retriever}")
-    print(f"fusion     : {config.fusion}")
+    print(f"pools      : {config.pools}")
     print(f"rerankers  : {list(config.scorer_ids)}")
 
     # peek at what the LLM produced for the first turn

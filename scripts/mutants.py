@@ -325,6 +325,47 @@ CATALOGUE = (
         ("tests/test_pipeline.py::test_a_human_rewrite_run_needs_every_manual_rewrite_before_set_up",),
     ),
     Mutant(
+        "pooling-needs-no-reranker",
+        "src/convsearch/pipeline.py",
+        "if self.pools and not self.scorer_ids:",
+        "if False:",
+        ("tests/test_pipeline.py::test_run_config_pool_requires_reranker",
+         "tests/test_pipeline.py::test_a_spec_reads_iff_its_fusion_key_is_the_implied_shape"),
+    ),
+    Mutant(
+        "fusion-key-takes-any-shape",
+        "src/convsearch/pipeline.py",
+        """if "fusion" in data and _json_value(data["fusion"], str, "field 'fusion'") != shape:""",
+        "if False:",
+        ("tests/test_pipeline.py::test_a_spec_reads_iff_its_fusion_key_is_the_implied_shape",
+         "tests/test_pipeline.py::test_run_config_multi_query_needs_fusion",
+         "tests/test_pipeline.py::test_run_spec_rejects_the_single_rewrite_rewriter"),
+    ),
+    Mutant(
+        "pools-at-phi-1",
+        "src/convsearch/pipeline.py",
+        'return self.rewriter == "multi_query" and self.phi > 1',
+        'return self.rewriter == "multi_query"',
+        ("tests/test_pipeline.py::test_shipped_configs_reproduce_submitted_run_seams",
+         "tests/test_pipeline.py::test_a_spec_reads_iff_its_fusion_key_is_the_implied_shape"),
+    ),
+    Mutant(
+        "replay-makes-its-cache-directory",
+        "src/convsearch/llm.py",
+        "        self.directory = Path(directory)\n",
+        "        self.directory = Path(directory)\n"
+        "        self.directory.mkdir(parents=True, exist_ok=True)\n",
+        ("tests/test_llm.py::test_the_cache_directory_is_made_at_the_first_put",),
+    ),
+    Mutant(
+        "evaluate-names-no-run-file-for-a-query-id",
+        "src/convsearch/evaluation.py",
+        "    with _text(run_source) as handle:  # a query id is parsed after the read\n"
+        "        return evaluate_rankings(read_run_file(handle), qrels)\n",
+        "    return evaluate_rankings(read_run_file(run_source), qrels)\n",
+        ("tests/test_cli.py::test_cli_evaluate_names_the_run_file_of_a_bad_query_id",),
+    ),
+    Mutant(
         "readme-reranks-passages-it-never-defines",
         "README.md",
         'passages = {p.doc_id: p for p in read_corpus("data/fixture/corpus.tsv")}\n',

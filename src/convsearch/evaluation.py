@@ -327,8 +327,9 @@ def evaluate_rankings(rankings: dict[str, RankedList], qrels: Qrels) -> MetricRe
 
 
 def evaluate_run(run_source: str | Path | IO[str], qrels: Qrels) -> MetricReport:
-    """Evaluate a TREC run file against qrels."""
-    return evaluate_rankings(read_run_file(run_source), qrels)
+    """Evaluate a TREC run file against qrels; a ValueError follows a path, as a reader's does."""
+    with _text(run_source) as handle:  # a query id is parsed after the read
+        return evaluate_rankings(read_run_file(handle), qrels)
 
 
 def _format_row(label: str, values: dict[str, float], metrics: Sequence[str], width: int) -> str:

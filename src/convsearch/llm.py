@@ -128,7 +128,6 @@ class LLMCache:
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -164,6 +163,7 @@ class LLMCache:
         if key != cache_key(model_id, prompt):
             raise ValueError(f"cache key {key!r} is not the key of its model_id and prompt")
         record = {"model_id": model_id, "prompt": prompt, "response": response}
+        self.directory.mkdir(parents=True, exist_ok=True)  # here: a replay writes nothing
         _write_text(self._path(key), json.dumps(record, indent=2, ensure_ascii=False))
 
 

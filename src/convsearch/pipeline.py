@@ -3,15 +3,14 @@
 A run configuration names a rewriter (multi-aspect query generation of up
 to ``phi`` queries, a single LLM rewrite at ``phi`` 1, or the human
 rewrite shipped with the topic file), a first-stage retriever (bm25 or
-sparse), a fusion strategy, and the reranking scorers: a run reranks iff
-``scorer_ids`` is non-empty, and several scorers are averaged.  Every stage
-ranks to the TREC submission depth ``MAX_RANKING``, and every prompt gets
-the topic's whole PTKB.  Two fusion strategies cover the submitted-run
-shapes:
+sparse), and the reranking scorers: a run reranks iff ``scorer_ids`` is
+non-empty, and several scorers are averaged.  Every stage ranks to the TREC
+submission depth ``MAX_RANKING``, and every prompt gets the topic's whole
+PTKB.  The rewriter and ``phi`` fix the run's shape:
 
-* ``pool_then_rerank`` - retrieve per generated query, pool the candidate
-  union, then rerank the pool with an independent single rewrite.
-* ``none``             - one query drives retrieval and reranking.
+* a run that asks for several queries (``multi_query`` at ``phi`` > 1) pools
+  their lists, then reranks the pool with an independent single rewrite;
+* every other run has one query, which drives retrieval and reranking.
 
 Interleaving per-query lists is not a run shape; it stays a way to fuse
 finished run files (``convsearch fuse --method interleave``).  A run given a
@@ -71,7 +70,6 @@ MAX_RANKING = 1000
 
 _REWRITERS = ("multi_query", "human_rewrite")
 _RETRIEVERS = ("bm25", "sparse")
-_FUSIONS = ("pool_then_rerank", "none")
 # the files a run spec names: its two index sources, topics, qrels, the LLM cache
 _PATH_NAMES = ("corpus", "sparse_vectors", "topics", "qrels", "cache_dir")
 
@@ -105,16 +103,15 @@ def _json_fields(cls: type, data: Mapping) -> dict:
 class RunConfig:
     """The seams one run varies; turn ids are ``<topic>_<turn>``.
 
-    ``fusion`` names one of the two run shapes: ``pool_then_rerank`` or ``none``.
-    ``scorer_endpoints`` maps some of ``scorer_ids`` to cross-encoder services, each
-    an http(s) URL naming a host.
+    A run :attr:`pools` iff it asks for several queries (multi_query at ``phi`` > 1),
+    and then needs ``scorer_ids`` to rerank the pool.  ``scorer_endpoints`` maps some
+    of ``scorer_ids`` to cross-encoder services, each an http(s) URL naming a host.
     """
 
     turn_id_template: ClassVar[str] = "{topic}_{turn}"
     run_tag: str
     rewriter: str
     retriever: str
-    fusion: str = "none"
     scorer_ids: tuple[str, ...] = ()
     phi: int = 5
     scorer_endpoints: Mapping[str, str] = field(default_factory=dict)
@@ -126,8 +123,6 @@ class RunConfig:
             raise ValueError(f"unknown rewriter '{self.rewriter}'")
         if self.retriever not in _RETRIEVERS:
             raise ValueError(f"unknown retriever '{self.retriever}'")
-        if self.fusion not in _FUSIONS:
-            raise ValueError(f"unknown fusion '{self.fusion}'")
         if self.phi < 1:
             raise ValueError("phi must be >= 1")
         if problem := _id_problem("scorer_id", list(self.scorer_ids)):  # it seeds a scorer
@@ -141,12 +136,12 @@ class RunConfig:
         for scorer_id, url in self.scorer_endpoints.items():
             if problem := _url_problem(f"scorer_endpoints value of {scorer_id!r}", url):
                 raise ValueError(problem)
-        if self.fusion == "pool_then_rerank" and self.rewriter != "multi_query":
-            raise ValueError("fusion 'pool_then_rerank' requires the multi_query rewriter")
-        if self.fusion == "pool_then_rerank" and not self.scorer_ids:
-            raise ValueError("pool_then_rerank requires a reranker (non-empty scorer_ids)")
-        if self.rewriter == "multi_query" and self.phi > 1 and self.fusion == "none":
-            raise ValueError("multi_query with phi > 1 requires a fusion strategy")
+        if self.pools and not self.scorer_ids:
+            raise ValueError("pooling (multi_query at phi > 1) requires a reranker (scorer_ids)")
+
+    @property
+    def pools(self) -> bool:
+        return self.rewriter == "multi_query" and self.phi > 1
 
 
 @dataclass(frozen=True)
@@ -215,8 +210,7 @@ def execute_turn(
         scorers = [resolve_scorer(s, config.scorer_endpoints) for s in config.scorer_ids]
         retrieved = [_retrieve(config, index, q) for q in queries]
 
-        # a run that does not pool has exactly one query (phi > 1 requires pooling)
-        if config.fusion == "pool_then_rerank":
+        if config.pools:  # a run that does not pool has exactly one query
             pooled = pool_candidates(retrieved, MAX_RANKING)
             rerank_query = llm.generate_rewrite(ctx, ptkb_string, turn.user_utterance)
             ranking = rerank(scorers, rerank_query, pooled, MAX_RANKING, get_passage)
@@ -316,17 +310,18 @@ def load_run_spec(path: str | Path) -> RunSpec:
 
     Raises:
         ValueError: starting ``run spec <path>: ``, then naming the key, for a key that is
-            neither a :class:`RunConfig` field nor ``paths`` or ``model_id`` (a retired key
-            too); a ``paths`` name other than ``corpus``, ``sparse_vectors``,
-            ``topics``, ``qrels`` and ``cache_dir``, or an empty path (``field 'paths'
-            value of 'cache_dir' is empty``); an absent field without a default; a value
-            that fails ``_json_value`` (see ``_json_fields``); an invalid config or
-            ``model_id``; or a file whose top-level value is not an object.
+            neither a :class:`RunConfig` field nor ``paths``, ``model_id`` or ``fusion`` (a
+            retired key too); a ``fusion`` other than the run's shape (``pool_then_rerank``
+            iff it pools, else ``none``); a ``paths`` name other than ``corpus``,
+            ``sparse_vectors``, ``topics``, ``qrels`` and ``cache_dir``, or an empty path
+            (``field 'paths' value of 'cache_dir' is empty``); an absent field without a
+            default; a value that fails ``_json_value`` (see ``_json_fields``); an invalid
+            config or ``model_id``; or a file whose top-level value is not an object.
     """
     spec_path = Path(path)
     with _text(spec_path, "run spec") as handle:
         data = _json_value(json.load(handle), dict, "top-level value")
-        known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"}
+        known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"} | {"fusion"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
@@ -348,7 +343,11 @@ def load_run_spec(path: str | Path) -> RunSpec:
         ]
         if missing:
             raise ValueError(f"missing fields {missing}")
-        return RunSpec(config=RunConfig(**_json_fields(RunConfig, data)), **settings)
+        config = RunConfig(**_json_fields(RunConfig, data))
+        shape = "pool_then_rerank" if config.pools else "none"  # the shipped specs restate it
+        if "fusion" in data and _json_value(data["fusion"], str, "field 'fusion'") != shape:
+            raise ValueError(f"field 'fusion' must be {shape!r}, got {data['fusion']!r}")
+        return RunSpec(config=config, **settings)
 
 
 def _require_paths(spec: RunSpec, names: Sequence[str]) -> None:

@@ -519,6 +519,16 @@ def test_cli_fuse_names_the_bad_run_file(tmp_path, capsys):
     assert not (tmp_path / "fused.run").exists()
 
 
+def test_cli_evaluate_names_the_run_file_of_a_bad_query_id(tmp_path, capsys):
+    # the query id is parsed after the read, so the error named no file
+    run, qrels = tmp_path / "a.run", tmp_path / "a.qrels"
+    run.write_text("abc Q0 D1 1 1.0 a\n", encoding="utf-8")
+    qrels.write_text("1_1 0 D1 1\n", encoding="utf-8")
+    assert main(["evaluate", "--run", str(run), "--qrels", str(qrels)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {run}: query_id 'abc' is not of the form <topic>_<turn>\n"
+
+
 def test_cli_fuse_rejects_an_unprintable_run_tag(tmp_path, capsys):
     # a run tag 't\u200b' read back without a word, though write_run_file refuses to write it
     run = tmp_path / "a.run"

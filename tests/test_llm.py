@@ -135,6 +135,19 @@ def test_replay_mode_empty_cache_misses(tmp_path):
         gateway.complete("anything")
 
 
+def test_the_cache_directory_is_made_at_the_first_put(tmp_path):
+    # LLMCache made its directory when it was made, so a replay of a missing cache left
+    # an empty directory behind its CacheMissError
+    cache = tmp_path / "missing" / "cache"
+    with pytest.raises(CacheMissError):
+        LLMGateway("m", cache, mode="replay").complete("anything")
+    assert not (tmp_path / "missing").exists()
+    recorder = LLMGateway("m", cache, mode="record", transport=CountingTransport())
+    assert not (tmp_path / "missing").exists()
+    recorder.complete("anything")
+    assert [path.name for path in cache.iterdir()] == [f"{cache_key('m', 'anything')}.json"]
+
+
 def test_replay_serves_recorded_response(tmp_path):
     recorder = LLMGateway("m", tmp_path, mode="record", transport=ScriptedTransport())
     prompt = "# Doc1: alpha\n# User query: q"

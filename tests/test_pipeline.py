@@ -43,38 +43,39 @@ from conftest import CONFIG_DIR, NOT_HTTP_URLS, TESTS_FIXTURE_DIR, CountingTrans
 
 
 def test_run_config_accepts_submitted_run_shapes():
-    RunConfig(
+    assert RunConfig(
         run_tag="r1", rewriter="multi_query", retriever="sparse",
-        fusion="pool_then_rerank", scorer_ids=("deberta-v3",), phi=5,
-    )
-    RunConfig(
+        scorer_ids=("deberta-v3",), phi=5,
+    ).pools
+    assert not RunConfig(
         run_tag="r4", rewriter="multi_query", retriever="bm25",
-        fusion="none", scorer_ids=("minilm",), phi=1,
-    )
-    RunConfig(
+        scorer_ids=("minilm",), phi=1,
+    ).pools
+    assert not RunConfig(
         run_tag="r6", rewriter="human_rewrite", retriever="sparse",
-        fusion="none",
         scorer_ids=("deberta-v2", "deberta-v3", "roberta", "albert", "electra"),
-    )
+    ).pools
     for url in ("http://h", "https://h:8443/score", "http://127.0.0.1:9000/s", "http://[::1]/s"):
         RunConfig(run_tag="r2", rewriter="multi_query", retriever="sparse", phi=1,
                   scorer_ids=("deberta-v3",), scorer_endpoints={"deberta-v3": url})
 
 
-def test_run_config_pool_requires_multi_query():
-    with pytest.raises(ValueError, match="multi_query"):
-        RunConfig(
-            run_tag="x", rewriter="human_rewrite", retriever="sparse",
-            fusion="pool_then_rerank", scorer_ids=("s",),
-        )
+def test_run_config_pool_requires_multi_query(tmp_path):
+    # a human rewrite is one query whatever phi says, and a spec cannot ask it to pool
+    config = RunConfig(run_tag="x", rewriter="human_rewrite", retriever="sparse", phi=5,
+                       scorer_ids=("s",))
+    assert not config.pools
+    data = {"run_tag": "x", "rewriter": "human_rewrite", "retriever": "sparse",
+            "scorer_ids": ["s"], "fusion": "pool_then_rerank"}
+    with pytest.raises(ValueError, match="field 'fusion' must be 'none', got 'pool_then_rerank'"):
+        load_run_spec(_write_spec(tmp_path, data))
 
 
 def test_run_config_pool_requires_reranker():
-    with pytest.raises(ValueError, match="reranker"):
-        RunConfig(
-            run_tag="x", rewriter="multi_query", retriever="sparse",
-            fusion="pool_then_rerank",
-        )
+    message = "pooling (multi_query at phi > 1) requires a reranker (scorer_ids)"
+    for phi in (2, 5):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(run_tag="x", rewriter="multi_query", retriever="sparse", phi=phi)
 
 
 @pytest.mark.parametrize(
@@ -97,12 +98,56 @@ def test_run_config_rejects_a_bad_value(fields, message):
         RunConfig(**dict(base, **fields))
 
 
-def test_run_config_multi_query_needs_fusion():
-    with pytest.raises(ValueError, match="fusion"):
-        RunConfig(
-            run_tag="x", rewriter="multi_query", retriever="bm25",
-            fusion="none", scorer_ids=("s",), phi=5,
-        )
+def test_run_config_multi_query_needs_fusion(tmp_path):
+    # several queries pool; a spec that calls such a run unpooled is rejected
+    config = RunConfig(run_tag="x", rewriter="multi_query", retriever="bm25",
+                       scorer_ids=("s",), phi=5)
+    assert config.pools
+    data = {"run_tag": "x", "rewriter": "multi_query", "retriever": "bm25",
+            "scorer_ids": ["s"], "phi": 5, "fusion": "none"}
+    with pytest.raises(ValueError, match="field 'fusion' must be 'pool_then_rerank', got 'none'"):
+        load_run_spec(_write_spec(tmp_path, data))
+
+
+_ABSENT = object()  # a spec with no fusion key
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["multi_query", "human_rewrite"]),
+    st.integers(1, 6),
+    st.sampled_from([[], ["minilm"], ["deberta-v3", "roberta"]]),
+    st.one_of(
+        st.just(_ABSENT), st.sampled_from(["none", "pool_then_rerank", "interleave", ""]),
+        st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
+        st.none(), st.booleans(), st.integers(), st.lists(st.just("none"), max_size=1),
+    ),
+)
+@example("multi_query", 3, ["minilm"], _ABSENT)  # pooling was asked for by the key alone
+def test_a_spec_reads_iff_its_fusion_key_is_the_implied_shape(
+    rewriter, phi, scorer_ids, fusion
+):
+    data = {"run_tag": "x", "rewriter": rewriter, "retriever": "bm25", "phi": phi,
+            "scorer_ids": scorer_ids}
+    if fusion is not _ABSENT:
+        data["fusion"] = fusion
+    pools = rewriter == "multi_query" and phi > 1
+    shape = "pool_then_rerank" if pools else "none"
+    if pools and not scorer_ids:
+        problem = "pooling (multi_query at phi > 1) requires a reranker (scorer_ids)"
+    elif fusion is _ABSENT or fusion == shape:
+        problem = None
+    elif isinstance(fusion, str):
+        problem = f"field 'fusion' must be {shape!r}, got {fusion!r}"
+    else:
+        problem = "field 'fusion' must be a string, got "
+    with tempfile.TemporaryDirectory() as scratch:
+        path = _write_spec(Path(scratch), data)
+        if problem is None:
+            assert load_run_spec(path).config.pools == pools
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"run spec {path}: {problem}")):
+                load_run_spec(path)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +215,7 @@ def test_execute_turn_pool_then_rerank_uses_independent_rewrite(tmp_path):
     index, gateway, passages = _mini_env(tmp_path)
     config = RunConfig(
         run_tag="x", rewriter="multi_query", retriever="bm25", phi=3,
-        fusion="pool_then_rerank", scorer_ids=("minilm",),
+        scorer_ids=("minilm",),
     )
     result = execute_turn(config, _mini_topic(), 1, index, gateway, passages=passages)
     assert len(result.ranking) >= 1
@@ -575,39 +620,40 @@ def test_write_response_records_jsonl():
 
 def test_shipped_configs_reproduce_submitted_run_seams():
     expected = {
-        "mq4cs-qr-deberta": ("multi_query", "sparse", "pool_then_rerank", 1, 5),
-        "mq4cs-qr-ensemble": ("multi_query", "sparse", "pool_then_rerank", 5, 5),
-        "gpt4qr-deberta": ("multi_query", "sparse", "none", 1, 1),
-        "gpt4qr-bm25-qd1": ("multi_query", "bm25", "none", 1, 1),
-        "humanqr-deberta": ("human_rewrite", "sparse", "none", 1, 5),
-        "humanqr-ensemble": ("human_rewrite", "sparse", "none", 5, 5),
+        "mq4cs-qr-deberta": ("multi_query", "sparse", True, 1, 5),
+        "mq4cs-qr-ensemble": ("multi_query", "sparse", True, 5, 5),
+        "gpt4qr-deberta": ("multi_query", "sparse", False, 1, 1),
+        "gpt4qr-bm25-qd1": ("multi_query", "bm25", False, 1, 1),
+        "humanqr-deberta": ("human_rewrite", "sparse", False, 1, 5),
+        "humanqr-ensemble": ("human_rewrite", "sparse", False, 5, 5),
     }
     seen = {}
     for path in sorted(CONFIG_DIR.glob("*.json")):
         spec = load_run_spec(path)
         config = spec.config
         seen[config.run_tag] = (
-            config.rewriter, config.retriever, config.fusion, len(config.scorer_ids), config.phi,
+            config.rewriter, config.retriever, config.pools, len(config.scorer_ids), config.phi,
         )
     assert seen == expected
 
 
-def test_pooling_is_exactly_a_multi_query_run_of_several_queries(tmp_path):
-    # every shipped config pools iff it asks for several queries, and at phi 1
-    # pooling changes no byte: the independent rewrite is queries[0]'s cache
-    # entry, and a one-list pool is that list
+def test_pooling_is_exactly_a_multi_query_run_of_several_queries(tmp_path, monkeypatch):
+    # every shipped config states the shape it has, and at phi 1 pooling would change
+    # no byte: the independent rewrite is queries[0]'s cache entry, and a one-list pool
+    # is that list
     for path in sorted(CONFIG_DIR.glob("*.json")):
         config = load_run_spec(path).config
-        pools = config.rewriter == "multi_query" and config.phi > 1
-        assert (config.fusion == "pool_then_rerank") == pools, path.name
+        fusion = json.loads(path.read_text(encoding="utf-8"))["fusion"]
+        assert config.pools == (config.rewriter == "multi_query" and config.phi > 1)
+        assert (fusion == "pool_then_rerank") == config.pools, path.name
     for name in ("gpt4qr_deberta", "gpt4qr_bm25_qd1"):
         spec = load_run_spec(CONFIG_DIR / f"{name}.json")
-        assert spec.config.fusion == "none"
-        outputs = []
-        for fusion in ("none", "pool_then_rerank"):
-            config = replace(spec.config, fusion=fusion)
-            paths = execute_spec(replace(spec, config=config), tmp_path / fusion)
-            outputs.append([p.read_bytes() for p in paths])
+        assert not spec.config.pools
+        outputs = [[p.read_bytes() for p in execute_spec(spec, tmp_path / "none")]]
+        with monkeypatch.context() as patched:  # pool at phi 1 too
+            patched.setattr(RunConfig, "pools", property(lambda c: c.rewriter == "multi_query"))
+            assert spec.config.pools
+            outputs.append([p.read_bytes() for p in execute_spec(spec, tmp_path / "pooled")])
         assert outputs[0] == outputs[1]
 
 
@@ -621,12 +667,14 @@ def test_from_dict_reads_every_field_and_defaults_the_rest(tmp_path):
     # load_run_spec is the one JSON reader of a run config
     data = {
         "run_tag": "x", "rewriter": "multi_query", "retriever": "sparse",
-        "fusion": "pool_then_rerank", "scorer_ids": ["a", "b"], "phi": 3,
-        "scorer_endpoints": {"a": "http://h/a"},
+        "scorer_ids": ["a", "b"], "phi": 3, "scorer_endpoints": {"a": "http://h/a"},
     }
     assert set(data) == {f.name for f in fields(RunConfig)}
     expected = RunConfig(**dict(data, scorer_ids=("a", "b")))
     assert load_run_spec(_write_spec(tmp_path, data)).config == expected
+    # the key the shipped specs keep reads iff it states the shape the run has
+    stated = dict(data, fusion="pool_then_rerank")
+    assert load_run_spec(_write_spec(tmp_path, stated)).config == expected
     bare = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
     assert load_run_spec(_write_spec(tmp_path, bare)).config == RunConfig(**bare)
 
@@ -709,10 +757,12 @@ def test_run_spec_rejects_the_single_rewrite_rewriter(tmp_path):
     # rather than interleaving them; neither old spelling has an alias
     data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
     path = tmp_path / "old.json"
-    for key, value in (("rewriter", "single_rewrite"), ("fusion", "interleave")):
+    for key, value, problem in (
+        ("rewriter", "single_rewrite", "unknown rewriter 'single_rewrite'"),
+        ("fusion", "interleave", "field 'fusion' must be 'none', got 'interleave'"),
+    ):
         path.write_text(json.dumps(dict(data, **{key: value})), encoding="utf-8")
-        message = f"run spec {path}: unknown {key} '{value}'"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(f"run spec {path}: {problem}")):
             load_run_spec(path)
 
 
