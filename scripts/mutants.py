@@ -344,10 +344,49 @@ CATALOGUE = (
     Mutant(
         "pools-at-phi-1",
         "src/convsearch/pipeline.py",
-        'return self.rewriter == "multi_query" and self.phi > 1',
-        'return self.rewriter == "multi_query"',
+        "return self.phi > 1",
+        "return self.phi >= 1",
         ("tests/test_pipeline.py::test_shipped_configs_reproduce_submitted_run_seams",
-         "tests/test_pipeline.py::test_a_spec_reads_iff_its_fusion_key_is_the_implied_shape"),
+         "tests/test_pipeline.py::test_a_spec_reads_iff_its_fusion_key_is_the_implied_shape",
+         "tests/test_pipeline.py::test_a_spec_loads_iff_it_is_the_one_spelling_of_its_run"),
+    ),
+    Mutant(
+        "human-rewrite-takes-phi",
+        "src/convsearch/pipeline.py",
+        'if "phi" in data and rewriter == "human_rewrite":',
+        "if False:",
+        ("tests/test_pipeline.py::test_a_spec_loads_iff_it_is_the_one_spelling_of_its_run",
+         "tests/test_cli.py::test_cli_run_rejects_a_path_run_tag_or_a_human_phi_before_set_up"),
+    ),
+    Mutant(
+        "human-rewrite-config-takes-phi",
+        "src/convsearch/pipeline.py",
+        'if self.rewriter == "human_rewrite" and self.phi != 1:',
+        "if False:",
+        ("tests/test_pipeline.py::test_run_config_pool_requires_multi_query",),
+    ),
+    Mutant(
+        "multi-query-spec-defaults-phi",
+        "src/convsearch/pipeline.py",
+        'required = {"phi"} if rewriter == "multi_query" else set()',
+        "required = set()",
+        ("tests/test_pipeline.py::test_a_spec_loads_iff_it_is_the_one_spelling_of_its_run",
+         "tests/test_pipeline.py::test_run_spec_names_a_missing_field_and_its_file"),
+    ),
+    Mutant(
+        "spec-defaults-its-model",
+        "src/convsearch/pipeline.py",
+        "    model_id: str\n",
+        '    model_id: str = "gpt-4"\n',
+        ("tests/test_pipeline.py::test_a_spec_loads_iff_it_is_the_one_spelling_of_its_run",
+         "tests/test_pipeline.py::test_run_spec_names_a_missing_field_and_its_file"),
+    ),
+    Mutant(
+        "run-tag-takes-a-path-separator",
+        "src/convsearch/pipeline.py",
+        'if "/" in self.run_tag or "\\\\" in self.run_tag:',
+        "if False:",
+        ("tests/test_cli.py::test_cli_run_rejects_a_path_run_tag_or_a_human_phi_before_set_up",),
     ),
     Mutant(
         "replay-makes-its-cache-directory",

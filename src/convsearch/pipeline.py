@@ -2,15 +2,19 @@
 
 A run configuration names a rewriter (multi-aspect query generation of up
 to ``phi`` queries, a single LLM rewrite at ``phi`` 1, or the human
-rewrite shipped with the topic file), a first-stage retriever (bm25 or
-sparse), and the reranking scorers: a run reranks iff ``scorer_ids`` is
-non-empty, and several scorers are averaged.  Every stage ranks to the TREC
-submission depth ``MAX_RANKING``, and every prompt gets the topic's whole
-PTKB.  The rewriter and ``phi`` fix the run's shape:
+rewrite shipped with the topic file, which is one query), a first-stage
+retriever (bm25 or sparse), and the reranking scorers: a run reranks iff
+``scorer_ids`` is non-empty, and several scorers are averaged.  Every stage
+ranks to the TREC submission depth ``MAX_RANKING``, and every prompt gets
+the topic's whole PTKB.  ``phi`` is the number of queries a turn retrieves
+with, and it fixes the run's shape:
 
-* a run that asks for several queries (``multi_query`` at ``phi`` > 1) pools
-  their lists, then reranks the pool with an independent single rewrite;
+* a run that asks for several queries (``phi`` > 1, so ``multi_query``)
+  pools their lists, then reranks the pool with an independent single rewrite;
 * every other run has one query, which drives retrieval and reranking.
+
+Each run has one spelling as a spec: it names its ``model_id``, and it
+states ``phi`` iff its rewriter is ``multi_query``.
 
 Interleaving per-query lists is not a run shape; it stays a way to fuse
 finished run files (``convsearch fuse --method interleave``).  A run given a
@@ -103,9 +107,11 @@ def _json_fields(cls: type, data: Mapping) -> dict:
 class RunConfig:
     """The seams one run varies; turn ids are ``<topic>_<turn>``.
 
-    A run :attr:`pools` iff it asks for several queries (multi_query at ``phi`` > 1),
-    and then needs ``scorer_ids`` to rerank the pool.  ``scorer_endpoints`` maps some
-    of ``scorer_ids`` to cross-encoder services, each an http(s) URL naming a host.
+    ``run_tag`` names the output files, so it is an identifier holding no ``/`` or
+    ``\\``.  ``phi`` is the number of queries a turn retrieves with: a human_rewrite run
+    has one.  A run :attr:`pools` iff it asks for several (``phi`` > 1), and then needs
+    ``scorer_ids`` to rerank the pool.  ``scorer_endpoints`` maps some of ``scorer_ids``
+    to cross-encoder services, each an http(s) URL naming a host.
     """
 
     turn_id_template: ClassVar[str] = "{topic}_{turn}"
@@ -113,18 +119,22 @@ class RunConfig:
     rewriter: str
     retriever: str
     scorer_ids: tuple[str, ...] = ()
-    phi: int = 5
+    phi: int = 1
     scorer_endpoints: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if problem := _id_problem("run_tag", [self.run_tag]):  # it names the output files
             raise ValueError(problem)
+        if "/" in self.run_tag or "\\" in self.run_tag:
+            raise ValueError(f"path separator in run_tag {self.run_tag!r}")
         if self.rewriter not in _REWRITERS:
             raise ValueError(f"unknown rewriter '{self.rewriter}'")
         if self.retriever not in _RETRIEVERS:
             raise ValueError(f"unknown retriever '{self.retriever}'")
         if self.phi < 1:
             raise ValueError("phi must be >= 1")
+        if self.rewriter == "human_rewrite" and self.phi != 1:
+            raise ValueError(f"a human_rewrite run has one query: phi must be 1, got {self.phi}")
         if problem := _id_problem("scorer_id", list(self.scorer_ids)):  # it seeds a scorer
             raise ValueError(problem)
         twice = [s for n, s in enumerate(self.scorer_ids) if s in self.scorer_ids[:n]]
@@ -141,7 +151,7 @@ class RunConfig:
 
     @property
     def pools(self) -> bool:
-        return self.rewriter == "multi_query" and self.phi > 1
+        return self.phi > 1
 
 
 @dataclass(frozen=True)
@@ -294,11 +304,12 @@ def write_response_records(results: Sequence[TurnResult], sink: str | Path | IO[
 @dataclass(frozen=True)
 class RunSpec:
     """What a run is: a run config, its file paths and the model id (an identifier) it
-    asks; a run against another model is another spec, with its own ``run_tag``."""
+    asks, which every spec states; a run against another model is another spec, with
+    its own ``run_tag``."""
 
     config: RunConfig
     paths: dict[str, Path]
-    model_id: str = "gpt-4"
+    model_id: str
 
     def __post_init__(self) -> None:
         if problem := _id_problem("model_id", [_json_value(self.model_id, str, "model_id")]):
@@ -308,23 +319,31 @@ class RunSpec:
 def load_run_spec(path: str | Path) -> RunSpec:
     """Load a JSON run spec; relative paths resolve against the file's directory.
 
+    A spec has one spelling per run: it states ``model_id``, and ``phi`` iff its rewriter
+    is ``multi_query`` (a human rewrite is one query).
+
     Raises:
         ValueError: starting ``run spec <path>: ``, then naming the key, for a key that is
             neither a :class:`RunConfig` field nor ``paths``, ``model_id`` or ``fusion`` (a
-            retired key too); a ``fusion`` other than the run's shape (``pool_then_rerank``
-            iff it pools, else ``none``); a ``paths`` name other than ``corpus``,
-            ``sparse_vectors``, ``topics``, ``qrels`` and ``cache_dir``, or an empty path
-            (``field 'paths' value of 'cache_dir' is empty``); an absent field without a
-            default; a value that fails ``_json_value`` (see ``_json_fields``); an invalid
-            config or ``model_id``; or a file whose top-level value is not an object.
+            retired key too); a ``phi`` in a ``human_rewrite`` spec (``field 'phi' applies
+            only to rewriter 'multi_query'``); a ``fusion`` other than the run's shape
+            (``pool_then_rerank`` iff it pools, else ``none``); a ``paths`` name other than
+            ``corpus``, ``sparse_vectors``, ``topics``, ``qrels`` and ``cache_dir``, or an
+            empty path (``field 'paths' value of 'cache_dir' is empty``); an absent field
+            without a default, or an absent ``phi`` in a ``multi_query`` spec (``missing
+            fields ['phi']``); a value that fails ``_json_value`` (see ``_json_fields``); an
+            invalid config or ``model_id``; or a file whose top-level value is not an object.
     """
     spec_path = Path(path)
     with _text(spec_path, "run spec") as handle:
         data = _json_value(json.load(handle), dict, "top-level value")
-        known = {f.name for f in fields(RunConfig) + fields(RunSpec)} - {"config"} | {"fusion"}
-        unknown = sorted(set(data) - known)
+        keys = [f for f in fields(RunConfig) + fields(RunSpec) if f.name not in ("config", "paths")]
+        unknown = sorted(set(data) - {f.name for f in keys} - {"paths", "fusion"})
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
+        rewriter = data.get("rewriter")  # phi is stated iff the rewriter generates queries
+        if "phi" in data and rewriter == "human_rewrite":
+            raise ValueError("field 'phi' applies only to rewriter 'multi_query'")
         settings = _json_fields(RunSpec, data)
         paths = settings.get("paths", {})
         unknown = sorted(set(paths) - set(_PATH_NAMES))
@@ -337,9 +356,10 @@ def load_run_spec(path: str | Path) -> RunSpec:
             name: (base / value).resolve() if not Path(value).is_absolute() else Path(value)
             for name, value in paths.items()
         }
+        required = {"phi"} if rewriter == "multi_query" else set()
         missing = [
-            f.name for f in fields(RunConfig)
-            if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+            f.name for f in keys if f.name not in data
+            and (f.name in required or f.default is MISSING and f.default_factory is MISSING)
         ]
         if missing:
             raise ValueError(f"missing fields {missing}")

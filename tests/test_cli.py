@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from convsearch import pipeline
+from convsearch import offline, pipeline
 from convsearch.cli import main
 from convsearch.evaluation import (
     evaluate_run,
@@ -21,7 +21,7 @@ from convsearch.evaluation import (
 from convsearch.fusion import ensemble_fuse, interleave
 from convsearch.offline import ScriptedTransport
 
-from conftest import CONFIG_DIR, FIXTURE_DIR, REPO
+from conftest import CONFIG_DIR, FIXTURE_DIR, REPO, CountingTransport
 
 
 def test_cli_run_replay_and_evaluate(tmp_path, capsys):
@@ -270,6 +270,34 @@ def test_cli_run_rejects_a_model_id_that_is_no_identifier(tmp_path, capsys, mode
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: run spec {spec_path}: {problem}\n"
     assert list(tmp_path.iterdir()) == [spec_path]
+
+
+@pytest.mark.parametrize(
+    "config, change, problem",
+    [*(("gpt4qr_bm25_qd1.json", {"run_tag": tag}, f"path separator in run_tag {tag!r}")
+       for tag in ("../escaped", "a/b", "a\\b")),
+     ("humanqr_deberta.json", {"phi": 3}, "field 'phi' applies only to rewriter 'multi_query'")],
+    ids=["run_tag-parent", "run_tag-slash", "run_tag-backslash", "human-phi"],
+)
+def test_cli_run_rejects_a_path_run_tag_or_a_human_phi_before_set_up(
+    tmp_path, capsys, monkeypatch, config, change, problem
+):
+    # with --out-dir out/inner, run_tag '../escaped' exited 0 having written out/escaped.run,
+    # and 'a/b' ran every turn, then failed on "No such file or directory: .../inner/a/b.run";
+    # a human rewrite is one query, yet "phi": 3 loaded, was ignored and ran
+    spec = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
+    paths = {name: str((CONFIG_DIR / path).resolve()) for name, path in spec["paths"].items()}
+    spec.update(change, paths=dict(paths, cache_dir=str(tmp_path / "cache")))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    transport, set_up, load_resources = CountingTransport(), [], pipeline.load_resources
+    monkeypatch.setattr(offline, "ScriptedTransport", lambda: transport)
+    monkeypatch.setattr(pipeline, "load_resources", lambda s: set_up.append(s) or load_resources(s))
+    out_dir = tmp_path / "out" / "inner"
+    assert main(["run", "--config", str(spec_path), "--scripted", "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: run spec {spec_path}: {problem}\n"
+    assert (transport.calls, set_up) == (0, [])
+    assert list(tmp_path.rglob("*")) == [spec_path]
 
 
 def test_cli_run_replay_names_a_missing_cache_directory(tmp_path, capsys, monkeypatch):

@@ -61,12 +61,14 @@ def test_run_config_accepts_submitted_run_shapes():
 
 
 def test_run_config_pool_requires_multi_query(tmp_path):
-    # a human rewrite is one query whatever phi says, and a spec cannot ask it to pool
-    config = RunConfig(run_tag="x", rewriter="human_rewrite", retriever="sparse", phi=5,
-                       scorer_ids=("s",))
-    assert not config.pools
+    # a human rewrite is one query: phi says so, and a spec cannot ask it to pool
+    config = RunConfig(run_tag="x", rewriter="human_rewrite", retriever="sparse", scorer_ids=("s",))
+    assert config.phi == 1 and not config.pools
+    message = "a human_rewrite run has one query: phi must be 1, got 5"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(config, phi=5)
     data = {"run_tag": "x", "rewriter": "human_rewrite", "retriever": "sparse",
-            "scorer_ids": ["s"], "fusion": "pool_then_rerank"}
+            "scorer_ids": ["s"], "fusion": "pool_then_rerank", "model_id": "m"}
     with pytest.raises(ValueError, match="field 'fusion' must be 'none', got 'pool_then_rerank'"):
         load_run_spec(_write_spec(tmp_path, data))
 
@@ -104,12 +106,12 @@ def test_run_config_multi_query_needs_fusion(tmp_path):
                        scorer_ids=("s",), phi=5)
     assert config.pools
     data = {"run_tag": "x", "rewriter": "multi_query", "retriever": "bm25",
-            "scorer_ids": ["s"], "phi": 5, "fusion": "none"}
+            "scorer_ids": ["s"], "phi": 5, "fusion": "none", "model_id": "m"}
     with pytest.raises(ValueError, match="field 'fusion' must be 'pool_then_rerank', got 'none'"):
         load_run_spec(_write_spec(tmp_path, data))
 
 
-_ABSENT = object()  # a spec with no fusion key
+_ABSENT = object()  # a key the spec leaves out
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -127,8 +129,10 @@ _ABSENT = object()  # a spec with no fusion key
 def test_a_spec_reads_iff_its_fusion_key_is_the_implied_shape(
     rewriter, phi, scorer_ids, fusion
 ):
-    data = {"run_tag": "x", "rewriter": rewriter, "retriever": "bm25", "phi": phi,
-            "scorer_ids": scorer_ids}
+    data = {"run_tag": "x", "rewriter": rewriter, "retriever": "bm25",
+            "scorer_ids": scorer_ids, "model_id": "m"}
+    if rewriter == "multi_query":  # a human rewrite is one query and states no phi
+        data["phi"] = phi
     if fusion is not _ABSENT:
         data["fusion"] = fusion
     pools = rewriter == "multi_query" and phi > 1
@@ -145,6 +149,40 @@ def test_a_spec_reads_iff_its_fusion_key_is_the_implied_shape(
         path = _write_spec(Path(scratch), data)
         if problem is None:
             assert load_run_spec(path).config.pools == pools
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"run spec {path}: {problem}")):
+                load_run_spec(path)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["multi_query", "human_rewrite"]),
+    st.one_of(st.just(_ABSENT), st.integers(1, 6)),
+    st.sampled_from([_ABSENT, "gpt-4", "m"]),
+)
+@example("human_rewrite", 5, "gpt-4")  # the humanqr specs once loaded at any phi
+@example("multi_query", _ABSENT, "gpt-4")  # which silently meant phi 5
+@example("multi_query", 5, _ABSENT)  # and no model_id silently meant gpt-4
+def test_a_spec_loads_iff_it_is_the_one_spelling_of_its_run(rewriter, phi, model_id):
+    # a spec names its model, and states phi iff its rewriter generates queries
+    data = {"run_tag": "x", "rewriter": rewriter, "retriever": "bm25", "scorer_ids": ["minilm"]}
+    for key, value in (("phi", phi), ("model_id", model_id)):
+        if value is not _ABSENT:
+            data[key] = value
+    required = ("phi", "model_id") if rewriter == "multi_query" else ("model_id",)
+    missing = [key for key in required if key not in data]
+    if rewriter == "human_rewrite" and "phi" in data:
+        problem = "field 'phi' applies only to rewriter 'multi_query'"
+    elif missing:
+        problem = f"missing fields {missing}"
+    else:
+        problem = None
+    with tempfile.TemporaryDirectory() as scratch:
+        path = _write_spec(Path(scratch), data)
+        if problem is None:
+            spec = load_run_spec(path)
+            assert (spec.config.phi, spec.model_id) == (data.get("phi", 1), model_id)
+            assert spec.config.pools == (spec.config.phi > 1)
         else:
             with pytest.raises(ValueError, match=re.escape(f"run spec {path}: {problem}")):
                 load_run_spec(path)
@@ -624,8 +662,8 @@ def test_shipped_configs_reproduce_submitted_run_seams():
         "mq4cs-qr-ensemble": ("multi_query", "sparse", True, 5, 5),
         "gpt4qr-deberta": ("multi_query", "sparse", False, 1, 1),
         "gpt4qr-bm25-qd1": ("multi_query", "bm25", False, 1, 1),
-        "humanqr-deberta": ("human_rewrite", "sparse", False, 1, 5),
-        "humanqr-ensemble": ("human_rewrite", "sparse", False, 5, 5),
+        "humanqr-deberta": ("human_rewrite", "sparse", False, 1, 1),
+        "humanqr-ensemble": ("human_rewrite", "sparse", False, 5, 1),
     }
     seen = {}
     for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -665,18 +703,22 @@ def _write_spec(tmp_path, data):
 
 def test_from_dict_reads_every_field_and_defaults_the_rest(tmp_path):
     # load_run_spec is the one JSON reader of a run config
-    data = {
+    config = {
         "run_tag": "x", "rewriter": "multi_query", "retriever": "sparse",
         "scorer_ids": ["a", "b"], "phi": 3, "scorer_endpoints": {"a": "http://h/a"},
     }
-    assert set(data) == {f.name for f in fields(RunConfig)}
-    expected = RunConfig(**dict(data, scorer_ids=("a", "b")))
-    assert load_run_spec(_write_spec(tmp_path, data)).config == expected
+    assert set(config) == {f.name for f in fields(RunConfig)}
+    expected = RunConfig(**dict(config, scorer_ids=("a", "b")))
+    spec = load_run_spec(_write_spec(tmp_path, dict(config, model_id="m")))
+    assert (spec.config, spec.model_id, spec.paths) == (expected, "m", {})
     # the key the shipped specs keep reads iff it states the shape the run has
-    stated = dict(data, fusion="pool_then_rerank")
+    stated = dict(config, fusion="pool_then_rerank", model_id="m")
     assert load_run_spec(_write_spec(tmp_path, stated)).config == expected
-    bare = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"}
-    assert load_run_spec(_write_spec(tmp_path, bare)).config == RunConfig(**bare)
+    for bare in ({"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25"},
+                 {"run_tag": "x", "rewriter": "human_rewrite", "retriever": "bm25"}):
+        spec = load_run_spec(_write_spec(tmp_path, dict(bare, model_id="m")))
+        assert spec.config == RunConfig(**bare)
+        assert spec.config.phi == 1
 
 
 @pytest.mark.parametrize(
@@ -697,7 +739,8 @@ def test_from_dict_reads_every_field_and_defaults_the_rest(tmp_path):
          "phi-5.0", "phi-True", "retriever-value7", "fusion-False", "scorer_endpoints-value9"],
 )
 def test_config_values_must_have_their_json_type(tmp_path, key, value, what):
-    data = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25", key: value}
+    data = {"run_tag": "x", "rewriter": "multi_query", "phi": 1, "retriever": "bm25",
+            "model_id": "m", key: value}
     with pytest.raises(ValueError, match=f"{what} must be"):
         load_run_spec(_write_spec(tmp_path, data))
 
@@ -787,14 +830,15 @@ def test_run_spec_rejects_a_bad_or_repeated_scorer_id(tmp_path, scorer_ids, mess
 
 def test_run_spec_names_a_missing_field_and_its_file(tmp_path):
     data = json.loads((CONFIG_DIR / "gpt4qr_deberta.json").read_text(encoding="utf-8"))
-    for name in ("run_tag", "rewriter", "retriever"):
+    # a multi_query spec states phi, and every spec its model
+    for name in ("run_tag", "rewriter", "retriever", "phi", "model_id"):
         path = tmp_path / f"no_{name}.json"
         path.write_text(json.dumps({k: v for k, v in data.items() if k != name}), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing fields ['{name}']")):
             load_run_spec(path)
     path = tmp_path / "paths_only.json"
     path.write_text(json.dumps({"paths": data["paths"]}), encoding="utf-8")
-    message = f"{path}: missing fields ['run_tag', 'rewriter', 'retriever']"
+    message = f"{path}: missing fields ['run_tag', 'rewriter', 'retriever', 'model_id']"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_run_spec(path)
 
